@@ -22,7 +22,6 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from bmklab import young
-from bmklab.bmk import kernel_norm
 from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_rule
 
 
@@ -39,7 +38,7 @@ def write_pole_mass(path, level=3):
     disc = make_domain("ball", m=2)
     rule = volume_rule(disc, level)
     d = np.linalg.norm(rule.nodes, axis=1)
-    nrm = np.array([kernel_norm(1, 0, nd, np.zeros(2)) for nd in rule.nodes])
+    nrm = young.bmk_kernel_norm_constant(1, 0) / d
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rho", "mass"])

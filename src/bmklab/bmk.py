@@ -29,7 +29,6 @@ over hundreds of thousands of nodes at desk scale.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,9 +42,8 @@ from .geometry import boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
     "kernel_constant", "kernel_table", "kernel_eval", "kernel_norm",
-    "cauchy_kernel_value", "norm_bound_samples", "SingularQuadratureConfig",
-    "op_volume", "op_boundary", "dbar_potential", "reproduce_residual",
-    "residual_report_csv", "form_norm_at",
+    "norm_bound_samples", "SingularQuadratureConfig", "op_volume",
+    "op_boundary", "dbar_potential", "reproduce_residual",
 ]
 
 
@@ -80,22 +78,24 @@ def kernel_table(n, q):
 
 
 def _scalar_factors(nodes, z, n):
-    """s_j = conj(zeta_j - z_j)/|zeta - z|^{2n} at nodes, plus distances."""
+    """s_j = conj(zeta_j - z_j)/|zeta - z|^{2n} at nodes; 0 at a node equal
+    to z, so masking that node adds an exact 0 instead of 0 * nan."""
     d = nodes - z
     dist2 = np.sum(d * d, axis=-1)
     dc = d[:, 0::2] + 1j * d[:, 1::2]
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.conj(dc) / dist2[:, None] ** n
-    return s, np.sqrt(dist2)
+    s[dist2 == 0] = 0.0
+    return s
 
 
 def kernel_eval(n, q, zeta, z):
     """B_nq at one (zeta, z) pair: {J: constant-coefficient (n, n-q-1)-form}."""
     zeta = np.asarray(zeta, dtype=float)
     z = np.asarray(z, dtype=float)
-    if np.allclose(zeta, z):
+    if np.array_equal(zeta, z):
         raise ValueError("kernel singularity: zeta = z")
-    s, _ = _scalar_factors(zeta[None, :], z, n)
+    s = _scalar_factors(zeta[None, :], z, n)
     out = {}
     for J, terms in kernel_table(n, q).items():
         coeffs = {}
@@ -105,11 +105,6 @@ def kernel_eval(n, q, zeta, z):
         out[J] = DifferentialForm(n, n, n - q - 1, {
             key: complex(v) for key, v in coeffs.items() if v != 0})
     return out
-
-
-def cauchy_kernel_value(zeta, z):
-    """Coefficient of dzeta in the Cauchy kernel (1/2 pi i)/(zeta - z)."""
-    return 1.0 / (2.0j * np.pi * (zeta - z))
 
 
 def kernel_norm(n, q, zeta, z):
@@ -160,8 +155,24 @@ def _form_coeff_values(form, nodes):
             for (_, J), c in form.coeffs.items()}
 
 
-class _VolumePlan:
-    """Arrays for B^D_q g: value_J(z) = sum_i w_i sum_j P[J][j][i] s_j(i; z)."""
+class _Plan:
+    """value_J(z) = sum_i w_i keep_i sum_j plan[J][j][i] s_j(i; z), keep = 1
+    without a mask; subclasses fold operand and kernel table into plan."""
+
+    def value(self, z, keep=None):
+        s = _scalar_factors(self.rule.nodes, np.asarray(z, float), self.n)
+        w = self.rule.weights if keep is None else self.rule.weights * keep
+        out = {}
+        for J in self.out_keys:
+            acc = 0.0 + 0.0j
+            for j, arr in self.plan.get(J, {}).items():
+                acc += np.sum(w * arr * s[:, j - 1])
+            out[J] = complex(acc)
+        return out
+
+
+class _VolumePlan(_Plan):
+    """Fold for B^D_q g: plan[J][j] = sum of wedge constants times g's values."""
 
     def __init__(self, n, q, g, rule):
         if (g.p, g.q) != (0, q + 1):
@@ -194,24 +205,13 @@ class _VolumePlan:
             acc[j] = acc.get(j, 0.0 + 0.0j) + w * gvals[Jg]
         return out
 
-    def value(self, z, keep):
-        s, _ = _scalar_factors(self.rule.nodes, np.asarray(z, float), self.n)
-        w = self.rule.weights * keep
-        out = {}
-        for J in self.out_keys:
-            acc = 0.0 + 0.0j
-            for j, arr in self.plan.get(J, {}).items():
-                acc += np.sum(w * arr * s[:, j - 1])
-            out[J] = complex(acc)
-        return out
-
     def keep_mask(self, center, radius):
         d = self.rule.nodes - np.asarray(center, float)
         return (np.sum(d * d, axis=-1) >= radius * radius).astype(float)
 
 
-class _BoundaryPlan:
-    """Arrays for B^{bD}_q f: density_J(i; z) = sum_j A[J][j][i] s_j(i; z)."""
+class _BoundaryPlan(_Plan):
+    """Fold for B^{bD}_q f: plan[J][j] = f's values times tangent-frame minors."""
 
     def __init__(self, n, q, f_b, rule):
         if (f_b.p, f_b.q) != (0, q):
@@ -237,26 +237,9 @@ class _BoundaryPlan:
             self.plan[J] = acc
         self.out_keys = list(multi_indices(n, q))
 
-    def value(self, z):
-        s, _ = _scalar_factors(self.rule.nodes, np.asarray(z, float), self.n)
-        out = {}
-        for J in self.out_keys:
-            acc = 0.0 + 0.0j
-            for j, arr in self.plan.get(J, {}).items():
-                acc += np.sum(self.rule.weights * arr * s[:, j - 1])
-            out[J] = complex(acc)
-        return out
-
 
 def _value_norm(values, q):
     return math.sqrt(sum(2.0 ** q * abs(v) ** 2 for v in values.values()))
-
-
-def form_norm_at(form, z):
-    """Pointwise weighted norm of a (0,q)-form at a single point."""
-    vals = {J: complex(np.asarray(c(np.asarray(z, float)[None, :]))[0])
-            for (_, J), c in form.coeffs.items()}
-    return _value_norm(vals, form.q)
 
 
 def op_volume(g, z, domain, config=None):
@@ -414,17 +397,3 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
             })
     return {"rows": rows, "flagged": flagged, "q": q}
 
-
-def residual_report_csv(result, path, n):
-    cols = [f"z{k + 1}" for k in range(2 * n)] + [
-        "residual", "boundary_term_norm", "volume_term_norm",
-        "potential_dbar_norm", "level"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in result["rows"]:
-            vals = [f"{v:.17g}" for v in row["z"]]
-            vals += [f"{row[c]:.17g}" for c in cols[2 * n:-1]]
-            vals.append(str(row["level"]))
-            w.writerow(vals)
-    return path

@@ -154,6 +154,9 @@ class ExperimentConfig:
         if any(e <= 0 for e in self.eps) or self.p < 1:
             raise ValueError("eps values must be positive and p >= 1")
         base = dict(_DEFAULT_THRESHOLDS[self.experiment])
+        unknown = set(self.thresholds) - set(base)
+        if unknown:
+            raise ValueError(f"unknown thresholds {sorted(unknown)} for {self.experiment}")
         base.update(self.thresholds)
         self.thresholds = base
 
@@ -477,7 +480,6 @@ EXPERIMENTS = {
 
 def run_experiment(config):
     """Run one experiment; numerical failures yield a fail verdict."""
-    start = time.time()
     meta = {"experiment": config.experiment, "seed": config.seed,
             "thresholds": config.thresholds}
     try:
@@ -490,7 +492,6 @@ def run_experiment(config):
         meta["error"] = f"{type(err).__name__}: {err}"
         meta["checks"] = {}
         verdict = "fail"
-    meta["wall_time_s"] = round(time.time() - start, 3)
     meta["verdict"] = verdict
     return Report(metadata=meta, columns=cols, rows=rows, verdict=verdict)
 
@@ -590,13 +591,15 @@ def main(argv=None):
     except (ValueError, TypeError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    start = time.perf_counter()
     report = run_experiment(config)
+    elapsed = time.perf_counter() - start
     paths = emit_report(report, config.out, config.fmt)
     for name, chk in report.metadata.get("checks", {}).items():
         print(f"{name}: {'pass' if chk['pass'] else 'FAIL'}")
     if "error" in report.metadata:
         print(f"error: {report.metadata['error']}")
-    print(f"verdict: {report.verdict} ({', '.join(paths)})")
+    print(f"verdict: {report.verdict} in {elapsed:.3f} s ({', '.join(paths)})")
     return 0 if report.verdict == "pass" else 1
 
 

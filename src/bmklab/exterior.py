@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import (Field, PolyField, as_field, dz_part, dzbar_part)
+from .fields import PolyField, as_field, dz_part, dzbar_part
 
 __all__ = [
     "eps_sign", "multi_indices", "DifferentialForm", "wedge", "hodge_star",
@@ -364,10 +364,6 @@ class DifferentialForm:
             det = np.linalg.det(np.array(rows)) if rows else 1.0
             total += complex(c(np.asarray(x, dtype=float))) * det
         return total
-
-    def coeff_values(self, x):
-        """Evaluate every coefficient at points x: {(I,J): array}."""
-        return {k: c(x) for k, c in self.coeffs.items()}
 
     def pointwise_norm(self, x):
         """sqrt(<w,w>) at points x, with the 2^(p+q) monomial weights."""

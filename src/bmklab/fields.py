@@ -139,9 +139,6 @@ class PolyField(Field):
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        return max((sum(a) for a in self.terms), default=0)
-
 
 def constant(m, c):
     return PolyField(m, {(0,) * m: c})
@@ -373,55 +370,6 @@ class SmoothStepField(Field):
 
         def deriv(x, _self=self, _scale=scale):
             return smooth_transition_deriv(_self._arg(x)) * _scale
-
-        return AnalyticField(self.m, deriv, real=True)
-
-    def conj(self):
-        return self
-
-
-class BumpField(Field):
-    """exp(-1/(1-u)) with u = sum((x_k-c_k)^2/r_k^2) over selected axes.
-
-    peak_one scales the maximum to 1 (handy for test windows); the gradient is
-    closed form and smooth across the support boundary.
-    """
-
-    def __init__(self, m, axes, center, radius, peak_one=True):
-        self.m = m
-        self.axes = tuple(axes)
-        self.center = np.asarray(center, dtype=float)
-        radius = np.asarray(radius, dtype=float)
-        self.radius = np.broadcast_to(radius, (len(self.axes),)).copy()
-        self.scale = np.e if peak_one else 1.0
-
-    def _u(self, x):
-        u = np.zeros(x.shape[:-1])
-        for i, k in enumerate(self.axes):
-            u = u + ((x[..., k] - self.center[i]) / self.radius[i]) ** 2
-        return u
-
-    def __call__(self, x):
-        x, sq = _as_points(x)
-        u = self._u(x)
-        out = np.zeros_like(u)
-        inside = u < 1.0
-        out[inside] = self.scale * np.exp(-1.0 / (1.0 - u[inside]))
-        return _unsqueeze(out.astype(complex), sq)
-
-    def partial(self, k):
-        if k not in self.axes:
-            return PolyField(self.m, {})
-        i = self.axes.index(k)
-
-        def deriv(x, _self=self, _i=i, _k=k):
-            u = _self._u(x)
-            out = np.zeros_like(u)
-            inside = u < 1.0
-            ui = u[inside]
-            base = _self.scale * np.exp(-1.0 / (1.0 - ui)) / (1.0 - ui) ** 2
-            out[inside] = -base * 2.0 * (x[inside][:, _k] - _self.center[_i]) / _self.radius[_i] ** 2
-            return out
 
         return AnalyticField(self.m, deriv, real=True)
 

@@ -19,17 +19,18 @@ exactly; in particular the area comes out 2 pi^2 up to roundoff.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .fields import _as_points
+
 __all__ = [
     "DefiningFunction", "Domain", "make_domain", "QuadratureRule",
-    "BoundaryFrame", "volume_rule", "boundary_rule", "exclude_ball",
-    "dist_boundary", "frame_at", "pullback_boundary", "rule_to_csv",
+    "BoundaryFrame", "volume_rule", "boundary_rule", "dist_boundary",
+    "frame_at",
 ]
 
 # base node counts at level 0; a level multiplies these by 2^level
@@ -57,7 +58,6 @@ class DefiningFunction:
     m: int
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    normalized: bool = True
 
 
 @dataclass
@@ -77,13 +77,6 @@ class Domain:
         return self.m // 2
 
 
-def _as_batch(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 def make_domain(kind, **params):
     """Construct a domain: ball | ellipsoid | interval-box | half-space-patch."""
     if kind == "ball":
@@ -92,12 +85,12 @@ def make_domain(kind, **params):
         c = np.asarray(params.get("center", np.zeros(m)), dtype=float)
 
         def value(x):
-            x, sq = _as_batch(x)
+            x, sq = _as_points(x)
             v = np.linalg.norm(x - c, axis=-1) - R
             return v[0] if sq else v
 
         def gradient(x):
-            x, sq = _as_batch(x)
+            x, sq = _as_points(x)
             d = x - c
             nrm = np.maximum(np.linalg.norm(d, axis=-1, keepdims=True), 1e-300)
             g = d / nrm
@@ -117,13 +110,13 @@ def make_domain(kind, **params):
             return rho, grad_rho
 
         def value(x):
-            x, sq = _as_batch(x)
+            x, sq = _as_points(x)
             rho, grad_rho = rho_parts(x)
             v = (rho - 1.0) / np.maximum(np.linalg.norm(grad_rho, axis=-1), 1e-300)
             return v[0] if sq else v
 
         def gradient(x):
-            x, sq = _as_batch(x)
+            x, sq = _as_points(x)
             _, grad_rho = rho_parts(x)
             g = grad_rho / np.maximum(np.linalg.norm(grad_rho, axis=-1, keepdims=True), 1e-300)
             return g[0] if sq else g
@@ -138,7 +131,7 @@ def make_domain(kind, **params):
             raise ValueError("half-space patch needs x1 upper bound 0")
 
         def value(x):
-            x, sq = _as_batch(x)
+            x, sq = _as_points(x)
             if kind == "half-space-patch":
                 v = x[:, 0]
             else:
@@ -146,7 +139,7 @@ def make_domain(kind, **params):
             return v[0] if sq else v
 
         def gradient(x):
-            x, sq = _as_batch(x)
+            x, sq = _as_points(x)
             g = np.zeros_like(x)
             if kind == "half-space-patch":
                 g[:, 0] = 1.0
@@ -165,13 +158,11 @@ def make_domain(kind, **params):
 
 @dataclass
 class BoundaryFrame:
-    """Outward normal, its dual covector, tangent frame and area density."""
+    """Outward normal and oriented tangent frame at one boundary point."""
 
     point: np.ndarray
     nu: np.ndarray
-    nu_flat: np.ndarray          # same components: the metric is orthonormal
     tangents: np.ndarray         # (m-1, m), orthonormal, det[nu|t...] > 0
-    ds_weight: float = 1.0
 
 
 @dataclass
@@ -184,21 +175,12 @@ class QuadratureRule:
     domain_kind: str = ""
     nu: Optional[np.ndarray] = None
     tangents: Optional[np.ndarray] = None
-    exclusion: Optional[tuple] = None    # (center, radius, n_removed)
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.weights)
 
     def total(self):
         return float(np.sum(self.weights))
-
-    def frames(self):
-        if self.nu is None:
-            raise ValueError("not a boundary rule")
-        for i in range(len(self.weights)):
-            yield BoundaryFrame(self.nodes[i], self.nu[i], self.nu[i].copy(),
-                                self.tangents[i], float(self.weights[i]))
 
 
 def _composite_gauss(lo, hi, panels, order):
@@ -415,24 +397,13 @@ def _gram_schmidt(nu, vectors):
     return np.stack(out, axis=1)
 
 
-def exclude_ball(rule, center, radius):
-    """Drop nodes within radius of center; used for weakly singular kernels."""
-    center = np.asarray(center, dtype=float)
-    keep = np.linalg.norm(rule.nodes - center, axis=-1) >= radius
-    return QuadratureRule(rule.nodes[keep], rule.weights[keep], rule.level,
-                          rule.region, rule.spacing, rule.domain_kind,
-                          nu=None if rule.nu is None else rule.nu[keep],
-                          tangents=None if rule.tangents is None else rule.tangents[keep],
-                          exclusion=(center, float(radius), int(np.sum(~keep))))
-
-
 def dist_boundary(domain, x):
     """Distance to the boundary for x inside the closed domain.
 
     Exact for balls, boxes and half-space patches; for ellipsoids it is the
     first-order estimate |r(x)| of the scaled defining function.
     """
-    x, sq = _as_batch(x)
+    x, sq = _as_points(x)
     if domain.kind == "ball":
         d = domain.radius - np.linalg.norm(x - domain.center, axis=-1)
     elif domain.kind == "interval-box":
@@ -455,36 +426,5 @@ def frame_at(domain, x):
     cands = np.eye(m)[np.argsort(np.abs(nu))][: m - 1]
     tang = _gram_schmidt(nu[None, :], cands[None, :, :])[0]
     tang = _orient(nu[None, :], tang[None, :, :])[0]
-    return BoundaryFrame(x, nu, nu.copy(), tang)
+    return BoundaryFrame(x, nu, tang)
 
-
-def pullback_boundary(form, x, frame):
-    """Tangential components of the pullback of a form to the boundary.
-
-    Returns {tangent index combo: value}; for a form of degree m-1 the single
-    combo is the density against the surface measure dS.
-    """
-    from itertools import combinations
-    k = form.degree
-    out = {}
-    for combo in combinations(range(frame.tangents.shape[0]), k):
-        vecs = frame.tangents[list(combo)] if k else np.zeros((0, 2 * form.n))
-        out[combo] = form.evaluate(x, vecs)
-    return out
-
-
-def rule_to_csv(rule, path):
-    """Write nodes and weights (plus normals for boundary rules) as CSV."""
-    m = rule.nodes.shape[1]
-    cols = [f"x{k + 1}" for k in range(m)] + ["weight"]
-    if rule.nu is not None:
-        cols += [f"nu{k + 1}" for k in range(m)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for i in range(len(rule.weights)):
-            row = [f"{v:.17g}" for v in rule.nodes[i]] + [f"{rule.weights[i]:.17g}"]
-            if rule.nu is not None:
-                row += [f"{v:.17g}" for v in rule.nu[i]]
-            w.writerow(row)
-    return path

@@ -31,17 +31,16 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma
 
-from .fields import (_bump01, _bump01_deriv, smooth_transition,
-                     smooth_transition_deriv, smooth_transition_deriv2)
+from .fields import (_GL_NODES, _GL_W, _bump01, _bump01_deriv,
+                     smooth_transition, smooth_transition_deriv,
+                     smooth_transition_deriv2)
+from .geometry import _composite_gauss, _tensor
 
 __all__ = [
-    "TangentialMollifier", "NormalCutoff", "DiracSequence",
-    "InteriorMollifier", "build_interior_mollifier", "HalfSpaceField",
+    "TangentialMollifier", "NormalCutoff", "DiracSequence", "HalfSpaceField",
     "choose_tau", "slab_mass", "convolve_field", "boundary_mollify",
-    "convergence_report", "report_to_csv", "save_field", "load_field",
+    "convergence_report", "save_field", "load_field",
 ]
-
-_GLX, _GLW = leggauss(80)
 
 
 def _sphere_area(d):
@@ -53,8 +52,8 @@ def _radial_bump_mass(d):
     """Integral of exp(-1/(1-|x|^2)) over the unit ball of R^d."""
     if d == 0:
         return 1.0
-    r = (_GLX + 1.0) / 2.0
-    w = _GLW / 2.0
+    r = (_GL_NODES + 1.0) / 2.0
+    w = _GL_W / 2.0
     return float(_sphere_area(d) * np.sum(w * _bump01(r) * r ** (d - 1)))
 
 
@@ -153,10 +152,10 @@ class DiracSequence:
         box = self.support_box()
         specs = [normal] + [lateral] * (self.m - 1)
         for (lo, hi), (panels, order) in zip(box, specs):
-            xs, ws = _panel_gauss(lo, hi, panels, order)
+            xs, ws = _composite_gauss(lo, hi, panels, order)
             axes_nodes.append(xs)
             axes_weights.append(ws)
-        t, w = _tensor_rule(axes_nodes, axes_weights)
+        t, w = _tensor(axes_nodes, axes_weights)
         if normalize:
             w = w / float(np.real(np.sum(w * self.values(t))))
         return t, w
@@ -165,71 +164,6 @@ class DiracSequence:
         """Unit-mass check on a fine, unnormalized rule."""
         t, w = self.quad_rule(normal=(8, 16), lateral=(6, 16), normalize=False)
         return float(np.real(np.sum(w * self.values(t))))
-
-
-class InteriorMollifier:
-    """Standard shifted bump: unit mass, support in {x_1 > 0} inside B_1(0)."""
-
-    CENTER_X1 = 0.5
-    RADIUS = 0.3
-
-    def __init__(self, m, epsilon):
-        self.m = m
-        self.epsilon = float(epsilon)
-        self._mass = _radial_bump_mass(m) * self.RADIUS ** m
-
-    def values(self, t):
-        t = np.atleast_2d(np.asarray(t, dtype=float)) / self.epsilon
-        t = t.copy()
-        t[:, 0] -= self.CENTER_X1
-        r = np.linalg.norm(t, axis=-1) / self.RADIUS
-        return _bump01(r) / self._mass / self.epsilon ** self.m
-
-    def support_box(self):
-        lo = np.full(self.m, -self.RADIUS * self.epsilon)
-        hi = np.full(self.m, self.RADIUS * self.epsilon)
-        lo[0] += self.CENTER_X1 * self.epsilon
-        hi[0] += self.CENTER_X1 * self.epsilon
-        return np.stack([lo, hi], axis=-1)
-
-    def quad_rule(self, per_axis=(2, 12), normalize=True):
-        axes_nodes, axes_weights = [], []
-        for lo, hi in self.support_box():
-            xs, ws = _panel_gauss(lo, hi, *per_axis)
-            axes_nodes.append(xs)
-            axes_weights.append(ws)
-        t, w = _tensor_rule(axes_nodes, axes_weights)
-        if normalize:
-            w = w / float(np.real(np.sum(w * self.values(t))))
-        return t, w
-
-    def mass(self):
-        """Unit-mass check on a fine, unnormalized rule."""
-        t, w = self.quad_rule(per_axis=(8, 16), normalize=False)
-        return float(np.real(np.sum(w * self.values(t))))
-
-
-def build_interior_mollifier(m, epsilon):
-    return InteriorMollifier(m, epsilon)
-
-
-def _panel_gauss(lo, hi, panels, order):
-    x, w = leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append((a + b) / 2.0 + (b - a) / 2.0 * x)
-        weights.append((b - a) / 2.0 * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _tensor_rule(axes_nodes, axes_weights):
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    w = axes_weights[0]
-    for aw in axes_weights[1:]:
-        w = np.multiply.outer(w, aw)
-    return nodes, w.ravel()
 
 
 def _trapezoid_weights(axis_nodes):
@@ -356,12 +290,7 @@ def slab_mass(f, tau, p, depth=48):
             break
     lat_axes = f.axes[1:]
     if lat_axes:
-        grids = np.meshgrid(*lat_axes, indexing="ij")
-        lat_nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        lat_w = _trapezoid_weights(lat_axes[0])
-        for ax in lat_axes[1:]:
-            lat_w = np.multiply.outer(lat_w, _trapezoid_weights(ax))
-        lat_w = lat_w.ravel()
+        lat_nodes, lat_w = _tensor(lat_axes, [_trapezoid_weights(ax) for ax in lat_axes])
     else:
         lat_nodes = np.zeros((1, 0))
         lat_w = np.ones(1)
@@ -475,15 +404,6 @@ def convergence_report(op, f, qf, f_b, eps_list, p):
 
 REPORT_COLUMNS = ["epsilon", "tau", "interior_err", "q_err",
                   "commutator_ratio", "trace_err"]
-
-
-def report_to_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for row in report["rows"]:
-            w.writerow([f"{row[c]:.17g}" for c in REPORT_COLUMNS])
-    return path
 
 
 def save_field(field, path, fmt="npy"):

@@ -26,18 +26,16 @@ limited only by roundoff, independently of the quadrature level.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
-from .fields import AnalyticField, Field, PolyField, as_field
+from .fields import AnalyticField, PolyField, as_field
 from .exterior import (DifferentialForm, integrate_boundary, integrate_top,
                        multi_indices)
 from .geometry import boundary_rule, volume_rule
 
 __all__ = [
     "FirstOrderOperator", "inner_volume", "form_inner_volume", "vartheta",
-    "dbar_r_form", "dholo_r_form", "weak_bv_residual", "dbar_bv_residual",
+    "dbar_r_form", "weak_bv_residual", "dbar_bv_residual",
     "pairing_equivalence_check", "equivalence_report",
     "normal_tangential_split", "covector_normal_split",
     "perturb_boundary_value", "scalar_test_family", "form_test_family",
@@ -122,12 +120,10 @@ def vartheta(g):
     return g.star().dholo().star().scale(-1.0)
 
 
-def _gradient_component(domain, j, conjugated):
-    sign = 1.0 if conjugated else -1.0
-
-    def val(x, j=j, sign=sign):
+def _dbar_gradient_component(domain, j):
+    def val(x, j=j):
         g = domain.defining.gradient(np.asarray(x, dtype=float))
-        return 0.5 * (g[..., 2 * j - 2] + sign * 1j * g[..., 2 * j - 1])
+        return 0.5 * (g[..., 2 * j - 2] + 1j * g[..., 2 * j - 1])
 
     return AnalyticField(domain.m, val)
 
@@ -139,17 +135,9 @@ def dbar_r_form(domain):
     on the boundary itself, which is where this form is meant to be used.
     """
     n = domain.n_complex
-    coeffs = {((), (j,)): _gradient_component(domain, j, True)
+    coeffs = {((), (j,)): _dbar_gradient_component(domain, j)
               for j in range(1, n + 1)}
     return DifferentialForm(n, 0, 1, coeffs)
-
-
-def dholo_r_form(domain):
-    """Holomorphic part of dr as a (1,0)-form; boundary use only."""
-    n = domain.n_complex
-    coeffs = {((j,), ()): _gradient_component(domain, j, False)
-              for j in range(1, n + 1)}
-    return DifferentialForm(n, 1, 0, coeffs)
 
 
 def weak_bv_residual(domain, op, u, u_b, F, tests, level=1):

@@ -22,9 +22,8 @@ boundedness and refinement stability, not sharp constants.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,7 @@ __all__ = [
     "INF", "inv", "ExponentPair", "MeasureSpace", "KernelSpec",
     "admissible_exponents", "empirical_norm", "bmk_kernel_norm_constant",
     "bmk_norm_kernel", "log_bound_fit", "log_majorant_integral",
-    "scan_rows", "scan_to_csv", "SCAN_COLUMNS",
+    "scan_rows", "SCAN_COLUMNS",
 ]
 
 INF = math.inf
@@ -201,15 +200,15 @@ def empirical_norm(spec, p, r, sample_count=20, seed=0, level=1):
             f"(p={p}, r={r}) is not admissible: {_violation_message(spec, p, r)}")
     X = _materialize(spec.X, level)
     Y = _materialize(spec.Y, level)
-    best = 0.0
     samples = _sample_functions(X, sample_count, seed, p)
-    tf = np.empty(len(Y.nodes))
-    for f in samples:
-        wf = X.weights * f
-        for i, y in enumerate(Y.nodes):
-            tf[i] = np.sum(wf * np.asarray(spec.kernel(X.nodes, y)))
-        best = max(best, Y.lp_norm(tf, r))
-    return best
+    if not samples:
+        return 0.0
+    # kernels take (all x, one y), so the |Y| x |X| matrix is built row by row
+    kmat = np.empty((len(Y.nodes), len(X.nodes)))
+    for i, y in enumerate(Y.nodes):
+        kmat[i] = spec.kernel(X.nodes, y)
+    tf = kmat @ (X.weights * np.stack(samples)).T
+    return max([0.0] + [Y.lp_norm(col, r) for col in tf.T])
 
 
 def bmk_kernel_norm_constant(n, q):
@@ -288,21 +287,3 @@ def scan_rows(spec, p_values, sample_count=20, seed=0, level=1):
                          "estimate": estimate, "level": level})
     return rows
 
-
-def _fmt(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def scan_to_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SCAN_COLUMNS)
-        for row in rows:
-            w.writerow([_fmt(row[c]) for c in SCAN_COLUMNS])
-    return path

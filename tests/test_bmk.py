@@ -20,7 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from bmklab import bmk
+from bmklab import bmk, cli
 from bmklab.exterior import DifferentialForm, multi_indices
 from bmklab.fields import PolyField, constant, zmonomial
 from bmklab.geometry import make_domain, volume_rule
@@ -56,6 +56,13 @@ def test_kernel_eval_coincident_points_rejected():
     z = np.array([0.3, -0.4])
     with pytest.raises(ValueError):
         bmk.kernel_eval(1, 0, z, z)
+    # only exact coincidence is singular: a pair 1e-9 apart is a valid kernel
+    zeta = z + np.array([1e-9, 0.0])
+    (form,) = bmk.kernel_eval(1, 0, zeta, z).values()
+    (coef,) = form.coeffs.values()
+    got = complex(np.asarray(coef(zeta[None, :]))[0])
+    want = 1.0 / (2j * np.pi * (_cval(zeta) - _cval(z)))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -104,6 +111,16 @@ def test_pompeiu_spot_value():
     cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=5)
     val = bmk.op_volume(g, np.array([0.5, 0.0]), DISC, cfg)["value"][()]
     assert abs(val - (-0.5)) < 1e-3
+
+
+def test_volume_operator_finite_with_z_on_a_node():
+    """z on a quadrature node: the masked node must add 0, not 0 * nan."""
+    g = DifferentialForm(1, 0, 1, {((), (1,)): constant(2, 1.0)})
+    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=3)
+    z = volume_rule(DISC, 1).nodes[100]
+    res = bmk.op_volume(g, z, DISC, cfg)
+    assert all(np.isfinite(v[()]) for v in res["per_level"])
+    assert np.all(np.isfinite(res["deltas"]))
 
 
 def test_four_ball_potential_of_constant_form():
@@ -224,8 +241,9 @@ def test_residual_report_csv_schema(tmp_path):
     cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=2)
     res = bmk.reproduce_residual(f, f, f.dbar(), DISC,
                                  np.array([[0.2, 0.1]]), cfg)
-    path = tmp_path / "report.csv"
-    bmk.residual_report_csv(res, str(path), 1)
+    cols, rows = cli._residual_rows(res, 1)
+    report = cli.Report(metadata={}, columns=cols, rows=rows, verdict="pass")
+    path, _ = cli.emit_report(report, str(tmp_path / "report"))
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(res["rows"])

@@ -108,6 +108,13 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("[mollify]\ngrdi_n = 65\n")
     with pytest.raises(ValueError, match="unknown config key"):
         cli.load_config(str(path), "mollify")
+    path.write_text("[mollify]\nthreshold_trace_mx = 0.5\n")
+    kwargs = cli.load_config(str(path), "mollify")
+    with pytest.raises(ValueError, match="unknown thresholds \\['trace_mx'\\]"):
+        cli.ExperimentConfig(experiment="mollify", **kwargs)
+    with pytest.raises(ValueError, match="unknown thresholds"):
+        cli.ExperimentConfig(experiment="mollify", thresholds={"trace_mx": 0.5})
+    assert cli.main(["mollify", "--config", str(path)]) == 2
 
 
 def test_load_config_missing_file(tmp_path):
@@ -194,8 +201,9 @@ def test_main_young_scan_deterministic(tmp_path, capsys):
     assert cli.main(["young-scan", "--out", out1]) == 0
     assert cli.main(["young-scan", "--out", out2]) == 0
     capsys.readouterr()
-    with open(out1 + ".csv", "rb") as fh1, open(out2 + ".csv", "rb") as fh2:
-        assert fh1.read() == fh2.read()
+    for ext in (".csv", ".meta.json"):
+        with open(out1 + ext, "rb") as fh1, open(out2 + ext, "rb") as fh2:
+            assert fh1.read() == fh2.read()
 
 
 def test_main_flag_beats_config(tmp_path, capsys):

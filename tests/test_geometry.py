@@ -1,13 +1,11 @@
-"""Domains, quadrature rules, frames, and exclusion machinery."""
-
-import csv
+"""Domains, quadrature rules, frames, and boundary distance."""
 
 import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from bmklab.geometry import (boundary_rule, dist_boundary, exclude_ball,
-                             frame_at, make_domain, rule_to_csv, volume_rule)
+from bmklab.geometry import (boundary_rule, dist_boundary, frame_at,
+                             make_domain, volume_rule)
 
 
 def test_disc_area_and_circumference():
@@ -102,50 +100,10 @@ def test_dist_boundary_ball_and_box():
     assert np.isclose(dist_boundary(box, np.array([0.2, 0.5])), 0.2)
 
 
-def test_exclude_ball_removes_mass_near_center():
-    disc = make_domain("ball", m=2)
-    rule = volume_rule(disc, 2)
-    z = np.array([0.1, -0.2])
-    rho = 0.15
-    cut = exclude_ball(rule, z, rho)
-    d = np.linalg.norm(cut.nodes - z, axis=1)
-    assert np.all(d >= rho)
-    removed = rule.weights.sum() - cut.weights.sum()
-    assert abs(removed - np.pi * rho ** 2) < 0.2 * np.pi * rho ** 2
-
-
-def test_exclusion_consistency_on_smooth_integrand():
-    """Excluded-ball integral of 1 converges to area minus pi rho^2."""
-    disc = make_domain("ball", m=2)
-    z = np.array([0.0, 0.0])
-    rho = 0.25
-    errs = []
-    for level in (1, 2, 3):
-        cut = exclude_ball(volume_rule(disc, level), z, rho)
-        errs.append(abs(cut.weights.sum() - (np.pi - np.pi * rho ** 2)))
-    # the cut is sharp, so the error scales like the node spacing
-    assert errs[-1] < errs[0] / 3
-    assert errs[-1] < 1e-2
-
-
 def test_spacing_halves_with_level():
     disc = make_domain("ball", m=2)
     s = [volume_rule(disc, lv).spacing for lv in (0, 1, 2)]
     assert np.isclose(s[0] / s[1], 2.0) and np.isclose(s[1] / s[2], 2.0)
-
-
-def test_rule_to_csv_round_trip(tmp_path):
-    disc = make_domain("ball", m=2)
-    rule = boundary_rule(disc, 0)
-    path = tmp_path / "rule.csv"
-    rule_to_csv(rule, str(path))
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(rule.nodes)
-    got = np.array([[float(r["x1"]), float(r["x2"])] for r in rows])
-    assert np.allclose(got, rule.nodes, atol=0)
-    w = np.array([float(r["weight"]) for r in rows])
-    assert np.allclose(w, rule.weights, atol=0)
 
 
 def test_unknown_domain_kind_raises():

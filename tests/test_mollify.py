@@ -6,9 +6,8 @@ from scipy.integrate import quad
 
 from bmklab.fields import smooth_transition
 from bmklab.mollify import (DiracSequence, HalfSpaceField, boundary_mollify,
-                            build_interior_mollifier, choose_tau,
-                            convergence_report, convolve_field, load_field,
-                            save_field, slab_mass)
+                            choose_tau, convergence_report, convolve_field,
+                            load_field, save_field, slab_mass)
 from bmklab.operators import FirstOrderOperator
 
 BOUNDS = [[-1.0, 0.0], [-1.0, 1.0]]
@@ -112,17 +111,6 @@ def test_boundary_mollify_converges_and_keeps_trace():
         trace_errs.append(np.max(np.abs(trace - want)))
     assert sup_errs[0] > sup_errs[1] > sup_errs[2]
     assert trace_errs[2] < 1e-2
-
-
-def test_interior_mollifier_mass_and_support():
-    im = build_interior_mollifier(2, 0.1)
-    nodes, weights = im.quad_rule()
-    assert np.isclose(np.sum(weights * im.values(nodes)), 1.0, atol=1e-12)
-    lo, hi = np.asarray(im.support_box()).T
-    pad = 1e-9
-    outside = np.array([[hi[0] + pad, 0.0], [lo[0] - pad, 0.0],
-                        [0.5 * (lo[0] + hi[0]), hi[1] + pad]])
-    assert np.allclose(im.values(outside), 0.0)
 
 
 def test_save_and_load_field_round_trip(tmp_path):

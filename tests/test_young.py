@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from bmklab import young
+from bmklab import bmk, cli, young
 from bmklab.geometry import boundary_rule, make_domain
 
 INF = math.inf
@@ -158,6 +158,32 @@ def test_empirical_norm_stable_under_refinement():
     assert abs(e2 - e1) / e1 < 0.10
 
 
+def test_empirical_norm_matches_per_y_loop():
+    """Oracle: the kernel-matrix form equals the explicit per-(sample, y) sum."""
+    spec = _disc_spec()
+    X = young._materialize(spec.X, 1)
+    Y = young._materialize(spec.Y, 1)
+    for p in (1.5, 2.0):
+        want = 0.0
+        for f in young._sample_functions(X, 6, 3, p):
+            tf = np.array([np.sum(X.weights * f * spec.kernel(X.nodes, y))
+                           for y in Y.nodes])
+            want = max(want, Y.lp_norm(tf, p))
+        got = young.empirical_norm(spec, p, p, sample_count=6, seed=3, level=1)
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n,q", [(1, 0), (2, 0), (2, 1)])
+def test_bmk_norm_kernel_matches_pointwise_kernel_norm(n, q):
+    """Oracle: the closed form A/|x-y|^(2n-1) equals the symbolic norm."""
+    rng = np.random.default_rng(10 * n + q)
+    kern = young.bmk_norm_kernel(n, q)
+    xs = rng.uniform(-1, 1, (25, 2 * n))
+    for y in rng.uniform(-1, 1, (4, 2 * n)):
+        want = np.array([bmk.kernel_norm(n, q, x, y) for x in xs])
+        assert np.allclose(kern(xs, y), want, rtol=1e-12, atol=0)
+
+
 def test_inadmissible_pair_error_names_constraint():
     spec = _disc_spec()
     with pytest.raises(ValueError, match=r"case III admits only r <= 2"):
@@ -230,8 +256,9 @@ def test_scan_rows_and_csv_format(tmp_path):
         if row["case"] == "III":
             assert np.isclose(row["r"], row["p"], rtol=1e-12)
             assert np.isfinite(row["estimate"])
-    path = scan_path = tmp_path / "scan.csv"
-    young.scan_to_csv(rows, str(path))
+    report = cli.Report(metadata={}, columns=young.SCAN_COLUMNS, rows=rows,
+                        verdict="pass")
+    scan_path, _ = cli.emit_report(report, str(tmp_path / "scan"))
     with open(scan_path) as fh:
         recs = list(csv.DictReader(fh))
     assert len(recs) == len(rows)
