@@ -21,24 +21,26 @@ difference stencil; the off-center exclusion bias, which is linear in
 the shift and exactly computable as a ball average of the kernel, is
 restored analytically before differencing.
 
-Evaluation plans precompute, per (form, rule), the node arrays that
-multiply the scalar factors s_j = conj(zeta_j - z_j)/|zeta-z|^{2n}; the
-per-point work is then a handful of dot products, which keeps z-ladders
+Both operators share one contraction.  A fold, per (form, rule), wedges
+the operand with each constant form K_Jj of the kernel table (the part of
+B multiplying s_j dzbar^J(z), s_j = conj(zeta_j - z_j)/|zeta-z|^{2n}) and
+takes the density against dV or dS at the nodes, with every sign left to
+bmklab.exterior.  Per point, a sweep computes s, zeroes it inside the
+exclusion ball and takes a handful of dot products, which keeps z-ladders
 over hundreds of thousands of nodes at desk scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (DifferentialForm, _star_monomial, _wedge_monomial_sign,
-                       _merge, eps_sign, monomial_frame_values, multi_indices,
-                       top_wedge_constant)
-from .geometry import boundary_rule, dist_boundary, volume_rule
+from .exterior import (DifferentialForm, _star_monomial, batch_pullback_density,
+                       eps_sign, multi_indices)
+from .geometry import QuadratureRule, boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
     "kernel_constant", "kernel_table", "kernel_eval", "kernel_norm",
@@ -77,15 +79,16 @@ def kernel_table(n, q):
     return table
 
 
-def _scalar_factors(nodes, z, n):
-    """s_j = conj(zeta_j - z_j)/|zeta - z|^{2n} at nodes; 0 at a node equal
-    to z, so masking that node adds an exact 0 instead of 0 * nan."""
+def _scalar_factors(nodes, z, n, exclude=0.0):
+    """s_j = conj(zeta_j - z_j)/|zeta - z|^{2n} at nodes; 0 at nodes closer
+    to z than exclude and at a node equal to z, so a dropped node adds an
+    exact 0 instead of 0 * nan."""
     d = nodes - z
     dist2 = np.sum(d * d, axis=-1)
     dc = d[:, 0::2] + 1j * d[:, 1::2]
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.conj(dc) / dist2[:, None] ** n
-    s[dist2 == 0] = 0.0
+    s[(dist2 < exclude * exclude) | (dist2 == 0)] = 0.0
     return s
 
 
@@ -150,92 +153,36 @@ class SingularQuadratureConfig:
         return list(range(self.base_level, self.base_level + max(1, self.refinement_steps)))
 
 
-def _form_coeff_values(form, nodes):
-    return {J: np.asarray(c(nodes), dtype=complex)
-            for (_, J), c in form.coeffs.items()}
+def _fold(n, q, form, rule):
+    """{(J, j): density of form ^ K_Jj at the rule's nodes}.
+
+    K_Jj is the constant (n, n-q-1)-form of kernel_table(n, q) that
+    multiplies s_j dzbar^J(z).  On an interior rule the density is taken
+    against dV (top_density), on a boundary rule against dS through the
+    rule's tangent frames (batch_pullback_density).
+    """
+    interior = rule.region == "interior"
+    if (form.p, form.q) != (0, q + interior):
+        raise ValueError(f"{rule.region} operand must be a (0, {q + interior})-form")
+    fold = {}
+    for J, terms in kernel_table(n, q).items():
+        for j, mono in terms:
+            wedged = form.wedge(DifferentialForm(n, n, n - q - 1, mono))
+            if interior:
+                fold[(J, j)] = np.asarray(wedged.top_density()(rule.nodes), dtype=complex)
+            else:
+                fold[(J, j)] = batch_pullback_density(wedged, rule.nodes, rule.tangents)
+    return fold
 
 
-class _Plan:
-    """value_J(z) = sum_i w_i keep_i sum_j plan[J][j][i] s_j(i; z), keep = 1
-    without a mask; subclasses fold operand and kernel table into plan."""
-
-    def value(self, z, keep=None):
-        s = _scalar_factors(self.rule.nodes, np.asarray(z, float), self.n)
-        w = self.rule.weights if keep is None else self.rule.weights * keep
-        out = {}
-        for J in self.out_keys:
-            acc = 0.0 + 0.0j
-            for j, arr in self.plan.get(J, {}).items():
-                acc += np.sum(w * arr * s[:, j - 1])
-            out[J] = complex(acc)
-        return out
-
-
-class _VolumePlan(_Plan):
-    """Fold for B^D_q g: plan[J][j] = sum of wedge constants times g's values."""
-
-    def __init__(self, n, q, g, rule):
-        if (g.p, g.q) != (0, q + 1):
-            raise ValueError("volume operand must be a (0, q+1)-form")
-        self.n, self.q, self.rule, self.g = n, q, rule, g
-        self.fold = []
-        for J, terms in kernel_table(n, q).items():
-            for j, mono in terms:
-                for (Ik, Jk), coef in mono.items():
-                    for Jg in (key[1] for key in g.coeffs):
-                        w = top_wedge_constant(n, (), Jg, Ik, Jk)
-                        if w != 0.0:
-                            self.fold.append((J, j, Jg, coef * w))
-        gvals = _form_coeff_values(g, rule.nodes)
-        self.plan = {}
-        for J, j, Jg, w in self.fold:
-            acc = self.plan.setdefault(J, {})
-            cur = acc.setdefault(j, np.zeros(len(rule.weights), complex))
-            cur += w * gvals[Jg]
-        self.out_keys = list(multi_indices(n, q))
-
-    def center_coefficients(self, point):
-        """The fold coefficients A[J][j] evaluated at one point."""
-        point = np.asarray(point, dtype=float)
-        gvals = {J: complex(np.asarray(c(point[None, :]))[0])
-                 for (_, J), c in self.g.coeffs.items()}
-        out = {}
-        for J, j, Jg, w in self.fold:
-            acc = out.setdefault(J, {})
-            acc[j] = acc.get(j, 0.0 + 0.0j) + w * gvals[Jg]
-        return out
-
-    def keep_mask(self, center, radius):
-        d = self.rule.nodes - np.asarray(center, float)
-        return (np.sum(d * d, axis=-1) >= radius * radius).astype(float)
-
-
-class _BoundaryPlan(_Plan):
-    """Fold for B^{bD}_q f: plan[J][j] = f's values times tangent-frame minors."""
-
-    def __init__(self, n, q, f_b, rule):
-        if (f_b.p, f_b.q) != (0, q):
-            raise ValueError("boundary operand must be a (0, q)-form")
-        self.n, self.q, self.rule = n, q, rule
-        fvals = _form_coeff_values(f_b, rule.nodes)
-        frame_cache = {}
-        self.plan = {}
-        for J, terms in kernel_table(n, q).items():
-            acc = {}
-            for j, mono in terms:
-                for (Ik, Jk), coef in mono.items():
-                    for Jf, fv in fvals.items():
-                        sign = _wedge_monomial_sign(n, (), Jf, Ik, Jk)
-                        if sign == 0:
-                            continue
-                        key = (Ik, _merge(Jf, Jk))
-                        if key not in frame_cache:
-                            frame_cache[key] = monomial_frame_values(
-                                n, key[0], key[1], rule.tangents)
-                        cur = acc.setdefault(j, np.zeros(len(rule.weights), complex))
-                        cur += (coef * sign) * fv * frame_cache[key]
-            self.plan[J] = acc
-        self.out_keys = list(multi_indices(n, q))
+def _sweep(plan, rule, z, keys, exclude=0.0):
+    """value_J(z) = sum_i w_i sum_j plan[(J, j)][i] s_j(i; z), with the nodes
+    closer to z than exclude dropped through s = 0."""
+    s = _scalar_factors(rule.nodes, np.asarray(z, float), rule.nodes.shape[1] // 2, exclude)
+    out = {J: 0.0 + 0.0j for J in keys}
+    for (J, j), arr in plan.items():
+        out[J] += np.sum(rule.weights * arr * s[:, j - 1])
+    return {J: complex(v) for J, v in out.items()}
 
 
 def _value_norm(values, q):
@@ -252,14 +199,13 @@ def op_volume(g, z, domain, config=None):
     n = domain.n_complex
     q = g.q - 1
     z = np.asarray(z, dtype=float)
+    keys = multi_indices(n, q)
     per_level, flags = [], []
     for level in config.levels():
         rule = volume_rule(domain, level)
-        plan = _VolumePlan(n, q, g, rule)
         rho = config.exclusion_factor * rule.spacing
         flags.append(bool(dist_boundary(domain, z) < rho))
-        keep = plan.keep_mask(z, rho)
-        per_level.append(plan.value(z, keep))
+        per_level.append(_sweep(_fold(n, q, g, rule), rule, z, keys, rho))
     deltas = [_value_norm({J: per_level[i + 1][J] - per_level[i][J]
                            for J in per_level[0]}, q)
               for i in range(len(per_level) - 1)]
@@ -276,8 +222,8 @@ def op_boundary(f_b, z, domain, config=None):
     n = domain.n_complex
     level = config.levels()[-1]
     rule = boundary_rule(domain, level)
-    plan = _BoundaryPlan(n, f_b.q, f_b, rule)
-    return {"value": plan.value(z), "q": f_b.q, "level": level}
+    value = _sweep(_fold(n, f_b.q, f_b, rule), rule, z, multi_indices(n, f_b.q))
+    return {"value": value, "q": f_b.q, "level": level}
 
 
 def _dbar_from_partials(n, q, partials):
@@ -314,32 +260,30 @@ def dbar_potential(f, z, domain, config, level):
         return {}
     z = np.asarray(z, dtype=float)
     rule = volume_rule(domain, level)
-    plan = _VolumePlan(n, q - 1, f, rule)
     rho = config.fd_exclusion_factor * rule.spacing
     h = config.fd_step_factor * rho
-    keep = plan.keep_mask(z, rho + h)
-    center_coef = plan.center_coefficients(z)
+    d = rule.nodes - z
+    keep = np.sum(d * d, axis=-1) >= (rho + h) * (rho + h)
+    rule = replace(rule, weights=rule.weights * keep)
+    plan = _fold(n, q - 1, f, rule)
+    center = _fold(n, q - 1, f, QuadratureRule(z[None, :], np.ones(1), level, "interior", 0.0))
+    keys = multi_indices(n, q - 1)
     ball_factor = math.pi ** n / math.factorial(n)
 
     def corrected(y):
-        vals = plan.value(y, keep)
+        vals = _sweep(plan, rule, y, keys)
         d = y - z
         dc = d[0::2] + 1j * d[1::2]
-        for J, terms in center_coef.items():
-            for j, a in terms.items():
-                vals[J] += a * ball_factor * (-np.conj(dc[j - 1]))
+        for (J, j), a in center.items():
+            vals[J] += a[0] * ball_factor * (-np.conj(dc[j - 1]))
         return vals
 
     partials = {}
+    steps = h * np.eye(2 * n)
     for j in range(1, n + 1):
-        dx = np.zeros(2 * n)
-        dx[2 * j - 2] = h
-        dy = np.zeros(2 * n)
-        dy[2 * j - 1] = h
-        px = corrected(z + dx)
-        mx = corrected(z - dx)
-        py = corrected(z + dy)
-        my = corrected(z - dy)
+        dx, dy = steps[2 * j - 2], steps[2 * j - 1]
+        px, mx = corrected(z + dx), corrected(z - dx)
+        py, my = corrected(z + dy), corrected(z - dy)
         comps = {}
         for Jp in px:
             ddx = (px[Jp] - mx[Jp]) / (2.0 * h)
@@ -372,13 +316,13 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     for level in config.levels():
         vol_rule = volume_rule(domain, level)
         bnd_rule = boundary_rule(domain, level)
-        bplan = _BoundaryPlan(n, q, f_b, bnd_rule)
-        vplan = _VolumePlan(n, q, dbar_f, vol_rule) if dbar_f is not None else None
+        bplan = _fold(n, q, f_b, bnd_rule)
+        vplan = _fold(n, q, dbar_f, vol_rule) if dbar_f is not None else None
         rho = config.exclusion_factor * vol_rule.spacing
         for z in zs:
-            bval = bplan.value(z)
+            bval = _sweep(bplan, bnd_rule, z, keys)
             if vplan is not None:
-                vval = vplan.value(z, vplan.keep_mask(z, rho))
+                vval = _sweep(vplan, vol_rule, z, keys, rho)
             else:
                 vval = {J: 0.0 + 0.0j for J in keys}
             dval = dbar_potential(f, z, domain, config, level)

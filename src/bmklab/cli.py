@@ -32,10 +32,12 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
+from sympy.core.function import AppliedUndef
 
 from . import bmk, mollify, young
 from .exterior import DifferentialForm
@@ -57,9 +59,15 @@ def parse_coefficient(expr, m):
     """Parse a real-coordinate coefficient expression in x1..xm to a field.
 
     Polynomials become exact PolyFields; anything else is lambdified.
+    Symbols other than x1..xm and undefined functions are rejected.
     """
     xs = sympy.symbols(f"x1:{m + 1}")
     parsed = sympy.sympify(expr, locals={f"x{k + 1}": xs[k] for k in range(m)})
+    unknown = sorted(map(str, parsed.free_symbols - set(xs)))
+    unknown += sorted(str(f.func) for f in parsed.atoms(AppliedUndef))
+    if unknown:
+        raise ValueError(f"coefficient {expr!r} uses {unknown}; only x1..x{m} "
+                         "and known functions are allowed")
     try:
         poly = sympy.Poly(parsed, *xs)
         terms = {tuple(int(e) for e in mono): complex(c)
@@ -127,6 +135,9 @@ _DEFAULT_THRESHOLDS = {
 _DEFAULT_LEVEL = {"bmk-verify": 0, "bmk-lp": 0, "mollify": 0,
                   "green-stokes": 3, "young-scan": 1}
 
+# green-stokes's configurable operator acts on the square box in R^2
+_COEFFICIENT_KEYS = ("a1", "a2", "b")
+
 _DEFAULT_SEED = {"bmk-verify": 7, "bmk-lp": 11, "mollify": 0,
                  "green-stokes": 0, "young-scan": 0}
 
@@ -151,8 +162,17 @@ class ExperimentConfig:
         for key in ("level", "steps", "seed", "grid_n"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if any(e <= 0 for e in self.eps) or self.p < 1:
-            raise ValueError("eps values must be positive and p >= 1")
+        if not self.eps or any(e <= 0 for e in self.eps) or self.p < 1:
+            raise ValueError("eps needs one or more values, all positive, and p >= 1")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"unknown format {self.fmt!r}; use csv or json")
+        taken = _COEFFICIENT_KEYS if self.experiment == "green-stokes" else ()
+        unknown = set(self.coefficients) - set(taken)
+        if unknown:
+            raise ValueError(f"{self.experiment} takes no coefficients {sorted(unknown)}; "
+                             f"only green-stokes takes {', '.join(_COEFFICIENT_KEYS)}")
+        self.coefficients = {k: parse_coefficient(v, 2)
+                             for k, v in self.coefficients.items()}
         base = dict(_DEFAULT_THRESHOLDS[self.experiment])
         unknown = set(self.thresholds) - set(base)
         if unknown:
@@ -183,7 +203,7 @@ def load_config(path, experiment):
     for key, value in merged.items():
         if key.startswith("threshold_"):
             thresholds[key[len("threshold_"):]] = float(value)
-        elif key in ("a1", "a2", "a3", "b"):
+        elif key in _COEFFICIENT_KEYS:
             coeffs[key] = value
         elif key == "eps":
             kwargs["eps"] = tuple(float(v) for v in value.split(","))
@@ -371,11 +391,9 @@ def _green_stokes_cases(cfg):
     interval = make_domain("interval-box", m=1, bounds=[[-1.0, 0.0]])
     disc = make_domain("ball", m=2)
     if cfg.coefficients:
-        m = 2
-        a = [parse_coefficient(cfg.coefficients.get(f"a{j + 1}", "0"), m)
-             for j in range(m)]
-        op_box = FirstOrderOperator(m, a=a,
-                                    b=parse_coefficient(cfg.coefficients.get("b", "0"), m))
+        zero = PolyField(2, {})
+        op_box = FirstOrderOperator(2, a=[cfg.coefficients.get(k, zero) for k in ("a1", "a2")],
+                                    b=cfg.coefficients.get("b", zero))
     else:
         op_box = FirstOrderOperator(2, a=[PolyField(2, {(0, 0): 1.0, (1, 1): 0.5}),
                                           PolyField(2, {(0, 1): 1.0})],
@@ -479,15 +497,15 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------- reports
 
 def run_experiment(config):
-    """Run one experiment; numerical failures yield a fail verdict."""
+    """Run one experiment; any failure in it is recorded as a fail verdict."""
     meta = {"experiment": config.experiment, "seed": config.seed,
             "thresholds": config.thresholds}
     try:
         cols, rows, extra = EXPERIMENTS[config.experiment](config)
         meta.update(extra)
         verdict = "pass" if all(c["pass"] for c in meta["checks"].values()) else "fail"
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError,
-            ZeroDivisionError, OverflowError) as err:
+    except Exception as err:
+        traceback.print_exc()
         cols, rows = [], []
         meta["error"] = f"{type(err).__name__}: {err}"
         meta["checks"] = {}

@@ -27,7 +27,7 @@ from .fields import PolyField, as_field, dz_part, dzbar_part
 
 __all__ = [
     "eps_sign", "multi_indices", "DifferentialForm", "wedge", "hodge_star",
-    "top_density", "dbar", "dholo", "top_wedge_constant",
+    "top_density", "dbar", "dholo",
 ]
 
 
@@ -83,7 +83,7 @@ def multi_indices(n, k):
 # monomial-level star, computed through the real covector basis
 
 def _wedge_expansions(e1, e2):
-    """Wedge two {index-tuple: coeff} expansions of real covector monomials."""
+    """Wedge two {index-tuple: coeff} expansions of covector monomials."""
     out = {}
     for a1, c1 in e1.items():
         for a2, c2 in e2.items():
@@ -105,25 +105,12 @@ def _complex_to_real(n, I, J):
     return exp
 
 
-def _wedge_tagged(t1, t2):
-    """Wedge two {((kind,idx),...): coeff} expansions in the complex basis.
-
-    kind 0 tags dz factors, kind 1 tags dzbar; canonical order sorts by
-    (kind, idx), which is exactly 'all dz first, ascending'.
-    """
-    out = {}
-    for a1, c1 in t1.items():
-        for a2, c2 in t2.items():
-            sign, key = _sort_sign(a1 + a2)
-            if sign == 0:
-                continue
-            out[key] = out.get(key, 0.0) + sign * c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
 @lru_cache(maxsize=None)
 def _real_to_complex(n, A):
-    """Expand a real covector monomial over complex monomials (I, J)."""
+    """Expand a real covector monomial over complex monomials (I, J).
+
+    Factors are tagged (kind, idx), kind 0 dz and kind 1 dzbar, so sorting
+    by (kind, idx) is exactly 'all dz first, ascending'."""
     exp = {(): 1.0 + 0.0j}
     for k in A:
         j = k // 2 + 1
@@ -131,7 +118,7 @@ def _real_to_complex(n, A):
             factor = {((0, j),): 0.5, ((1, j),): 0.5}
         else:            # dy_j = (dz_j - dzbar_j)/(2i)
             factor = {((0, j),): -0.5j, ((1, j),): 0.5j}
-        exp = _wedge_tagged(exp, factor)
+        exp = _wedge_expansions(exp, factor)
     out = {}
     for tagged, c in exp.items():
         I = tuple(idx for kind, idx in tagged if kind == 0)
@@ -161,18 +148,6 @@ def _top_real_constant(n):
     full_c = tuple(range(1, n + 1))
     exp = _complex_to_real(n, full_c, full_c)
     return exp[tuple(range(2 * n))]
-
-
-@lru_cache(maxsize=None)
-def top_wedge_constant(n, I1, J1, I2, J2):
-    """Top density of (dz^I1^dzbar^J1) ^ (dz^I2^dzbar^J2); 0 if not top degree."""
-    sign = _wedge_monomial_sign(n, I1, J1, I2, J2)
-    if sign == 0:
-        return 0.0
-    I, J = _merge(I1, I2), _merge(J1, J2)
-    if len(I) != n or len(J) != n:
-        return 0.0
-    return sign * _top_real_constant(n)
 
 
 def _merge(a, b):

@@ -37,7 +37,7 @@ from .fields import (_GL_NODES, _GL_W, _bump01, _bump01_deriv,
 from .geometry import _composite_gauss, _tensor
 
 __all__ = [
-    "TangentialMollifier", "NormalCutoff", "DiracSequence", "HalfSpaceField",
+    "TangentialMollifier", "DiracSequence", "HalfSpaceField",
     "choose_tau", "slab_mass", "convolve_field", "boundary_mollify",
     "convergence_report", "save_field", "load_field",
 ]
@@ -87,28 +87,13 @@ class TangentialMollifier:
         return (radial / safe)[:, None] * y / eps ** (self.d + 1)
 
 
-class NormalCutoff:
-    """Smoothed step h with h = 0 below 1 and h = 1 above 2, h' >= 0."""
-
-    @staticmethod
-    def h(s):
-        return smooth_transition(s)
-
-    @staticmethod
-    def dh(s):
-        return smooth_transition_deriv(s)
-
-    @staticmethod
-    def d2h(s):
-        return smooth_transition_deriv2(s)
-
-
 class DiracSequence:
     """phi_eps(t) = psi_eps(t') * h'(t_1/tau)/tau, supported in a shifted slab.
 
-    The support {tau < t_1 < 2tau} x {|t'| < eps} sits strictly inside
-    {t_1 > 0}, which is what pushes the convolution sampling into the open
-    half-space.
+    h is fields.smooth_transition, the smoothed step with h = 0 below 1,
+    h = 1 above 2 and h' >= 0.  The support {tau < t_1 < 2tau} x {|t'| < eps}
+    sits strictly inside {t_1 > 0}, which is what pushes the convolution
+    sampling into the open half-space.
     """
 
     def __init__(self, m, epsilon, tau):
@@ -122,15 +107,15 @@ class DiracSequence:
     def values(self, t):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         lat = self.psi.values(t[:, 1:], self.epsilon)
-        return lat * NormalCutoff.dh(t[:, 0] / self.tau) / self.tau
+        return lat * smooth_transition_deriv(t[:, 0] / self.tau) / self.tau
 
     def grad(self, t):
         t = np.atleast_2d(np.asarray(t, dtype=float))
         lat = self.psi.values(t[:, 1:], self.epsilon)
         dlat = self.psi.grad(t[:, 1:], self.epsilon)
-        rho = NormalCutoff.dh(t[:, 0] / self.tau) / self.tau
+        rho = smooth_transition_deriv(t[:, 0] / self.tau) / self.tau
         out = np.empty((t.shape[0], self.m))
-        out[:, 0] = lat * NormalCutoff.d2h(t[:, 0] / self.tau) / self.tau ** 2
+        out[:, 0] = lat * smooth_transition_deriv2(t[:, 0] / self.tau) / self.tau ** 2
         out[:, 1:] = dlat * rho[:, None]
         return out
 
@@ -441,7 +426,6 @@ def load_field(path):
         data = np.load(path + ".npy")
     else:
         shape = tuple(header["shape"])
-        data = np.zeros(shape, dtype=complex)
         with open(path + ".csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         flat = np.array([float(r[-2]) + 1j * float(r[-1]) for r in rows])

@@ -19,11 +19,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmklab import bmk, cli
-from bmklab.exterior import DifferentialForm, multi_indices
+from bmklab.exterior import DifferentialForm, batch_pullback_density, multi_indices
 from bmklab.fields import PolyField, constant, zmonomial
-from bmklab.geometry import make_domain, volume_rule
+from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_rule
 
 DISC = make_domain("ball", m=2)
 BALL4 = make_domain("ball", m=4)
@@ -250,3 +252,104 @@ def test_residual_report_csv_schema(tmp_path):
     assert set(rows[0]) == {"z1", "z2", "residual", "boundary_term_norm",
                             "volume_term_norm", "potential_dbar_norm", "level"}
     assert float(rows[0]["residual"]) == res["rows"][0]["residual"]
+
+
+def _generic_form(n, q):
+    """A (0, q)-form whose coefficients mix constants, x_k and x_k x_l."""
+    m = 2 * n
+    coeffs = {}
+    for idx, J in enumerate(multi_indices(n, q)):
+        terms = {(0,) * m: complex(1.0 + idx, -0.5)}
+        for k in range(m):
+            powers = [0] * m
+            powers[k] = 1
+            terms[tuple(powers)] = complex(0.3 * (k + 1), 0.7 - 0.2 * idx)
+            powers[(k + 1) % m] += 1
+            terms[tuple(powers)] = complex(-0.4, 0.1 * k)
+        coeffs[((), J)] = PolyField(m, terms)
+    return DifferentialForm(n, 0, q, coeffs)
+
+
+def _interior_points(n):
+    # every coordinate within 0.45 keeps |z| <= 0.9 on the unit disc and ball
+    return st.lists(st.floats(-0.45, 0.45), min_size=2 * n, max_size=2 * n).map(np.array)
+
+
+def _node_by_node(n, q, z, rule, density, rho=0.0):
+    """sum_i w_i density(kernel_eval(zeta_i, z)[J], i) over nodes outside
+    the rho-ball around z, with the sum of |terms| as each J's scale."""
+    want = {J: 0j for J in multi_indices(n, q)}
+    scale = dict.fromkeys(want, 0.0)
+    for i, (zeta, w) in enumerate(zip(rule.nodes, rule.weights)):
+        if np.sum((zeta - z) ** 2) < rho * rho:
+            continue
+        for J, K in bmk.kernel_eval(n, q, zeta, z).items():
+            term = w * complex(density(K, i))
+            want[J] += term
+            scale[J] += abs(term)
+    return want, scale
+
+
+@pytest.mark.parametrize("n, q", [(1, 0), (2, 0), (2, 1)])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_operators_match_node_by_node_kernel_wedge(n, q, data):
+    """One-level op_volume and op_boundary against the slow symbolic path:
+    w_i * (g ^ kernel_eval(zeta_i, z)[J]) as a density, node by node."""
+    z = data.draw(_interior_points(n))
+    domain = make_domain("ball", m=2 * n)
+    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=1)
+    g, f_b = _generic_form(n, q + 1), _generic_form(n, q)
+
+    vol = volume_rule(domain, 0)
+    want, scale = _node_by_node(
+        n, q, z, vol, lambda K, i: g.wedge(K).top_density()(vol.nodes[i:i + 1])[0],
+        cfg.exclusion_factor * vol.spacing)
+    got = bmk.op_volume(g, z, domain, cfg)["value"]
+    # relative to the sum of |terms|, so a value cancelling to ~0 stays fair
+    assert all(abs(got[J] - want[J]) <= 1e-12 * scale[J] for J in want)
+
+    bnd = boundary_rule(domain, 0)
+    want, scale = _node_by_node(
+        n, q, z, bnd, lambda K, i: batch_pullback_density(
+            f_b.wedge(K), bnd.nodes[i:i + 1], bnd.tangents[i:i + 1])[0])
+    got = bmk.op_boundary(f_b, z, domain, cfg)["value"]
+    assert all(abs(got[J] - want[J]) <= 1e-12 * scale[J] for J in want)
+
+
+@given(radius=st.sampled_from([0.5, 1.0, 2.0]),
+       polar=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi)),
+                      min_size=1, max_size=4),
+       steps=st.integers(1, 3))
+@settings(max_examples=10, deadline=None)
+def test_reproduce_residual_flags_and_level_rows(radius, polar, steps):
+    """Flagged = exactly the points closer than the margin to the boundary;
+    rows = config.levels() x the remaining points, each once."""
+    disc = make_domain("ball", m=2, radius=radius)
+    zs = np.array([[radius * r * np.cos(t), radius * r * np.sin(t)] for r, t in polar])
+    f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (1,), (0,))})
+    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=steps)
+    res = bmk.reproduce_residual(f, f, None, disc, zs, cfg)
+    near = dist_boundary(disc, zs) < cfg.margin_factor * radius
+    assert np.array_equal(np.array(res["flagged"]).reshape(-1, 2), zs[near])
+    want = sorted((L, tuple(z)) for L in cfg.levels() for z in zs[~near])
+    assert sorted((row["level"], tuple(row["z"])) for row in res["rows"]) == want
+
+
+@given(z=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(np.array)
+       .filter(lambda v: np.linalg.norm(v) > 1e-3)
+       .map(lambda v: 0.5 * v / max(1.0, np.linalg.norm(v))))
+@settings(max_examples=1, deadline=None)
+def test_dbar_potential_matches_closed_form_at_drawn_points(z):
+    """dbar of -zb1 zb2/3 is -(zb2 dzb1 + zb1 dzb2)/3 for |z| <= 0.5.
+
+    Level 3, not the fixed-point test's level 2: over |z| <= 0.5 the level-2
+    stencil error reaches 3.5e-3, past the 3e-3 bound, and level 3 keeps
+    it under 1.6e-3.  One example, since a level-3 call takes seconds.
+    """
+    zb1, zb2 = np.conj(_cval(z[:2])), np.conj(_cval(z[2:]))
+    f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
+    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=3)
+    got = bmk.dbar_potential(f, z, BALL4, cfg, level=3)
+    assert abs(got[(1,)] - (-zb2 / 3)) < 3e-3
+    assert abs(got[(2,)] - (-zb1 / 3)) < 3e-3

@@ -83,6 +83,10 @@ def test_experiment_config_validation_and_threshold_merge():
         cli.ExperimentConfig(experiment="mollify", level=-1)
     with pytest.raises(ValueError, match="positive"):
         cli.ExperimentConfig(experiment="mollify", eps=(0.2, -0.1))
+    with pytest.raises(ValueError, match="one or more values"):
+        cli.ExperimentConfig(experiment="mollify", eps=())
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        cli.ExperimentConfig(experiment="mollify", fmt="xml")
     cfg = cli.ExperimentConfig(experiment="bmk-verify",
                                thresholds={"final_max": 5e-4})
     assert cfg.thresholds["final_max"] == 5e-4
@@ -171,6 +175,63 @@ def test_main_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[mollify]\nwat = 1\n")
     assert cli.main(["mollify", "--config", str(bad)]) == 2
+    # a bad format stops the run before any work, so no report is written
+    xml = tmp_path / "xml.ini"
+    xml.write_text("[common]\nfmt = xml\n")
+    out = tmp_path / "gs"
+    assert cli.main(["green-stokes", "--config", str(xml), "--out", str(out)]) == 2
+    assert "unknown format" in capsys.readouterr().err
+    assert not list(tmp_path.glob("gs*"))
+
+
+@pytest.mark.parametrize("expr, bad", [("x3", "x3"), ("foo(x1)", "foo")])
+def test_green_stokes_coefficient_outside_x1_x2_rejected(tmp_path, capsys, expr, bad):
+    with pytest.raises(ValueError, match=f"uses \\['{bad}'\\]"):
+        cli.ExperimentConfig(experiment="green-stokes", coefficients={"a1": expr})
+    ini = tmp_path / "coeff.ini"
+    ini.write_text(f"[green-stokes]\na1 = {expr}\n")
+    out = tmp_path / "gs"
+    assert cli.main(["green-stokes", "--config", str(ini), "--out", str(out)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("gs*"))
+
+
+def test_coefficients_rejected_outside_green_stokes(tmp_path, capsys):
+    with pytest.raises(ValueError, match="mollify takes no coefficients \\['b'\\]"):
+        cli.ExperimentConfig(experiment="mollify", coefficients={"b": "1"})
+    with pytest.raises(ValueError, match="green-stokes takes no coefficients \\['a3'\\]"):
+        cli.ExperimentConfig(experiment="green-stokes", coefficients={"a3": "x1"})
+    ini = tmp_path / "common.ini"
+    ini.write_text("[common]\na1 = x1\n")
+    assert cli.main(["young-scan", "--config", str(ini),
+                     "--out", str(tmp_path / "ys")]) == 2
+    assert "young-scan takes no coefficients" in capsys.readouterr().err
+
+
+def test_green_stokes_parsed_coefficients_drive_the_operator():
+    cfg = cli.ExperimentConfig(experiment="green-stokes",
+                               coefficients={"a1": "1 + 0.5*x1*x2", "b": "sin(x1)"})
+    assert cfg.coefficients["a1"].terms == {(0, 0): 1.0, (1, 1): 0.5}
+    _, _, _, op_box, _ = cli._green_stokes_cases(cfg)
+    x = np.array([[0.3, -0.7]])
+    assert np.allclose(op_box.b(x), np.sin(0.3))
+    assert not op_box.a[1].terms
+
+
+def test_run_experiment_records_unexpected_error(tmp_path, capsys, monkeypatch):
+    """An error type no experiment expects still gives a report and exit 1."""
+    def broken(cfg):
+        raise KeyError("lost")
+    monkeypatch.setitem(cli.EXPERIMENTS, "green-stokes", broken)
+    out = str(tmp_path / "gs")
+    assert cli.main(["green-stokes", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "error: KeyError" in captured.out
+    assert "Traceback" in captured.err
+    meta = json.load(open(out + ".meta.json"))
+    assert meta["verdict"] == "fail"
+    assert meta["error"] == "KeyError: 'lost'"
+    assert meta["checks"] == {}
 
 
 def test_main_green_stokes_passes(tmp_path, capsys):
