@@ -252,7 +252,9 @@ def dbar_potential(f, z, domain, config, level):
     the exact ball average of s_j times the local fold coefficient,
     int_{B(c,R)} s_j dV = (pi^n/n!) (cbar_j - ybar_j), and is added back
     analytically before differencing.  The leftover stencil error is
-    O(rho^2) from the variation of the operand across the ball.
+    O(rho^2) from the variation of the operand across the ball only while
+    B(z, rho + h) lies inside D.  With the default factors rho + h is 6
+    level spacings, 2^-level on the unit ball, so at level 0 it never does.
     """
     n = domain.n_complex
     q = f.q

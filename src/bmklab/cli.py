@@ -49,7 +49,7 @@ from .young import INF
 
 __all__ = [
     "ExperimentConfig", "Report", "run_experiment", "emit_report", "main",
-    "parse_coefficient", "form_to_json", "form_from_json", "EXPERIMENTS",
+    "parse_coefficient", "form_from_json", "EXPERIMENTS",
 ]
 
 
@@ -81,11 +81,6 @@ def parse_coefficient(expr, m):
             return np.broadcast_to(np.asarray(_fn(*cols), dtype=complex),
                                    x.shape[:-1]).copy()
         return AnalyticField(m, call)
-
-
-def form_to_json(form):
-    """JSON text for a form with exact polynomial coefficients."""
-    return form.to_json()
 
 
 def _coeff_from_entry(entry, n):

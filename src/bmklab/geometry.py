@@ -39,8 +39,6 @@ BOX_ORDER = 12
 DISC_RADIAL = 8
 DISC_ANGULAR = 32
 BALL4_RADIAL = 6
-BALL4_ETA = 4
-BALL4_XI = 8
 CIRCLE_NODES = 32
 S3_ETA = 4
 S3_XI = 8

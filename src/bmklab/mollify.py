@@ -17,13 +17,14 @@ resolved far below the sample-grid spacing.
 
 Convolutions are direct summation: quadrature nodes over the kernel's own
 support, with f sampled through its exact callable when available and through
-multilinear grid interpolation otherwise.  No transforms; boundary handling
-stays explicit.
+multilinear grid interpolation otherwise.  One pass samples f once per shifted
+point and contracts the samples with the kernel and with each of its partials,
+so f * phi_eps and every derivative of it come from the same evaluations.  No
+transforms; boundary handling stays explicit.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -41,6 +42,11 @@ __all__ = [
     "choose_tau", "slab_mass", "convolve_field", "boundary_mollify",
     "convergence_report", "save_field", "load_field",
 ]
+
+
+SLAB_DEPTH = 48   # dyadic panels toward the boundary in slab_mass
+TAU_K_MAX = 40    # choose_tau tries tau down to eps * 2^-TAU_K_MAX
+CONV_CHUNK = 64   # kernel nodes per block of shifted points in convolve_field
 
 
 def _sphere_area(d):
@@ -64,16 +70,11 @@ class TangentialMollifier:
         self.d = d
         self.mass = _radial_bump_mass(d)
 
-    def profile(self, xp):
-        if self.d == 0:
-            return np.ones(np.asarray(xp).shape[0])
-        r = np.linalg.norm(np.asarray(xp, dtype=float), axis=-1)
-        return _bump01(r) / self.mass
-
     def values(self, xp, eps):
         if self.d == 0:
             return np.ones(np.asarray(xp).shape[0])
-        return self.profile(np.asarray(xp, dtype=float) / eps) / eps ** self.d
+        r = np.linalg.norm(np.asarray(xp, dtype=float) / eps, axis=-1)
+        return _bump01(r) / self.mass / eps ** self.d
 
     def grad(self, xp, eps):
         """Spatial gradient of the eps-scaled profile, shape (N, d)."""
@@ -125,30 +126,21 @@ class DiracSequence:
         lo[0], hi[0] = self.tau, 2.0 * self.tau
         return np.stack([lo, hi], axis=-1)
 
-    def quad_rule(self, normal=(2, 10), lateral=(1, 16), normalize=True):
+    def quad_rule(self):
         """Gauss-Legendre panels over the support box: (nodes, weights).
 
-        With normalize=True the weights are rescaled so the discrete kernel
-        measure has exactly unit mass, which preserves the contraction
-        property of mollification at any rule size; the continuous-mass
-        invariant is checked separately by mass().
+        The weights are rescaled so the discrete kernel measure has exactly
+        unit mass, which preserves the contraction property of mollification
+        at any rule size.
         """
         axes_nodes, axes_weights = [], []
-        box = self.support_box()
-        specs = [normal] + [lateral] * (self.m - 1)
-        for (lo, hi), (panels, order) in zip(box, specs):
+        specs = [(2, 10)] + [(1, 16)] * (self.m - 1)
+        for (lo, hi), (panels, order) in zip(self.support_box(), specs):
             xs, ws = _composite_gauss(lo, hi, panels, order)
             axes_nodes.append(xs)
             axes_weights.append(ws)
         t, w = _tensor(axes_nodes, axes_weights)
-        if normalize:
-            w = w / float(np.real(np.sum(w * self.values(t))))
-        return t, w
-
-    def mass(self):
-        """Unit-mass check on a fine, unnormalized rule."""
-        t, w = self.quad_rule(normal=(8, 16), lateral=(6, 16), normalize=False)
-        return float(np.real(np.sum(w * self.values(t))))
+        return t, w / float(np.real(np.sum(w * self.values(t))))
 
 
 def _trapezoid_weights(axis_nodes):
@@ -161,6 +153,16 @@ def _trapezoid_weights(axis_nodes):
     return w
 
 
+def _trapezoid_lp(v, axes, p):
+    """Trapezoid L^p norm of v sampled on the tensor grid of axes (p=inf -> max)."""
+    if np.isinf(p):
+        return float(np.max(np.abs(v)))
+    acc = np.abs(v) ** p
+    for ax in range(len(axes) - 1, -1, -1):
+        acc = np.tensordot(acc, _trapezoid_weights(axes[ax]), ([ax], [0]))
+    return float(acc ** (1.0 / p))
+
+
 class HalfSpaceField:
     """Complex field on a box inside the closed half-space {x_1 <= 0}.
 
@@ -169,8 +171,7 @@ class HalfSpaceField:
     falls back to multilinear interpolation with zero fill outside the box.
     """
 
-    def __init__(self, bounds, shape, samples=None, func=None, p=2.0,
-                 support=None, meta=None):
+    def __init__(self, bounds, shape, samples=None, func=None, p=2.0):
         self.bounds = np.asarray(bounds, dtype=float)
         if abs(self.bounds[0, 1]) > 1e-14:
             raise ValueError("half-space grid must end at x_1 = 0")
@@ -187,17 +188,13 @@ class HalfSpaceField:
         self.samples = samples
         self.func = func
         self.p = p
-        self.support = self.bounds if support is None else np.asarray(support, float)
-        self.meta = dict(meta or {})
         self._interp = None
         self._nodes = None
 
     @classmethod
-    def from_function(cls, func, bounds, shape, p=2.0, sample=True, meta=None):
-        field = cls(bounds, shape, func=func, p=p, meta=meta)
-        if sample:
-            field.samples = np.asarray(func(field.grid_nodes()),
-                                       dtype=complex).reshape(field.shape)
+    def from_function(cls, func, bounds, shape):
+        field = cls(bounds, shape, func=func)
+        field.grid_values()
         return field
 
     def grid_nodes(self):
@@ -228,13 +225,7 @@ class HalfSpaceField:
         """Trapezoid L^p norm over the grid box (p=inf -> max)."""
         p = self.p if p is None else p
         v = self.grid_values() if values is None else np.asarray(values)
-        v = v.reshape(self.shape)
-        if np.isinf(p):
-            return float(np.max(np.abs(v)))
-        acc = np.abs(v) ** p
-        for ax in range(self.m - 1, -1, -1):
-            acc = np.tensordot(acc, _trapezoid_weights(self.axes[ax]), ([ax], [0]))
-        return float(acc ** (1.0 / p))
+        return _trapezoid_lp(v.reshape(self.shape), self.axes, p)
 
     def boundary_nodes(self):
         """Grid points on {x_1 = 0}: shape (prod(lateral shape), m)."""
@@ -249,17 +240,10 @@ class HalfSpaceField:
         """Trapezoid L^p norm over the lateral boundary grid."""
         p = self.p if p is None else p
         v = np.asarray(values).reshape(tuple(self.shape[1:]) or (1,))
-        if np.isinf(p):
-            return float(np.max(np.abs(v)))
-        acc = np.abs(v) ** p
-        for ax in range(len(v.shape) - 1, -1, -1):
-            if self.m == 1:
-                break
-            acc = np.tensordot(acc, _trapezoid_weights(self.axes[ax + 1]), ([ax], [0]))
-        return float(acc ** (1.0 / p))
+        return _trapezoid_lp(v, self.axes[1:], p)
 
 
-def slab_mass(f, tau, p, depth=48):
+def slab_mass(f, tau, p):
     """int |f|^p (1 - h_tau(-t_1)) dt by boundary-refined panel quadrature.
 
     Panels: [-2tau, -tau], then dyadic halves of [-tau, 0) toward the
@@ -267,7 +251,7 @@ def slab_mass(f, tau, p, depth=48):
     """
     edges = [(-2.0 * tau, -tau)]
     left = -tau
-    for _ in range(depth):
+    for _ in range(SLAB_DEPTH):
         right = left / 2.0
         edges.append((left, right))
         left = right
@@ -297,55 +281,49 @@ def slab_mass(f, tau, p, depth=48):
     return total
 
 
-def choose_tau(f, epsilon, p, k_max=40):
+def choose_tau(f, epsilon, p):
     """Largest dyadic tau = eps * 2^{-k} passing the boundary-slab criterion."""
-    for k in range(k_max + 1):
+    for k in range(TAU_K_MAX + 1):
         tau = epsilon * 2.0 ** (-k)
         if slab_mass(f, tau, p) <= epsilon * epsilon:
             return tau
     raise ValueError(
         "no admissible normal scale down to eps*2^-%d; the boundary slab "
         "carries too much mass at this resolution - refine the sample grid "
-        "or enlarge eps" % k_max)
+        "or enlarge eps" % TAU_K_MAX)
 
 
-def convolve_field(f, kernel, x, variant="kernel", quad=None, chunk=64):
-    """(f * k)(x) = sum_t w_t k(t) f(x - t) over the kernel support rule.
+def convolve_field(f, kernel, x, quad=None):
+    """f * k and f * d_j k at x, shape (1+m, N), from one pass over f.
 
-    variant
-        "kernel" uses k itself, an integer j uses the j-th partial of k,
-        so derivatives of the mollification come from kernel derivatives.
-        Derivative kernels get their discrete zeroth moment projected to
-        the exact value 0 (the raw defect is O(quad error)/tau and would
-        otherwise put a floor under the commutator diagnostics).
+    Row 0 is (f * k)(x) = sum_t w_t k(t) f(x - t) over the kernel support
+    rule and row 1+j uses the j-th partial of k, so derivatives of the
+    mollification come from kernel derivatives.  Derivative rows get their
+    discrete zeroth moment projected to the exact value 0 (the raw defect is
+    O(quad error)/tau and would otherwise put a floor under the commutator
+    diagnostics).  Rows are contracted one by one: a single (1+m, T)
+    product sums in another order and moves the diagnostics by ~1e-10.
     """
     t, w = kernel.quad_rule() if quad is None else quad
-    if variant == "kernel":
-        coef = w * kernel.values(t)
-    else:
-        kv = kernel.grad(t)[:, int(variant)]
-        base = w * kernel.values(t)
-        defect = np.sum(w * kv) / np.sum(base)
-        coef = w * kv - defect * base
+    base = w * kernel.values(t)
+    coef = [base] + [w * kv - np.sum(w * kv) / np.sum(base) * base
+                     for kv in kernel.grad(t).T]
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.zeros(x.shape[0], dtype=complex)
-    for start in range(0, len(t), chunk):
-        tt = t[start:start + chunk]
-        cc = coef[start:start + chunk]
+    out = np.zeros((len(coef), x.shape[0]), dtype=complex)
+    for start in range(0, len(t), CONV_CHUNK):
+        tt = t[start:start + CONV_CHUNK]
         pts = (x[None, :, :] - tt[:, None, :]).reshape(-1, x.shape[1])
         vals = f.evaluate(pts).reshape(len(tt), x.shape[0])
-        out += cc @ vals
+        for row, c in zip(out, coef):
+            row += c[start:start + CONV_CHUNK] @ vals
     return out
 
 
-def boundary_mollify(f, epsilon, p=2.0, tau=None):
+def boundary_mollify(f, epsilon, p=2.0):
     """f * phi_eps on f's own grid, smooth up to the boundary plane."""
-    if tau is None:
-        tau = choose_tau(f, epsilon, p)
-    kernel = DiracSequence(f.m, epsilon, tau)
-    vals = convolve_field(f, kernel, f.grid_nodes())
-    return HalfSpaceField(f.bounds, f.shape, samples=vals.reshape(f.shape),
-                          p=f.p, meta={"epsilon": epsilon, "tau": tau})
+    kernel = DiracSequence(f.m, epsilon, choose_tau(f, epsilon, p))
+    vals = convolve_field(f, kernel, f.grid_nodes())[0]
+    return HalfSpaceField(f.bounds, f.shape, samples=vals.reshape(f.shape), p=f.p)
 
 
 def convergence_report(op, f, qf, f_b, eps_list, p):
@@ -355,7 +333,6 @@ def convergence_report(op, f, qf, f_b, eps_list, p):
     Qf); f_b: callable trace candidate on boundary nodes.  Row columns:
     (epsilon, tau, interior_err, q_err, commutator_ratio, trace_err).
     """
-    m = f.m
     nodes = f.grid_nodes()
     f_grid = f.grid_values().ravel()
     qf_grid = qf.grid_values().ravel()
@@ -368,13 +345,13 @@ def convergence_report(op, f, qf, f_b, eps_list, p):
     rows = []
     for eps in eps_list:
         tau = choose_tau(f, eps, p)
-        kernel = DiracSequence(m, eps, tau)
+        kernel = DiracSequence(f.m, eps, tau)
         quad = kernel.quad_rule()
-        f_eps = convolve_field(f, kernel, nodes, "kernel", quad)
+        f_eps, *partials = convolve_field(f, kernel, nodes, quad=quad)
         q_f_eps = b_vals * f_eps
-        for j in range(m):
-            q_f_eps = q_f_eps + a_vals[j] * convolve_field(f, kernel, nodes, j, quad)
-        qf_conv = convolve_field(qf, kernel, nodes, "kernel", quad)
+        for a, df in zip(a_vals, partials):
+            q_f_eps = q_f_eps + a * df
+        qf_conv = convolve_field(qf, kernel, nodes, quad=quad)[0]
         trace = f_eps.reshape(f.shape)[-1].ravel()
         rows.append({
             "epsilon": eps,
@@ -391,30 +368,16 @@ REPORT_COLUMNS = ["epsilon", "tau", "interior_err", "q_err",
                   "commutator_ratio", "trace_err"]
 
 
-def save_field(field, path, fmt="npy"):
-    """Write samples plus a JSON header (dims, spacing, support box)."""
+def save_field(field, path):
+    """Write samples to path.npy plus a JSON header (dims, spacing) to path.json."""
     header = {
         "m": field.m, "shape": list(field.shape),
         "bounds": field.bounds.tolist(), "spacing": field.spacing.tolist(),
-        "support": field.support.tolist(), "p": None if np.isinf(field.p) else field.p,
-        "format": fmt,
+        "p": None if np.isinf(field.p) else field.p,
     }
     with open(path + ".json", "w") as fh:
         json.dump(header, fh, indent=1)
-    data = field.grid_values()
-    if fmt == "npy":
-        np.save(path + ".npy", data)
-    elif fmt == "csv":
-        flat = data.ravel()
-        nodes = field.grid_nodes()
-        with open(path + ".csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x{k + 1}" for k in range(field.m)] + ["re", "im"])
-            for i in range(len(flat)):
-                w.writerow([f"{v:.17g}" for v in nodes[i]]
-                           + [f"{flat[i].real:.17g}", f"{flat[i].imag:.17g}"])
-    else:
-        raise ValueError(f"unknown field format {fmt!r}")
+    np.save(path + ".npy", field.grid_values())
     return path
 
 
@@ -422,13 +385,5 @@ def load_field(path):
     with open(path + ".json") as fh:
         header = json.load(fh)
     p = np.inf if header["p"] is None else header["p"]
-    if header["format"] == "npy":
-        data = np.load(path + ".npy")
-    else:
-        shape = tuple(header["shape"])
-        with open(path + ".csv", newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        flat = np.array([float(r[-2]) + 1j * float(r[-1]) for r in rows])
-        data = flat.reshape(shape)
-    return HalfSpaceField(header["bounds"], header["shape"], samples=data,
-                          p=p, support=header["support"])
+    return HalfSpaceField(header["bounds"], header["shape"],
+                          samples=np.load(path + ".npy"), p=p)

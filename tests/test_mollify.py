@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bmklab import mollify
 from bmklab.fields import smooth_transition
+from bmklab.geometry import _composite_gauss, _tensor
 from bmklab.mollify import (DiracSequence, HalfSpaceField, boundary_mollify,
                             choose_tau, convergence_report, convolve_field,
                             load_field, save_field, slab_mass)
@@ -19,11 +21,18 @@ def _smooth_field(shape=(65, 65)):
 
 
 def test_dirac_sequence_unit_mass():
+    """The continuous kernel has unit mass.
+
+    quad_rule normalises its weights, so the check uses an independent,
+    unnormalised fine rule over the support box.
+    """
     for m, eps, tau in [(1, 0.2, 0.05), (2, 0.1, 0.0125), (3, 0.2, 0.1)]:
         kernel = DiracSequence(m, eps, tau)
-        nodes, weights = kernel.quad_rule()
-        assert np.isclose(np.sum(weights * kernel.values(nodes)), 1.0,
-                          atol=1e-12)
+        specs = [(8, 16)] + [(6, 16)] * (m - 1)
+        axes = [_composite_gauss(lo, hi, panels, order)
+                for (lo, hi), (panels, order) in zip(kernel.support_box(), specs)]
+        nodes, weights = _tensor([a[0] for a in axes], [a[1] for a in axes])
+        assert abs(np.sum(weights * kernel.values(nodes)) - 1.0) < 1e-8
 
 
 def test_dirac_sequence_support_is_interior_slab():
@@ -97,7 +106,51 @@ def test_convolving_constant_reproduces_one():
     kernel = DiracSequence(2, 0.2, choose_tau(f, 0.2, 2.0))
     pts = np.array([[-0.5, 0.0], [0.0, 0.3], [-0.99, -0.7], [0.0, 0.0]])
     vals = convolve_field(f, kernel, pts)
-    assert np.allclose(vals, 1.0, atol=1e-12)
+    assert np.allclose(vals[0], 1.0, atol=1e-12)
+    assert np.allclose(vals[1:], 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_convolve_field_rows_match_per_row_sums(m):
+    """Row 0 is f * phi and row 1+j is f * d_j phi with zero discrete mass."""
+    bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
+    fn = lambda x: np.exp(0.3 * x[:, 0] + 0.2j * x.sum(axis=1)) * (1 + x[:, -1] ** 2)
+    f = HalfSpaceField(bounds, (9,) * m, func=fn)
+    kernel = DiracSequence(m, 0.2, 0.05)
+    x = np.random.default_rng(m).uniform(-0.8, 0.0, (7, m))
+    x[0, 0] = 0.0
+    got = convolve_field(f, kernel, x)
+    assert got.shape == (1 + m, len(x))
+    t, w = kernel.quad_rule()
+    vals = fn((x[None, :, :] - t[:, None, :]).reshape(-1, m)).reshape(len(t), len(x))
+    base = w * kernel.values(t)
+    for row in range(1 + m):
+        if row == 0:
+            coef = base
+        else:
+            kv = kernel.grad(t)[:, row - 1]
+            coef = w * kv - np.sum(w * kv) / np.sum(base) * base
+        want = np.array([np.sum(coef * vals[:, i]) for i in range(len(x))])
+        assert np.max(np.abs(got[row] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
+    """One eps step evaluates f at len(rule) * N shifted points, not (1+m)x."""
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return np.cos(x[:, 0]) + 1j * x[:, 1]
+
+    shape = (17, 17)
+    f = HalfSpaceField.from_function(fn, BOUNDS, shape)
+    qf = HalfSpaceField.from_function(lambda x: -np.sin(x[:, 0]), BOUNDS, shape)
+    calls.clear()
+    monkeypatch.setattr(mollify, "choose_tau", lambda f, eps, p: 0.05)
+    op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
+    convergence_report(op, f, qf, lambda x: np.cos(x[:, 0]), [0.2], 2.0)
+    t, _ = DiracSequence(2, 0.2, 0.05).quad_rule()
+    assert sum(calls) == len(t) * shape[0] * shape[1]
 
 
 def test_boundary_mollify_converges_and_keeps_trace():
