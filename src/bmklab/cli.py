@@ -14,13 +14,13 @@ the documented defaults; overriding a threshold changes the verdict only,
 never the measurements.  Random test families derive from numpy's
 default_rng (PCG64) seeded from the config, so reports are reproducible
 across platforms.  Reports are CSV rows plus a JSON metadata sidecar
-(--format csv, default) or a single JSON document (--format json).
+(--format csv, default) or a single JSON document (--format json);
+JSON writes a non-finite float as its CSV text ("inf", "nan").
 Exit codes: 0 pass, 1 fail, 2 usage.
 
-Forms and operator coefficients are describable as expressions: operator
-coefficients use real coordinates x1..xm, form coefficients use z1..zn
-and zb1..zbn; polynomial expressions round-trip exactly through the JSON
-form description, other expressions are kept as callables.
+green-stokes's operator coefficients are expressions in the real
+coordinates x1..xm: polynomials stay exact, other expressions are
+lambdified.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .young import INF
 
 __all__ = [
     "ExperimentConfig", "Report", "run_experiment", "emit_report", "main",
-    "parse_coefficient", "form_from_json", "EXPERIMENTS",
+    "parse_coefficient", "EXPERIMENTS",
 ]
 
 
@@ -83,40 +83,6 @@ def parse_coefficient(expr, m):
         return AnalyticField(m, call)
 
 
-def _coeff_from_entry(entry, n):
-    m = 2 * n
-    if "poly" in entry:
-        return PolyField(m, {tuple(e["powers"]): complex(e["re"], e["im"])
-                             for e in entry["poly"]})
-    if "expr" in entry:
-        zs = sympy.symbols(f"z1:{n + 1}")
-        zbs = sympy.symbols(f"zb1:{n + 1}")
-        parsed = sympy.sympify(entry["expr"])
-        fn = sympy.lambdify(list(zs) + list(zbs), parsed, modules="numpy")
-
-        def call(x, _fn=fn):
-            zc = [x[..., 2 * j] + 1j * x[..., 2 * j + 1] for j in range(n)]
-            vals = _fn(*(zc + [np.conj(w) for w in zc]))
-            return np.broadcast_to(np.asarray(vals, dtype=complex),
-                                   x.shape[:-1]).copy()
-        return AnalyticField(m, call)
-    if "grid" in entry:
-        return AnalyticField(m, mollify.load_field(entry["grid"]).evaluate)
-    raise ValueError("coefficient entry needs one of: poly, expr, grid")
-
-
-def form_from_json(text):
-    """Rebuild a form; coefficients may be poly terms, expr strings of
-    z1..zn/zb1..zbn, or sample-grid file references."""
-    data = json.loads(text)
-    p, q = data["bidegree"]
-    coeffs = {}
-    for t in data["terms"]:
-        key = (tuple(t["dz"]), tuple(t["dzbar"]))
-        coeffs[key] = _coeff_from_entry(t, data["n"])
-    return DifferentialForm(data["n"], p, q, coeffs)
-
-
 # ---------------------------------------------------------------- config
 
 _DEFAULT_THRESHOLDS = {
@@ -137,6 +103,19 @@ _DEFAULT_SEED = {"bmk-verify": 7, "bmk-lp": 11, "mollify": 0,
                  "green-stokes": 0, "young-scan": 0}
 
 
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+# the parser of each setting, shared by the INI file and the flags
+_KEYS = {"level": int, "steps": int, "seed": int, "grid_n": int, "p": float,
+         "eps": _floats, "out": str, "fmt": str}
+
+# the settings that are also flags; fmt is spelled --format
+_FLAGS = {"level": "--level", "eps": "--eps", "p": "--p", "seed": "--seed",
+          "out": "--out", "fmt": "--format"}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -154,7 +133,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for key in ("level", "steps", "seed", "grid_n"):
+        for key in (k for k, kind in _KEYS.items() if kind is int):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
         if not self.eps or any(e <= 0 for e in self.eps) or self.p < 1:
@@ -200,19 +179,37 @@ def load_config(path, experiment):
             thresholds[key[len("threshold_"):]] = float(value)
         elif key in _COEFFICIENT_KEYS:
             coeffs[key] = value
-        elif key == "eps":
-            kwargs["eps"] = tuple(float(v) for v in value.split(","))
-        elif key in ("level", "steps", "seed", "grid_n"):
-            kwargs[key] = int(value)
-        elif key == "p":
-            kwargs["p"] = float(value)
-        elif key in ("out", "fmt"):
-            kwargs[key] = value
+        elif key in _KEYS:
+            kwargs[key] = _KEYS[key](value)
         else:
             raise ValueError(f"unknown config key {key!r}")
     kwargs["thresholds"] = thresholds
     kwargs["coefficients"] = coeffs
     return kwargs
+
+
+# ---------------------------------------------------------------- checks
+
+def _below(value, threshold):
+    return {"value": value, "threshold": threshold, "pass": bool(value < threshold)}
+
+
+def _at_most(value, threshold):
+    return {"value": value, "threshold": threshold, "pass": bool(value <= threshold)}
+
+
+def _every(verdicts, value=None):
+    """Pass when there is a verdict and every one holds: a check with nothing
+    to judge fails.  The judged value is recorded when given."""
+    verdicts = list(verdicts)
+    check = {} if value is None else {"value": value}
+    check["pass"] = bool(verdicts) and all(verdicts)
+    return check
+
+
+def _decreasing(values):
+    """Strictly decreasing; fewer than two values compare nothing and fail."""
+    return _every((a > b for a, b in zip(values, values[1:])), values)
 
 
 # ---------------------------------------------------------------- experiments
@@ -261,18 +258,10 @@ def run_bmk_verify(cfg):
     deltas = [abs(maxima[i] - maxima[i + 1]) for i in range(len(maxima) - 1)]
     win = int(cfg.thresholds["delta_window"])
     checks = {
-        "holomorphic_reproduction": {
-            "value": holo_max, "threshold": cfg.thresholds["holo_max"],
-            "pass": bool(holo_max < cfg.thresholds["holo_max"])},
-        "conjugate_final_residual": {
-            "value": maxima[-1], "threshold": cfg.thresholds["final_max"],
-            "pass": bool(maxima[-1] < cfg.thresholds["final_max"])},
-        "residual_monotone": {
-            "value": maxima,
-            "pass": bool(all(maxima[i] > maxima[i + 1] for i in range(len(maxima) - 1)))},
-        "delta_monotone": {
-            "value": deltas[:win],
-            "pass": bool(all(deltas[i] > deltas[i + 1] for i in range(min(win, len(deltas)) - 1)))},
+        "holomorphic_reproduction": _below(holo_max, cfg.thresholds["holo_max"]),
+        "conjugate_final_residual": _below(maxima[-1], cfg.thresholds["final_max"]),
+        "residual_monotone": _decreasing(maxima),
+        "delta_monotone": _decreasing(deltas[:win]),
     }
     meta = {"levels": list(range(cfg.level, cfg.level + steps)),
             "holo_rows": len(res_holo["rows"]), "conj_rows": len(res_conj["rows"]),
@@ -320,12 +309,8 @@ def run_bmk_lp(cfg):
     checks = {}
     for name, res in (("smooth", res_smooth), ("lp", res_lp)):
         maxima = _level_maxima(res)
-        checks[f"{name}_monotone"] = {
-            "value": maxima,
-            "pass": bool(all(maxima[i] > maxima[i + 1] for i in range(len(maxima) - 1)))}
-        checks[f"{name}_final_residual"] = {
-            "value": maxima[-1], "threshold": cfg.thresholds["final_max"],
-            "pass": bool(maxima[-1] < cfg.thresholds["final_max"])}
+        checks[f"{name}_monotone"] = _decreasing(maxima)
+        checks[f"{name}_final_residual"] = _below(maxima[-1], cfg.thresholds["final_max"])
     meta = {"smooth_levels": list(range(cfg.level, cfg.level + steps)),
             "lp_levels": list(range(cfg.level + 1, cfg.level + 1 + steps)),
             "checks": checks}
@@ -364,18 +349,14 @@ def run_mollify(cfg):
     rows = report["rows"]
     cols = mollify.REPORT_COLUMNS
     diag = ["interior_err", "q_err", "commutator_ratio", "trace_err"]
-    ladder_ok = all(rows[i][k] >= rows[i + 1][k] - 1e-15
-                    for k in diag for i in range(1, len(rows) - 1))
+    # from the second rung on; the rungs are the report's rows, so no value
+    ladder = rows[1:]
     checks = {
-        "diagnostics_non_increasing": {"pass": bool(ladder_ok)},
-        "trace_final": {
-            "value": rows[-1]["trace_err"], "threshold": cfg.thresholds["trace_max"],
-            "pass": bool(rows[-1]["trace_err"] < cfg.thresholds["trace_max"])},
-        "commutator_bounded": {
-            "value": max(r["commutator_ratio"] for r in rows),
-            "threshold": cfg.thresholds["commutator_cap"],
-            "pass": bool(max(r["commutator_ratio"] for r in rows)
-                         <= cfg.thresholds["commutator_cap"])},
+        "diagnostics_non_increasing": _every(
+            a[k] >= b[k] - 1e-15 for k in diag for a, b in zip(ladder, ladder[1:])),
+        "trace_final": _below(rows[-1]["trace_err"], cfg.thresholds["trace_max"]),
+        "commutator_bounded": _at_most(max(r["commutator_ratio"] for r in rows),
+                                       cfg.thresholds["commutator_cap"]),
     }
     meta = {"p": cfg.p, "grid_n": cfg.grid_n, "eps": list(cfg.eps), "checks": checks}
     return cols, rows, meta
@@ -409,39 +390,30 @@ def run_green_stokes(cfg):
                  "residual": hand["residual"]})
     hand_err = max(abs(hand["volume_lhs"] - 1.0), abs(hand["volume_rhs"]
                    + hand["boundary"] - 1.0), hand["residual"])
-    checks["interval_hand"] = {
-        "value": hand_err, "threshold": cfg.thresholds["hand_max"],
-        "pass": bool(hand_err < cfg.thresholds["hand_max"])}
+    checks["interval_hand"] = _below(hand_err, cfg.thresholds["hand_max"])
 
     cup = PolyField(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-    window = cup * cup * cup
-    compact_max = 0.0
-    for i, (u, v) in enumerate(zip(scalar_test_family(disc, 3, seed=cfg.seed),
-                                   scalar_test_family(disc, 3, seed=cfg.seed + 1))):
-        ures = op_box.green_stokes_residual(disc, u * window, v * window, level=level)
-        rows.append({"case": "compact-disc", "test_index": i, "level": level,
-                     "residual": ures["residual"]})
-        compact_max = max(compact_max, ures["residual"])
-    checks["compact_support"] = {
-        "value": compact_max, "threshold": cfg.thresholds["compact_max"],
-        "pass": bool(compact_max < cfg.thresholds["compact_max"])}
-
-    bnd_max = 0.0
-    for i, (u, v) in enumerate(zip(scalar_test_family(box, 4, seed=cfg.seed + 2),
-                                   scalar_test_family(box, 4, seed=cfg.seed + 3))):
-        ures = op_box.green_stokes_residual(box, u, v, level=level)
-        rows.append({"case": "box", "test_index": i, "level": level,
-                     "residual": ures["residual"]})
-        bnd_max = max(bnd_max, ures["residual"])
-    for i, (u, v) in enumerate(zip(scalar_test_family(interval, 4, seed=cfg.seed + 4),
-                                   scalar_test_family(interval, 4, seed=cfg.seed + 5))):
-        ures = op_int.green_stokes_residual(interval, u, v, level=level)
-        rows.append({"case": "interval", "test_index": i, "level": level,
-                     "residual": ures["residual"]})
-        bnd_max = max(bnd_max, ures["residual"])
-    checks["boundary_cases"] = {
-        "value": bnd_max, "threshold": cfg.thresholds["boundary_max"],
-        "pass": bool(bnd_max < cfg.thresholds["boundary_max"])}
+    # case, domain, operator, family size, seed offset, window, check
+    families = (
+        ("compact-disc", disc, op_box, 3, 0, cup * cup * cup, "compact_support"),
+        ("box", box, op_box, 4, 2, None, "boundary_cases"),
+        ("interval", interval, op_int, 4, 4, None, "boundary_cases"),
+    )
+    worst = {"compact_support": 0.0, "boundary_cases": 0.0}
+    for case, domain, op, count, offset, window, check in families:
+        for i, (u, v) in enumerate(zip(
+                scalar_test_family(domain, count, seed=cfg.seed + offset),
+                scalar_test_family(domain, count, seed=cfg.seed + offset + 1))):
+            if window is not None:
+                u, v = u * window, v * window
+            ures = op.green_stokes_residual(domain, u, v, level=level)
+            rows.append({"case": case, "test_index": i, "level": level,
+                         "residual": ures["residual"]})
+            worst[check] = max(worst[check], ures["residual"])
+    checks["compact_support"] = _below(worst["compact_support"],
+                                       cfg.thresholds["compact_max"])
+    checks["boundary_cases"] = _below(worst["boundary_cases"],
+                                      cfg.thresholds["boundary_max"])
 
     cols = ["case", "test_index", "level", "residual"]
     meta = {"level": level, "checks": checks}
@@ -463,17 +435,12 @@ def run_young_scan(cfg):
                  for a in (1, 2, 4)}
     case3 = {r["p"]: r["r"] for r in rows if r["case"] == "III"}
     checks = {
-        "case_iii_line_r_equals_p": {
-            "value": case3, "pass": bool(all(math.isclose(p, r) for p, r in case3.items()))},
-        "c1_refinement_drift": {
-            "value": drift, "threshold": cfg.thresholds["c1_drift_max"],
-            "pass": bool(drift < cfg.thresholds["c1_drift_max"])},
-        "fit_residual_nonpositive": {
-            "value": fit_hi[2], "threshold": cfg.thresholds["fit_residual_max"],
-            "pass": bool(fit_hi[2] <= cfg.thresholds["fit_residual_max"])},
-        "log_majorant_integrable": {
-            "value": integrals,
-            "pass": bool(all(np.isfinite(v) for v in integrals.values()))},
+        "case_iii_line_r_equals_p": _every(
+            (math.isclose(p, r) for p, r in case3.items()), case3),
+        "c1_refinement_drift": _below(drift, cfg.thresholds["c1_drift_max"]),
+        "fit_residual_nonpositive": _at_most(fit_hi[2], cfg.thresholds["fit_residual_max"]),
+        "log_majorant_integrable": _every(
+            (np.isfinite(v) for v in integrals.values()), integrals),
     }
     meta = {"fit_levels": [5, 6], "C0": fit_hi[0], "C1": fit_hi[1],
             "fit_residual": fit_hi[2], "checks": checks}
@@ -511,20 +478,30 @@ def run_experiment(config):
 
 def _fmt_cell(v):
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
         return f"{v:.17g}"
     return str(v)
 
 
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    raise TypeError(f"not serializable: {type(v)}")
+def _strict(doc):
+    """doc with numpy values made plain and each non-finite float written as
+    its CSV text, so the JSON holds no Infinity or NaN token."""
+    if isinstance(doc, dict):
+        return {k: _strict(v) for k, v in doc.items()}
+    if isinstance(doc, np.ndarray):
+        doc = doc.tolist()
+    if isinstance(doc, (list, tuple)):
+        return [_strict(v) for v in doc]
+    if isinstance(doc, (np.floating, np.integer)):
+        doc = doc.item()
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return _fmt_cell(doc)
+    return doc
+
+
+def _dump_json(doc, path):
+    with open(path, "w") as fh:
+        json.dump(_strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def emit_report(report, out, fmt="csv"):
@@ -532,11 +509,8 @@ def emit_report(report, out, fmt="csv"):
     paths = []
     if fmt == "json":
         path = f"{out}.json"
-        with open(path, "w") as fh:
-            json.dump({"metadata": report.metadata, "columns": report.columns,
-                       "rows": report.rows, "verdict": report.verdict},
-                      fh, indent=2, default=_json_default, sort_keys=True)
-            fh.write("\n")
+        _dump_json({"metadata": report.metadata, "columns": report.columns,
+                    "rows": report.rows, "verdict": report.verdict}, path)
         paths.append(path)
     elif fmt == "csv":
         path = f"{out}.csv"
@@ -547,10 +521,7 @@ def emit_report(report, out, fmt="csv"):
                 w.writerow([_fmt_cell(row[c]) for c in report.columns])
         paths.append(path)
         side = f"{out}.meta.json"
-        with open(side, "w") as fh:
-            json.dump(report.metadata, fh, indent=2, default=_json_default,
-                      sort_keys=True)
-            fh.write("\n")
+        _dump_json(report.metadata, side)
         paths.append(side)
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -566,13 +537,8 @@ def _build_parser():
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--level", type=int, default=None)
-        sp.add_argument("--eps", default=None,
-                        help="comma-separated epsilon ladder")
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+        for key, flag in _FLAGS.items():
+            sp.add_argument(flag, dest=key, type=_KEYS[key], default=None)
     return parser
 
 
@@ -588,18 +554,8 @@ def main(argv=None):
     try:
         if args.config:
             kwargs.update(load_config(args.config, args.experiment))
-        if args.level is not None:
-            kwargs["level"] = args.level
-        if args.eps is not None:
-            kwargs["eps"] = tuple(float(v) for v in args.eps.split(","))
-        if args.p is not None:
-            kwargs["p"] = args.p
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.out is not None:
-            kwargs["out"] = args.out
-        if args.fmt is not None:
-            kwargs["fmt"] = args.fmt
+        kwargs.update((key, getattr(args, key)) for key in _FLAGS
+                      if getattr(args, key) is not None)
         config = ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -18,7 +18,6 @@ density -2i, star maps (p,q) to (n-q,n-p), and star(star(w)) = (-1)^(p+q) w.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 import numpy as np
@@ -324,22 +323,6 @@ class DifferentialForm:
             return PolyField(2 * self.n, {})
         return total
 
-    def evaluate(self, x, vectors):
-        """Multilinear evaluation on len = degree many vectors in R^{2n}."""
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.shape != (self.degree, 2 * self.n):
-            raise ValueError("need one vector per form degree")
-        total = 0.0 + 0.0j
-        for (I, J), c in self.coeffs.items():
-            rows = []
-            for i in I:
-                rows.append(vectors[:, 2 * i - 2] + 1j * vectors[:, 2 * i - 1])
-            for j in J:
-                rows.append(vectors[:, 2 * j - 2] - 1j * vectors[:, 2 * j - 1])
-            det = np.linalg.det(np.array(rows)) if rows else 1.0
-            total += complex(c(np.asarray(x, dtype=float))) * det
-        return total
-
     def pointwise_norm(self, x):
         """sqrt(<w,w>) at points x, with the 2^(p+q) monomial weights."""
         w = 2.0 ** (self.p + self.q)
@@ -350,30 +333,6 @@ class DifferentialForm:
         if acc is None:
             return np.zeros(np.asarray(x, dtype=float).shape[:-1])
         return np.sqrt(w * acc)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        terms = []
-        for (I, J), c in self.coeffs.items():
-            if not isinstance(c, PolyField):
-                raise ValueError("only polynomial coefficients serialize to JSON")
-            poly = [{"powers": list(a), "re": v.real, "im": v.imag}
-                    for a, v in sorted(c.terms.items())]
-            terms.append({"dz": list(I), "dzbar": list(J), "poly": poly})
-        return json.dumps({"n": self.n, "bidegree": [self.p, self.q],
-                           "terms": terms}, indent=None, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        n = data["n"]
-        p, q = data["bidegree"]
-        coeffs = {}
-        for t in data["terms"]:
-            terms = {tuple(e["powers"]): complex(e["re"], e["im"]) for e in t["poly"]}
-            coeffs[(tuple(t["dz"]), tuple(t["dzbar"]))] = PolyField(2 * n, terms)
-        return cls(n, p, q, coeffs)
 
 
 def monomial_frame_values(n, I, J, frames):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+FD_STEP = 1e-6   # centered-difference step of AnalyticField.partial
+
 
 def _as_points(x):
     x = np.asarray(x, dtype=float)
@@ -209,13 +211,11 @@ class ScaledField(Field):
 
 
 class AnalyticField(Field):
-    """Callable-backed field; exact gradients if supplied, else centered FD."""
+    """Callable-backed field; derivatives by centered FD with step FD_STEP."""
 
-    def __init__(self, m, func, grads=None, fd_step=1e-6, real=False):
+    def __init__(self, m, func, real=False):
         self.m = m
         self.func = func
-        self.grads = grads
-        self.fd_step = fd_step
         self.real = real
 
     def __call__(self, x):
@@ -224,29 +224,19 @@ class AnalyticField(Field):
         return _unsqueeze(vals, sq)
 
     def partial(self, k):
-        if self.grads is not None:
-            g = self.grads[k]
-            return g if isinstance(g, Field) else AnalyticField(self.m, g, real=self.real)
-        h = self.fd_step
-
-        def fd(x, _k=k, _h=h, _f=self.func):
+        def fd(x, _k=k, _h=FD_STEP, _f=self.func):
             xp = np.array(x, dtype=float)
             xm = np.array(x, dtype=float)
             xp[..., _k] += _h
             xm[..., _k] -= _h
             return (np.asarray(_f(xp), dtype=complex) - np.asarray(_f(xm), dtype=complex)) / (2 * _h)
 
-        return AnalyticField(self.m, fd, fd_step=h, real=self.real)
+        return AnalyticField(self.m, fd, real=self.real)
 
     def conj(self):
         if self.real:
             return self
-        grads = None
-        if self.grads is not None:
-            grads = [as_field(g, self.m).conj() if isinstance(g, Field)
-                     else AnalyticField(self.m, g).conj() for g in self.grads]
-        return AnalyticField(self.m, lambda x: np.conj(self.func(x)), grads,
-                             fd_step=self.fd_step)
+        return AnalyticField(self.m, lambda x: np.conj(self.func(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -170,15 +170,11 @@ class QuadratureRule:
     level: int
     region: str                          # "interior" | "boundary"
     spacing: float
-    domain_kind: str = ""
     nu: Optional[np.ndarray] = None
     tangents: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.weights)
-
-    def total(self):
-        return float(np.sum(self.weights))
 
 
 def _composite_gauss(lo, hi, panels, order):
@@ -199,6 +195,18 @@ def _tensor(axis_nodes, axis_weights):
     for aw in axis_weights[1:]:
         w = np.multiply.outer(w, aw)
     return nodes, w.ravel()
+
+
+def _box_axes(bounds, panels):
+    """Tensor composite-Gauss rule on a box: (nodes, weights, spacing)."""
+    axis_nodes, axis_weights, spacing = [], [], 0.0
+    for lo, hi in bounds:
+        xs, ws = _composite_gauss(lo, hi, panels, BOX_ORDER)
+        axis_nodes.append(xs)
+        axis_weights.append(ws)
+        spacing = max(spacing, (hi - lo) / (panels * BOX_ORDER))
+    nodes, w = _tensor(axis_nodes, axis_weights)
+    return nodes, w, spacing
 
 
 def _orient(nu, tangents):
@@ -226,7 +234,7 @@ def volume_rule(domain, level):
         nodes = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
         nodes = nodes + domain.center
         w = (wr[:, None] * r[:, None] * dth * np.ones(nt)).ravel()
-        return QuadratureRule(nodes, w, level, "interior", domain.radius / nr, "ball")
+        return QuadratureRule(nodes, w, level, "interior", domain.radius / nr)
 
     if domain.kind == "ball" and domain.m == 4:
         nr = BALL4_RADIAL * scale
@@ -236,7 +244,7 @@ def volume_rule(domain, level):
         sph = _s3_rule(level)
         nodes = (r[:, None, None] * sph.nodes[None, :, :]).reshape(-1, 4) + domain.center
         w = (wr[:, None] * r[:, None] ** 3 * sph.weights[None, :]).ravel()
-        return QuadratureRule(nodes, w, level, "interior", domain.radius / nr, "ball")
+        return QuadratureRule(nodes, w, level, "interior", domain.radius / nr)
 
     if domain.kind == "ellipsoid":
         unit = make_domain("ball", m=domain.m, radius=1.0)
@@ -244,18 +252,11 @@ def volume_rule(domain, level):
         nodes = base.nodes * domain.semi_axes + domain.center
         w = base.weights * float(np.prod(domain.semi_axes))
         return QuadratureRule(nodes, w, level, "interior",
-                              base.spacing * float(np.max(domain.semi_axes)), "ellipsoid")
+                              base.spacing * float(np.max(domain.semi_axes)))
 
     if domain.kind in ("interval-box", "half-space-patch"):
-        panels = BOX_PANELS * scale
-        axis_nodes, axis_weights, spacing = [], [], 0.0
-        for lo, hi in domain.bounds:
-            xs, ws = _composite_gauss(lo, hi, panels, BOX_ORDER)
-            axis_nodes.append(xs)
-            axis_weights.append(ws)
-            spacing = max(spacing, (hi - lo) / (panels * BOX_ORDER))
-        nodes, w = _tensor(axis_nodes, axis_weights)
-        return QuadratureRule(nodes, w, level, "interior", spacing, domain.kind)
+        nodes, w, spacing = _box_axes(domain.bounds, BOX_PANELS * scale)
+        return QuadratureRule(nodes, w, level, "interior", spacing)
 
     raise ValueError(f"no volume rule for {domain.kind} in dimension {domain.m}")
 
@@ -283,7 +284,7 @@ def _s3_rule(level):
     tangents = np.stack([t1.reshape(-1, 4), t2.reshape(-1, 4), t3.reshape(-1, 4)], axis=1)
     nu = nodes.copy()
     tangents = _orient(nu, tangents)
-    return QuadratureRule(nodes, w, level, "boundary", np.pi / (2 * ne), "ball",
+    return QuadratureRule(nodes, w, level, "boundary", np.pi / (2 * ne),
                           nu=nu, tangents=tangents)
 
 
@@ -300,14 +301,14 @@ def boundary_rule(domain, level):
         tangents = np.stack([-sn, cs], axis=-1)[:, None, :]
         tangents = _orient(nu, tangents)
         return QuadratureRule(nodes, w, level, "boundary",
-                              2 * np.pi * domain.radius / nt, "ball", nu=nu, tangents=tangents)
+                              2 * np.pi * domain.radius / nt, nu=nu, tangents=tangents)
 
     if domain.kind == "ball" and domain.m == 4:
         sph = _s3_rule(level)
         nodes = domain.center + domain.radius * sph.nodes
         w = sph.weights * domain.radius ** 3
         return QuadratureRule(nodes, w, level, "boundary", sph.spacing * domain.radius,
-                              "ball", nu=sph.nu, tangents=sph.tangents)
+                              nu=sph.nu, tangents=sph.tangents)
 
     if domain.kind == "ellipsoid":
         unit = make_domain("ball", m=domain.m, radius=1.0)
@@ -321,7 +322,7 @@ def boundary_rule(domain, level):
         tangents = _gram_schmidt(nu, mapped)
         tangents = _orient(nu, tangents)
         return QuadratureRule(nodes, w, level, "boundary", base.spacing * float(np.max(S)),
-                              "ellipsoid", nu=nu, tangents=tangents)
+                              nu=nu, tangents=tangents)
 
     if domain.kind == "half-space-patch":
         # only the physical face {x1 = 0}; the other box faces are truncation
@@ -334,7 +335,7 @@ def boundary_rule(domain, level):
             w = np.ones(2)
             nu = np.array([[-1.0], [1.0]])
             tangents = np.zeros((2, 0, 1))
-            return QuadratureRule(nodes, w, level, "boundary", hi - lo, "interval-box",
+            return QuadratureRule(nodes, w, level, "boundary", hi - lo,
                                   nu=nu, tangents=tangents)
         parts = [_face_rule(domain, axis=k, side=s, level=level)
                  for k in range(domain.m) for s in (-1, 1)]
@@ -343,7 +344,7 @@ def boundary_rule(domain, level):
         nu = np.concatenate([p.nu for p in parts])
         tangents = np.concatenate([p.tangents for p in parts])
         return QuadratureRule(nodes, w, level, "boundary", parts[0].spacing,
-                              "interval-box", nu=nu, tangents=tangents)
+                              nu=nu, tangents=tangents)
 
     raise ValueError(f"no boundary rule for {domain.kind} in dimension {domain.m}")
 
@@ -355,15 +356,7 @@ def _face_rule(domain, axis, side, level):
     panels = BOX_PANELS * 2 ** level
     other = [k for k in range(m) if k != axis]
     if other:
-        axis_nodes, axis_weights = [], []
-        spacing = 0.0
-        for k in other:
-            lo, hi = bounds[k]
-            xs, ws = _composite_gauss(lo, hi, panels, BOX_ORDER)
-            axis_nodes.append(xs)
-            axis_weights.append(ws)
-            spacing = max(spacing, (hi - lo) / (panels * BOX_ORDER))
-        lat_nodes, w = _tensor(axis_nodes, axis_weights)
+        lat_nodes, w, spacing = _box_axes(bounds[other], panels)
     else:
         lat_nodes, w = np.zeros((1, 0)), np.ones(1)
         spacing = 1.0
@@ -377,7 +370,7 @@ def _face_rule(domain, axis, side, level):
     for i, k in enumerate(other):
         tangents[:, i, k] = 1.0
     tangents = _orient(nu, tangents)
-    return QuadratureRule(nodes, w, level, "boundary", spacing, domain.kind,
+    return QuadratureRule(nodes, w, level, "boundary", spacing,
                           nu=nu, tangents=tangents)
 
 

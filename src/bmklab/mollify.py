@@ -25,8 +25,6 @@ transforms; boundary handling stays explicit.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import RegularGridInterpolator
@@ -40,7 +38,7 @@ from .geometry import _composite_gauss, _tensor
 __all__ = [
     "TangentialMollifier", "DiracSequence", "HalfSpaceField",
     "choose_tau", "slab_mass", "convolve_field", "boundary_mollify",
-    "convergence_report", "save_field", "load_field",
+    "convergence_report",
 ]
 
 
@@ -366,24 +364,3 @@ def convergence_report(op, f, qf, f_b, eps_list, p):
 
 REPORT_COLUMNS = ["epsilon", "tau", "interior_err", "q_err",
                   "commutator_ratio", "trace_err"]
-
-
-def save_field(field, path):
-    """Write samples to path.npy plus a JSON header (dims, spacing) to path.json."""
-    header = {
-        "m": field.m, "shape": list(field.shape),
-        "bounds": field.bounds.tolist(), "spacing": field.spacing.tolist(),
-        "p": None if np.isinf(field.p) else field.p,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(header, fh, indent=1)
-    np.save(path + ".npy", field.grid_values())
-    return path
-
-
-def load_field(path):
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    p = np.inf if header["p"] is None else header["p"]
-    return HalfSpaceField(header["bounds"], header["shape"],
-                          samples=np.load(path + ".npy"), p=p)

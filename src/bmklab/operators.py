@@ -83,7 +83,7 @@ class FirstOrderOperator:
         bnd = boundary_rule(domain, level)
         lhs = inner_volume(vol, self.apply(u), v)
         mid = inner_volume(vol, u, self.formal_adjoint().apply(v))
-        sig = normal_symbol_values(self, domain, bnd)
+        sig = normal_symbol_values(self, bnd)
         uv = np.asarray(u(bnd.nodes), dtype=complex) * np.conj(
             np.asarray(v(bnd.nodes), dtype=complex))
         boundary = complex(np.sum(bnd.weights * sig * uv))
@@ -93,7 +93,7 @@ class FirstOrderOperator:
         }
 
 
-def normal_symbol_values(op, domain, rule):
+def normal_symbol_values(op, rule):
     """sum_j a_j nu_j at the nodes of a boundary rule (complex array)."""
     nu = rule.nu
     out = np.zeros(len(rule.weights), dtype=complex)
@@ -152,7 +152,7 @@ def weak_bv_residual(domain, op, u, u_b, F, tests, level=1):
     vol = volume_rule(domain, level)
     bnd = boundary_rule(domain, level)
     q_star = op.formal_adjoint()
-    sig = normal_symbol_values(op, domain, bnd)
+    sig = normal_symbol_values(op, bnd)
     ub_vals = np.asarray(u_b(bnd.nodes), dtype=complex)
     records = []
     for idx, phi in enumerate(tests):
@@ -169,7 +169,7 @@ def weak_bv_residual(domain, op, u, u_b, F, tests, level=1):
             "max_residual": max(r["residual"] for r in records)}
 
 
-def _dbar_bv_single(domain, f, f_b, F, phi, vol, bnd):
+def _dbar_bv_single(f, f_b, F, phi, vol, bnd):
     q = f.q
     sign = -1.0 if q % 2 else 1.0
     volume = integrate_top(F.wedge(phi), vol.nodes, vol.weights) + \
@@ -192,7 +192,7 @@ def dbar_bv_residual(domain, f, f_b, F, tests, level=1):
     bnd = boundary_rule(domain, level)
     records = []
     for idx, phi in enumerate(tests):
-        rec = _dbar_bv_single(domain, f, f_b, F, phi, vol, bnd)
+        rec = _dbar_bv_single(f, f_b, F, phi, vol, bnd)
         rec["test"] = idx
         rec["level"] = level
         records.append(rec)
@@ -213,7 +213,7 @@ def pairing_equivalence_check(domain, f, f_b, F, phi, level=1):
         raise ValueError("test form must have type (n, n-q-1)")
     vol = volume_rule(domain, level)
     bnd = boundary_rule(domain, level)
-    route_a = _dbar_bv_single(domain, f, f_b, F, phi, vol, bnd)
+    route_a = _dbar_bv_single(f, f_b, F, phi, vol, bnd)
 
     sgn = -1.0 if (q + 1) % 2 else 1.0   # (-1)^(q+1)
     g = phi.conj().star().scale(sgn)

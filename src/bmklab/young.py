@@ -62,7 +62,6 @@ class MeasureSpace:
     """Finite quadrature model of a measure space: nodes carry weights."""
     nodes: np.ndarray
     weights: np.ndarray
-    label: str = ""
 
     def lp_norm(self, values, p):
         values = np.abs(np.asarray(values))
@@ -82,7 +81,7 @@ def _materialize(descriptor, level):
         rule = boundary_rule(dom, level)
     else:
         raise ValueError(f"unknown measure-space kind {kind!r}")
-    return MeasureSpace(rule.nodes, rule.weights, f"{kind}:{dom.kind}")
+    return MeasureSpace(rule.nodes, rule.weights)
 
 
 @dataclass
@@ -105,6 +104,19 @@ class KernelSpec:
                 raise ValueError(f"{name} must lie in [1, infinity]")
 
 
+def _p_minima(spec):
+    """Smallest p of case I and of cases II/III (infinity when none)."""
+    t, sb = spec.t, spec.s * spec.b
+    p_min_1 = t / (t - 1.0) if t > 1.0 else INF
+    if spec.b == INF:
+        p_min_2 = 1.0
+    elif sb > 1.0:
+        p_min_2 = sb / (sb - 1.0)
+    else:
+        p_min_2 = INF
+    return p_min_1, p_min_2
+
+
 def admissible_exponents(spec, p):
     """All extremal admissible (p, r) pairs for the three cases.
 
@@ -114,19 +126,12 @@ def admissible_exponents(spec, p):
     if not (1.0 <= p <= INF):
         raise ValueError("p must lie in [1, infinity]")
     t, s, a, b = spec.t, spec.s, spec.a, spec.b
+    p_min_1, p_min_2 = _p_minima(spec)
     pairs = []
-
-    p_min_1 = t / (t - 1.0) if t > 1.0 else INF
     if p >= p_min_1:
         pairs.append(ExponentPair(p, a * t, "I"))
 
     sb = s * b
-    if b == INF:
-        p_min_2 = 1.0
-    elif sb > 1.0:
-        p_min_2 = sb / (sb - 1.0)
-    else:
-        p_min_2 = INF
     if p_min_2 <= p < INF:
         pairs.append(ExponentPair(p, 1.0, "II"))
         if sb != t:
@@ -146,14 +151,13 @@ def admissible_exponents(spec, p):
 
 def _violation_message(spec, p, r):
     t, s, a, b = spec.t, spec.s, spec.a, spec.b
+    p_min_1, p_min_2 = _p_minima(spec)
     parts = []
-    p_min_1 = t / (t - 1.0) if t > 1.0 else INF
     if p < p_min_1:
         parts.append(f"case I needs p >= {p_min_1}")
     elif r > a * t:
         parts.append(f"case I needs r <= a*t = {a * t}")
     sb = s * b
-    p_min_2 = 1.0 if b == INF else (sb / (sb - 1.0) if sb > 1.0 else INF)
     if not (p_min_2 <= p < INF):
         parts.append(f"cases II/III need {p_min_2} <= p < infinity")
     elif sb == t:

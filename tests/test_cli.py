@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from bmklab import cli, mollify
-from bmklab.exterior import DifferentialForm
-from bmklab.fields import AnalyticField, PolyField, zmonomial
+from bmklab import cli
+from bmklab.fields import AnalyticField, PolyField
 
 
 def test_parse_coefficient_polynomial_is_exact():
@@ -25,55 +24,6 @@ def test_parse_coefficient_analytic_fallback():
     assert isinstance(f, AnalyticField)
     x = np.array([[0.3, -0.7], [1.2, 0.4]])
     assert np.allclose(f(x), np.sin(x[:, 0]) + x[:, 1])
-
-
-def test_form_json_round_trip_polynomial():
-    form = DifferentialForm(2, 0, 1, {
-        ((), (1,)): zmonomial(2, (0, 0), (0, 1)),
-        ((), (2,)): PolyField(4, {(0, 0, 0, 0): 2.0 - 1.0j}),
-    })
-    back = cli.form_from_json(form.to_json())
-    assert back.n == form.n and back.bidegree == form.bidegree
-    assert set(back.coeffs) == set(form.coeffs)
-    for key in form.coeffs:
-        assert back.coeffs[key].terms == form.coeffs[key].terms
-
-
-def test_form_json_expr_coefficient():
-    text = json.dumps({
-        "n": 2, "bidegree": [0, 1],
-        "terms": [{"dz": [], "dzbar": [1], "expr": "z1*zb2"}],
-    })
-    form = cli.form_from_json(text)
-    x = np.array([[0.3, 0.1, -0.2, 0.4]])
-    z1 = 0.3 + 0.1j
-    zb2 = -0.2 - 0.4j
-    assert np.allclose(form.coeffs[((), (1,))](x), z1 * zb2)
-
-
-def test_form_json_grid_coefficient(tmp_path):
-    bounds = [[-1.0, 0.0], [-1.0, 1.0]]
-
-    def lin(x):
-        return x[:, 0] + 2.0 * x[:, 1]
-
-    fld = mollify.HalfSpaceField.from_function(lin, bounds, (33, 33))
-    path = tmp_path / "coeff.npz"
-    mollify.save_field(fld, str(path))
-    text = json.dumps({
-        "n": 1, "bidegree": [0, 1],
-        "terms": [{"dz": [], "dzbar": [1], "grid": str(path)}],
-    })
-    form = cli.form_from_json(text)
-    x = np.array([[-0.25, 0.5], [-0.5, -0.125]])
-    assert np.allclose(form.coeffs[((), (1,))](x), lin(x), atol=1e-9)
-
-
-def test_form_json_bad_entry_rejected():
-    text = json.dumps({"n": 1, "bidegree": [0, 1],
-                       "terms": [{"dz": [], "dzbar": [1]}]})
-    with pytest.raises(ValueError, match="poly, expr, grid"):
-        cli.form_from_json(text)
 
 
 def test_experiment_config_validation_and_threshold_merge():
@@ -255,6 +205,42 @@ def test_main_short_ladder_mollify_fails(tmp_path, capsys):
     meta = json.load(open(out + ".meta.json"))
     assert meta["verdict"] == "fail"
     assert meta["checks"]["trace_final"]["pass"] is False
+
+
+@pytest.mark.parametrize("argv, ini, failing", [
+    (["bmk-verify", "--level", "6"], "[bmk-verify]\nsteps = 1\n",
+     ["residual_monotone", "delta_monotone"]),
+    (["bmk-lp"], "[bmk-lp]\nsteps = 1\n", ["smooth_monotone", "lp_monotone"]),
+    (["mollify", "--eps", "0.05,0.025"], "[mollify]\ngrid_n = 65\n",
+     ["diagnostics_non_increasing"]),
+    (["young-scan", "--p", "3"], "", ["case_iii_line_r_equals_p"]),
+], ids=["bmk-verify", "bmk-lp", "mollify", "young-scan"])
+def test_main_check_with_nothing_to_compare_fails(tmp_path, capsys, argv, ini, failing):
+    """One rung, two eps rungs or no case-III pair leave a check nothing to
+    compare; it must fail rather than pass vacuously."""
+    path = tmp_path / "short.ini"
+    path.write_text(ini)
+    out = str(tmp_path / "rep")
+    assert cli.main(argv + ["--config", str(path), "--out", out]) == 1
+    printed = capsys.readouterr().out
+    meta = json.load(open(out + ".meta.json"))
+    for name in failing:
+        assert f"{name}: FAIL" in printed
+        assert meta["checks"][name]["pass"] is False
+
+
+def test_main_young_scan_json_is_strict(tmp_path, capsys):
+    """The default young-scan rows hold b = inf; the JSON document writes it
+    as text, never as the Infinity or NaN tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    out = str(tmp_path / "ys")
+    assert cli.main(["young-scan", "--format", "json", "--out", out]) == 0
+    capsys.readouterr()
+    with open(out + ".json") as fh:
+        doc = json.loads(fh.read(), parse_constant=reject)
+    assert "inf" in [row["b"] for row in doc["rows"]]
+    assert doc["verdict"] == "pass"
 
 
 def test_main_young_scan_deterministic(tmp_path, capsys):

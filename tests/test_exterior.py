@@ -219,12 +219,3 @@ def test_dbar_leibniz_on_polynomials():
         va = lhs.coeffs[key](x) if key in lhs.coeffs else np.zeros(25)
         vb = rhs.coeffs[key](x) if key in rhs.coeffs else np.zeros(25)
         assert np.allclose(va, vb, atol=1e-13)
-
-
-def test_form_json_round_trip_exact():
-    f = DifferentialForm(2, 1, 1, {((1,), (2,)): zmonomial(2, (1, 0), (0, 2)),
-                                   ((2,), (1,)): PolyField(4, {(0, 1, 2, 0): 1.5 - 2j})})
-    g = DifferentialForm.from_json(f.to_json())
-    assert g.bidegree == f.bidegree
-    for key, c in f.coeffs.items():
-        assert g.coeffs[key].terms == c.terms

@@ -9,7 +9,7 @@ from bmklab.fields import smooth_transition
 from bmklab.geometry import _composite_gauss, _tensor
 from bmklab.mollify import (DiracSequence, HalfSpaceField, boundary_mollify,
                             choose_tau, convergence_report, convolve_field,
-                            load_field, save_field, slab_mass)
+                            slab_mass)
 from bmklab.operators import FirstOrderOperator
 
 BOUNDS = [[-1.0, 0.0], [-1.0, 1.0]]
@@ -166,13 +166,16 @@ def test_boundary_mollify_converges_and_keeps_trace():
     assert trace_errs[2] < 1e-2
 
 
-def test_save_and_load_field_round_trip(tmp_path):
-    f, _ = _smooth_field((17, 17))
-    path = str(tmp_path / "field.npz")
-    save_field(f, path)
-    g = load_field(path)
-    assert np.allclose(g.grid_values(), f.grid_values(), atol=0)
-    assert np.allclose(g.bounds, f.bounds)
+def test_samples_only_field_interpolates_off_grid():
+    """Without a callable, evaluate interpolates the samples multilinearly,
+    which is exact for linear data."""
+    def lin(x):
+        return x[:, 0] + 2.0 * x[:, 1]
+
+    grid = HalfSpaceField.from_function(lin, BOUNDS, (33, 33))
+    f = HalfSpaceField(BOUNDS, (33, 33), samples=grid.grid_values())
+    x = np.array([[-0.25, 0.5], [-0.5, -0.125], [-0.3, 0.77]])
+    assert np.allclose(f.evaluate(x), lin(x), atol=1e-9)
 
 
 def test_convergence_report_structure_and_interior_ladder():

@@ -27,7 +27,7 @@ DISC = make_domain("ball", m=2)
 def _unit_interval_space(n=400):
     h = 1.0 / n
     nodes = (np.arange(n) + 0.5)[:, None] * h
-    return young.MeasureSpace(nodes, np.full(n, h), "unit-interval")
+    return young.MeasureSpace(nodes, np.full(n, h))
 
 
 def _disc_spec():
