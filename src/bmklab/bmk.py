@@ -21,32 +21,41 @@ difference stencil; the off-center exclusion bias, which is linear in
 the shift and exactly computable as a ball average of the kernel, is
 restored analytically before differencing.
 
-Both operators share one contraction.  A fold, per (form, rule), wedges
-the operand with each constant form K_Jj of the kernel table (the part of
-B multiplying s_j dzbar^J(z), s_j = conj(zeta_j - z_j)/|zeta-z|^{2n}) and
-takes the density against dV or dS at the nodes, with every sign left to
-bmklab.exterior.  Per point, a sweep computes s, zeroes it inside the
-exclusion ball and takes a handful of dot products, which keeps z-ladders
-over hundreds of thousands of nodes at desk scale.
+Both operators, the residual ladder and the stencil go through one sweep.
+A fold wedges the operand with each constant form K_Jj of the kernel
+table (the part of B multiplying s_j dzbar^J(z), s_j = conj(zeta_j -
+z_j)/|zeta-z|^{2n}), takes the density against dV or dS at the nodes, with
+every sign left to bmklab.exterior, and multiplies in the weights.  The
+sweep evaluates every point of a level in one pass over the rule: it folds
+one block of at most NODE_BLOCK nodes at a time, and within a block takes
+sub-blocks of about PAIR_BLOCK node-point pairs, where the coordinate
+differences are scaled in place by 1/|zeta-z|^{2n} (exactly 0 at dropped
+nodes) and contracted with the fold by real matmuls.  Only the rule and
+block-sized temporaries are resident, which keeps ladders over millions of
+nodes at desk scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .exterior import (DifferentialForm, _star_monomial, batch_pullback_density,
                        eps_sign, multi_indices)
-from .geometry import QuadratureRule, boundary_rule, dist_boundary, volume_rule
+from .fields import _as_points
+from .geometry import boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
     "kernel_constant", "kernel_table", "kernel_eval", "kernel_norm",
     "norm_bound_samples", "SingularQuadratureConfig", "op_volume",
     "op_boundary", "dbar_potential", "reproduce_residual",
 ]
+
+NODE_BLOCK = 131_072   # nodes folded at once: one radial shell of the level-3 4-ball rule
+PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
 
 
 def kernel_constant(n, q):
@@ -79,32 +88,20 @@ def kernel_table(n, q):
     return table
 
 
-def _scalar_factors(nodes, z, n, exclude=0.0):
-    """s_j = conj(zeta_j - z_j)/|zeta - z|^{2n} at nodes; 0 at nodes closer
-    to z than exclude and at a node equal to z, so a dropped node adds an
-    exact 0 instead of 0 * nan."""
-    d = nodes - z
-    dist2 = np.sum(d * d, axis=-1)
-    dc = d[:, 0::2] + 1j * d[:, 1::2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.conj(dc) / dist2[:, None] ** n
-    s[(dist2 < exclude * exclude) | (dist2 == 0)] = 0.0
-    return s
-
-
 def kernel_eval(n, q, zeta, z):
     """B_nq at one (zeta, z) pair: {J: constant-coefficient (n, n-q-1)-form}."""
     zeta = np.asarray(zeta, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.array_equal(zeta, z):
         raise ValueError("kernel singularity: zeta = z")
-    s = _scalar_factors(zeta[None, :], z, n)
+    d = zeta - z
+    s = np.conj(d[0::2] + 1j * d[1::2]) / np.sum(d * d) ** n
     out = {}
     for J, terms in kernel_table(n, q).items():
         coeffs = {}
         for j, mono in terms:
             for key, coef in mono.items():
-                coeffs[key] = coeffs.get(key, 0.0) + coef * s[0, j - 1]
+                coeffs[key] = coeffs.get(key, 0.0) + coef * s[j - 1]
         out[J] = DifferentialForm(n, n, n - q - 1, {
             key: complex(v) for key, v in coeffs.items() if v != 0})
     return out
@@ -153,36 +150,124 @@ class SingularQuadratureConfig:
         return list(range(self.base_level, self.base_level + max(1, self.refinement_steps)))
 
 
-def _fold(n, q, form, rule):
-    """{(J, j): density of form ^ K_Jj at the rule's nodes}.
-
-    K_Jj is the constant (n, n-q-1)-form of kernel_table(n, q) that
-    multiplies s_j dzbar^J(z).  On an interior rule the density is taken
-    against dV (top_density), on a boundary rule against dS through the
-    rule's tangent frames (batch_pullback_density).
+def _densities(n, q, form, interior):
+    """[(k, j, density)] for each constant (n, n-q-1)-form K_Jj of
+    kernel_table(n, q), the part of B that multiplies s_j dzbar^J(z), with
+    J = multi_indices(n, q)[k].  On an interior rule density is the field of
+    form ^ K_Jj against dV (top_density); on a boundary rule it is the
+    (2n-1)-form form ^ K_Jj, taken against dS through the rule's tangent
+    frames by batch_pullback_density.
     """
-    interior = rule.region == "interior"
     if (form.p, form.q) != (0, q + interior):
-        raise ValueError(f"{rule.region} operand must be a (0, {q + interior})-form")
-    fold = {}
+        region = "interior" if interior else "boundary"
+        raise ValueError(f"{region} operand must be a (0, {q + interior})-form")
+    keys = multi_indices(n, q)
+    out = []
     for J, terms in kernel_table(n, q).items():
         for j, mono in terms:
             wedged = form.wedge(DifferentialForm(n, n, n - q - 1, mono))
-            if interior:
-                fold[(J, j)] = np.asarray(wedged.top_density()(rule.nodes), dtype=complex)
+            out.append((keys.index(J), j, wedged.top_density() if interior else wedged))
+    return out
+
+
+def _fold(coef, densities, nodes, tangents, weights):
+    """Write one node block's weighted fold into coef, a real (2n, B, 2K) array.
+
+    Entry (c, i) holds what the scaled difference (zeta_i - y)_c / |zeta_i - y|^{2n}
+    multiplies: with A = w_i * density_Jj(i), s_j = (dx_j - i dy_j)/|.|^{2n}
+    gives A s_j = (Re A dx_j + Im A dy_j + i (Im A dx_j - Re A dy_j))/|.|^{2n},
+    so the x_j row carries (Re A, Im A) and the y_j row (Im A, -Re A) in the
+    real and imaginary columns of J = multi_indices(n, q)[k].  Every block
+    writes the same entries, so the others stay 0 from allocation.  tangents
+    is None on an interior rule.
+    """
+    width = coef.shape[2] // 2
+    for k, j, density in densities:
+        if tangents is None:
+            a = weights * np.asarray(density(nodes), dtype=complex)
+        else:
+            a = weights * batch_pullback_density(density, nodes, tangents)
+        coef[2 * j - 2, :, k] = a.real
+        coef[2 * j - 2, :, width + k] = a.imag
+        coef[2 * j - 1, :, k] = a.imag
+        coef[2 * j - 1, :, width + k] = -a.real
+
+
+def _norm2(d, out, tmp):
+    """|d|^2 over the leading (coordinate) axis into out, summed in coordinate order."""
+    np.multiply(d[0], d[0], out=out)
+    for c in range(1, len(d)):
+        np.multiply(d[c], d[c], out=tmp)
+        out += tmp
+    return out
+
+
+def _sweep(n, q, form, rule, points, radius=0.0, centers=None):
+    """(P, K) values sum_i w_i sum_j fold_Jj(i) s_j(i; y_p), K = |multi_indices(n, q)|.
+
+    Every point y_p of the (P, 2n) stack is evaluated in one pass over the
+    rule: the operand is folded one block of NODE_BLOCK nodes at a time,
+    and each block is swept in sub-blocks of about PAIR_BLOCK node-point
+    pairs whose buffers are reused, with sums accumulated in node order.  A
+    node is dropped (adds an exact 0) where it equals y_p and where it lies
+    closer than radius to y_p, or, given centers (C, 2n), to the centre
+    shared by the p-th group of P / C consecutive points.
+    """
+    interior = rule.region == "interior"
+    densities = _densities(n, q, form, interior)
+    width = len(multi_indices(n, q))
+    points = np.asarray(points, dtype=float)
+    count, m = points.shape
+    acc = np.zeros((count, 2 * width))
+    if not (count and densities):
+        return acc[:, :width] + 1j * acc[:, width:]
+    r2 = radius * radius
+    block = min(NODE_BLOCK, len(rule))
+    step = min(max(1, PAIR_BLOCK // count), block)
+    coef = np.zeros((m, block, 2 * width))
+    diff = np.empty((m, count, step))
+    dist2, scale = np.empty((2, count, step))
+    drop, on_node = np.empty((2, count, step), dtype=bool)
+    ys = points.T[:, :, None]
+    if centers is not None:
+        cs = centers.T[:, :, None]
+        cdiff = np.empty((m, len(centers), step))
+        cdist2, ctmp = np.empty((2, len(centers), step))
+        grouped = drop.reshape(len(centers), -1, step)
+    for start in range(0, len(rule), NODE_BLOCK):
+        nodes = rule.nodes[start:start + NODE_BLOCK]
+        size = len(nodes)
+        tangents = None if interior else rule.tangents[start:start + NODE_BLOCK]
+        _fold(coef[:, :size], densities, nodes, tangents, rule.weights[start:start + NODE_BLOCK])
+        zeta = nodes.T[:, None, :]
+        for sub in range(0, size, step):
+            b = min(step, size - sub)
+            d, r, sc = diff[:, :, :b], dist2[:, :b], scale[:, :b]
+            dr, on = drop[:, :b], on_node[:, :b]
+            np.subtract(zeta[:, :, sub:sub + b], ys, out=d)
+            _norm2(d, r, sc)
+            if centers is None:
+                np.less(r, r2, out=dr)
             else:
-                fold[(J, j)] = batch_pullback_density(wedged, rule.nodes, rule.tangents)
-    return fold
+                cd, cr = cdiff[:, :, :b], cdist2[:, :b]
+                np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
+                _norm2(cd, cr, ctmp[:, :b])
+                grouped[:, :, :b] = (cr < r2)[:, None, :]
+            np.equal(r, 0.0, out=on)
+            dr |= on
+            np.copyto(sc, r)
+            for _ in range(n - 1):
+                sc *= r
+            np.copyto(sc, np.inf, where=dr)
+            np.divide(1.0, sc, out=sc)
+            d *= sc
+            for c in range(m):
+                acc += d[c] @ coef[c, sub:sub + b]
+    return acc[:, :width] + 1j * acc[:, width:]
 
 
-def _sweep(plan, rule, z, keys, exclude=0.0):
-    """value_J(z) = sum_i w_i sum_j plan[(J, j)][i] s_j(i; z), with the nodes
-    closer to z than exclude dropped through s = 0."""
-    s = _scalar_factors(rule.nodes, np.asarray(z, float), rule.nodes.shape[1] // 2, exclude)
-    out = {J: 0.0 + 0.0j for J in keys}
-    for (J, j), arr in plan.items():
-        out[J] += np.sum(rule.weights * arr * s[:, j - 1])
-    return {J: complex(v) for J, v in out.items()}
+def _as_dict(keys, row):
+    return {J: complex(v) for J, v in zip(keys, row)}
 
 
 def _value_norm(values, q):
@@ -205,7 +290,7 @@ def op_volume(g, z, domain, config=None):
         rule = volume_rule(domain, level)
         rho = config.exclusion_factor * rule.spacing
         flags.append(bool(dist_boundary(domain, z) < rho))
-        per_level.append(_sweep(_fold(n, q, g, rule), rule, z, keys, rho))
+        per_level.append(_as_dict(keys, _sweep(n, q, g, rule, z[None, :], rho)[0]))
     deltas = [_value_norm({J: per_level[i + 1][J] - per_level[i][J]
                            for J in per_level[0]}, q)
               for i in range(len(per_level) - 1)]
@@ -221,9 +306,8 @@ def op_boundary(f_b, z, domain, config=None):
         raise ValueError("evaluation point must be strictly inside the domain")
     n = domain.n_complex
     level = config.levels()[-1]
-    rule = boundary_rule(domain, level)
-    value = _sweep(_fold(n, f_b.q, f_b, rule), rule, z, multi_indices(n, f_b.q))
-    return {"value": value, "q": f_b.q, "level": level}
+    value = _sweep(n, f_b.q, f_b, boundary_rule(domain, level), z[None, :])[0]
+    return {"value": _as_dict(multi_indices(n, f_b.q), value), "q": f_b.q, "level": level}
 
 
 def _dbar_from_partials(n, q, partials):
@@ -243,56 +327,50 @@ def _dbar_from_partials(n, q, partials):
 
 
 def dbar_potential(f, z, domain, config, level):
-    """dbar_z of B^D_{q-1} f at z by centered differences of the potential.
+    """dbar_z of B^D_{q-1} f by centered differences of the potential.
 
-    All stencil evaluations share one exclusion ball centered at the base
-    point with radius rho + step, so the node set never changes inside the
-    difference stencil.  The removed ball is not centered at the shifted
-    points, which biases the potential linearly in the shift; the bias is
-    the exact ball average of s_j times the local fold coefficient,
-    int_{B(c,R)} s_j dV = (pi^n/n!) (cbar_j - ybar_j), and is added back
-    analytically before differencing.  The leftover stencil error is
-    O(rho^2) from the variation of the operand across the ball only while
-    B(z, rho + h) lies inside D.  With the default factors rho + h is 6
-    level spacings, 2^-level on the unit ball, so at level 0 it never does.
+    z is one point (2n,), giving one dict, or a stack (P, 2n), giving a list
+    of P dicts.  The level rule is built once and f folded once for all 4n P
+    stencil points.  The stencil points of a base point share one exclusion
+    ball centered at that base point with radius rho + step, so the node set
+    never changes inside its difference stencil.  The removed ball is not
+    centered at the shifted points, which biases the potential linearly in
+    the shift; the bias is the exact ball average of s_j times the local
+    fold coefficient, int_{B(c,R)} s_j dV = (pi^n/n!) (cbar_j - ybar_j), and
+    is added back analytically before differencing.  The leftover stencil
+    error is O(rho^2) from the variation of the operand across the ball only
+    while B(z, rho + h) lies inside D.  With the default factors rho + h is
+    6 level spacings, 2^-level on the unit ball, so at level 0 it never does.
     """
     n = domain.n_complex
     q = f.q
+    zs, single = _as_points(z)
     if q == 0:
-        return {}
-    z = np.asarray(z, dtype=float)
+        return {} if single else [{} for _ in zs]
     rule = volume_rule(domain, level)
     rho = config.fd_exclusion_factor * rule.spacing
     h = config.fd_step_factor * rho
-    d = rule.nodes - z
-    keep = np.sum(d * d, axis=-1) >= (rho + h) * (rho + h)
-    rule = replace(rule, weights=rule.weights * keep)
-    plan = _fold(n, q - 1, f, rule)
-    center = _fold(n, q - 1, f, QuadratureRule(z[None, :], np.ones(1), level, "interior", 0.0))
-    keys = multi_indices(n, q - 1)
-    ball_factor = math.pi ** n / math.factorial(n)
-
-    def corrected(y):
-        vals = _sweep(plan, rule, y, keys)
-        d = y - z
-        dc = d[0::2] + 1j * d[1::2]
-        for (J, j), a in center.items():
-            vals[J] += a[0] * ball_factor * (-np.conj(dc[j - 1]))
-        return vals
-
-    partials = {}
     steps = h * np.eye(2 * n)
-    for j in range(1, n + 1):
-        dx, dy = steps[2 * j - 2], steps[2 * j - 1]
-        px, mx = corrected(z + dx), corrected(z - dx)
-        py, my = corrected(z + dy), corrected(z - dy)
-        comps = {}
-        for Jp in px:
-            ddx = (px[Jp] - mx[Jp]) / (2.0 * h)
-            ddy = (py[Jp] - my[Jp]) / (2.0 * h)
-            comps[Jp] = 0.5 * (ddx + 1j * ddy)
-        partials[j] = comps
-    return _dbar_from_partials(n, q - 1, partials)
+    # per base point and direction j: z + dx_j, z - dx_j, z + dy_j, z - dy_j
+    shifts = np.stack([sign * steps[c] for c in range(2 * n) for sign in (1.0, -1.0)])
+    ys = zs[:, None, :] + shifts[None, :, :]
+    keys = multi_indices(n, q - 1)
+    vals = _sweep(n, q - 1, f, rule, ys.reshape(-1, 2 * n), rho + h, centers=zs)
+    vals = vals.reshape(len(zs), 4 * n, len(keys))
+    d = ys - zs[:, None, :]
+    dc = d[..., 0::2] + 1j * d[..., 1::2]
+    ball_factor = math.pi ** n / math.factorial(n)
+    for k, j, density in _densities(n, q - 1, f, True):
+        a = np.asarray(density(zs), dtype=complex)
+        vals[:, :, k] += a[:, None] * ball_factor * (-np.conj(dc[:, :, j - 1]))
+    vals = vals.reshape(len(zs), n, 4, len(keys))
+    ddx = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
+    ddy = (vals[:, :, 2] - vals[:, :, 3]) / (2.0 * h)
+    comps = 0.5 * (ddx + 1j * ddy)
+    out = [_dbar_from_partials(n, q - 1, {j: _as_dict(keys, comps[p, j - 1])
+                                          for j in range(1, n + 1)})
+           for p in range(len(zs))]
+    return out[0] if single else out
 
 
 def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
@@ -302,6 +380,7 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     f(z) = B^{bD}_q f_b(z) - B^D_q (dbar f)(z) - dbar_z B^D_{q-1} f(z)
     is reported with the norms of the three terms.  Points closer to the
     boundary than margin_factor * domain scale are skipped and listed.
+    Each level takes one sweep per term over all kept points.
     """
     config = config or SingularQuadratureConfig()
     n = domain.n_complex
@@ -313,27 +392,23 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     flagged = [z_points[i] for i in range(len(z_points)) if not inside[i]]
     zs = z_points[inside]
     keys = list(multi_indices(n, q))
-    f_coeff = {J: f.coefficient((), J) for J in keys}
+    fz = np.stack([np.broadcast_to(f.coefficient((), J)(zs), len(zs)) for J in keys], axis=-1)
+    zero = dict.fromkeys(keys, 0.0 + 0.0j)
     rows = []
     for level in config.levels():
         vol_rule = volume_rule(domain, level)
-        bnd_rule = boundary_rule(domain, level)
-        bplan = _fold(n, q, f_b, bnd_rule)
-        vplan = _fold(n, q, dbar_f, vol_rule) if dbar_f is not None else None
-        rho = config.exclusion_factor * vol_rule.spacing
-        for z in zs:
-            bval = _sweep(bplan, bnd_rule, z, keys)
-            if vplan is not None:
-                vval = _sweep(vplan, vol_rule, z, keys, rho)
-            else:
-                vval = {J: 0.0 + 0.0j for J in keys}
-            dval = dbar_potential(f, z, domain, config, level)
-            if not dval:
-                dval = {J: 0.0 + 0.0j for J in keys}
-            defect = {}
-            for J in keys:
-                fz = complex(np.asarray(f_coeff[J](z[None, :]))[0])
-                defect[J] = fz - (bval[J] - vval[J] - dval[J])
+        bvals = _sweep(n, q, f_b, boundary_rule(domain, level), zs)
+        vvals = np.zeros_like(bvals)
+        if dbar_f is not None:
+            rho = config.exclusion_factor * vol_rule.spacing
+            vvals = _sweep(n, q, dbar_f, vol_rule, zs, rho)
+        del vol_rule   # dbar_potential builds its own; keep one level rule resident
+        dvals = dbar_potential(f, zs, domain, config, level)
+        for i, z in enumerate(zs):
+            bval, vval = _as_dict(keys, bvals[i]), _as_dict(keys, vvals[i])
+            dval = dvals[i] or zero
+            defect = {J: complex(fz[i, k]) - (bval[J] - vval[J] - dval[J])
+                      for k, J in enumerate(keys)}
             rows.append({
                 "z": z.copy(), "level": level,
                 "residual": _value_norm(defect, q),
@@ -342,4 +417,3 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
                 "potential_dbar_norm": _value_norm(dval, q),
             })
     return {"rows": rows, "flagged": flagged, "q": q}
-

@@ -241,10 +241,11 @@ def volume_rule(domain, level):
         xr, wr = leggauss(nr)
         r = domain.radius * (xr + 1.0) / 2.0
         wr = domain.radius * wr / 2.0
-        sph = _s3_rule(level)
-        nodes = (r[:, None, None] * sph.nodes[None, :, :]).reshape(-1, 4) + domain.center
-        w = (wr[:, None] * r[:, None] ** 3 * sph.weights[None, :]).ravel()
-        return QuadratureRule(nodes, w, level, "interior", domain.radius / nr)
+        sph, sph_w, _, _ = _s3_rule(level)
+        nodes = r[:, None, None] * sph[None, :, :]
+        nodes += domain.center
+        w = (wr[:, None] * r[:, None] ** 3 * sph_w[None, :]).ravel()
+        return QuadratureRule(nodes.reshape(-1, 4), w, level, "interior", domain.radius / nr)
 
     if domain.kind == "ellipsoid":
         unit = make_domain("ball", m=domain.m, radius=1.0)
@@ -262,7 +263,11 @@ def volume_rule(domain, level):
 
 
 def _s3_rule(level):
-    """Product rule on the unit S^3 with total weight 2 pi^2."""
+    """Product rule on the unit S^3 with total weight 2 pi^2.
+
+    Returns (nodes, weights, spacing, (eta, xi1, xi2)), the angles as
+    meshgrids, from which boundary_rule builds the tangent frames.
+    """
     scale = 2 ** level
     ne, nx = S3_ETA * scale, S3_XI * scale
     xe, we = leggauss(ne)
@@ -276,16 +281,18 @@ def _s3_rule(level):
     nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
                       np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1).reshape(-1, 4)
     w = (weta[:, None, None] * np.ones((1, nx, nx)) * dxi).ravel()
-    # tangent frame: normalized coordinate directions of (xi1, xi2, eta)
+    return nodes, w, np.pi / (2 * ne), (E, A, B)
+
+
+def _s3_tangents(nu, E, A, B):
+    """Oriented tangent frames of S^3: normalized coordinate directions of
+    (xi1, xi2, eta) at the angle grid, nu the outward normals."""
     t1 = np.stack([-np.sin(A), np.cos(A), np.zeros_like(A), np.zeros_like(A)], axis=-1)
     t2 = np.stack([np.zeros_like(B), np.zeros_like(B), -np.sin(B), np.cos(B)], axis=-1)
     t3 = np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
                    np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)
     tangents = np.stack([t1.reshape(-1, 4), t2.reshape(-1, 4), t3.reshape(-1, 4)], axis=1)
-    nu = nodes.copy()
-    tangents = _orient(nu, tangents)
-    return QuadratureRule(nodes, w, level, "boundary", np.pi / (2 * ne),
-                          nu=nu, tangents=tangents)
+    return _orient(nu, tangents)
 
 
 def boundary_rule(domain, level):
@@ -304,11 +311,11 @@ def boundary_rule(domain, level):
                               2 * np.pi * domain.radius / nt, nu=nu, tangents=tangents)
 
     if domain.kind == "ball" and domain.m == 4:
-        sph = _s3_rule(level)
-        nodes = domain.center + domain.radius * sph.nodes
-        w = sph.weights * domain.radius ** 3
-        return QuadratureRule(nodes, w, level, "boundary", sph.spacing * domain.radius,
-                              nu=sph.nu, tangents=sph.tangents)
+        sph, sph_w, spacing, angles = _s3_rule(level)
+        nodes = domain.center + domain.radius * sph
+        w = sph_w * domain.radius ** 3
+        return QuadratureRule(nodes, w, level, "boundary", spacing * domain.radius,
+                              nu=sph, tangents=_s3_tangents(sph, *angles))
 
     if domain.kind == "ellipsoid":
         unit = make_domain("ball", m=domain.m, radius=1.0)

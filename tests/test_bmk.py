@@ -16,6 +16,7 @@ potential of the unit ball in R^4 and the plane Cauchy kernel:
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,107 @@ def test_volume_operator_finite_with_z_on_a_node():
     res = bmk.op_volume(g, z, DISC, cfg)
     assert all(np.isfinite(v[()]) for v in res["per_level"])
     assert np.all(np.isfinite(res["deltas"]))
+
+    # the batched paths: a residual point on a level-1 node ...
+    f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
+    res = bmk.reproduce_residual(f, f, f.dbar(), DISC, np.vstack([z, [0.1, 0.2]]), cfg)
+    assert len(res["rows"]) == 6
+    assert all(np.isfinite(row[key]) for row in res["rows"] for key in _ROW_TERMS)
+
+    # ... and a dbar_potential stencil point z + h e_1 that is exactly a node
+    f1 = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (0,))})
+    rule = volume_rule(DISC, 1)
+    e = np.array([cfg.fd_step_factor * cfg.fd_exclusion_factor * rule.spacing, 0.0])
+    node = next(x for x in rule.nodes
+                if np.linalg.norm(x) < 0.5 and np.array_equal((x - e) + e, x))
+    got = bmk.dbar_potential(f1, np.vstack([node - e, [0.1, 0.2]]), DISC, cfg, 1)
+    assert all(np.isfinite(v) for vals in got for v in vals.values())
+
+
+_ROW_TERMS = ("residual", "boundary_term_norm", "volume_term_norm", "potential_dbar_norm")
+
+
+def _rows_with_scale(res):
+    """Each row's four norms, with the largest term norm of the row as the
+    scale: the residual is a cancellation of those terms."""
+    out = []
+    for row in res["rows"]:
+        scale = max(row[key] for key in _ROW_TERMS[1:])
+        out += [(row[key], scale) for key in _ROW_TERMS]
+    return out
+
+
+def _blocking_outputs():
+    """(value, scale) of every public sweep caller, in a fixed order, and
+    dbar_potential on a stack next to its per-point calls."""
+    out = []
+    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=2)
+    g = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (1,))})
+    out += [v[()] for v in bmk.op_volume(g, np.array([0.3, -0.2]), DISC, cfg)["per_level"]]
+    f_b = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (2,), (1,))})
+    out.append(bmk.op_boundary(f_b, np.array([0.3, -0.2]), DISC, cfg)["value"][()])
+    out = [(v, abs(v)) for v in out]
+    f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
+    zs = np.array([[0.5, 0.0], [0.1, 0.2], [-0.3, -0.1]])
+    out += _rows_with_scale(bmk.reproduce_residual(f, f, f.dbar(), DISC, zs, cfg))
+    smooth = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
+    zs4 = np.array([[0.2, -0.1, 0.3, 0.15], [-0.3, 0.1, 0.05, -0.2]])
+    cfg4 = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=1)
+    out += _rows_with_scale(
+        bmk.reproduce_residual(smooth, smooth, smooth.dbar(), BALL4, zs4, cfg4))
+    stack = bmk.dbar_potential(smooth, zs4, BALL4, cfg4, 0)
+    out += [(v, abs(v)) for vals in stack for v in vals.values()]
+    single = [bmk.dbar_potential(smooth, z, BALL4, cfg4, 0) for z in zs4]
+    return out, stack, single
+
+
+def _assert_close(got, want, rel=1e-13):
+    """|got - want| <= rel * scale for each (value, scale) pair."""
+    for (a, scale_a), (b, scale_b) in zip(got, want, strict=True):
+        assert abs(a - b) <= rel * max(scale_a, scale_b), (a, b)
+
+
+def _stack_matches_points(stack, single):
+    for got, want in zip(stack, single, strict=True):
+        _assert_close([(got[J], abs(got[J])) for J in want],
+                      [(v, abs(v)) for v in want.values()])
+
+
+def test_sweep_blocking_does_not_change_results(monkeypatch):
+    """Blocks of 7 nodes and 3 pairs, which divide none of the rules, give
+    the default blocking's values to 1e-13 relative, and dbar_potential on
+    a stack gives its per-point values."""
+    default, stack, single = _blocking_outputs()
+    _stack_matches_points(stack, single)
+    monkeypatch.setattr(bmk, "NODE_BLOCK", 7)
+    monkeypatch.setattr(bmk, "PAIR_BLOCK", 3)
+    small, stack, single = _blocking_outputs()
+    _assert_close(small, default)
+    _stack_matches_points(stack, single)
+
+
+def test_reproduce_residual_memory_stays_block_sized():
+    """A level-2 4-ball ladder peaks below two level rules (nodes and
+    weights) plus a fixed block allowance, as numpy reports its buffers to
+    tracemalloc: no temporary may grow with the node count times the point
+    count.  The allowance covers one 131,072-node fold buffer at n = 2,
+    q = 1 (16.8 MB) and the density values it is built from."""
+    allowance = 32 * 2 ** 20
+    rule = volume_rule(BALL4, 2)
+    rule_bytes = rule.nodes.nbytes + rule.weights.nbytes
+    del rule
+    f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
+    zs = np.array([[0.2, -0.1, 0.3, 0.15], [-0.3, 0.1, 0.05, -0.2]])
+    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=3)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        res = bmk.reproduce_residual(f, f, f.dbar(), BALL4, zs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res["rows"]) == 6
+    assert peak < 2 * rule_bytes + allowance, (peak, rule_bytes)
 
 
 def test_four_ball_potential_of_constant_form():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import ellipe
 
 from bmklab.geometry import (boundary_rule, dist_boundary, frame_at,
@@ -109,3 +110,57 @@ def test_spacing_halves_with_level():
 def test_unknown_domain_kind_raises():
     with pytest.raises(ValueError):
         make_domain("torus")
+
+
+def _reference_s3(level):
+    """The S^3 product rule built the straightforward way, frames included:
+    nodes, weights, spacing, normals and oriented tangent frames."""
+    ne, nx = 4 * 2 ** level, 8 * 2 ** level
+    xe, we = leggauss(ne)
+    eta = np.arcsin(np.sqrt((xe + 1.0) / 2.0))
+    xi = 2.0 * np.pi * np.arange(nx) / nx
+    E, A, B = np.meshgrid(eta, xi, xi, indexing="ij")
+    nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
+                      np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1).reshape(-1, 4)
+    w = ((we / 4.0)[:, None, None] * np.ones((1, nx, nx)) * (2.0 * np.pi / nx) ** 2).ravel()
+    t1 = np.stack([-np.sin(A), np.cos(A), np.zeros_like(A), np.zeros_like(A)], axis=-1)
+    t2 = np.stack([np.zeros_like(B), np.zeros_like(B), -np.sin(B), np.cos(B)], axis=-1)
+    t3 = np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
+                   np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)
+    tangents = np.stack([t1.reshape(-1, 4), t2.reshape(-1, 4), t3.reshape(-1, 4)], axis=1)
+    nu = nodes.copy()
+    dets = np.linalg.det(np.transpose(np.concatenate([nu[:, None, :], tangents], axis=1),
+                                      (0, 2, 1)))
+    tangents[dets < 0, 0, :] *= -1.0
+    return nodes, w, np.pi / (2 * ne), nu, tangents
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_four_ball_rules_match_reference_bytes(level):
+    """The in-place interior build and the frames built only for the
+    boundary rule leave every array byte-identical to the straightforward
+    construction; the level-3 interior rule is compared shell by shell."""
+    ball = make_domain("ball", m=4, radius=0.8, center=[0.1, -0.2, 0.05, 0.0])
+    R, c = ball.radius, ball.center
+    sph, sph_w, spacing, nu, tangents = _reference_s3(level)
+
+    bnd = boundary_rule(ball, level)
+    assert bnd.nodes.tobytes() == (c + R * sph).tobytes()
+    assert bnd.weights.tobytes() == (sph_w * R ** 3).tobytes()
+    assert bnd.nu.tobytes() == nu.tobytes()
+    assert bnd.tangents.tobytes() == tangents.tobytes()
+    assert bnd.spacing == spacing * R
+    del bnd
+
+    nr = 6 * 2 ** level
+    xr, wr = leggauss(nr)
+    r = R * (xr + 1.0) / 2.0
+    wr = R * wr / 2.0
+    vol = volume_rule(ball, level)
+    assert vol.tangents is None and vol.nu is None
+    weights = (wr[:, None] * r[:, None] ** 3 * sph_w[None, :]).ravel()
+    assert vol.weights.tobytes() == weights.tobytes()
+    shells = vol.nodes.reshape(nr, len(sph), 4)
+    for k in range(nr):
+        assert shells[k].tobytes() == (r[k] * sph + c).tobytes()
+    assert vol.spacing == R / nr
