@@ -19,7 +19,10 @@ exclusion ball (radius rho + step, centered at the base point) for every
 shifted evaluation so the quadrature node set does not jump inside the
 difference stencil; the off-center exclusion bias, which is linear in
 the shift and exactly computable as a ball average of the kernel, is
-restored analytically before differencing.
+restored analytically before differencing.  Both radii, the step and the
+boundary margin of the residual ladder are fixed multiples (the *_FACTOR
+constants) of the level rule's spacing or of the domain radius; a
+SingularQuadratureConfig sets only which levels run.
 
 Both operators, the residual ladder and the stencil go through one sweep.
 A fold wedges the operand with each constant form K_Jj of the kernel
@@ -50,12 +53,17 @@ from .geometry import boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
     "kernel_constant", "kernel_table", "kernel_eval", "kernel_norm",
-    "norm_bound_samples", "SingularQuadratureConfig", "op_volume",
-    "op_boundary", "dbar_potential", "reproduce_residual",
+    "SingularQuadratureConfig", "op_volume", "op_boundary", "dbar_potential",
+    "reproduce_residual",
 ]
 
 NODE_BLOCK = 131_072   # nodes folded at once: one radial shell of the level-3 4-ball rule
 PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
+
+EXCLUSION_FACTOR = 2.0      # op_volume / volume term: rho = factor * rule spacing
+FD_EXCLUSION_FACTOR = 4.0   # dbar_potential: rho = factor * rule spacing
+FD_STEP_FACTOR = 0.5        # dbar_potential: step h = factor * rho
+MARGIN_FACTOR = 0.25        # reproduce_residual skips z within factor * radius of bD
 
 
 def kernel_constant(n, q):
@@ -118,33 +126,10 @@ def kernel_norm(n, q, zeta, z):
     return math.sqrt(total)
 
 
-def norm_bound_samples(n, q, count=100, seed=0, scale_range=(-6, 2)):
-    """A_i = |B(zeta_i, z_i)| * |zeta_i - z_i|^{2n-1} over random pairs.
-
-    Distances are swept over powers of two so stability across scales is
-    visible; the kernel is homogeneous of degree -(2n-1), so A depends only
-    on the direction of zeta - z.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        z = rng.uniform(-1, 1, 2 * n)
-        direction = rng.standard_normal(2 * n)
-        direction /= np.linalg.norm(direction)
-        dist = 2.0 ** rng.uniform(*scale_range)
-        zeta = z + dist * direction
-        out.append((kernel_norm(n, q, zeta, z) * dist ** (2 * n - 1), dist))
-    return np.array(out)
-
-
 @dataclass
 class SingularQuadratureConfig:
     base_level: int = 0
     refinement_steps: int = 3
-    exclusion_factor: float = 2.0
-    fd_exclusion_factor: float = 4.0
-    fd_step_factor: float = 0.5
-    margin_factor: float = 0.25
 
     def levels(self):
         return list(range(self.base_level, self.base_level + max(1, self.refinement_steps)))
@@ -288,7 +273,7 @@ def op_volume(g, z, domain, config=None):
     per_level, flags = [], []
     for level in config.levels():
         rule = volume_rule(domain, level)
-        rho = config.exclusion_factor * rule.spacing
+        rho = EXCLUSION_FACTOR * rule.spacing
         flags.append(bool(dist_boundary(domain, z) < rho))
         per_level.append(_as_dict(keys, _sweep(n, q, g, rule, z[None, :], rho)[0]))
     deltas = [_value_norm({J: per_level[i + 1][J] - per_level[i][J]
@@ -326,30 +311,29 @@ def _dbar_from_partials(n, q, partials):
     return out
 
 
-def dbar_potential(f, z, domain, config, level):
+def dbar_potential(f, z, rule):
     """dbar_z of B^D_{q-1} f by centered differences of the potential.
 
     z is one point (2n,), giving one dict, or a stack (P, 2n), giving a list
-    of P dicts.  The level rule is built once and f folded once for all 4n P
-    stencil points.  The stencil points of a base point share one exclusion
-    ball centered at that base point with radius rho + step, so the node set
-    never changes inside its difference stencil.  The removed ball is not
+    of P dicts.  rule is the level's interior rule; f is folded once over it
+    for all 4n P stencil points.  The stencil points of a base point share
+    one exclusion ball centered at that base point with radius rho + step,
+    so the node set never changes inside its difference stencil.  The removed ball is not
     centered at the shifted points, which biases the potential linearly in
     the shift; the bias is the exact ball average of s_j times the local
     fold coefficient, int_{B(c,R)} s_j dV = (pi^n/n!) (cbar_j - ybar_j), and
     is added back analytically before differencing.  The leftover stencil
     error is O(rho^2) from the variation of the operand across the ball only
-    while B(z, rho + h) lies inside D.  With the default factors rho + h is
-    6 level spacings, 2^-level on the unit ball, so at level 0 it never does.
+    while B(z, rho + h) lies inside D.  rho + h is 6 level spacings, 2^-level
+    on the unit ball, so at level 0 it never does.
     """
-    n = domain.n_complex
+    n = f.n
     q = f.q
     zs, single = _as_points(z)
     if q == 0:
         return {} if single else [{} for _ in zs]
-    rule = volume_rule(domain, level)
-    rho = config.fd_exclusion_factor * rule.spacing
-    h = config.fd_step_factor * rho
+    rho = FD_EXCLUSION_FACTOR * rule.spacing
+    h = FD_STEP_FACTOR * rho
     steps = h * np.eye(2 * n)
     # per base point and direction j: z + dx_j, z - dx_j, z + dy_j, z - dy_j
     shifts = np.stack([sign * steps[c] for c in range(2 * n) for sign in (1.0, -1.0)])
@@ -379,14 +363,14 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     Per evaluation point and level the defect of
     f(z) = B^{bD}_q f_b(z) - B^D_q (dbar f)(z) - dbar_z B^D_{q-1} f(z)
     is reported with the norms of the three terms.  Points closer to the
-    boundary than margin_factor * domain scale are skipped and listed.
+    boundary than MARGIN_FACTOR * domain scale are skipped and listed.
     Each level takes one sweep per term over all kept points.
     """
     config = config or SingularQuadratureConfig()
     n = domain.n_complex
     q = f.q
     scale = domain.radius if domain.radius is not None else 1.0
-    margin = config.margin_factor * scale
+    margin = MARGIN_FACTOR * scale
     z_points = np.atleast_2d(np.asarray(z_points, dtype=float))
     inside = dist_boundary(domain, z_points) >= margin
     flagged = [z_points[i] for i in range(len(z_points)) if not inside[i]]
@@ -400,10 +384,9 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
         bvals = _sweep(n, q, f_b, boundary_rule(domain, level), zs)
         vvals = np.zeros_like(bvals)
         if dbar_f is not None:
-            rho = config.exclusion_factor * vol_rule.spacing
+            rho = EXCLUSION_FACTOR * vol_rule.spacing
             vvals = _sweep(n, q, dbar_f, vol_rule, zs, rho)
-        del vol_rule   # dbar_potential builds its own; keep one level rule resident
-        dvals = dbar_potential(f, zs, domain, config, level)
+        dvals = dbar_potential(f, zs, vol_rule)
         for i, z in enumerate(zs):
             bval, vval = _as_dict(keys, bvals[i]), _as_dict(keys, vvals[i])
             dval = dvals[i] or zero

@@ -338,8 +338,8 @@ def mollify_fixture(grid_n=257):
         return df1 + x2 * df2 + 0.5 * f_fn(x)
 
     shape = (grid_n, grid_n)
-    f = mollify.HalfSpaceField.from_function(f_fn, bounds, shape)
-    qf = mollify.HalfSpaceField.from_function(qf_fn, bounds, shape)
+    f = mollify.HalfSpaceField(f_fn, bounds, shape)
+    qf = mollify.HalfSpaceField(qf_fn, bounds, shape)
     return op, f, qf, f_fn
 
 

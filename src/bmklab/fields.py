@@ -242,12 +242,6 @@ class AnalyticField(Field):
 # ---------------------------------------------------------------------------
 # complex coordinates: z_j = x_{2j} + i x_{2j+1} (0-based pairs)
 
-def complex_coords(x, n):
-    """View points in R^{2n} as points in C^n, shape (..., n)."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 0::2] + 1j * x[..., 1::2]
-
-
 def zmonomial(n, a, b):
     """z^a zbar^b as an exact real-coordinate polynomial on R^{2n}."""
     m = 2 * n
@@ -260,15 +254,6 @@ def zmonomial(n, a, b):
             out = out * zj
         for _ in range(b[j]):
             out = out * zbj
-    return out
-
-
-def zpolynomial(n, terms):
-    """Polynomial in z, zbar from {(a_tuple, b_tuple): coeff}."""
-    m = 2 * n
-    out = PolyField(m, {})
-    for (a, b), c in terms.items():
-        out = out + complex(c) * zmonomial(n, a, b)
     return out
 
 

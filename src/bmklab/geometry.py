@@ -1,11 +1,11 @@
-"""Domains, defining functions, boundary frames and nested quadrature rules.
+"""Domains and nested quadrature rules.
 
-Supported regions: balls and ellipsoids in R^m (complex dimension n = m/2 when
-forms are involved), axis-aligned interval boxes, and half-space patches
-{x_1 < 0} truncated to a box.  Defining functions are scaled so the gradient
-has unit length on the boundary; boundary rules carry outward normals and
-oriented orthonormal tangent frames so (2n-1)-forms can be integrated as
-densities against the surface measure.
+Supported regions: balls in R^m (complex dimension n = m/2 when forms are
+involved), axis-aligned interval boxes, and half-space patches {x_1 < 0}
+truncated to a box.  A domain is plain data: its kind and parameters.
+Boundary rules carry outward normals and oriented orthonormal tangent
+frames so (2n-1)-forms can be integrated as densities against the surface
+measure.
 
 Rules are nested by an integer level: level L+1 doubles the node counts of
 level L in every direction.  The sphere S^3 uses product angles
@@ -20,7 +20,7 @@ exactly; in particular the area comes out 2 pi^2 up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,9 +28,8 @@ from numpy.polynomial.legendre import leggauss
 from .fields import _as_points
 
 __all__ = [
-    "DefiningFunction", "Domain", "make_domain", "QuadratureRule",
-    "BoundaryFrame", "volume_rule", "boundary_rule", "dist_boundary",
-    "frame_at",
+    "Domain", "make_domain", "QuadratureRule", "volume_rule", "boundary_rule",
+    "dist_boundary",
 ]
 
 # base node counts at level 0; a level multiplies these by 2^level
@@ -45,27 +44,12 @@ S3_XI = 8
 
 
 @dataclass
-class DefiningFunction:
-    """r with D = {r < 0} and |grad r| = 1 on the boundary.
-
-    gradient returns the unit outward direction of the level sets; for
-    ellipsoids this equals grad r only on the boundary itself, which is the
-    only place frames are built.
-    """
-
-    m: int
-    value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
 class Domain:
     kind: str
     m: int
-    defining: DefiningFunction
     center: np.ndarray | None = None
     radius: float | None = None
-    semi_axes: np.ndarray | None = None
+    semi_axes: None = None             # no kind has semi-axes; perfbench's layertrace reads it
     bounds: np.ndarray | None = None   # (m, 2) for boxes / half-space patches
 
     @property
@@ -76,91 +60,20 @@ class Domain:
 
 
 def make_domain(kind, **params):
-    """Construct a domain: ball | ellipsoid | interval-box | half-space-patch."""
+    """Construct a domain: ball | interval-box | half-space-patch."""
     if kind == "ball":
         m = int(params.get("m", 2))
         R = float(params.get("radius", 1.0))
         c = np.asarray(params.get("center", np.zeros(m)), dtype=float)
-
-        def value(x):
-            x, sq = _as_points(x)
-            v = np.linalg.norm(x - c, axis=-1) - R
-            return v[0] if sq else v
-
-        def gradient(x):
-            x, sq = _as_points(x)
-            d = x - c
-            nrm = np.maximum(np.linalg.norm(d, axis=-1, keepdims=True), 1e-300)
-            g = d / nrm
-            return g[0] if sq else g
-
-        return Domain("ball", m, DefiningFunction(m, value, gradient), center=c, radius=R)
-
-    if kind == "ellipsoid":
-        axes = np.asarray(params["semi_axes"], dtype=float)
-        m = len(axes)
-        c = np.asarray(params.get("center", np.zeros(m)), dtype=float)
-
-        def rho_parts(x):
-            d = (x - c) / axes
-            rho = np.linalg.norm(d, axis=-1)
-            grad_rho = d / axes / np.maximum(rho[..., None], 1e-300)
-            return rho, grad_rho
-
-        def value(x):
-            x, sq = _as_points(x)
-            rho, grad_rho = rho_parts(x)
-            v = (rho - 1.0) / np.maximum(np.linalg.norm(grad_rho, axis=-1), 1e-300)
-            return v[0] if sq else v
-
-        def gradient(x):
-            x, sq = _as_points(x)
-            _, grad_rho = rho_parts(x)
-            g = grad_rho / np.maximum(np.linalg.norm(grad_rho, axis=-1, keepdims=True), 1e-300)
-            return g[0] if sq else g
-
-        return Domain("ellipsoid", m, DefiningFunction(m, value, gradient),
-                      center=c, semi_axes=axes)
+        return Domain("ball", m, center=c, radius=R)
 
     if kind in ("interval-box", "half-space-patch"):
         bounds = np.asarray(params["bounds"], dtype=float)
-        m = len(bounds)
         if kind == "half-space-patch" and abs(bounds[0, 1]) > 1e-14:
             raise ValueError("half-space patch needs x1 upper bound 0")
-
-        def value(x):
-            x, sq = _as_points(x)
-            if kind == "half-space-patch":
-                v = x[:, 0]
-            else:
-                v = np.max(np.maximum(bounds[:, 0] - x, x - bounds[:, 1]), axis=-1)
-            return v[0] if sq else v
-
-        def gradient(x):
-            x, sq = _as_points(x)
-            g = np.zeros_like(x)
-            if kind == "half-space-patch":
-                g[:, 0] = 1.0
-            else:
-                cand = np.maximum(bounds[:, 0] - x, x - bounds[:, 1])
-                k = np.argmax(cand, axis=-1)
-                sign = np.where(x[np.arange(len(x)), k] - bounds[k, 1] >
-                                bounds[k, 0] - x[np.arange(len(x)), k], 1.0, -1.0)
-                g[np.arange(len(x)), k] = sign
-            return g[0] if sq else g
-
-        return Domain(kind, m, DefiningFunction(m, value, gradient), bounds=bounds)
+        return Domain(kind, len(bounds), bounds=bounds)
 
     raise ValueError(f"unknown domain kind {kind!r}")
-
-
-@dataclass
-class BoundaryFrame:
-    """Outward normal and oriented tangent frame at one boundary point."""
-
-    point: np.ndarray
-    nu: np.ndarray
-    tangents: np.ndarray         # (m-1, m), orthonormal, det[nu|t...] > 0
 
 
 @dataclass
@@ -247,14 +160,6 @@ def volume_rule(domain, level):
         w = (wr[:, None] * r[:, None] ** 3 * sph_w[None, :]).ravel()
         return QuadratureRule(nodes.reshape(-1, 4), w, level, "interior", domain.radius / nr)
 
-    if domain.kind == "ellipsoid":
-        unit = make_domain("ball", m=domain.m, radius=1.0)
-        base = volume_rule(unit, level)
-        nodes = base.nodes * domain.semi_axes + domain.center
-        w = base.weights * float(np.prod(domain.semi_axes))
-        return QuadratureRule(nodes, w, level, "interior",
-                              base.spacing * float(np.max(domain.semi_axes)))
-
     if domain.kind in ("interval-box", "half-space-patch"):
         nodes, w, spacing = _box_axes(domain.bounds, BOX_PANELS * scale)
         return QuadratureRule(nodes, w, level, "interior", spacing)
@@ -317,20 +222,6 @@ def boundary_rule(domain, level):
         return QuadratureRule(nodes, w, level, "boundary", spacing * domain.radius,
                               nu=sph, tangents=_s3_tangents(sph, *angles))
 
-    if domain.kind == "ellipsoid":
-        unit = make_domain("ball", m=domain.m, radius=1.0)
-        base = boundary_rule(unit, level)
-        S = domain.semi_axes
-        nodes = base.nodes * S + domain.center
-        jac = float(np.prod(S)) * np.linalg.norm(base.nodes / S, axis=-1)
-        w = base.weights * jac
-        nu = domain.defining.gradient(nodes)
-        mapped = base.tangents * S[None, None, :]
-        tangents = _gram_schmidt(nu, mapped)
-        tangents = _orient(nu, tangents)
-        return QuadratureRule(nodes, w, level, "boundary", base.spacing * float(np.max(S)),
-                              nu=nu, tangents=tangents)
-
     if domain.kind == "half-space-patch":
         # only the physical face {x1 = 0}; the other box faces are truncation
         return _face_rule(domain, axis=0, side=1, level=level)
@@ -381,26 +272,8 @@ def _face_rule(domain, axis, side, level):
                           nu=nu, tangents=tangents)
 
 
-def _gram_schmidt(nu, vectors):
-    """Orthonormalize tangent candidates against nu and each other (batched)."""
-    out = []
-    basis = [nu]
-    for i in range(vectors.shape[1]):
-        v = vectors[:, i, :].copy()
-        for b in basis:
-            v -= np.sum(v * b, axis=-1, keepdims=True) * b
-        v /= np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-300)
-        basis.append(v)
-        out.append(v)
-    return np.stack(out, axis=1)
-
-
 def dist_boundary(domain, x):
-    """Distance to the boundary for x inside the closed domain.
-
-    Exact for balls, boxes and half-space patches; for ellipsoids it is the
-    first-order estimate |r(x)| of the scaled defining function.
-    """
+    """Distance to the boundary for x inside the closed domain."""
     x, sq = _as_points(x)
     if domain.kind == "ball":
         d = domain.radius - np.linalg.norm(x - domain.center, axis=-1)
@@ -408,21 +281,7 @@ def dist_boundary(domain, x):
         d = np.min(np.minimum(x - domain.bounds[:, 0], domain.bounds[:, 1] - x), axis=-1)
     elif domain.kind == "half-space-patch":
         d = -x[:, 0]
-    elif domain.kind == "ellipsoid":
-        d = np.abs(domain.defining.value(x))
     else:
         raise ValueError(domain.kind)
     return d[0] if sq else d
-
-
-def frame_at(domain, x):
-    """Boundary frame at a single boundary point."""
-    x = np.asarray(x, dtype=float)
-    nu = domain.defining.gradient(x)
-    m = domain.m
-    # complete nu to a basis from coordinate axes, then orthonormalize
-    cands = np.eye(m)[np.argsort(np.abs(nu))][: m - 1]
-    tang = _gram_schmidt(nu[None, :], cands[None, :, :])[0]
-    tang = _orient(nu[None, :], tang[None, :, :])[0]
-    return BoundaryFrame(x, nu, tang)
 

@@ -16,18 +16,16 @@ dyadically toward the boundary, so integrable concentration at {x_1 = 0} is
 resolved far below the sample-grid spacing.
 
 Convolutions are direct summation: quadrature nodes over the kernel's own
-support, with f sampled through its exact callable when available and through
-multilinear grid interpolation otherwise.  One pass samples f once per shifted
-point and contracts the samples with the kernel and with each of its partials,
-so f * phi_eps and every derivative of it come from the same evaluations.  No
-transforms; boundary handling stays explicit.
+support, with f sampled through its exact callable.  One pass samples f once
+per shifted point and contracts the samples with the kernel and with each of
+its partials, so f * phi_eps and every derivative of it come from the same
+evaluations.  No transforms; boundary handling stays explicit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma
 
 from .fields import (_GL_NODES, _GL_W, _bump01, _bump01_deriv,
@@ -37,8 +35,7 @@ from .geometry import _composite_gauss, _tensor
 
 __all__ = [
     "TangentialMollifier", "DiracSequence", "HalfSpaceField",
-    "choose_tau", "slab_mass", "convolve_field", "boundary_mollify",
-    "convergence_report",
+    "choose_tau", "slab_mass", "convolve_field", "convergence_report",
 ]
 
 
@@ -164,12 +161,11 @@ def _trapezoid_lp(v, axes, p):
 class HalfSpaceField:
     """Complex field on a box inside the closed half-space {x_1 <= 0}.
 
-    Holds an inclusive uniform sample grid (axis 0 runs up to x_1 = 0) and
-    optionally an exact callable; point evaluation prefers the callable and
-    falls back to multilinear interpolation with zero fill outside the box.
+    Backed by an exact callable, evaluated at construction on an inclusive
+    uniform sample grid (axis 0 runs up to x_1 = 0).
     """
 
-    def __init__(self, bounds, shape, samples=None, func=None, p=2.0):
+    def __init__(self, func, bounds, shape):
         self.bounds = np.asarray(bounds, dtype=float)
         if abs(self.bounds[0, 1]) > 1e-14:
             raise ValueError("half-space grid must end at x_1 = 0")
@@ -179,51 +175,24 @@ class HalfSpaceField:
                      for (lo, hi), k in zip(self.bounds, self.shape)]
         self.spacing = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0
                                  for ax in self.axes])
-        if samples is not None:
-            samples = np.asarray(samples, dtype=complex)
-            if samples.shape != self.shape:
-                raise ValueError("sample array does not match the grid shape")
-        self.samples = samples
         self.func = func
-        self.p = p
-        self._interp = None
-        self._nodes = None
-
-    @classmethod
-    def from_function(cls, func, bounds, shape):
-        field = cls(bounds, shape, func=func)
-        field.grid_values()
-        return field
+        grids = np.meshgrid(*self.axes, indexing="ij")
+        self._nodes = np.stack([g.ravel() for g in grids], axis=-1)
+        self.samples = np.asarray(func(self._nodes), dtype=complex).reshape(self.shape)
 
     def grid_nodes(self):
-        if self._nodes is None:
-            grids = np.meshgrid(*self.axes, indexing="ij")
-            self._nodes = np.stack([g.ravel() for g in grids], axis=-1)
         return self._nodes
 
     def grid_values(self):
-        if self.samples is None:
-            if self.func is None:
-                raise ValueError("field has neither samples nor a callable")
-            self.samples = np.asarray(self.func(self.grid_nodes()),
-                                      dtype=complex).reshape(self.shape)
         return self.samples
 
     def evaluate(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.func is not None:
-            return np.asarray(self.func(x), dtype=complex)
-        if self._interp is None:
-            self._interp = RegularGridInterpolator(
-                self.axes, self.grid_values(), method="linear",
-                bounds_error=False, fill_value=0.0)
-        return self._interp(x)
+        return np.asarray(self.func(x), dtype=complex)
 
-    def lp_norm(self, values=None, p=None):
-        """Trapezoid L^p norm over the grid box (p=inf -> max)."""
-        p = self.p if p is None else p
-        v = self.grid_values() if values is None else np.asarray(values)
-        return _trapezoid_lp(v.reshape(self.shape), self.axes, p)
+    def lp_norm(self, values, p):
+        """Trapezoid L^p norm of grid values over the grid box (p=inf -> max)."""
+        return _trapezoid_lp(np.asarray(values).reshape(self.shape), self.axes, p)
 
     def boundary_nodes(self):
         """Grid points on {x_1 = 0}: shape (prod(lateral shape), m)."""
@@ -234,9 +203,8 @@ class HalfSpaceField:
         flat = [np.zeros(grids[0].size)] + [g.ravel() for g in grids]
         return np.stack(flat, axis=-1)
 
-    def trace_lp_norm(self, values, p=None):
+    def trace_lp_norm(self, values, p):
         """Trapezoid L^p norm over the lateral boundary grid."""
-        p = self.p if p is None else p
         v = np.asarray(values).reshape(tuple(self.shape[1:]) or (1,))
         return _trapezoid_lp(v, self.axes[1:], p)
 
@@ -291,7 +259,7 @@ def choose_tau(f, epsilon, p):
         "or enlarge eps" % TAU_K_MAX)
 
 
-def convolve_field(f, kernel, x, quad=None):
+def convolve_field(f, kernel, x, *, quad):
     """f * k and f * d_j k at x, shape (1+m, N), from one pass over f.
 
     Row 0 is (f * k)(x) = sum_t w_t k(t) f(x - t) over the kernel support
@@ -301,8 +269,9 @@ def convolve_field(f, kernel, x, quad=None):
     O(quad error)/tau and would otherwise put a floor under the commutator
     diagnostics).  Rows are contracted one by one: a single (1+m, T)
     product sums in another order and moves the diagnostics by ~1e-10.
+    quad is the kernel's (nodes, weights) rule, kernel.quad_rule().
     """
-    t, w = kernel.quad_rule() if quad is None else quad
+    t, w = quad
     base = w * kernel.values(t)
     coef = [base] + [w * kv - np.sum(w * kv) / np.sum(base) * base
                      for kv in kernel.grad(t).T]
@@ -317,13 +286,6 @@ def convolve_field(f, kernel, x, quad=None):
     return out
 
 
-def boundary_mollify(f, epsilon, p=2.0):
-    """f * phi_eps on f's own grid, smooth up to the boundary plane."""
-    kernel = DiracSequence(f.m, epsilon, choose_tau(f, epsilon, p))
-    vals = convolve_field(f, kernel, f.grid_nodes())[0]
-    return HalfSpaceField(f.bounds, f.shape, samples=vals.reshape(f.shape), p=f.p)
-
-
 def convergence_report(op, f, qf, f_b, eps_list, p):
     """Mollification diagnostics along an eps ladder.
 
@@ -334,7 +296,7 @@ def convergence_report(op, f, qf, f_b, eps_list, p):
     nodes = f.grid_nodes()
     f_grid = f.grid_values().ravel()
     qf_grid = qf.grid_values().ravel()
-    f_norm = f.lp_norm(p=p)
+    f_norm = f.lp_norm(f_grid, p)
     bnodes = f.boundary_nodes()
     a1_b = np.asarray(op.a[0](bnodes), dtype=complex)
     fb_vals = np.asarray(f_b(bnodes), dtype=complex)

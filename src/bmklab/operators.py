@@ -38,9 +38,11 @@ __all__ = [
     "dbar_r_form", "weak_bv_residual", "dbar_bv_residual",
     "pairing_equivalence_check", "equivalence_report",
     "normal_tangential_split", "covector_normal_split",
-    "perturb_boundary_value", "scalar_test_family", "form_test_family",
-    "normal_symbol_values",
+    "scalar_test_family", "form_test_family", "normal_symbol_values",
 ]
+
+SCALAR_TEST_DEGREE = 2   # polynomial degree of scalar_test_family draws
+FORM_TEST_DEGREE = 1     # polynomial degree of form_test_family coefficients
 
 
 class FirstOrderOperator:
@@ -67,15 +69,6 @@ class FirstOrderOperator:
         for j, aj in enumerate(self.a):
             b_star = b_star - aj.conj().partial(j)
         return FirstOrderOperator(self.m, a_star, b_star)
-
-    def principal_symbol(self, x, xi):
-        """sigma(x, xi) = i sum_j a_j(x) xi_j."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        total = 0.0 + 0.0j
-        for j, aj in enumerate(self.a):
-            total = total + np.asarray(aj(x), dtype=complex) * xi[..., j]
-        return 1j * total
 
     def green_stokes_residual(self, domain, u, v, level=1):
         """Defect of the Green-Stokes identity at the given quadrature level."""
@@ -120,22 +113,26 @@ def vartheta(g):
     return g.star().dholo().star().scale(-1.0)
 
 
-def _dbar_gradient_component(domain, j):
+def _dbar_r_component(center, j):
     def val(x, j=j):
-        g = domain.defining.gradient(np.asarray(x, dtype=float))
+        d = np.asarray(x, dtype=float) - center
+        g = d / np.maximum(np.linalg.norm(d, axis=-1, keepdims=True), 1e-300)
         return 0.5 * (g[..., 2 * j - 2] + 1j * g[..., 2 * j - 1])
 
-    return AnalyticField(domain.m, val)
+    return AnalyticField(len(center), val)
 
 
 def dbar_r_form(domain):
-    """dbar of the defining function as a (0,1)-form.
+    """dbar of the ball's defining function |x - c| - R as a (0,1)-form.
 
-    Coefficients come from the unit outward direction, so they equal dbar r
-    on the boundary itself, which is where this form is meant to be used.
+    Coefficients come from the unit normal (x - c)/|x - c|, so they equal
+    dbar r away from the center, and in particular on the boundary, which
+    is where this form is meant to be used.  Only balls are supported.
     """
+    if domain.kind != "ball":
+        raise ValueError(f"dbar_r_form is defined for balls only, got kind {domain.kind!r}")
     n = domain.n_complex
-    coeffs = {((), (j,)): _dbar_gradient_component(domain, j)
+    coeffs = {((), (j,)): _dbar_r_component(domain.center, j)
               for j in range(1, n + 1)}
     return DifferentialForm(n, 0, 1, coeffs)
 
@@ -299,11 +296,6 @@ def covector_normal_split(n, q, nu_coeffs, omega_coeffs):
     return normal, tangential, alpha_d
 
 
-def perturb_boundary_value(domain, f_b, gamma):
-    """f_b + dbar(r) ^ gamma: invisible to every admissible test pairing."""
-    return f_b + dbar_r_form(domain).wedge(gamma)
-
-
 def _random_poly(m, degree, rng):
     terms = {}
     for alpha in _exponents(m, degree):
@@ -343,21 +335,21 @@ def _sup_normalize(field, probe_nodes):
     return field if peak == 0 else field * (1.0 / peak)
 
 
-def scalar_test_family(domain, count, seed=0, degree=2):
+def scalar_test_family(domain, count, seed=0):
     """Sup-normalized smooth scalar tests, admissible for the domain kind."""
     rng = np.random.default_rng(seed)
     window = _domain_window(domain)
     probe = volume_rule(domain, 0).nodes
     out = []
     for _ in range(count):
-        f = _random_poly(domain.m, degree, rng)
+        f = _random_poly(domain.m, SCALAR_TEST_DEGREE, rng)
         if window is not None:
             f = f * window
         out.append(_sup_normalize(f, probe))
     return out
 
 
-def form_test_family(domain, p, q, count, seed=0, degree=1):
+def form_test_family(domain, p, q, count, seed=0):
     """Forms of type (p,q) with random polynomial (times window) coefficients."""
     rng = np.random.default_rng(seed)
     n = domain.n_complex
@@ -368,7 +360,7 @@ def form_test_family(domain, p, q, count, seed=0, degree=1):
         coeffs = {}
         for I in multi_indices(n, p):
             for J in multi_indices(n, q):
-                c = _random_poly(domain.m, degree, rng)
+                c = _random_poly(domain.m, FORM_TEST_DEGREE, rng)
                 if window is not None:
                     c = c * window
                 coeffs[(I, J)] = _sup_normalize(c, probe)

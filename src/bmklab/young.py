@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 INF = math.inf
+LOG_FIT_K = range(1, 9)   # log_bound_fit ladder: dist(y, bD) = 2^-k * radius
 
 
 def inv(x):
@@ -234,22 +235,24 @@ def bmk_norm_kernel(n, q):
     return kern
 
 
-def log_bound_fit(domain, kernel_norm_exponent=None, level=1, k_range=range(1, 9), q=0):
+def log_bound_fit(domain, level=1):
     """Fit int_bD ||K(x,y)|| dS <= C0 + C1 |log dist(y, bD)| on a dyadic ladder.
 
-    C1 comes from least squares on the ladder values; C0 is lifted so the
+    K is the q = 0 BMK kernel, whose norm is A/|x-y|^(2n-1), and the ladder
+    approaches the boundary along the first axis over LOG_FIT_K.  C1 comes
+    from least squares on the ladder values; C0 is lifted so the
     bound majorizes every sample, making fit_residual (the largest excess
     of the data over the bound) <= 0 by construction.
     """
     n = domain.n_complex
-    power = (2 * n - 1) if kernel_norm_exponent is None else kernel_norm_exponent
-    a_const = bmk_kernel_norm_constant(n, q)
+    power = 2 * n - 1
+    a_const = bmk_kernel_norm_constant(n, 0)
     rule = boundary_rule(domain, level)
     radius = domain.radius if domain.radius is not None else 1.0
     deltas, values = [], []
     direction = np.zeros(2 * n)
     direction[0] = 1.0
-    for k in k_range:
+    for k in LOG_FIT_K:
         delta = 2.0 ** (-k)
         y = domain.center + (radius - delta * radius) * direction
         d = np.linalg.norm(rule.nodes - y, axis=1)

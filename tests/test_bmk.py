@@ -85,15 +85,22 @@ def test_kernel_bidegree_bookkeeping(n):
 
 def test_kernel_norm_times_distance_power_is_constant():
     """A = |B| d^{2n-1} is scale and direction free; A(1,0) = sqrt(2)/(2 pi)."""
-    for n, q, want in [(1, 0, math.sqrt(2) / (2 * np.pi)), (2, 0, None), (2, 1, None)]:
-        S = bmk.norm_bound_samples(n, q, 60, seed=5)
-        A = S[:, 0]
+    rng = np.random.default_rng(5)
+    consts = {}
+    for n, q in [(1, 0), (2, 0), (2, 1)]:
+        A = []
+        for _ in range(6):
+            z = rng.uniform(-1, 1, 2 * n)
+            u = rng.standard_normal(2 * n)
+            u /= np.linalg.norm(u)
+            for k in range(-6, 3):
+                d = 2.0 ** k
+                A.append(bmk.kernel_norm(n, q, z + d * u, z) * d ** (2 * n - 1))
+        A = np.array(A)
         assert (A.max() - A.min()) / A.mean() < 1e-12
-        if want is not None:
-            assert np.isclose(A.mean(), want, rtol=1e-13)
-    a20 = bmk.norm_bound_samples(2, 0, 10, seed=1)[:, 0].mean()
-    a21 = bmk.norm_bound_samples(2, 1, 10, seed=1)[:, 0].mean()
-    assert np.isclose(a20, a21, rtol=1e-13)
+        consts[(n, q)] = A.mean()
+    assert np.isclose(consts[(1, 0)], math.sqrt(2) / (2 * np.pi), rtol=1e-13)
+    assert np.isclose(consts[(2, 0)], consts[(2, 1)], rtol=1e-13)
 
 
 def test_cauchy_formula_high_node_count():
@@ -134,10 +141,10 @@ def test_volume_operator_finite_with_z_on_a_node():
     # ... and a dbar_potential stencil point z + h e_1 that is exactly a node
     f1 = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (0,))})
     rule = volume_rule(DISC, 1)
-    e = np.array([cfg.fd_step_factor * cfg.fd_exclusion_factor * rule.spacing, 0.0])
+    e = np.array([bmk.FD_STEP_FACTOR * bmk.FD_EXCLUSION_FACTOR * rule.spacing, 0.0])
     node = next(x for x in rule.nodes
                 if np.linalg.norm(x) < 0.5 and np.array_equal((x - e) + e, x))
-    got = bmk.dbar_potential(f1, np.vstack([node - e, [0.1, 0.2]]), DISC, cfg, 1)
+    got = bmk.dbar_potential(f1, np.vstack([node - e, [0.1, 0.2]]), rule)
     assert all(np.isfinite(v) for vals in got for v in vals.values())
 
 
@@ -172,9 +179,10 @@ def _blocking_outputs():
     cfg4 = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=1)
     out += _rows_with_scale(
         bmk.reproduce_residual(smooth, smooth, smooth.dbar(), BALL4, zs4, cfg4))
-    stack = bmk.dbar_potential(smooth, zs4, BALL4, cfg4, 0)
+    rule4 = volume_rule(BALL4, 0)
+    stack = bmk.dbar_potential(smooth, zs4, rule4)
     out += [(v, abs(v)) for vals in stack for v in vals.values()]
-    single = [bmk.dbar_potential(smooth, z, BALL4, cfg4, 0) for z in zs4]
+    single = [bmk.dbar_potential(smooth, z, rule4) for z in zs4]
     return out, stack, single
 
 
@@ -227,6 +235,24 @@ def test_reproduce_residual_memory_stays_block_sized():
     assert peak < 2 * rule_bytes + allowance, (peak, rule_bytes)
 
 
+def test_reproduce_residual_builds_each_interior_rule_once(monkeypatch):
+    """A q = 1 ladder builds one interior rule per level, which the volume
+    term and dbar_potential share."""
+    built = []
+
+    def counting_volume_rule(domain, level):
+        built.append(level)
+        return volume_rule(domain, level)
+
+    monkeypatch.setattr(bmk, "volume_rule", counting_volume_rule)
+    f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
+    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=2)
+    zs = np.array([[0.2, -0.1, 0.3, 0.15]])
+    res = bmk.reproduce_residual(f, f, f.dbar(), BALL4, zs, cfg)
+    assert len(res["rows"]) == 2
+    assert built == cfg.levels()
+
+
 def test_four_ball_potential_of_constant_form():
     zp = np.array([0.2, -0.1, 0.3, 0.15])
     g = DifferentialForm(2, 0, 1, {((), (1,)): constant(4, 1.0)})
@@ -250,8 +276,7 @@ def test_dbar_potential_matches_gradient_of_closed_form():
     zp = np.array([0.2, -0.1, 0.3, 0.15])
     zb1, zb2 = np.conj(_cval(zp[:2])), np.conj(_cval(zp[2:]))
     f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
-    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=3)
-    got = bmk.dbar_potential(f, zp, BALL4, cfg, level=2)
+    got = bmk.dbar_potential(f, zp, volume_rule(BALL4, 2))
     assert abs(got[(1,)] - (-zb2 / 3)) < 3e-3
     assert abs(got[(2,)] - (-zb1 / 3)) < 3e-3
 
@@ -406,7 +431,7 @@ def test_operators_match_node_by_node_kernel_wedge(n, q, data):
     vol = volume_rule(domain, 0)
     want, scale = _node_by_node(
         n, q, z, vol, lambda K, i: g.wedge(K).top_density()(vol.nodes[i:i + 1])[0],
-        cfg.exclusion_factor * vol.spacing)
+        bmk.EXCLUSION_FACTOR * vol.spacing)
     got = bmk.op_volume(g, z, domain, cfg)["value"]
     # relative to the sum of |terms|, so a value cancelling to ~0 stays fair
     assert all(abs(got[J] - want[J]) <= 1e-12 * scale[J] for J in want)
@@ -432,7 +457,7 @@ def test_reproduce_residual_flags_and_level_rows(radius, polar, steps):
     f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (1,), (0,))})
     cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=steps)
     res = bmk.reproduce_residual(f, f, None, disc, zs, cfg)
-    near = dist_boundary(disc, zs) < cfg.margin_factor * radius
+    near = dist_boundary(disc, zs) < bmk.MARGIN_FACTOR * radius
     assert np.array_equal(np.array(res["flagged"]).reshape(-1, 2), zs[near])
     want = sorted((L, tuple(z)) for L in cfg.levels() for z in zs[~near])
     assert sorted((row["level"], tuple(row["z"])) for row in res["rows"]) == want
@@ -451,7 +476,6 @@ def test_dbar_potential_matches_closed_form_at_drawn_points(z):
     """
     zb1, zb2 = np.conj(_cval(z[:2])), np.conj(_cval(z[2:]))
     f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
-    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=3)
-    got = bmk.dbar_potential(f, z, BALL4, cfg, level=3)
+    got = bmk.dbar_potential(f, z, volume_rule(BALL4, 3))
     assert abs(got[(1,)] - (-zb2 / 3)) < 3e-3
     assert abs(got[(2,)] - (-zb1 / 3)) < 3e-3

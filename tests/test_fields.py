@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmklab.fields import (AnalyticField, PolyField, RadialPowerField,
-                           as_field, complex_coords, constant, coordinate,
-                           dz_part, dzbar_part, zmonomial, zpolynomial)
+                           as_field, constant, coordinate, dz_part, dzbar_part,
+                           zmonomial)
 
 
 def test_polyfield_evaluation_and_arithmetic():
@@ -45,13 +45,6 @@ def test_zmonomial_values_and_conj():
     assert np.isclose(f.conj()(x)[0], np.conj(z) ** 2 * z)
 
 
-def test_zpolynomial_matches_sum():
-    f = zpolynomial(2, {((1, 0), (0, 1)): 2.0, ((0, 0), (0, 0)): -1j})
-    x = np.array([[0.2, 0.3, -0.1, 0.5]])
-    z1, z2 = 0.2 + 0.3j, -0.1 + 0.5j
-    assert np.isclose(f(x)[0], 2.0 * z1 * np.conj(z2) - 1j)
-
-
 def test_wirtinger_derivatives_on_monomials():
     """d/dz and d/dzbar (0-based slot) act like polynomial derivatives."""
     f = zmonomial(1, (2,), (1,))
@@ -62,12 +55,6 @@ def test_wirtinger_derivatives_on_monomials():
     # holomorphic monomials are dzbar-closed
     h = zmonomial(2, (1, 2), (0, 0))
     assert dzbar_part(h, 0).is_zero and dzbar_part(h, 1).is_zero
-
-
-def test_complex_coords_slots():
-    x = np.array([[1.0, 2.0, 3.0, 4.0]])
-    z = complex_coords(x, 2)
-    assert np.isclose(z[0, 0], 1 + 2j) and np.isclose(z[0, 1], 3 + 4j)
 
 
 def test_analytic_field_fd_gradient():

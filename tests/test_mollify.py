@@ -7,9 +7,8 @@ from scipy.integrate import quad
 from bmklab import mollify
 from bmklab.fields import smooth_transition
 from bmklab.geometry import _composite_gauss, _tensor
-from bmklab.mollify import (DiracSequence, HalfSpaceField, boundary_mollify,
-                            choose_tau, convergence_report, convolve_field,
-                            slab_mass)
+from bmklab.mollify import (DiracSequence, HalfSpaceField, choose_tau,
+                            convergence_report, convolve_field, slab_mass)
 from bmklab.operators import FirstOrderOperator
 
 BOUNDS = [[-1.0, 0.0], [-1.0, 1.0]]
@@ -17,7 +16,7 @@ BOUNDS = [[-1.0, 0.0], [-1.0, 1.0]]
 
 def _smooth_field(shape=(65, 65)):
     fn = lambda x: np.cos(1.1 * x[:, 0]) * (1 + 0.5 * x[:, 1])
-    return HalfSpaceField.from_function(fn, BOUNDS, shape), fn
+    return HalfSpaceField(fn, BOUNDS, shape), fn
 
 
 def test_dirac_sequence_unit_mass():
@@ -71,7 +70,7 @@ def test_slab_mass_singular_profile_oracle():
     adaptive integrator; the panel quadrature must match it.
     """
     fn = lambda x: np.abs(x[:, 0]) ** -0.25
-    f = HalfSpaceField(BOUNDS, (33, 33), func=fn)
+    f = HalfSpaceField(fn, BOUNDS, (33, 33))
     c1, err = quad(lambda s: (1 - smooth_transition(s)) / np.sqrt(s), 0, 2,
                    points=[1.0], limit=200)
     assert err < 1e-9
@@ -83,7 +82,7 @@ def test_slab_mass_singular_profile_oracle():
 
 def test_choose_tau_singular_selection_matches_prediction():
     fn = lambda x: np.abs(x[:, 0]) ** -0.25
-    f = HalfSpaceField(BOUNDS, (33, 33), func=fn)
+    f = HalfSpaceField(fn, BOUNDS, (33, 33))
     eps = 0.2
     c1, _ = quad(lambda s: (1 - smooth_transition(s)) / np.sqrt(s), 0, 2,
                  points=[1.0], limit=200)
@@ -96,16 +95,16 @@ def test_choose_tau_singular_selection_matches_prediction():
 def test_choose_tau_raises_when_slab_mass_cannot_comply():
     """|f|^p just inside non-integrability defeats every dyadic scale."""
     fn = lambda x: np.abs(x[:, 0]) ** -0.49
-    f = HalfSpaceField(BOUNDS, (33, 33), func=fn)
+    f = HalfSpaceField(fn, BOUNDS, (33, 33))
     with pytest.raises(ValueError):
         choose_tau(f, 0.2, 2.0)
 
 
 def test_convolving_constant_reproduces_one():
-    f = HalfSpaceField.from_function(lambda x: np.ones(len(x)), BOUNDS, (33, 33))
+    f = HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (33, 33))
     kernel = DiracSequence(2, 0.2, choose_tau(f, 0.2, 2.0))
     pts = np.array([[-0.5, 0.0], [0.0, 0.3], [-0.99, -0.7], [0.0, 0.0]])
-    vals = convolve_field(f, kernel, pts)
+    vals = convolve_field(f, kernel, pts, quad=kernel.quad_rule())
     assert np.allclose(vals[0], 1.0, atol=1e-12)
     assert np.allclose(vals[1:], 0.0, atol=1e-10)
 
@@ -115,13 +114,13 @@ def test_convolve_field_rows_match_per_row_sums(m):
     """Row 0 is f * phi and row 1+j is f * d_j phi with zero discrete mass."""
     bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
     fn = lambda x: np.exp(0.3 * x[:, 0] + 0.2j * x.sum(axis=1)) * (1 + x[:, -1] ** 2)
-    f = HalfSpaceField(bounds, (9,) * m, func=fn)
+    f = HalfSpaceField(fn, bounds, (9,) * m)
     kernel = DiracSequence(m, 0.2, 0.05)
     x = np.random.default_rng(m).uniform(-0.8, 0.0, (7, m))
     x[0, 0] = 0.0
-    got = convolve_field(f, kernel, x)
-    assert got.shape == (1 + m, len(x))
     t, w = kernel.quad_rule()
+    got = convolve_field(f, kernel, x, quad=(t, w))
+    assert got.shape == (1 + m, len(x))
     vals = fn((x[None, :, :] - t[:, None, :]).reshape(-1, m)).reshape(len(t), len(x))
     base = w * kernel.values(t)
     for row in range(1 + m):
@@ -143,8 +142,8 @@ def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
         return np.cos(x[:, 0]) + 1j * x[:, 1]
 
     shape = (17, 17)
-    f = HalfSpaceField.from_function(fn, BOUNDS, shape)
-    qf = HalfSpaceField.from_function(lambda x: -np.sin(x[:, 0]), BOUNDS, shape)
+    f = HalfSpaceField(fn, BOUNDS, shape)
+    qf = HalfSpaceField(lambda x: -np.sin(x[:, 0]), BOUNDS, shape)
     calls.clear()
     monkeypatch.setattr(mollify, "choose_tau", lambda f, eps, p: 0.05)
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
@@ -153,36 +152,11 @@ def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
     assert sum(calls) == len(t) * shape[0] * shape[1]
 
 
-def test_boundary_mollify_converges_and_keeps_trace():
-    f, fn = _smooth_field()
-    sup_errs, trace_errs = [], []
-    for eps in (0.2, 0.1, 0.05):
-        g = boundary_mollify(f, eps)
-        sup_errs.append(np.max(np.abs(g.grid_values() - f.grid_values())))
-        trace = g.grid_values()[-1]
-        want = fn(f.boundary_nodes())
-        trace_errs.append(np.max(np.abs(trace - want)))
-    assert sup_errs[0] > sup_errs[1] > sup_errs[2]
-    assert trace_errs[2] < 1e-2
-
-
-def test_samples_only_field_interpolates_off_grid():
-    """Without a callable, evaluate interpolates the samples multilinearly,
-    which is exact for linear data."""
-    def lin(x):
-        return x[:, 0] + 2.0 * x[:, 1]
-
-    grid = HalfSpaceField.from_function(lin, BOUNDS, (33, 33))
-    f = HalfSpaceField(BOUNDS, (33, 33), samples=grid.grid_values())
-    x = np.array([[-0.25, 0.5], [-0.5, -0.125], [-0.3, 0.77]])
-    assert np.allclose(f.evaluate(x), lin(x), atol=1e-9)
-
-
 def test_convergence_report_structure_and_interior_ladder():
     fn = lambda x: np.cos(1.3 * x[:, 0] + 0.4) * np.exp(0.7 * x[:, 1]) * 0.5
     qfn = lambda x: -0.65 * np.sin(1.3 * x[:, 0] + 0.4) * np.exp(0.7 * x[:, 1])
-    f = HalfSpaceField.from_function(fn, BOUNDS, (65, 65))
-    qf = HalfSpaceField.from_function(qfn, BOUNDS, (65, 65))
+    f = HalfSpaceField(fn, BOUNDS, (65, 65))
+    qf = HalfSpaceField(qfn, BOUNDS, (65, 65))
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
     rep = convergence_report(op, f, qf, fn, [0.2, 0.1], 2.0)
     rows = rep["rows"]

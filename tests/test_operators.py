@@ -10,8 +10,7 @@ from bmklab.operators import (FirstOrderOperator, covector_normal_split,
                               dbar_bv_residual, dbar_r_form,
                               equivalence_report, form_inner_volume,
                               form_test_family, normal_tangential_split,
-                              pairing_equivalence_check,
-                              perturb_boundary_value, scalar_test_family,
+                              pairing_equivalence_check, scalar_test_family,
                               vartheta, weak_bv_residual)
 
 DISC = make_domain("ball", m=2)
@@ -47,14 +46,6 @@ def test_adjoint_involution_on_samples():
     u = PolyField(2, {(2, 1): 1.0 - 0.5j})
     x = np.random.default_rng(0).uniform(-1, 1, (20, 2))
     assert np.allclose(op.apply(u)(x), twice.apply(u)(x), atol=1e-13)
-
-
-def test_principal_symbol_value():
-    op = FirstOrderOperator(2, a=[coordinate(2, 1), 2.0], b=7.0)
-    x = np.array([[0.5, -1.0]])
-    xi = np.array([3.0, 1.0])
-    # i * (a_1 xi_1 + a_2 xi_2); the zeroth-order term does not enter
-    assert np.isclose(op.principal_symbol(x, xi)[0], 1j * (-3.0 + 2.0))
 
 
 def test_green_stokes_hand_interval_case():
@@ -209,7 +200,7 @@ def test_perturbation_along_nu_bar_is_invisible():
     tests = form_test_family(ball, 2, 0, 3, seed=4)
     base = dbar_bv_residual(ball, f, f, f.dbar(), tests, level=1)
     gamma = DifferentialForm(2, 0, 0, {((), ()): zmonomial(2, (1, 0), (0, 0))})
-    shifted = perturb_boundary_value(ball, f, gamma)
+    shifted = f + dbar_r_form(ball).wedge(gamma)
     pert = dbar_bv_residual(ball, f, shifted, f.dbar(), tests, level=1)
     for a, b in zip(base["records"], pert["records"]):
         assert np.isclose(a["residual"], b["residual"], atol=1e-10)
@@ -223,3 +214,9 @@ def test_nu_form_unit_length_on_boundary():
     norms = nu.pointwise_norm(bnd.nodes)
     # |dbar r| = 1/sqrt(2) when |dr| = 1: the (0,1) half carries half the mass
     assert np.allclose(norms, np.sqrt(0.5), atol=1e-12)
+
+
+def test_dbar_r_form_rejects_non_ball_domains():
+    box = make_domain("interval-box", bounds=[[-1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError, match="balls only, got kind 'interval-box'"):
+        dbar_r_form(box)
