@@ -332,10 +332,13 @@ def mollify_fixture(grid_n=257):
                 + 0.25 * x[:, 0] * x[:, 1])
 
     def qf_fn(x):
+        # f_fn's terms, shared: three transcendentals per point, not six
         x1, x2 = x[:, 0], x[:, 1]
-        df1 = -0.65 * np.sin(1.3 * x1 + 0.4) * np.exp(0.7 * x2) + 0.25 * x2
-        df2 = 0.35 * np.cos(1.3 * x1 + 0.4) * np.exp(0.7 * x2) + 0.25 * x1
-        return df1 + x2 * df2 + 0.5 * f_fn(x)
+        arg = 1.3 * x1 + 0.4
+        c, e = np.cos(arg), np.exp(0.7 * x2)
+        df1 = -0.65 * np.sin(arg) * e + 0.25 * x2
+        df2 = 0.35 * c * e + 0.25 * x1
+        return df1 + x2 * df2 + 0.5 * (0.5 * c * e + 0.25 * x1 * x2)
 
     shape = (grid_n, grid_n)
     f = mollify.HalfSpaceField(f_fn, bounds, shape)

@@ -19,10 +19,16 @@ Convolutions are direct summation: quadrature nodes over the kernel's own
 support, with f sampled through its exact callable.  One pass samples f once
 per shifted point and contracts the samples with the kernel and with each of
 its partials, so f * phi_eps and every derivative of it come from the same
-evaluations.  No transforms; boundary handling stays explicit.
+evaluations.  The samples are taken one kernel node's shifted grid at a time,
+on a pool of one thread per usable CPU, and contracted in node order, so the
+result does not depend on the pool's size.  No transforms; boundary
+handling stays explicit.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -161,8 +167,12 @@ def _trapezoid_lp(v, axes, p):
 class HalfSpaceField:
     """Complex field on a box inside the closed half-space {x_1 <= 0}.
 
-    Backed by an exact callable, evaluated at construction on an inclusive
-    uniform sample grid (axis 0 runs up to x_1 = 0).
+    Backed by an exact callable func, sampled on an inclusive uniform grid
+    (axis 0 runs up to x_1 = 0) the first time grid_values() is asked for,
+    so a field singular on {x_1 = 0} that is only ever evaluated inside U
+    never computes its infinite boundary samples.  func must be a pure
+    function of its (N, m) points: convolve_field calls evaluate() from
+    several threads at once.
     """
 
     def __init__(self, func, bounds, shape):
@@ -178,13 +188,16 @@ class HalfSpaceField:
         self.func = func
         grids = np.meshgrid(*self.axes, indexing="ij")
         self._nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        self.samples = np.asarray(func(self._nodes), dtype=complex).reshape(self.shape)
+        self._samples = None
 
     def grid_nodes(self):
         return self._nodes
 
     def grid_values(self):
-        return self.samples
+        if self._samples is None:
+            self._samples = np.asarray(self.func(self._nodes),
+                                       dtype=complex).reshape(self.shape)
+        return self._samples
 
     def evaluate(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -267,22 +280,35 @@ def convolve_field(f, kernel, x, *, quad):
     mollification come from kernel derivatives.  Derivative rows get their
     discrete zeroth moment projected to the exact value 0 (the raw defect is
     O(quad error)/tau and would otherwise put a floor under the commutator
-    diagnostics).  Rows are contracted one by one: a single (1+m, T)
-    product sums in another order and moves the diagnostics by ~1e-10.
-    quad is the kernel's (nodes, weights) rule, kernel.quad_rule().
+    diagnostics).  quad is the kernel's (nodes, weights) rule,
+    kernel.quad_rule().
+
+    The rule is taken CONV_CHUNK nodes at a time.  Each node's samples
+    f(x - t_k), one row of N values, are evaluated on a pool of one thread
+    per usable CPU into one reused (CONV_CHUNK, N) block; numpy releases
+    the GIL, and a row's temporaries stay cache-sized.  Once a chunk is
+    full it is contracted row by row, in chunk order, so the sums run in
+    the same order whatever the pool size; a single (1+m, T) product would
+    sum in another order and move the diagnostics by ~1e-10.
     """
     t, w = quad
     base = w * kernel.values(t)
     coef = [base] + [w * kv - np.sum(w * kv) / np.sum(base) * base
                      for kv in kernel.grad(t).T]
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    xT = np.ascontiguousarray(x.T)   # coordinate-major: x[:, j] contiguous
     out = np.zeros((len(coef), x.shape[0]), dtype=complex)
-    for start in range(0, len(t), CONV_CHUNK):
-        tt = t[start:start + CONV_CHUNK]
-        pts = (x[None, :, :] - tt[:, None, :]).reshape(-1, x.shape[1])
-        vals = f.evaluate(pts).reshape(len(tt), x.shape[0])
-        for row, c in zip(out, coef):
-            row += c[start:start + CONV_CHUNK] @ vals
+    vals = np.empty((CONV_CHUNK, x.shape[0]), dtype=complex)
+
+    def fill(k):
+        vals[k % CONV_CHUNK] = f.evaluate((xT - t[k][:, None]).T)
+
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for start in range(0, len(t), CONV_CHUNK):
+            stop = min(start + CONV_CHUNK, len(t))
+            list(pool.map(fill, range(start, stop)))   # re-raises a row's error
+            for row, c in zip(out, coef):
+                row += c[start:stop] @ vals[:stop - start]
     return out
 
 

@@ -1,5 +1,7 @@
 """Boundary-adapted mollifiers: kernels, normal-scale selection, traces."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -63,6 +65,7 @@ def test_choose_tau_returns_largest_admissible_dyadic():
         assert slab_mass(f, 2 * tau, p) > eps * eps
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_slab_mass_singular_profile_oracle():
     """|f|^2 = |t1|^(-1/2) gives mass(tau) = width * c1 * sqrt(tau).
 
@@ -80,6 +83,7 @@ def test_slab_mass_singular_profile_oracle():
         assert np.isclose(got, want, rtol=1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_choose_tau_singular_selection_matches_prediction():
     fn = lambda x: np.abs(x[:, 0]) ** -0.25
     f = HalfSpaceField(fn, BOUNDS, (33, 33))
@@ -92,6 +96,7 @@ def test_choose_tau_singular_selection_matches_prediction():
     assert np.isclose(tau, eps * 2.0 ** (-k_pred))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_choose_tau_raises_when_slab_mass_cannot_comply():
     """|f|^p just inside non-integrability defeats every dyadic scale."""
     fn = lambda x: np.abs(x[:, 0]) ** -0.49
@@ -133,6 +138,84 @@ def test_convolve_field_rows_match_per_row_sums(m):
         assert np.max(np.abs(got[row] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _chunked_convolve_oracle(f, kernel, x, quad, chunk=64):
+    """The loop convolve_field replaced: one (chunk * N)-point block per chunk."""
+    t, w = quad
+    base = w * kernel.values(t)
+    coef = [base] + [w * kv - np.sum(w * kv) / np.sum(base) * base
+                     for kv in kernel.grad(t).T]
+    out = np.zeros((len(coef), x.shape[0]), dtype=complex)
+    for start in range(0, len(t), chunk):
+        tt = t[start:start + chunk]
+        pts = (x[None, :, :] - tt[:, None, :]).reshape(-1, x.shape[1])
+        vals = f.evaluate(pts).reshape(len(tt), x.shape[0])
+        for row, c in zip(out, coef):
+            row += c[start:start + chunk] @ vals
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_convolve_field_equals_chunked_loop(m, cpus, monkeypatch):
+    """Per-node rows on a thread pool give the chunked loop's exact bits.
+
+    The rules have 70, 210 and 630 nodes, so every case runs several
+    CONV_CHUNK blocks and a partial last one; cpus sets the pool size,
+    7 being more workers than a small machine has cores.
+    """
+    bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
+    fn = lambda x: np.exp(0.3 * x[:, 0] + 0.2j * x.sum(axis=1)) * np.cos(x[:, -1])
+    f = HalfSpaceField(fn, bounds, (9,) * m)
+    kernel = DiracSequence(m, 0.2, 0.05)
+    specs = [(7, 10)] + [(1, 3)] * (m - 1)
+    axes = [_composite_gauss(lo, hi, panels, order)
+            for (lo, hi), (panels, order) in zip(kernel.support_box(), specs)]
+    quad = _tensor([a[0] for a in axes], [a[1] for a in axes])
+    x = np.random.default_rng(m).uniform(-0.9, 0.0, (101, m))
+    x[0, 0] = 0.0
+    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = convolve_field(f, kernel, x, quad=quad)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(quad[0]) > mollify.CONV_CHUNK and len(quad[0]) % mollify.CONV_CHUNK
+    assert np.array_equal(got, _chunked_convolve_oracle(f, kernel, x, quad))
+
+
+def test_convolve_field_reraises_a_worker_rows_exception():
+    """A field that fails on one node's row fails the whole convolution."""
+    kernel = DiracSequence(2, 0.2, 0.05)
+    t, w = kernel.quad_rule()
+    x = np.array([[-0.5, 0.0], [-0.25, 0.5]])
+    bad = x - t[70]
+
+    def fn(pts):
+        if pts.shape == bad.shape and np.array_equal(pts, bad):
+            raise ZeroDivisionError("node 70")
+        return np.ones(len(pts))
+
+    f = HalfSpaceField(fn, BOUNDS, (5, 5))
+    with pytest.raises(ZeroDivisionError):
+        convolve_field(f, kernel, x, quad=(t, w))
+
+
+def test_grid_values_are_sampled_once_on_first_use():
+    calls = []
+
+    def fn(x):
+        calls.append(len(x))
+        return x[:, 0] + 2j * x[:, 1]
+
+    f = HalfSpaceField(fn, BOUNDS, (5, 7))
+    assert calls == []
+    first = f.grid_values()
+    assert f.grid_values() is first and calls == [35]
+    nodes = f.grid_nodes()
+    assert np.array_equal(first.ravel(), nodes[:, 0] + 2j * nodes[:, 1])
+
+
 def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
     """One eps step evaluates f at len(rule) * N shifted points, not (1+m)x."""
     calls = []
@@ -144,6 +227,7 @@ def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
     shape = (17, 17)
     f = HalfSpaceField(fn, BOUNDS, shape)
     qf = HalfSpaceField(lambda x: -np.sin(x[:, 0]), BOUNDS, shape)
+    f.grid_values()
     calls.clear()
     monkeypatch.setattr(mollify, "choose_tau", lambda f, eps, p: 0.05)
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
