@@ -29,18 +29,24 @@ A fold wedges the operand with each constant form K_Jj of the kernel
 table (the part of B multiplying s_j dzbar^J(z), s_j = conj(zeta_j -
 z_j)/|zeta-z|^{2n}), takes the density against dV or dS at the nodes, with
 every sign left to bmklab.exterior, and multiplies in the weights.  The
-sweep evaluates every point of a level in one pass over the rule: it folds
-one block of at most NODE_BLOCK nodes at a time, and within a block takes
-sub-blocks of about PAIR_BLOCK node-point pairs, where the coordinate
-differences are scaled in place by 1/|zeta-z|^{2n} (exactly 0 at dropped
-nodes) and contracted with the fold by real matmuls.  Only the rule and
-block-sized temporaries are resident, which keeps ladders over millions of
-nodes at desk scale.
+sweep evaluates every point of a level in one pass over the rule, in blocks
+of at most NODE_BLOCK nodes that one worker per usable CPU folds and sweeps:
+within a block it takes sub-blocks of about PAIR_BLOCK node-point pairs,
+where the coordinate differences are scaled in place by 1/|zeta-z|^{2n}
+(exactly 0 at dropped nodes) and contracted with the fold by real matmuls.
+The products are added up in node order, so every value is the same
+whatever the number of CPUs.  The operand's field callables run on several
+threads at once and must be pure.  Only the rule and block-sized
+temporaries are resident, which keeps ladders over millions of nodes at
+desk scale.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +65,7 @@ __all__ = [
 
 NODE_BLOCK = 131_072   # nodes folded at once: one radial shell of the level-3 4-ball rule
 PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
+FOLD_SLICE = 32_768    # nodes per density evaluation within a block
 
 EXCLUSION_FACTOR = 2.0      # op_volume / volume term: rho = factor * rule spacing
 FD_EXCLUSION_FACTOR = 4.0   # dbar_potential: rho = factor * rule spacing
@@ -164,18 +171,21 @@ def _fold(coef, densities, nodes, tangents, weights):
     so the x_j row carries (Re A, Im A) and the y_j row (Im A, -Re A) in the
     real and imaginary columns of J = multi_indices(n, q)[k].  Every block
     writes the same entries, so the others stay 0 from allocation.  tangents
-    is None on an interior rule.
+    is None on an interior rule.  The densities are evaluated FOLD_SLICE
+    nodes at a time, which keeps each worker's field temporaries small.
     """
     width = coef.shape[2] // 2
-    for k, j, density in densities:
-        if tangents is None:
-            a = weights * np.asarray(density(nodes), dtype=complex)
-        else:
-            a = weights * batch_pullback_density(density, nodes, tangents)
-        coef[2 * j - 2, :, k] = a.real
-        coef[2 * j - 2, :, width + k] = a.imag
-        coef[2 * j - 1, :, k] = a.imag
-        coef[2 * j - 1, :, width + k] = -a.real
+    for lo in range(0, len(nodes), FOLD_SLICE):
+        part = slice(lo, lo + FOLD_SLICE)
+        for k, j, density in densities:
+            if tangents is None:
+                a = weights[part] * np.asarray(density(nodes[part]), dtype=complex)
+            else:
+                a = weights[part] * batch_pullback_density(density, nodes[part], tangents[part])
+            coef[2 * j - 2, part, k] = a.real
+            coef[2 * j - 2, part, width + k] = a.imag
+            coef[2 * j - 1, part, k] = a.imag
+            coef[2 * j - 1, part, width + k] = -a.real
 
 
 def _norm2(d, out, tmp):
@@ -191,12 +201,18 @@ def _sweep(n, q, form, rule, points, radius=0.0, centers=None):
     """(P, K) values sum_i w_i sum_j fold_Jj(i) s_j(i; y_p), K = |multi_indices(n, q)|.
 
     Every point y_p of the (P, 2n) stack is evaluated in one pass over the
-    rule: the operand is folded one block of NODE_BLOCK nodes at a time,
-    and each block is swept in sub-blocks of about PAIR_BLOCK node-point
-    pairs whose buffers are reused, with sums accumulated in node order.  A
-    node is dropped (adds an exact 0) where it equals y_p and where it lies
-    closer than radius to y_p, or, given centers (C, 2n), to the centre
-    shared by the p-th group of P / C consecutive points.
+    rule, taken one block of NODE_BLOCK nodes at a time.  The blocks run on
+    one worker per usable CPU, the calling thread being one of them, so a
+    one-block rule starts no thread.  Each worker has its own buffers, folds
+    the operand over its block (so the operand's field callables are called
+    from several threads) and sweeps the block in sub-blocks of about
+    PAIR_BLOCK node-point pairs, keeping each sub-block's product.  The
+    calling thread adds the products into the sum in node order as their
+    blocks finish: the chain of additions is that of one serial pass,
+    whatever the number of CPUs.  A node is dropped (adds an exact 0) where
+    it equals y_p and where it lies closer than radius to y_p, or, given
+    centers (C, 2n), to the centre shared by the p-th group of P / C
+    consecutive points.
     """
     interior = rule.region == "interior"
     densities = _densities(n, q, form, interior)
@@ -209,45 +225,72 @@ def _sweep(n, q, form, rule, points, radius=0.0, centers=None):
     r2 = radius * radius
     block = min(NODE_BLOCK, len(rule))
     step = min(max(1, PAIR_BLOCK // count), block)
-    coef = np.zeros((m, block, 2 * width))
-    diff = np.empty((m, count, step))
-    dist2, scale = np.empty((2, count, step))
-    drop, on_node = np.empty((2, count, step), dtype=bool)
     ys = points.T[:, :, None]
-    if centers is not None:
-        cs = centers.T[:, :, None]
-        cdiff = np.empty((m, len(centers), step))
-        cdist2, ctmp = np.empty((2, len(centers), step))
-        grouped = drop.reshape(len(centers), -1, step)
-    for start in range(0, len(rule), NODE_BLOCK):
-        nodes = rule.nodes[start:start + NODE_BLOCK]
-        size = len(nodes)
-        tangents = None if interior else rule.tangents[start:start + NODE_BLOCK]
-        _fold(coef[:, :size], densities, nodes, tangents, rule.weights[start:start + NODE_BLOCK])
-        zeta = nodes.T[:, None, :]
-        for sub in range(0, size, step):
-            b = min(step, size - sub)
-            d, r, sc = diff[:, :, :b], dist2[:, :b], scale[:, :b]
-            dr, on = drop[:, :b], on_node[:, :b]
-            np.subtract(zeta[:, :, sub:sub + b], ys, out=d)
-            _norm2(d, r, sc)
-            if centers is None:
-                np.less(r, r2, out=dr)
-            else:
-                cd, cr = cdiff[:, :, :b], cdist2[:, :b]
-                np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
-                _norm2(cd, cr, ctmp[:, :b])
-                grouped[:, :, :b] = (cr < r2)[:, None, :]
-            np.equal(r, 0.0, out=on)
-            dr |= on
-            np.copyto(sc, r)
-            for _ in range(n - 1):
-                sc *= r
-            np.copyto(sc, np.inf, where=dr)
-            np.divide(1.0, sc, out=sc)
-            d *= sc
-            for c in range(m):
-                acc += d[c] @ coef[c, sub:sub + b]
+    starts = range(0, len(rule), NODE_BLOCK)
+    products = [None] * len(starts)   # per block: its sub-block products, in node order
+    claim = itertools.count()         # one atomic next() per block: no block runs twice
+
+    def work(after_block):
+        coef = np.zeros((m, block, 2 * width))
+        diff = np.empty((m, count, step))
+        dist2, scale = np.empty((2, count, step))
+        drop, on_node = np.empty((2, count, step), dtype=bool)
+        if centers is not None:
+            cs = centers.T[:, :, None]
+            cdiff = np.empty((m, len(centers), step))
+            cdist2, ctmp = np.empty((2, len(centers), step))
+            grouped = drop.reshape(len(centers), -1, step)
+        while (k := next(claim)) < len(starts):
+            start = starts[k]
+            nodes = rule.nodes[start:start + NODE_BLOCK]
+            size = len(nodes)
+            tangents = None if interior else rule.tangents[start:start + NODE_BLOCK]
+            _fold(coef[:, :size], densities, nodes, tangents,
+                  rule.weights[start:start + NODE_BLOCK])
+            zeta = nodes.T[:, None, :]
+            out = []
+            for sub in range(0, size, step):
+                b = min(step, size - sub)
+                d, r, sc = diff[:, :, :b], dist2[:, :b], scale[:, :b]
+                dr, on = drop[:, :b], on_node[:, :b]
+                np.subtract(zeta[:, :, sub:sub + b], ys, out=d)
+                _norm2(d, r, sc)
+                if centers is None:
+                    np.less(r, r2, out=dr)
+                else:
+                    cd, cr = cdiff[:, :, :b], cdist2[:, :b]
+                    np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
+                    _norm2(cd, cr, ctmp[:, :b])
+                    grouped[:, :, :b] = (cr < r2)[:, None, :]
+                np.equal(r, 0.0, out=on)
+                dr |= on
+                np.copyto(sc, r)
+                for _ in range(n - 1):
+                    sc *= r
+                np.copyto(sc, np.inf, where=dr)
+                np.divide(1.0, sc, out=sc)
+                d *= sc
+                out += [d[c] @ coef[c, sub:sub + b] for c in range(m)]
+            products[k] = out
+            after_block()
+
+    added = 0
+
+    def add_done():
+        nonlocal added
+        while added < len(starts) and products[added] is not None:
+            for p in products[added]:
+                np.add(acc, p, out=acc)
+            products[added] = None
+            added += 1
+
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work, lambda: None) for _ in range(workers - 1)]
+        work(add_done)
+        for helper in helpers:
+            helper.result()   # re-raises a helper's error
+    add_done()
     return acc[:, :width] + 1j * acc[:, width:]
 
 
@@ -380,8 +423,8 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     zero = dict.fromkeys(keys, 0.0 + 0.0j)
     rows = []
     for level in config.levels():
-        vol_rule = volume_rule(domain, level)
         bvals = _sweep(n, q, f_b, boundary_rule(domain, level), zs)
+        vol_rule = volume_rule(domain, level)   # built once the boundary rule is freed
         vvals = np.zeros_like(bvals)
         if dbar_f is not None:
             rho = EXCLUSION_FACTOR * vol_rule.spacing

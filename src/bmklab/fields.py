@@ -404,8 +404,11 @@ class RadialPowerField(Field):
         self.center = np.zeros(m) if center is None else np.asarray(center, dtype=float)
 
     def _u(self, x):
-        d = (x - self.center) / self.radius
-        return np.sum(d * d, axis=-1)
+        u = 0.0
+        for k in range(self.m):   # coordinate by coordinate: no (N, m) temporary
+            d = (x[..., k] - self.center[k]) / self.radius
+            u = u + d * d
+        return u
 
     def __call__(self, x):
         x, sq = _as_points(x)

@@ -143,11 +143,12 @@ def volume_rule(domain, level):
         wr = domain.radius * wr / 2.0
         theta = 2.0 * np.pi * np.arange(nt) / nt
         dth = 2.0 * np.pi / nt
-        R, T = np.meshgrid(r, theta, indexing="ij")
-        nodes = np.stack([R * np.cos(T), R * np.sin(T)], axis=-1).reshape(-1, 2)
-        nodes = nodes + domain.center
+        nodes = np.empty((nr, nt, 2))
+        np.multiply(r[:, None], np.cos(theta), out=nodes[:, :, 0])
+        np.multiply(r[:, None], np.sin(theta), out=nodes[:, :, 1])
+        nodes += domain.center
         w = (wr[:, None] * r[:, None] * dth * np.ones(nt)).ravel()
-        return QuadratureRule(nodes, w, level, "interior", domain.radius / nr)
+        return QuadratureRule(nodes.reshape(-1, 2), w, level, "interior", domain.radius / nr)
 
     if domain.kind == "ball" and domain.m == 4:
         nr = BALL4_RADIAL * scale

@@ -16,6 +16,8 @@ potential of the unit ball in R^4 and the plane Cauchy kernel:
 
 import csv
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 
 from bmklab import bmk, cli
 from bmklab.exterior import DifferentialForm, batch_pullback_density, multi_indices
-from bmklab.fields import PolyField, constant, zmonomial
+from bmklab.fields import AnalyticField, PolyField, constant, zmonomial
 from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_rule
 
 DISC = make_domain("ball", m=2)
@@ -211,12 +213,146 @@ def test_sweep_blocking_does_not_change_results(monkeypatch):
     _stack_matches_points(stack, single)
 
 
-def test_reproduce_residual_memory_stays_block_sized():
-    """A level-2 4-ball ladder peaks below two level rules (nodes and
-    weights) plus a fixed block allowance, as numpy reports its buffers to
-    tracemalloc: no temporary may grow with the node count times the point
-    count.  The allowance covers one 131,072-node fold buffer at n = 2,
-    q = 1 (16.8 MB) and the density values it is built from."""
+def _serial_sweep(n, q, form, rule, points, radius=0.0, centers=None):
+    """The one-thread sweep that bmk._sweep must equal bit for bit: blocks
+    folded and swept in node order, each product added as soon as it is
+    made."""
+    interior = rule.region == "interior"
+    densities = bmk._densities(n, q, form, interior)
+    width = len(multi_indices(n, q))
+    points = np.asarray(points, dtype=float)
+    count, m = points.shape
+    acc = np.zeros((count, 2 * width))
+    if not (count and densities):
+        return acc[:, :width] + 1j * acc[:, width:]
+    r2 = radius * radius
+    block = min(bmk.NODE_BLOCK, len(rule))
+    step = min(max(1, bmk.PAIR_BLOCK // count), block)
+    coef = np.zeros((m, block, 2 * width))
+    diff = np.empty((m, count, step))
+    dist2, scale = np.empty((2, count, step))
+    drop, on_node = np.empty((2, count, step), dtype=bool)
+    ys = points.T[:, :, None]
+    if centers is not None:
+        cs = centers.T[:, :, None]
+        cdiff = np.empty((m, len(centers), step))
+        cdist2, ctmp = np.empty((2, len(centers), step))
+        grouped = drop.reshape(len(centers), -1, step)
+    for start in range(0, len(rule), bmk.NODE_BLOCK):
+        nodes = rule.nodes[start:start + bmk.NODE_BLOCK]
+        size = len(nodes)
+        tangents = None if interior else rule.tangents[start:start + bmk.NODE_BLOCK]
+        bmk._fold(coef[:, :size], densities, nodes, tangents,
+                  rule.weights[start:start + bmk.NODE_BLOCK])
+        zeta = nodes.T[:, None, :]
+        for sub in range(0, size, step):
+            b = min(step, size - sub)
+            d, r, sc = diff[:, :, :b], dist2[:, :b], scale[:, :b]
+            dr, on = drop[:, :b], on_node[:, :b]
+            np.subtract(zeta[:, :, sub:sub + b], ys, out=d)
+            bmk._norm2(d, r, sc)
+            if centers is None:
+                np.less(r, r2, out=dr)
+            else:
+                cd, cr = cdiff[:, :, :b], cdist2[:, :b]
+                np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
+                bmk._norm2(cd, cr, ctmp[:, :b])
+                grouped[:, :, :b] = (cr < r2)[:, None, :]
+            np.equal(r, 0.0, out=on)
+            dr |= on
+            np.copyto(sc, r)
+            for _ in range(n - 1):
+                sc *= r
+            np.copyto(sc, np.inf, where=dr)
+            np.divide(1.0, sc, out=sc)
+            d *= sc
+            for c in range(m):
+                acc += d[c] @ coef[c, sub:sub + b]
+    return acc[:, :width] + 1j * acc[:, width:]
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(bmk.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_pooled_sweep_equals_serial_sweep(monkeypatch, cpus):
+    """With 7-node blocks, so every rule runs as many blocks with a partial
+    last one, op_volume, op_boundary, reproduce_residual on the disc and the
+    4-ball and dbar_potential on a stack are bit-identical to the serial
+    sweep, on pools of 1, 2 and 7 workers and with threads switching every
+    microsecond."""
+    monkeypatch.setattr(bmk, "NODE_BLOCK", 7)
+    _use_cpus(monkeypatch, cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = [v for v, _ in _blocking_outputs()[0]]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(bmk, "_sweep", _serial_sweep)
+    serial = [v for v, _ in _blocking_outputs()[0]]
+    assert np.array_equal(pooled, serial)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_sweep_reraises_a_blocks_exception(monkeypatch, cpus):
+    """A field that fails on one block only fails the whole sweep with its
+    own error type.  The failing block is the first one a pool thread folds,
+    or on one CPU the block holding node 500."""
+    monkeypatch.setattr(bmk, "NODE_BLOCK", 7)
+    _use_cpus(monkeypatch, cpus)
+    rule = volume_rule(DISC, 1)
+    bad = rule.nodes[500]
+    failed = []
+
+    def func(x):
+        pooled = threading.current_thread() is not threading.main_thread()
+        if not failed and (pooled or cpus == 1 and np.any(np.all(x == bad, axis=-1))):
+            failed.append(len(x))
+            raise ZeroDivisionError("one block")
+        return x[:, 0]
+
+    g = DifferentialForm(1, 0, 1, {((), (1,)): AnalyticField(2, func)})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(ZeroDivisionError, match="one block"):
+            bmk._sweep(1, 0, g, rule, np.array([[0.1, 0.2], [-0.3, 0.4]]), 0.05)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(failed) == 1
+
+
+def test_block_error_gives_a_fail_verdict(monkeypatch):
+    """An error in one block of the bmk-verify sweep becomes the report's
+    fail verdict, with the error's own type."""
+    monkeypatch.setattr(bmk, "NODE_BLOCK", 7)
+    _use_cpus(monkeypatch, 2)
+    bad = volume_rule(DISC, 1).nodes[500]
+    fold = bmk._fold
+
+    def failing_fold(coef, densities, nodes, tangents, weights):
+        if np.any(np.all(nodes == bad, axis=-1)):
+            raise ZeroDivisionError("one block")
+        fold(coef, densities, nodes, tangents, weights)
+
+    monkeypatch.setattr(bmk, "_fold", failing_fold)
+    report = cli.run_experiment(cli.ExperimentConfig(experiment="bmk-verify", steps=2))
+    assert report.verdict == "fail"
+    assert report.metadata["error"] == "ZeroDivisionError: one block"
+
+
+def test_reproduce_residual_memory_stays_block_sized(monkeypatch):
+    """A level-2 4-ball ladder on a pool of two workers peaks below two
+    level rules (nodes and weights) plus a fixed block allowance, as numpy
+    reports its buffers to tracemalloc: no temporary may grow with the node
+    count times the point count.  The rule is resident once; the second
+    rule's share and the allowance cover each worker's 131,072-node fold
+    buffer at n = 2, q = 1 (16.8 MB) and the density slices it is built
+    from.  The pool size is fixed because each worker holds its own
+    buffers."""
+    _use_cpus(monkeypatch, 2)
     allowance = 32 * 2 ** 20
     rule = volume_rule(BALL4, 2)
     rule_bytes = rule.nodes.nbytes + rule.weights.nbytes

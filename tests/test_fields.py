@@ -79,6 +79,16 @@ def test_negative_exponent_radial_field_interior_only():
     assert np.isclose(w(x)[0], (1 - 0.36) ** -0.25)
 
 
+def test_radial_power_squared_radius_equals_axis_sum():
+    """|(x - c)/R|^2 summed coordinate by coordinate is bit-identical to the
+    sum over the coordinate axis, at a stack of points and at one point."""
+    w = RadialPowerField(4, -0.25, radius=0.9, center=[0.1, -0.2, 0.05, 0.3])
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, (4097, 4))
+    d = (x - w.center) / w.radius
+    assert np.array_equal(w._u(x), np.sum(d * d, axis=-1))
+    assert w._u(x[7]) == np.sum(d[7] * d[7])
+
+
 def test_coordinate_and_as_field():
     c = coordinate(3, 1)
     x = np.array([[1.0, 2.0, 3.0]])

@@ -150,3 +150,23 @@ def test_four_ball_rules_match_reference_bytes(level):
     for k in range(nr):
         assert shells[k].tobytes() == (r[k] * sph + c).tobytes()
     assert vol.spacing == R / nr
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_disc_rule_matches_reference_bytes(level):
+    """The disc interior rule, written in place from the angles' cos and
+    sin, is byte-identical to the meshgrid construction."""
+    disc = make_domain("ball", m=2, radius=0.8, center=[0.1, -0.2])
+    R, c = disc.radius, disc.center
+    nr, nt = 8 * 2 ** level, 32 * 2 ** level
+    xr, wr = leggauss(nr)
+    r = R * (xr + 1.0) / 2.0
+    wr = R * wr / 2.0
+    theta = 2.0 * np.pi * np.arange(nt) / nt
+    radii, angles = np.meshgrid(r, theta, indexing="ij")
+    nodes = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1).reshape(-1, 2)
+    weights = (wr[:, None] * r[:, None] * (2.0 * np.pi / nt) * np.ones(nt)).ravel()
+    vol = volume_rule(disc, level)
+    assert vol.nodes.tobytes() == (nodes + c).tobytes()
+    assert vol.weights.tobytes() == weights.tobytes()
+    assert vol.spacing == R / nr and vol.tangents is None
