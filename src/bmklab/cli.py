@@ -36,8 +36,6 @@ import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
-from sympy.core.function import AppliedUndef
 
 from . import bmk, mollify, young
 from .exterior import DifferentialForm
@@ -60,7 +58,12 @@ def parse_coefficient(expr, m):
 
     Polynomials become exact PolyFields; anything else is lambdified.
     Symbols other than x1..xm and undefined functions are rejected.
+    sympy is imported here, not with the module: only green-stokes
+    coefficients need it, and it dominates the package's import time.
     """
+    import sympy
+    from sympy.core.function import AppliedUndef
+
     xs = sympy.symbols(f"x1:{m + 1}")
     parsed = sympy.sympify(expr, locals={f"x{k + 1}": xs[k] for k in range(m)})
     unknown = sorted(map(str, parsed.free_symbols - set(xs)))

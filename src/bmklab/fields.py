@@ -98,12 +98,23 @@ class PolyField(Field):
     def __call__(self, x):
         x, sq = _as_points(x)
         out = np.zeros(x.shape[:-1], dtype=complex)
+        # table[k][a] = x_k^a, each power one product from the one before
+        # (no libm pow per point); x_k^2 is x_k * x_k, the bits of x_k ** 2
+        table = []
+        for k in range(self.m):
+            deg = max((a[k] for a in self.terms), default=0)
+            pows = [None, np.ascontiguousarray(x[..., k])] if deg else [None]
+            for _ in range(deg - 1):
+                pows.append(pows[-1] * pows[1])
+            table.append(pows)
         for powers, c in self.terms.items():
-            term = np.full(x.shape[:-1], c)
+            term = None
             for k, a in enumerate(powers):
-                if a:
-                    term = term * x[..., k] ** a
-            out += term
+                if a and term is None:
+                    term = c * table[k][a]
+                elif a:
+                    term *= table[k][a]
+            out += c if term is None else term
         return _unsqueeze(out, sq)
 
     def partial(self, k):

@@ -19,11 +19,12 @@ exactly; in particular the area comes out 2 pi^2 up to roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 
 from .fields import _as_points
 
@@ -74,6 +75,19 @@ def make_domain(kind, **params):
         return Domain(kind, len(bounds), bounds=bounds)
 
     raise ValueError(f"unknown domain kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def leggauss(order):
+    """Gauss-Legendre (nodes, weights) on [-1, 1], solved once per order.
+
+    numpy's `leggauss` runs an eigenvalue solve on every call; the cached
+    arrays are read-only, so callers build new arrays from them.
+    """
+    x, w = legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass

@@ -27,17 +27,16 @@ handling stays explicit.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma
 
 from .fields import (_GL_NODES, _GL_W, _bump01, _bump01_deriv,
                      smooth_transition, smooth_transition_deriv,
                      smooth_transition_deriv2)
-from .geometry import _composite_gauss, _tensor
+from .geometry import _composite_gauss, _tensor, leggauss
 
 __all__ = [
     "TangentialMollifier", "DiracSequence", "HalfSpaceField",
@@ -52,7 +51,7 @@ CONV_CHUNK = 64   # kernel nodes per block of shifted points in convolve_field
 
 def _sphere_area(d):
     """Surface measure of S^{d-1}; the d=1 value 2 counts the two endpoints."""
-    return 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
+    return 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def _radial_bump_mass(d):

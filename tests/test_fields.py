@@ -103,3 +103,75 @@ def test_scalar_multiplication_and_negation():
     x = np.array([[2.0]])
     assert np.isclose((2.0 * f)(x)[0], 4.0)
     assert np.isclose((-f)(x)[0], -2.0)
+
+
+def _pow_poly(f, x):
+    """PolyField evaluation with one np.power per term and coordinate: the
+    former per-term loop, kept as the oracle of the power-table path."""
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    x = x[None, :] if squeeze else x
+    out = np.zeros(x.shape[:-1], dtype=complex)
+    for powers, c in f.terms.items():
+        term = np.full(x.shape[:-1], c)
+        for k, a in enumerate(powers):
+            if a:
+                term = term * x[..., k] ** a
+        out += term
+    return out[0] if squeeze else out
+
+
+# zero or 1e-3 <= |v| <= 1.5, so no power or product of degree <= 12 underflows
+_moderate = st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]),
+                                              st.floats(1e-3, 1.5)).map(lambda t: t[0] * t[1]))
+
+
+@st.composite
+def _poly_and_points(draw, max_degree):
+    m = draw(st.integers(1, 4))
+    deg = draw(st.integers(0, max_degree))
+    exponents = st.tuples(*[st.integers(0, deg)] * m)
+    coefficients = st.tuples(_moderate, _moderate).map(lambda t: complex(4 * t[0], 4 * t[1]))
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=12))
+    n = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(st.lists(_moderate, min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    return PolyField(m, terms), x
+
+
+def _term_scale(f, x):
+    """sum_a |c_a| |x^a| at each point."""
+    scale = np.zeros(x.shape[:-1])
+    for powers, c in f.terms.items():
+        scale = scale + abs(c) * np.prod(np.abs(x) ** np.array(powers), axis=-1)
+    return scale
+
+
+@given(_poly_and_points(12))
+@settings(max_examples=200, deadline=None)
+def test_polyfield_power_table_matches_pow(case):
+    """Powers built by repeated products agree with np.power within
+    16 ulp of sum |c| |x^a|, for m = 1..4 and degree <= 12, also at x = 0,
+    for negative x, for one 1-D point and for the zero polynomial."""
+    f, x = case
+    tol = 16 * np.finfo(float).eps * _term_scale(f, x)
+    assert np.all(np.abs(f(x) - _pow_poly(f, x)) <= tol)
+    one = f(x[0])
+    assert np.ndim(one) == 0 and abs(one - _pow_poly(f, x[0])) <= tol[0]
+
+
+@given(_poly_and_points(2))
+@settings(max_examples=100, deadline=None)
+def test_polyfield_low_powers_are_bit_identical(case):
+    """With every exponent <= 2 the power table is x * x, the bits of
+    x ** 2, and the terms are built and summed in the same order."""
+    f, x = case
+    got, want = f(x), _pow_poly(f, x)
+    assert got.tobytes() == want.tobytes()
+    assert f(x[0]) == _pow_poly(f, x[0])
+
+
+def test_zero_polyfield_is_zero_everywhere():
+    x = np.array([[0.0, -1.0], [0.5, 1.5]])
+    assert np.array_equal(PolyField(2, {})(x), np.zeros(2, dtype=complex))
+    assert PolyField(2, {(3, 1): 0.0})(x[0]) == 0

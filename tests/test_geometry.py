@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from bmklab import geometry
 from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_rule
 
 
@@ -170,3 +171,17 @@ def test_disc_rule_matches_reference_bytes(level):
     assert vol.nodes.tobytes() == (nodes + c).tobytes()
     assert vol.weights.tobytes() == weights.tobytes()
     assert vol.spacing == R / nr and vol.tangents is None
+
+
+@pytest.mark.parametrize("order", [1, 10, 12, 64, 512])
+def test_cached_leggauss_equals_numpy_and_is_read_only(order):
+    """geometry.leggauss solves each order once: its arrays equal numpy's,
+    a second call returns the same objects, and they cannot be written."""
+    x, w = geometry.leggauss(order)
+    x_np, w_np = leggauss(order)
+    assert np.array_equal(x, x_np) and np.array_equal(w, w_np)
+    again = geometry.leggauss(order)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
