@@ -17,10 +17,6 @@ across platforms.  Reports are CSV rows plus a JSON metadata sidecar
 (--format csv, default) or a single JSON document (--format json);
 JSON writes a non-finite float as its CSV text ("inf", "nan").
 Exit codes: 0 pass, 1 fail, 2 usage.
-
-green-stokes's operator coefficients are expressions in the real
-coordinates x1..xm: polynomials stay exact, other expressions are
-lambdified.
 """
 
 from __future__ import annotations
@@ -47,43 +43,8 @@ from .young import INF
 
 __all__ = [
     "ExperimentConfig", "Report", "run_experiment", "emit_report", "main",
-    "parse_coefficient", "EXPERIMENTS",
+    "EXPERIMENTS",
 ]
-
-
-# ---------------------------------------------------------------- expressions
-
-def parse_coefficient(expr, m):
-    """Parse a real-coordinate coefficient expression in x1..xm to a field.
-
-    Polynomials become exact PolyFields; anything else is lambdified.
-    Symbols other than x1..xm and undefined functions are rejected.
-    sympy is imported here, not with the module: only green-stokes
-    coefficients need it, and it dominates the package's import time.
-    """
-    import sympy
-    from sympy.core.function import AppliedUndef
-
-    xs = sympy.symbols(f"x1:{m + 1}")
-    parsed = sympy.sympify(expr, locals={f"x{k + 1}": xs[k] for k in range(m)})
-    unknown = sorted(map(str, parsed.free_symbols - set(xs)))
-    unknown += sorted(str(f.func) for f in parsed.atoms(AppliedUndef))
-    if unknown:
-        raise ValueError(f"coefficient {expr!r} uses {unknown}; only x1..x{m} "
-                         "and known functions are allowed")
-    try:
-        poly = sympy.Poly(parsed, *xs)
-        terms = {tuple(int(e) for e in mono): complex(c)
-                 for mono, c in zip(poly.monoms(), poly.coeffs())}
-        return PolyField(m, terms)
-    except sympy.PolynomialError:
-        fn = sympy.lambdify(xs, parsed, modules="numpy")
-
-        def call(x, _fn=fn):
-            cols = [x[..., k] for k in range(m)]
-            return np.broadcast_to(np.asarray(_fn(*cols), dtype=complex),
-                                   x.shape[:-1]).copy()
-        return AnalyticField(m, call)
 
 
 # ---------------------------------------------------------------- config
@@ -98,9 +59,6 @@ _DEFAULT_THRESHOLDS = {
 
 _DEFAULT_LEVEL = {"bmk-verify": 0, "bmk-lp": 0, "mollify": 0,
                   "green-stokes": 3, "young-scan": 1}
-
-# green-stokes's configurable operator acts on the square box in R^2
-_COEFFICIENT_KEYS = ("a1", "a2", "b")
 
 _DEFAULT_SEED = {"bmk-verify": 7, "bmk-lp": 11, "mollify": 0,
                  "green-stokes": 0, "young-scan": 0}
@@ -122,7 +80,7 @@ _FLAGS = {"level": "--level", "eps": "--eps", "p": "--p", "seed": "--seed",
 @dataclass
 class ExperimentConfig:
     experiment: str
-    level: int = 0
+    level: int | None = None  # None: the experiment's _DEFAULT_LEVEL
     steps: int = 0
     eps: tuple = (0.2, 0.1, 0.05, 0.025)
     p: float = 2.0
@@ -131,25 +89,20 @@ class ExperimentConfig:
     fmt: str = "csv"
     grid_n: int = 257
     thresholds: dict = field(default_factory=dict)
-    coefficients: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in _DEFAULT_THRESHOLDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.level is None:
+            self.level = _DEFAULT_LEVEL[self.experiment]
         for key in (k for k, kind in _KEYS.items() if kind is int):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if not self.eps or any(e <= 0 for e in self.eps) or self.p < 1:
+        # written so that a NaN fails them
+        if not self.eps or not all(e > 0 for e in self.eps) or not self.p >= 1:
             raise ValueError("eps needs one or more values, all positive, and p >= 1")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}; use csv or json")
-        taken = _COEFFICIENT_KEYS if self.experiment == "green-stokes" else ()
-        unknown = set(self.coefficients) - set(taken)
-        if unknown:
-            raise ValueError(f"{self.experiment} takes no coefficients {sorted(unknown)}; "
-                             f"only green-stokes takes {', '.join(_COEFFICIENT_KEYS)}")
-        self.coefficients = {k: parse_coefficient(v, 2)
-                             for k, v in self.coefficients.items()}
         base = dict(_DEFAULT_THRESHOLDS[self.experiment])
         unknown = set(self.thresholds) - set(base)
         if unknown:
@@ -176,18 +129,15 @@ def load_config(path, experiment):
     for section in ("common", experiment):
         if parser.has_section(section):
             merged.update(dict(parser.items(section)))
-    kwargs, thresholds, coeffs = {}, {}, {}
+    kwargs, thresholds = {}, {}
     for key, value in merged.items():
         if key.startswith("threshold_"):
             thresholds[key[len("threshold_"):]] = float(value)
-        elif key in _COEFFICIENT_KEYS:
-            coeffs[key] = value
         elif key in _KEYS:
             kwargs[key] = _KEYS[key](value)
         else:
             raise ValueError(f"unknown config key {key!r}")
     kwargs["thresholds"] = thresholds
-    kwargs["coefficients"] = coeffs
     return kwargs
 
 
@@ -368,25 +318,21 @@ def run_mollify(cfg):
     return cols, rows, meta
 
 
-def _green_stokes_cases(cfg):
+def _green_stokes_cases():
     m2box = make_domain("interval-box", m=2, bounds=[[-1.0, 1.0], [-1.0, 1.0]])
     interval = make_domain("interval-box", m=1, bounds=[[-1.0, 0.0]])
     disc = make_domain("ball", m=2)
-    if cfg.coefficients:
-        zero = PolyField(2, {})
-        op_box = FirstOrderOperator(2, a=[cfg.coefficients.get(k, zero) for k in ("a1", "a2")],
-                                    b=cfg.coefficients.get("b", zero))
-    else:
-        op_box = FirstOrderOperator(2, a=[PolyField(2, {(0, 0): 1.0, (1, 1): 0.5}),
-                                          PolyField(2, {(0, 1): 1.0})],
-                                    b=PolyField(2, {(0, 0): 0.25}))
+    # Q = (1 + x1 x2 / 2) d1 + x2 d2 + 1/4 on the square box and the disc
+    op_box = FirstOrderOperator(2, a=[PolyField(2, {(0, 0): 1.0, (1, 1): 0.5}),
+                                      PolyField(2, {(0, 1): 1.0})],
+                                b=PolyField(2, {(0, 0): 0.25}))
     op_int = FirstOrderOperator(1, a=[PolyField(1, {(0,): 1.0})], b=PolyField(1, {}))
     return disc, m2box, interval, op_box, op_int
 
 
 def run_green_stokes(cfg):
-    disc, box, interval, op_box, op_int = _green_stokes_cases(cfg)
-    level = cfg.level or 3
+    disc, box, interval, op_box, op_int = _green_stokes_cases()
+    level = cfg.level
     rows, checks = [], {}
 
     u_hand = PolyField(1, {(1,): 1.0})
@@ -431,9 +377,8 @@ def run_young_scan(cfg):
     kern = young.bmk_norm_kernel(1, 0)
     spec = young.KernelSpec(X=("boundary", disc), Y=("domain", disc),
                             kernel=kern, t=1.0, s=1.5, a=4.0, b=INF)
-    level = cfg.level or 1
     p_values = [1.0, 1.5, 2.0] if cfg.p == 2.0 else [cfg.p]
-    rows = young.scan_rows(spec, p_values, sample_count=12, seed=cfg.seed, level=level)
+    rows = young.scan_rows(spec, p_values, sample_count=12, seed=cfg.seed, level=cfg.level)
     fit_lo = young.log_bound_fit(disc, level=5)
     fit_hi = young.log_bound_fit(disc, level=6)
     drift = abs(fit_hi[1] - fit_lo[1]) / abs(fit_hi[1])
@@ -554,9 +499,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
-    kwargs = {"experiment": args.experiment,
-              "level": _DEFAULT_LEVEL[args.experiment],
-              "seed": _DEFAULT_SEED[args.experiment]}
+    kwargs = {"experiment": args.experiment, "seed": _DEFAULT_SEED[args.experiment]}
     try:
         if args.config:
             kwargs.update(load_config(args.config, args.experiment))

@@ -3,27 +3,14 @@
 import csv
 import json
 import math
+import os
 
-import numpy as np
 import pytest
 
 from bmklab import cli
-from bmklab.fields import AnalyticField, PolyField
 
-
-def test_parse_coefficient_polynomial_is_exact():
-    f = cli.parse_coefficient("x1*x2 + 0.5", 2)
-    assert isinstance(f, PolyField)
-    assert f.terms == {(1, 1): 1.0 + 0j, (0, 0): 0.5 + 0j}
-    x = np.array([[0.3, -0.7], [1.0, 2.0]])
-    assert np.allclose(f(x), x[:, 0] * x[:, 1] + 0.5)
-
-
-def test_parse_coefficient_analytic_fallback():
-    f = cli.parse_coefficient("sin(x1) + x2", 2)
-    assert isinstance(f, AnalyticField)
-    x = np.array([[0.3, -0.7], [1.2, 0.4]])
-    assert np.allclose(f(x), np.sin(x[:, 0]) + x[:, 1])
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts", "configs")
 
 
 def test_experiment_config_validation_and_threshold_merge():
@@ -33,8 +20,12 @@ def test_experiment_config_validation_and_threshold_merge():
         cli.ExperimentConfig(experiment="mollify", level=-1)
     with pytest.raises(ValueError, match="positive"):
         cli.ExperimentConfig(experiment="mollify", eps=(0.2, -0.1))
+    with pytest.raises(ValueError, match="positive"):
+        cli.ExperimentConfig(experiment="mollify", eps=(0.2, math.nan))
     with pytest.raises(ValueError, match="one or more values"):
         cli.ExperimentConfig(experiment="mollify", eps=())
+    with pytest.raises(ValueError, match="p >= 1"):
+        cli.ExperimentConfig(experiment="mollify", p=math.nan)
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         cli.ExperimentConfig(experiment="mollify", fmt="xml")
     cfg = cli.ExperimentConfig(experiment="bmk-verify",
@@ -62,6 +53,11 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("[mollify]\ngrdi_n = 65\n")
     with pytest.raises(ValueError, match="unknown config key"):
         cli.load_config(str(path), "mollify")
+    # green-stokes's operator is fixed, so its old coefficient keys are typos too
+    for section in ("green-stokes", "common"):
+        path.write_text(f"[{section}]\na1 = 1 + 0.5*x1*x2\n")
+        with pytest.raises(ValueError, match="unknown config key 'a1'"):
+            cli.load_config(str(path), "green-stokes")
     path.write_text("[mollify]\nthreshold_trace_mx = 0.5\n")
     kwargs = cli.load_config(str(path), "mollify")
     with pytest.raises(ValueError, match="unknown thresholds \\['trace_mx'\\]"):
@@ -120,8 +116,9 @@ def test_emit_report_unknown_format(tmp_path):
 def test_main_usage_errors(tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
-    assert cli.main(["mollify", "--eps", "0.2,-0.1"]) == 2
-    assert "usage error" in capsys.readouterr().err
+    for flags in (["--eps", "0.2,-0.1"], ["--eps", "0.2,nan"], ["--p", "nan"]):
+        assert cli.main(["mollify", *flags]) == 2
+        assert "usage error" in capsys.readouterr().err
     bad = tmp_path / "bad.ini"
     bad.write_text("[mollify]\nwat = 1\n")
     assert cli.main(["mollify", "--config", str(bad)]) == 2
@@ -134,38 +131,17 @@ def test_main_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("gs*"))
 
 
-@pytest.mark.parametrize("expr, bad", [("x3", "x3"), ("foo(x1)", "foo")])
-def test_green_stokes_coefficient_outside_x1_x2_rejected(tmp_path, capsys, expr, bad):
-    with pytest.raises(ValueError, match=f"uses \\['{bad}'\\]"):
-        cli.ExperimentConfig(experiment="green-stokes", coefficients={"a1": expr})
-    ini = tmp_path / "coeff.ini"
-    ini.write_text(f"[green-stokes]\na1 = {expr}\n")
-    out = tmp_path / "gs"
-    assert cli.main(["green-stokes", "--config", str(ini), "--out", str(out)]) == 2
-    assert "usage error" in capsys.readouterr().err
-    assert not list(tmp_path.glob("gs*"))
-
-
 def test_coefficients_rejected_outside_green_stokes(tmp_path, capsys):
-    with pytest.raises(ValueError, match="mollify takes no coefficients \\['b'\\]"):
+    """Coefficient keys are unknown config keys, in green-stokes and elsewhere."""
+    with pytest.raises(TypeError, match="coefficients"):
         cli.ExperimentConfig(experiment="mollify", coefficients={"b": "1"})
-    with pytest.raises(ValueError, match="green-stokes takes no coefficients \\['a3'\\]"):
-        cli.ExperimentConfig(experiment="green-stokes", coefficients={"a3": "x1"})
-    ini = tmp_path / "common.ini"
-    ini.write_text("[common]\na1 = x1\n")
-    assert cli.main(["young-scan", "--config", str(ini),
-                     "--out", str(tmp_path / "ys")]) == 2
-    assert "young-scan takes no coefficients" in capsys.readouterr().err
-
-
-def test_green_stokes_parsed_coefficients_drive_the_operator():
-    cfg = cli.ExperimentConfig(experiment="green-stokes",
-                               coefficients={"a1": "1 + 0.5*x1*x2", "b": "sin(x1)"})
-    assert cfg.coefficients["a1"].terms == {(0, 0): 1.0, (1, 1): 0.5}
-    _, _, _, op_box, _ = cli._green_stokes_cases(cfg)
-    x = np.array([[0.3, -0.7]])
-    assert np.allclose(op_box.b(x), np.sin(0.3))
-    assert not op_box.a[1].terms
+    coeff = tmp_path / "coeff.ini"
+    out = tmp_path / "rep"
+    for section, experiment in (("green-stokes", "green-stokes"), ("common", "young-scan")):
+        coeff.write_text(f"[{section}]\na1 = x1\n")
+        assert cli.main([experiment, "--config", str(coeff), "--out", str(out)]) == 2
+        assert "unknown config key 'a1'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
 
 
 def test_run_experiment_records_unexpected_error(tmp_path, capsys, monkeypatch):
@@ -192,6 +168,34 @@ def test_main_green_stokes_passes(tmp_path, capsys):
     meta = json.load(open(out + ".meta.json"))
     assert meta["verdict"] == "pass"
     assert all(chk["pass"] for chk in meta["checks"].values())
+
+
+def test_main_level_zero_is_kept(tmp_path, capsys):
+    """--level 0 runs and records level 0, not the experiment's default."""
+    assert cli.ExperimentConfig(experiment="green-stokes").level == 3
+    assert cli.ExperimentConfig(experiment="young-scan").level == 1
+    gs, ys = str(tmp_path / "gs"), str(tmp_path / "ys")
+    # level 0 is too coarse for green-stokes's compact-support cases: a defined fail
+    assert cli.main(["green-stokes", "--level", "0", "--out", gs]) == 1
+    cli.main(["young-scan", "--level", "0", "--out", ys])
+    capsys.readouterr()
+    assert json.load(open(gs + ".meta.json"))["level"] == 0
+    for out in (gs, ys):
+        with open(out + ".csv") as fh:
+            assert {row["level"] for row in csv.DictReader(fh)} == {"0"}
+
+
+def test_shipped_configs_load():
+    """Every experiment loads both shipped configs, and full.ini spells out
+    the defaults in the code."""
+    for name in ("full.ini", "quick.ini"):
+        for experiment in cli.EXPERIMENTS:
+            kwargs = cli.load_config(os.path.join(CONFIGS, name), experiment)
+            cfg = cli.ExperimentConfig(experiment=experiment, **kwargs)
+            if name == "full.ini":
+                default = cli.ExperimentConfig(experiment=experiment)
+                for key in ("thresholds", "eps", "p", "grid_n", "fmt", "level"):
+                    assert getattr(cfg, key) == getattr(default, key), (experiment, key)
 
 
 def test_main_short_ladder_mollify_fails(tmp_path, capsys):
