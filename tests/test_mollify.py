@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bmklab import mollify
+from bmklab import cli, mollify
 from bmklab.fields import smooth_transition
 from bmklab.geometry import _composite_gauss, _tensor
 from bmklab.mollify import (DiracSequence, HalfSpaceField, choose_tau,
@@ -138,30 +138,31 @@ def test_convolve_field_rows_match_per_row_sums(m):
         assert np.max(np.abs(got[row] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _chunked_convolve_oracle(f, kernel, x, quad, chunk=64):
-    """The loop convolve_field replaced: one (chunk * N)-point block per chunk."""
+def _fixed_order_convolve_oracle(f, kernel, x, quad, chunk=64):
+    """The fixed-order loop: node-order sums per chunk, added in chunk order."""
     t, w = quad
     base = w * kernel.values(t)
     coef = [base] + [w * kv - np.sum(w * kv) / np.sum(base) * base
                      for kv in kernel.grad(t).T]
     out = np.zeros((len(coef), x.shape[0]), dtype=complex)
     for start in range(0, len(t), chunk):
-        tt = t[start:start + chunk]
-        pts = (x[None, :, :] - tt[:, None, :]).reshape(-1, x.shape[1])
-        vals = f.evaluate(pts).reshape(len(tt), x.shape[0])
-        for row, c in zip(out, coef):
-            row += c[start:start + chunk] @ vals
+        part = np.zeros_like(out)
+        for k in range(start, min(start + chunk, len(t))):
+            vals = f.evaluate(x - t[k])
+            for row, c in zip(part, coef):
+                row += c[k] * vals
+        out += part
     return out
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 7])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_convolve_field_equals_chunked_loop(m, cpus, monkeypatch):
-    """Per-node rows on a thread pool give the chunked loop's exact bits.
+    """Point slabs on a thread pool give the fixed-order loop's exact bits.
 
     The rules have 70, 210 and 630 nodes, so every case runs several
-    CONV_CHUNK blocks and a partial last one; cpus sets the pool size,
-    7 being more workers than a small machine has cores.
+    CONV_CHUNK blocks and a partial last one; cpus sets the number of
+    slabs, 7 being more workers than a small machine has cores.
     """
     bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
     fn = lambda x: np.exp(0.3 * x[:, 0] + 0.2j * x.sum(axis=1)) * np.cos(x[:, -1])
@@ -181,24 +182,65 @@ def test_convolve_field_equals_chunked_loop(m, cpus, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(quad[0]) > mollify.CONV_CHUNK and len(quad[0]) % mollify.CONV_CHUNK
-    assert np.array_equal(got, _chunked_convolve_oracle(f, kernel, x, quad))
+    assert np.array_equal(got, _fixed_order_convolve_oracle(f, kernel, x, quad))
 
 
 def test_convolve_field_reraises_a_worker_rows_exception():
-    """A field that fails on one node's row fails the whole convolution."""
+    """A field that fails on one node's row fails the whole convolution.
+
+    A worker sees only its slab of x, so node 70's row is told by its
+    shift: the points are some contiguous slab of x, minus t[70].
+    """
     kernel = DiracSequence(2, 0.2, 0.05)
     t, w = kernel.quad_rule()
     x = np.array([[-0.5, 0.0], [-0.25, 0.5]])
-    bad = x - t[70]
 
     def fn(pts):
-        if pts.shape == bad.shape and np.array_equal(pts, bad):
+        if any(np.array_equal(pts, x[lo:lo + len(pts)] - t[70])
+               for lo in range(len(x) - len(pts) + 1)):
             raise ZeroDivisionError("node 70")
         return np.ones(len(pts))
 
     f = HalfSpaceField(fn, BOUNDS, (5, 5))
     with pytest.raises(ZeroDivisionError):
         convolve_field(f, kernel, x, quad=(t, w))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_convolve_field_empty_and_one_point_sets(m, monkeypatch):
+    """No points give a (1+m, 0) result; one point on 7 CPUs is one slab."""
+    calls = []
+
+    def fn(pts):
+        calls.append(len(pts))
+        return np.cos(pts[:, 0])
+
+    bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
+    f = HalfSpaceField(fn, bounds, (5,) * m)
+    kernel = DiracSequence(m, 0.2, 0.05)
+    quad = kernel.quad_rule()
+    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(7)))
+    empty = convolve_field(f, kernel, np.zeros((0, m)), quad=quad)
+    assert empty.shape == (1 + m, 0) and calls == []
+    x = np.full((1, m), -0.5)
+    one = convolve_field(f, kernel, x, quad=quad)
+    assert one.shape == (1 + m, 1)
+    assert calls == [1] * len(quad[0])
+    assert np.array_equal(one, _fixed_order_convolve_oracle(f, kernel, x, quad))
+
+
+def test_mollify_report_is_the_same_at_any_cpu_count(monkeypatch):
+    """The strip problem's report rows are bit-equal at 1, 2, 3 and 7 CPUs."""
+    op, f, qf, f_fn = cli.mollify_fixture(grid_n=17)
+    reports = []
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(mollify.os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        rep = convergence_report(op, f, qf, f_fn, [0.2, 0.1], 2.0)
+        reports.append(np.array([[row[c] for c in mollify.REPORT_COLUMNS]
+                                 for row in rep["rows"]]))
+    for rows in reports[1:]:
+        assert np.array_equal(rows, reports[0])
 
 
 def test_grid_values_are_sampled_once_on_first_use():
