@@ -124,6 +124,7 @@ def kernel_eval(n, q, zeta, z):
 
 def kernel_norm(n, q, zeta, z):
     """Pointwise double-form norm: monomials dz^I dzbar^J weigh 2^(|I|+|J|)."""
+    zeta = np.asarray(zeta, dtype=float)
     forms = kernel_eval(n, q, zeta, z)
     total = 0.0
     for J, form in forms.items():

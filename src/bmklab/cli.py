@@ -98,6 +98,8 @@ class ExperimentConfig:
         for key in (k for k, kind in _KEYS.items() if kind is int):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
+        if self.grid_n < 2:
+            raise ValueError("grid_n must be 2 or more: the strip grid has to reach x_1 = 0")
         # written so that a NaN fails them
         if not self.eps or not all(e > 0 for e in self.eps) or not self.p >= 1:
             raise ValueError("eps needs one or more values, all positive, and p >= 1")

@@ -36,9 +36,7 @@ __all__ = [
 # base node counts at level 0; a level multiplies these by 2^level
 BOX_PANELS = 1
 BOX_ORDER = 12
-DISC_RADIAL = 8
-DISC_ANGULAR = 32
-BALL4_RADIAL = 6
+BALL_RADIAL = {2: 8, 4: 6}             # Gauss nodes along the radius, by m
 CIRCLE_NODES = 32
 S3_ETA = 4
 S3_XI = 8
@@ -147,33 +145,57 @@ def _orient(nu, tangents):
     return tangents
 
 
+def _sphere_rule(m, level, frames=False):
+    """Product rule on the unit sphere S^{m-1}: the circle (m = 2) or S^3 (m = 4).
+
+    Returns (nodes, weights, spacing, tangents): unit nodes, also the outward
+    normals; weights summing to the area; the angular spacing; and, if frames,
+    oriented tangent frames (on S^3 along xi1, xi2 and eta), else None.
+    """
+    scale = 2 ** level
+    if m == 2:
+        nt = CIRCLE_NODES * scale
+        theta = 2.0 * np.pi * np.arange(nt) / nt
+        cs, sn = np.cos(theta), np.sin(theta)
+        spacing = 2.0 * np.pi / nt
+        nodes, w = np.stack([cs, sn], axis=-1), np.full(nt, spacing)
+        tangents = [np.stack([-sn, cs], axis=-1)] if frames else None
+    else:
+        ne, nx = S3_ETA * scale, S3_XI * scale
+        xe, we = leggauss(ne)
+        eta = np.arcsin(np.sqrt((xe + 1.0) / 2.0))     # u = sin^2(eta) on [0, 1]
+        xi = 2.0 * np.pi * np.arange(nx) / nx
+        E, A, B = np.meshgrid(eta, xi, xi, indexing="ij")
+        nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
+                          np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1).reshape(-1, 4)
+        # (1/2) du against the [0,1]-scaled rule
+        w = (we[:, None, None] / 4.0 * np.ones((1, nx, nx)) * (2.0 * np.pi / nx) ** 2).ravel()
+        spacing, tangents = np.pi / (2 * ne), None
+        if frames:
+            t1 = np.stack([-np.sin(A), np.cos(A), np.zeros_like(A), np.zeros_like(A)], axis=-1)
+            t2 = np.stack([np.zeros_like(B), np.zeros_like(B), -np.sin(B), np.cos(B)], axis=-1)
+            t3 = np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
+                           np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)
+            tangents = [t1.reshape(-1, 4), t2.reshape(-1, 4), t3.reshape(-1, 4)]
+    if tangents is not None:
+        tangents = _orient(nodes, np.stack(tangents, axis=1))
+    return nodes, w, spacing, tangents
+
+
 def volume_rule(domain, level):
     """Interior product rule at the given refinement level."""
     scale = 2 ** level
-    if domain.kind == "ball" and domain.m == 2:
-        nr, nt = DISC_RADIAL * scale, DISC_ANGULAR * scale
+    if domain.kind == "ball" and domain.m in BALL_RADIAL:
+        m, R = domain.m, domain.radius
+        nr = BALL_RADIAL[m] * scale
         xr, wr = leggauss(nr)
-        r = domain.radius * (xr + 1.0) / 2.0
-        wr = domain.radius * wr / 2.0
-        theta = 2.0 * np.pi * np.arange(nt) / nt
-        dth = 2.0 * np.pi / nt
-        nodes = np.empty((nr, nt, 2))
-        np.multiply(r[:, None], np.cos(theta), out=nodes[:, :, 0])
-        np.multiply(r[:, None], np.sin(theta), out=nodes[:, :, 1])
-        nodes += domain.center
-        w = (wr[:, None] * r[:, None] * dth * np.ones(nt)).ravel()
-        return QuadratureRule(nodes.reshape(-1, 2), w, level, "interior", domain.radius / nr)
-
-    if domain.kind == "ball" and domain.m == 4:
-        nr = BALL4_RADIAL * scale
-        xr, wr = leggauss(nr)
-        r = domain.radius * (xr + 1.0) / 2.0
-        wr = domain.radius * wr / 2.0
-        sph, sph_w, _, _ = _s3_rule(level)
+        r = R * (xr + 1.0) / 2.0
+        wr = R * wr / 2.0
+        sph, sph_w, _, _ = _sphere_rule(m, level)
         nodes = r[:, None, None] * sph[None, :, :]
         nodes += domain.center
-        w = (wr[:, None] * r[:, None] ** 3 * sph_w[None, :]).ravel()
-        return QuadratureRule(nodes.reshape(-1, 4), w, level, "interior", domain.radius / nr)
+        w = (wr[:, None] * r[:, None] ** (m - 1) * sph_w[None, :]).ravel()
+        return QuadratureRule(nodes.reshape(-1, m), w, level, "interior", R / nr)
 
     if domain.kind in ("interval-box", "half-space-patch"):
         nodes, w, spacing = _box_axes(domain.bounds, BOX_PANELS * scale)
@@ -182,74 +204,19 @@ def volume_rule(domain, level):
     raise ValueError(f"no volume rule for {domain.kind} in dimension {domain.m}")
 
 
-def _s3_rule(level):
-    """Product rule on the unit S^3 with total weight 2 pi^2.
-
-    Returns (nodes, weights, spacing, (eta, xi1, xi2)), the angles as
-    meshgrids, from which boundary_rule builds the tangent frames.
-    """
-    scale = 2 ** level
-    ne, nx = S3_ETA * scale, S3_XI * scale
-    xe, we = leggauss(ne)
-    u = (xe + 1.0) / 2.0
-    eta = np.arcsin(np.sqrt(u))
-    weta = we / 4.0                      # (1/2) du against the [0,1]-scaled rule
-    xi1 = 2.0 * np.pi * np.arange(nx) / nx
-    xi2 = 2.0 * np.pi * np.arange(nx) / nx
-    dxi = (2.0 * np.pi / nx) ** 2
-    E, A, B = np.meshgrid(eta, xi1, xi2, indexing="ij")
-    nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
-                      np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1).reshape(-1, 4)
-    w = (weta[:, None, None] * np.ones((1, nx, nx)) * dxi).ravel()
-    return nodes, w, np.pi / (2 * ne), (E, A, B)
-
-
-def _s3_tangents(nu, E, A, B):
-    """Oriented tangent frames of S^3: normalized coordinate directions of
-    (xi1, xi2, eta) at the angle grid, nu the outward normals."""
-    t1 = np.stack([-np.sin(A), np.cos(A), np.zeros_like(A), np.zeros_like(A)], axis=-1)
-    t2 = np.stack([np.zeros_like(B), np.zeros_like(B), -np.sin(B), np.cos(B)], axis=-1)
-    t3 = np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
-                   np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)
-    tangents = np.stack([t1.reshape(-1, 4), t2.reshape(-1, 4), t3.reshape(-1, 4)], axis=1)
-    return _orient(nu, tangents)
-
-
 def boundary_rule(domain, level):
     """Boundary rule with outward normals and oriented tangent frames."""
-    scale = 2 ** level
-    if domain.kind == "ball" and domain.m == 2:
-        nt = CIRCLE_NODES * scale
-        theta = 2.0 * np.pi * np.arange(nt) / nt
-        cs, sn = np.cos(theta), np.sin(theta)
-        nodes = domain.center + domain.radius * np.stack([cs, sn], axis=-1)
-        w = np.full(nt, domain.radius * 2.0 * np.pi / nt)
-        nu = np.stack([cs, sn], axis=-1)
-        tangents = np.stack([-sn, cs], axis=-1)[:, None, :]
-        tangents = _orient(nu, tangents)
-        return QuadratureRule(nodes, w, level, "boundary",
-                              2 * np.pi * domain.radius / nt, nu=nu, tangents=tangents)
-
-    if domain.kind == "ball" and domain.m == 4:
-        sph, sph_w, spacing, angles = _s3_rule(level)
-        nodes = domain.center + domain.radius * sph
-        w = sph_w * domain.radius ** 3
-        return QuadratureRule(nodes, w, level, "boundary", spacing * domain.radius,
-                              nu=sph, tangents=_s3_tangents(sph, *angles))
+    if domain.kind == "ball" and domain.m in BALL_RADIAL:
+        R = domain.radius
+        sph, sph_w, spacing, tangents = _sphere_rule(domain.m, level, frames=True)
+        return QuadratureRule(domain.center + R * sph, sph_w * R ** (domain.m - 1), level,
+                              "boundary", spacing * R, nu=sph, tangents=tangents)
 
     if domain.kind == "half-space-patch":
         # only the physical face {x1 = 0}; the other box faces are truncation
         return _face_rule(domain, axis=0, side=1, level=level)
 
     if domain.kind == "interval-box":
-        if domain.m == 1:
-            lo, hi = domain.bounds[0]
-            nodes = np.array([[lo], [hi]])
-            w = np.ones(2)
-            nu = np.array([[-1.0], [1.0]])
-            tangents = np.zeros((2, 0, 1))
-            return QuadratureRule(nodes, w, level, "boundary", hi - lo,
-                                  nu=nu, tangents=tangents)
         parts = [_face_rule(domain, axis=k, side=s, level=level)
                  for k in range(domain.m) for s in (-1, 1)]
         nodes = np.concatenate([p.nodes for p in parts])

@@ -34,10 +34,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .fields import (_GL_NODES, _GL_W, _bump01, _bump01_deriv,
-                     smooth_transition, smooth_transition_deriv,
-                     smooth_transition_deriv2)
-from .geometry import _composite_gauss, _tensor, leggauss
+from .fields import (_bump01, _bump01_deriv, smooth_transition,
+                     smooth_transition_deriv, smooth_transition_deriv2)
+from .geometry import _composite_gauss, _tensor
 
 __all__ = [
     "TangentialMollifier", "DiracSequence", "HalfSpaceField",
@@ -59,8 +58,7 @@ def _radial_bump_mass(d):
     """Integral of exp(-1/(1-|x|^2)) over the unit ball of R^d."""
     if d == 0:
         return 1.0
-    r = (_GL_NODES + 1.0) / 2.0
-    w = _GL_W / 2.0
+    r, w = _composite_gauss(0.0, 1.0, 1, 80)
     return float(_sphere_area(d) * np.sum(w * _bump01(r) * r ** (d - 1)))
 
 
@@ -180,11 +178,11 @@ class HalfSpaceField:
         if abs(self.bounds[0, 1]) > 1e-14:
             raise ValueError("half-space grid must end at x_1 = 0")
         self.shape = tuple(int(s) for s in shape)
+        if self.shape[0] < 2:
+            raise ValueError("the normal axis needs 2 or more samples to reach x_1 = 0")
         self.m = len(self.shape)
         self.axes = [np.linspace(lo, hi, k)
                      for (lo, hi), k in zip(self.bounds, self.shape)]
-        self.spacing = np.array([ax[1] - ax[0] if len(ax) > 1 else 0.0
-                                 for ax in self.axes])
         self.func = func
         grids = np.meshgrid(*self.axes, indexing="ij")
         self._nodes = np.stack([g.ravel() for g in grids], axis=-1)
@@ -242,11 +240,9 @@ def slab_mass(f, tau, p):
     else:
         lat_nodes = np.zeros((1, 0))
         lat_w = np.ones(1)
-    x, w = leggauss(10)
     total = 0.0
     for a, b in edges:
-        t1 = (a + b) / 2.0 + (b - a) / 2.0 * x
-        wt = (b - a) / 2.0 * w
+        t1, wt = _composite_gauss(a, b, 1, 10)
         factor = 1.0 - smooth_transition(-t1 / tau)
         if np.max(np.abs(factor)) == 0.0:
             continue

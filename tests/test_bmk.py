@@ -98,6 +98,8 @@ def test_kernel_norm_times_distance_power_is_constant():
             for k in range(-6, 3):
                 d = 2.0 ** k
                 A.append(bmk.kernel_norm(n, q, z + d * u, z) * d ** (2 * n - 1))
+        # plain lists work as in kernel_eval
+        A.append(bmk.kernel_norm(n, q, (z + u).tolist(), z.tolist()))
         A = np.array(A)
         assert (A.max() - A.min()) / A.mean() < 1e-12
         consts[(n, q)] = A.mean()

@@ -131,6 +131,20 @@ def test_main_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("gs*"))
 
 
+@pytest.mark.parametrize("grid_n", [0, 1])
+def test_grid_without_boundary_row_is_a_usage_error(tmp_path, capsys, grid_n):
+    """A strip grid of fewer than 2 samples never reaches x_1 = 0, so it has
+    no trace row: the run stops before any work and writes no report."""
+    with pytest.raises(ValueError, match="grid_n"):
+        cli.ExperimentConfig("mollify", grid_n=grid_n)
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(f"[mollify]\ngrid_n = {grid_n}\n")
+    out = tmp_path / "moll"
+    assert cli.main(["mollify", "--config", str(ini), "--out", str(out)]) == 2
+    assert "grid_n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("moll*"))
+
+
 def test_coefficients_rejected_outside_green_stokes(tmp_path, capsys):
     """Coefficient keys are unknown config keys, in green-stokes and elsewhere."""
     with pytest.raises(TypeError, match="coefficients"):

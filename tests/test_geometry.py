@@ -173,6 +173,39 @@ def test_disc_rule_matches_reference_bytes(level):
     assert vol.spacing == R / nr and vol.tangents is None
 
 
+@pytest.mark.parametrize("level", range(7))
+def test_disc_boundary_rule_matches_reference_bytes(level):
+    """The circle rule, scaled and shifted off the origin, is byte-identical
+    to the trapezoid rule in the angle written out directly."""
+    disc = make_domain("ball", m=2, radius=0.8, center=[0.1, -0.2])
+    R, c = disc.radius, disc.center
+    nt = 32 * 2 ** level
+    theta = 2.0 * np.pi * np.arange(nt) / nt
+    nu = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    # det[nu | (-sin, cos)] = 1, so orienting flips nothing
+    tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)[:, None, :]
+    bnd = boundary_rule(disc, level)
+    assert bnd.nodes.tobytes() == (c + R * nu).tobytes()
+    assert bnd.weights.tobytes() == np.full(nt, R * 2.0 * np.pi / nt).tobytes()
+    assert bnd.nu.tobytes() == nu.tobytes()
+    assert bnd.tangents.shape == (nt, 1, 2)
+    assert bnd.tangents.tobytes() == tangents.tobytes()
+    assert bnd.spacing == 2 * np.pi * R / nt
+
+
+@pytest.mark.parametrize("bounds", [[[-1.0, 0.0]], [[-0.3, 2.5]]])
+@pytest.mark.parametrize("level", [0, 3])
+def test_interval_boundary_rule_matches_reference_bytes(bounds, level):
+    """An interval's boundary is its two endpoints, unit-weighted, with
+    normals -1 and +1 and empty tangent frames, at every level."""
+    (lo, hi), = bounds
+    br = boundary_rule(make_domain("interval-box", bounds=bounds), level)
+    assert br.nodes.tobytes() == np.array([[lo], [hi]]).tobytes()
+    assert br.weights.tobytes() == np.ones(2).tobytes()
+    assert br.nu.tobytes() == np.array([[-1.0], [1.0]]).tobytes()
+    assert br.tangents.shape == (2, 0, 1)
+
+
 @pytest.mark.parametrize("order", [1, 10, 12, 64, 512])
 def test_cached_leggauss_equals_numpy_and_is_read_only(order):
     """geometry.leggauss solves each order once: its arrays equal numpy's,

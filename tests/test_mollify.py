@@ -54,6 +54,15 @@ def test_dirac_sequence_rejects_bad_tau():
         DiracSequence(2, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("n_normal", [0, 1])
+def test_half_space_field_needs_a_boundary_row(n_normal):
+    """With fewer than 2 normal samples the grid never reaches x_1 = 0."""
+    with pytest.raises(ValueError, match="normal axis"):
+        HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (n_normal, 5))
+    f = HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (2, 5))
+    assert f.axes[0][-1] == 0.0
+
+
 def test_choose_tau_returns_largest_admissible_dyadic():
     f, _ = _smooth_field()
     eps, p = 0.2, 2.0
