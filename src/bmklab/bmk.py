@@ -36,9 +36,11 @@ where the coordinate differences are scaled in place by 1/|zeta-z|^{2n}
 (exactly 0 at dropped nodes) and contracted with the fold by real matmuls.
 The products are added up in node order, so every value is the same
 whatever the number of CPUs.  The operand's field callables run on several
-threads at once and must be pure.  Only the rule and block-sized
-temporaries are resident, which keeps ladders over millions of nodes at
-desk scale.
+threads at once and must be pure.  Each worker reads its block through
+rule.part, which writes a ball volume rule's nodes and weights from the
+radial and unit-sphere factors the rule keeps, so only boundary rules and
+block-sized temporaries are resident, which keeps ladders over millions
+of nodes at desk scale.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ __all__ = [
     "reproduce_residual",
 ]
 
-NODE_BLOCK = 131_072   # nodes folded at once: one radial shell of the level-3 4-ball rule
+NODE_BLOCK = 131_072   # nodes a worker writes and folds at once: one shell of the level-3 4-ball rule
 PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
 FOLD_SLICE = 32_768    # nodes per density evaluation within a block
 
@@ -243,11 +245,9 @@ def _sweep(n, q, form, rule, points, radius=0.0, centers=None):
             grouped = drop.reshape(len(centers), -1, step)
         while (k := next(claim)) < len(starts):
             start = starts[k]
-            nodes = rule.nodes[start:start + NODE_BLOCK]
+            nodes, weights, tangents = rule.part(start, start + NODE_BLOCK)
             size = len(nodes)
-            tangents = None if interior else rule.tangents[start:start + NODE_BLOCK]
-            _fold(coef[:, :size], densities, nodes, tangents,
-                  rule.weights[start:start + NODE_BLOCK])
+            _fold(coef[:, :size], densities, nodes, tangents, weights)
             zeta = nodes.T[:, None, :]
             out = []
             for sub in range(0, size, step):
@@ -425,7 +425,7 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     rows = []
     for level in config.levels():
         bvals = _sweep(n, q, f_b, boundary_rule(domain, level), zs)
-        vol_rule = volume_rule(domain, level)   # built once the boundary rule is freed
+        vol_rule = volume_rule(domain, level)   # factors only; the sweeps write its blocks
         vvals = np.zeros_like(bvals)
         if dbar_f is not None:
             rho = EXCLUSION_FACTOR * vol_rule.spacing

@@ -84,7 +84,7 @@ class ExperimentConfig:
     steps: int = 0
     eps: tuple = (0.2, 0.1, 0.05, 0.025)
     p: float = 2.0
-    seed: int = 0
+    seed: int | None = None   # None: the experiment's _DEFAULT_SEED
     out: str = "report"
     fmt: str = "csv"
     grid_n: int = 257
@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.level is None:
             self.level = _DEFAULT_LEVEL[self.experiment]
+        if self.seed is None:
+            self.seed = _DEFAULT_SEED[self.experiment]
         for key in (k for k, kind in _KEYS.items() if kind is int):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
@@ -501,7 +503,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
-    kwargs = {"experiment": args.experiment, "seed": _DEFAULT_SEED[args.experiment]}
+    kwargs = {"experiment": args.experiment}
     try:
         if args.config:
             kwargs.update(load_config(args.config, args.experiment))

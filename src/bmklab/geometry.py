@@ -90,16 +90,58 @@ def leggauss(order):
 
 @dataclass
 class QuadratureRule:
-    nodes: np.ndarray
-    weights: np.ndarray
+    """A rule held as arrays, or as the factors of a ball volume rule.
+
+    arrays is (nodes, weights).  A ball volume rule keeps shells instead:
+    (r, shell_w, sph, sph_w, center), the radial nodes, the shell weights
+    wr * r^(m-1), the unit-sphere rule and the centre, whose node
+    i * len(sph) + j is r[i] * sph[j] + center with weight shell_w[i] * sph_w[j].
+    part reads any node range from either; nodes and weights build a ball
+    volume rule's arrays from part on first access and keep them.
+    """
     level: int
     region: str                          # "interior" | "boundary"
     spacing: float
     nu: Optional[np.ndarray] = None
     tangents: Optional[np.ndarray] = None
+    arrays: Optional[tuple] = None
+    shells: Optional[tuple] = None
 
     def __len__(self):
-        return len(self.weights)
+        if self.arrays is not None:
+            return len(self.arrays[1])
+        r, _, sph, _, _ = self.shells
+        return len(r) * len(sph)
+
+    @property
+    def nodes(self):
+        return self._materialise()[0]
+
+    @property
+    def weights(self):
+        return self._materialise()[1]
+
+    def _materialise(self):
+        if self.arrays is None:
+            self.arrays = self.part(0, len(self))[:2]
+        return self.arrays
+
+    def part(self, lo, hi):
+        """(nodes, weights, tangents) of nodes lo:hi; tangents is None off a boundary."""
+        if self.arrays is not None:
+            tangents = None if self.tangents is None else self.tangents[lo:hi]
+            return self.arrays[0][lo:hi], self.arrays[1][lo:hi], tangents
+        r, shell_w, sph, sph_w, center = self.shells
+        size = len(sph)
+        hi = min(hi, len(self))
+        nodes, weights = np.empty((hi - lo, sph.shape[1])), np.empty(hi - lo)
+        for i in range(lo // size, (hi + size - 1) // size):   # the shells lo:hi touches
+            a, b = max(lo, i * size), min(hi, (i + 1) * size)
+            out, src = slice(a - lo, b - lo), slice(a - i * size, b - i * size)
+            np.multiply(r[i], sph[src], out=nodes[out])
+            nodes[out] += center
+            np.multiply(shell_w[i], sph_w[src], out=weights[out])
+        return nodes, weights, None
 
 
 def _composite_gauss(lo, hi, panels, order):
@@ -135,13 +177,17 @@ def _box_axes(bounds, panels):
 
 
 def _orient(nu, tangents):
-    """Flip the first tangent wherever det[nu | t_1 | ... ] < 0."""
+    """Flip the first tangent, in place, if det[nu | t_1 | ... ] < 0.
+
+    Every frame built here has one orientation at all its nodes (a face's
+    frame is constant, the circle's det is +1, the raw S^3 frame's is -1),
+    so the first node's sign stands for all of them.
+    """
     if tangents.shape[1] == 0:
         return tangents
-    mats = np.concatenate([nu[:, None, :], tangents], axis=1)
-    dets = np.linalg.det(np.transpose(mats, (0, 2, 1)))
-    tangents = tangents.copy()
-    tangents[dets < 0, 0, :] *= -1.0
+    first = np.concatenate([nu[:1, None, :], tangents[:1]], axis=1)
+    if np.linalg.det(np.transpose(first, (0, 2, 1)))[0] < 0:
+        tangents[:, 0, :] *= -1.0
     return tangents
 
 
@@ -192,14 +238,12 @@ def volume_rule(domain, level):
         r = R * (xr + 1.0) / 2.0
         wr = R * wr / 2.0
         sph, sph_w, _, _ = _sphere_rule(m, level)
-        nodes = r[:, None, None] * sph[None, :, :]
-        nodes += domain.center
-        w = (wr[:, None] * r[:, None] ** (m - 1) * sph_w[None, :]).ravel()
-        return QuadratureRule(nodes.reshape(-1, m), w, level, "interior", R / nr)
+        return QuadratureRule(level, "interior", R / nr,
+                              shells=(r, wr * r ** (m - 1), sph, sph_w, domain.center))
 
     if domain.kind in ("interval-box", "half-space-patch"):
         nodes, w, spacing = _box_axes(domain.bounds, BOX_PANELS * scale)
-        return QuadratureRule(nodes, w, level, "interior", spacing)
+        return QuadratureRule(level, "interior", spacing, arrays=(nodes, w))
 
     raise ValueError(f"no volume rule for {domain.kind} in dimension {domain.m}")
 
@@ -209,8 +253,8 @@ def boundary_rule(domain, level):
     if domain.kind == "ball" and domain.m in BALL_RADIAL:
         R = domain.radius
         sph, sph_w, spacing, tangents = _sphere_rule(domain.m, level, frames=True)
-        return QuadratureRule(domain.center + R * sph, sph_w * R ** (domain.m - 1), level,
-                              "boundary", spacing * R, nu=sph, tangents=tangents)
+        return QuadratureRule(level, "boundary", spacing * R, nu=sph, tangents=tangents,
+                              arrays=(domain.center + R * sph, sph_w * R ** (domain.m - 1)))
 
     if domain.kind == "half-space-patch":
         # only the physical face {x1 = 0}; the other box faces are truncation
@@ -223,8 +267,8 @@ def boundary_rule(domain, level):
         w = np.concatenate([p.weights for p in parts])
         nu = np.concatenate([p.nu for p in parts])
         tangents = np.concatenate([p.tangents for p in parts])
-        return QuadratureRule(nodes, w, level, "boundary", parts[0].spacing,
-                              nu=nu, tangents=tangents)
+        return QuadratureRule(level, "boundary", parts[0].spacing, nu=nu, tangents=tangents,
+                              arrays=(nodes, w))
 
     raise ValueError(f"no boundary rule for {domain.kind} in dimension {domain.m}")
 
@@ -250,8 +294,8 @@ def _face_rule(domain, axis, side, level):
     for i, k in enumerate(other):
         tangents[:, i, k] = 1.0
     tangents = _orient(nu, tangents)
-    return QuadratureRule(nodes, w, level, "boundary", spacing,
-                          nu=nu, tangents=tangents)
+    return QuadratureRule(level, "boundary", spacing, nu=nu, tangents=tangents,
+                          arrays=(nodes, w))
 
 
 def dist_boundary(domain, x):

@@ -345,23 +345,12 @@ def test_block_error_gives_a_fail_verdict(monkeypatch):
     assert report.metadata["error"] == "ZeroDivisionError: one block"
 
 
-def test_reproduce_residual_memory_stays_block_sized(monkeypatch):
-    """A level-2 4-ball ladder on a pool of two workers peaks below two
-    level rules (nodes and weights) plus a fixed block allowance, as numpy
-    reports its buffers to tracemalloc: no temporary may grow with the node
-    count times the point count.  The rule is resident once; the second
-    rule's share and the allowance cover each worker's 131,072-node fold
-    buffer at n = 2, q = 1 (16.8 MB) and the density slices it is built
-    from.  The pool size is fixed because each worker holds its own
-    buffers."""
+def _residual_peak(monkeypatch, base_level, steps):
+    """tracemalloc peak of a q = 1 4-ball ladder at two points on two workers."""
     _use_cpus(monkeypatch, 2)
-    allowance = 32 * 2 ** 20
-    rule = volume_rule(BALL4, 2)
-    rule_bytes = rule.nodes.nbytes + rule.weights.nbytes
-    del rule
     f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
     zs = np.array([[0.2, -0.1, 0.3, 0.15], [-0.3, 0.1, 0.05, -0.2]])
-    cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=3)
+    cfg = bmk.SingularQuadratureConfig(base_level=base_level, refinement_steps=steps)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -369,8 +358,29 @@ def test_reproduce_residual_memory_stays_block_sized(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res["rows"]) == 6
-    assert peak < 2 * rule_bytes + allowance, (peak, rule_bytes)
+    assert len(res["rows"]) == 2 * steps
+    return peak
+
+
+def test_reproduce_residual_memory_stays_block_sized(monkeypatch):
+    """A levels 0-2 4-ball ladder on a pool of two workers peaks below a
+    fixed block allowance, as numpy reports its buffers to tracemalloc: no
+    array may grow with the node count times the point count.  The volume
+    rule is written block by block from its radial and unit-sphere factors,
+    so it is never resident; the allowance covers each worker's
+    131,072-node fold buffer at n = 2, q = 1 (16.8 MB), its node block
+    (5.2 MB) and the density slices the fold is built from.  The pool size
+    is fixed because each worker holds its own buffers."""
+    peak = _residual_peak(monkeypatch, 0, 3)
+    assert peak < 56 * 2 ** 20, peak
+
+
+def test_reproduce_residual_level3_ladder_memory(monkeypatch):
+    """A levels 1-3 4-ball ladder, whose level-3 volume rule has 6.3M nodes
+    (250 MB as arrays), peaks below 96 MiB on two workers: the boundary
+    rule's 131,072 nodes and frames and the workers' block buffers."""
+    peak = _residual_peak(monkeypatch, 1, 3)
+    assert peak < 96 * 2 ** 20, peak
 
 
 def test_reproduce_residual_builds_each_interior_rule_once(monkeypatch):

@@ -208,7 +208,7 @@ def test_shipped_configs_load():
             cfg = cli.ExperimentConfig(experiment=experiment, **kwargs)
             if name == "full.ini":
                 default = cli.ExperimentConfig(experiment=experiment)
-                for key in ("thresholds", "eps", "p", "grid_n", "fmt", "level"):
+                for key in ("thresholds", "eps", "p", "grid_n", "fmt", "level", "seed"):
                     assert getattr(cfg, key) == getattr(default, key), (experiment, key)
 
 
@@ -269,6 +269,21 @@ def test_main_young_scan_deterministic(tmp_path, capsys):
     for ext in (".csv", ".meta.json"):
         with open(out1 + ext, "rb") as fh1, open(out2 + ext, "rb") as fh2:
             assert fh1.read() == fh2.read()
+
+
+@pytest.mark.parametrize("experiment, seed", [("bmk-lp", 11), ("bmk-verify", 7)])
+def test_default_seed_is_the_shipped_seed(tmp_path, capsys, monkeypatch, experiment, seed):
+    """A config without a seed runs the experiment's shipped seed, whether
+    built directly or by main; --seed 0 is kept as 0.  The experiment body
+    is stubbed: only the recorded seed is checked."""
+    assert cli.ExperimentConfig(experiment=experiment).seed == seed
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment,
+                        lambda cfg: (["seed"], [{"seed": cfg.seed}], {"checks": {}}))
+    for argv, want in (([], seed), (["--seed", "0"], 0)):
+        out = str(tmp_path / f"run{want}")
+        assert cli.main([experiment, "--out", out] + argv) == 0
+        assert json.load(open(out + ".meta.json"))["seed"] == want
+    capsys.readouterr()
 
 
 def test_main_flag_beats_config(tmp_path, capsys):

@@ -63,17 +63,19 @@ def test_volume_refinement_converges_on_smooth_integrand():
     ("half-space-patch", {"bounds": [[-1.0, 0.0], [-1.0, 1.0]]}),
 ])
 def test_boundary_frames_orthonormal_outward(kind, params):
-    """The frames boundary_rule integrates with: [nu | tangents] is an
-    orthonormal, positively oriented basis, and nu points out of D."""
+    """The frames boundary_rule integrates with, at levels 0-3: [nu |
+    tangents] is an orthonormal, positively oriented basis at every node,
+    and nu points out of D."""
     dom = make_domain(kind, **params)
-    br = boundary_rule(dom, 1)
-    basis = np.concatenate([br.nu[:, None, :], br.tangents], axis=1)
     m = dom.m
-    assert basis.shape == (len(br.nodes), m, m)
-    gram = basis @ np.transpose(basis, (0, 2, 1))
-    assert np.allclose(gram, np.eye(m), atol=1e-12)
-    assert np.all(np.linalg.det(np.transpose(basis, (0, 2, 1))) > 0)
-    assert np.all(dist_boundary(dom, br.nodes - 1e-6 * br.nu) > 0)
+    for level in range(4):
+        br = boundary_rule(dom, level)
+        basis = np.concatenate([br.nu[:, None, :], br.tangents], axis=1)
+        assert basis.shape == (len(br.nodes), m, m)
+        gram = basis @ np.transpose(basis, (0, 2, 1))
+        assert np.allclose(gram, np.eye(m), atol=1e-12)
+        assert np.all(np.linalg.det(np.transpose(basis, (0, 2, 1))) > 0)
+        assert np.all(dist_boundary(dom, br.nodes - 1e-6 * br.nu) > 0)
 
 
 def test_dist_boundary_ball_and_box():
@@ -151,6 +153,31 @@ def test_four_ball_rules_match_reference_bytes(level):
     for k in range(nr):
         assert shells[k].tobytes() == (r[k] * sph + c).tobytes()
     assert vol.spacing == R / nr
+
+
+@pytest.mark.parametrize("params", [
+    {"m": 2, "radius": 0.8, "center": [0.1, -0.2]},
+    {"m": 4, "radius": 1.3, "center": [0.1, -0.2, 0.05, 0.3]},
+])
+@pytest.mark.parametrize("level", [0, 1])
+def test_ball_volume_parts_match_materialised_bytes(params, level):
+    """A ball volume rule keeps its factors: len and part build no (N, m)
+    array, and part over 7-node ranges, which split shells, over whole
+    shells and past the end gives the bytes of the materialised nodes and
+    weights, which are then kept."""
+    rule = volume_rule(make_domain("ball", **params), level)
+    r, shell = rule.shells[0], len(rule.shells[2])
+    size = len(rule)
+    assert size == len(r) * shell
+    parts = {step: [rule.part(lo, lo + step) for lo in range(0, size, step)]
+             for step in (7, shell, size + 5)}
+    assert rule.arrays is None
+    nodes, weights = rule.nodes, rule.weights
+    assert rule.nodes is nodes and nodes.shape == (size, params["m"])
+    for chunks in parts.values():
+        assert all(t is None for _, _, t in chunks)
+        assert np.concatenate([n for n, _, _ in chunks]).tobytes() == nodes.tobytes()
+        assert np.concatenate([w for _, w, _ in chunks]).tobytes() == weights.tobytes()
 
 
 @pytest.mark.parametrize("level", range(7))
