@@ -13,7 +13,6 @@ Everything here is data for external plotting; nothing renders.
 """
 
 import argparse
-import csv
 import os
 import sys
 
@@ -22,16 +21,14 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from bmklab import young
-from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_rule
+from bmklab.cli import write_csv
+from bmklab.geometry import make_domain, volume_rule
 
 
 def write_norm_constants(path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "q", "A"])
-        for n in (1, 2):
-            for q in range(n):
-                w.writerow([n, q, f"{young.bmk_kernel_norm_constant(n, q):.17g}"])
+    rows = [{"n": n, "q": q, "A": young.bmk_kernel_norm_constant(n, q)}
+            for n in (1, 2) for q in range(n)]
+    write_csv(path, ["n", "q", "A"], rows)
 
 
 def write_pole_mass(path, level=3):
@@ -39,31 +36,23 @@ def write_pole_mass(path, level=3):
     rule = volume_rule(disc, level)
     d = np.linalg.norm(rule.nodes, axis=1)
     nrm = young.bmk_kernel_norm_constant(1, 0) / d
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "mass"])
-        for k in range(1, 7):
-            rho = 2.0 ** (-k)
-            mass = float(np.sum(rule.weights[d < rho] * nrm[d < rho]))
-            w.writerow([f"{rho:.17g}", f"{mass:.17g}"])
+    rows = []
+    for k in range(1, 7):
+        rho = 2.0 ** (-k)
+        near = d < rho
+        rows.append({"rho": rho, "mass": float(np.sum(rule.weights[near] * nrm[near]))})
+    write_csv(path, ["rho", "mass"], rows)
 
 
 def write_log_ladder(path, level=6):
     disc = make_domain("ball", m=2)
-    rule = boundary_rule(disc, level)
-    a_const = young.bmk_kernel_norm_constant(1, 0)
     c0, c1, _ = young.log_bound_fit(disc, level=level)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta", "abs_log_delta", "boundary_mass", "fitted_bound"])
-        for k in range(1, 9):
-            y = np.array([1.0 - 2.0 ** (-k), 0.0])
-            delta = float(dist_boundary(disc, y))
-            d = np.linalg.norm(rule.nodes - y, axis=1)
-            mass = float(np.sum(rule.weights * a_const / d))
-            bound = c0 + c1 * abs(np.log(delta))
-            w.writerow([f"{delta:.17g}", f"{abs(np.log(delta)):.17g}",
-                        f"{mass:.17g}", f"{bound:.17g}"])
+    rows = []
+    for delta, mass in zip(*young._boundary_mass_ladder(disc, level)):
+        log = abs(np.log(delta))
+        rows.append({"delta": delta, "abs_log_delta": log, "boundary_mass": mass,
+                     "fitted_bound": c0 + c1 * log})
+    write_csv(path, ["delta", "abs_log_delta", "boundary_mass", "fitted_bound"], rows)
 
 
 def main(argv=None):

@@ -42,8 +42,8 @@ from .operators import FirstOrderOperator, scalar_test_family
 from .young import INF
 
 __all__ = [
-    "ExperimentConfig", "Report", "run_experiment", "emit_report", "main",
-    "EXPERIMENTS",
+    "ExperimentConfig", "Report", "run_experiment", "emit_report", "write_csv",
+    "main", "EXPERIMENTS",
 ]
 
 
@@ -113,6 +113,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown thresholds {sorted(unknown)} for {self.experiment}")
         base.update(self.thresholds)
         self.thresholds = base
+        # a count of ladder deltas: written so that a NaN or infinity fails it
+        window = base.get("delta_window", 1)
+        if not (window >= 1 and float(window).is_integer()):
+            raise ValueError(f"delta_window must be a whole number >= 1, got {window!r}")
 
 
 @dataclass
@@ -459,6 +463,15 @@ def _dump_json(doc, path):
         fh.write("\n")
 
 
+def write_csv(path, columns, rows):
+    """Write dict rows under a header of columns; floats keep 17 digits."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for row in rows:
+            w.writerow([_fmt_cell(row[c]) for c in columns])
+
+
 def emit_report(report, out, fmt="csv"):
     """Write rows + metadata; returns the written paths."""
     paths = []
@@ -469,11 +482,7 @@ def emit_report(report, out, fmt="csv"):
         paths.append(path)
     elif fmt == "csv":
         path = f"{out}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(report.columns)
-            for row in report.rows:
-                w.writerow([_fmt_cell(row[c]) for c in report.columns])
+        write_csv(path, report.columns, report.rows)
         paths.append(path)
         side = f"{out}.meta.json"
         _dump_json(report.metadata, side)

@@ -195,10 +195,6 @@ class DifferentialForm:
         return not self.coeffs
 
     @classmethod
-    def zero(cls, n, p, q):
-        return cls(n, p, q)
-
-    @classmethod
     def monomial(cls, n, I, J, coeff=1.0):
         return cls(n, len(I), len(J), {(tuple(I), tuple(J)): coeff})
 
@@ -236,7 +232,7 @@ class DifferentialForm:
             raise ValueError("dimension mismatch")
         p, q = self.p + other.p, self.q + other.q
         if p > self.n or q > self.n:
-            return DifferentialForm.zero(self.n, min(p, self.n), min(q, self.n))
+            return DifferentialForm(self.n, min(p, self.n), min(q, self.n))
         # gather contributions keyed symmetrically so that a^b and b^a sum the
         # same floats in the same order (graded commutativity stays exact)
         buckets = {}
@@ -322,17 +318,6 @@ class DifferentialForm:
         if total is None:
             return PolyField(2 * self.n, {})
         return total
-
-    def pointwise_norm(self, x):
-        """sqrt(<w,w>) at points x, with the 2^(p+q) monomial weights."""
-        w = 2.0 ** (self.p + self.q)
-        acc = None
-        for c in self.coeffs.values():
-            v = np.abs(np.asarray(c(x))) ** 2
-            acc = v if acc is None else acc + v
-        if acc is None:
-            return np.zeros(np.asarray(x, dtype=float).shape[:-1])
-        return np.sqrt(w * acc)
 
 
 def monomial_frame_values(n, I, J, frames):

@@ -35,9 +35,7 @@ from .geometry import boundary_rule, volume_rule
 
 __all__ = [
     "FirstOrderOperator", "inner_volume", "form_inner_volume", "vartheta",
-    "dbar_r_form", "weak_bv_residual", "dbar_bv_residual",
-    "pairing_equivalence_check", "equivalence_report",
-    "normal_tangential_split", "covector_normal_split",
+    "dbar_r_form", "weak_bv_residual", "equivalence_report",
     "scalar_test_family", "form_test_family", "normal_symbol_values",
 ]
 
@@ -61,8 +59,6 @@ class FirstOrderOperator:
             out = out + aj * u.partial(j)
         return out
 
-    __call__ = apply
-
     def formal_adjoint(self):
         a_star = [-(aj.conj()) for aj in self.a]
         b_star = self.b.conj()
@@ -71,18 +67,13 @@ class FirstOrderOperator:
         return FirstOrderOperator(self.m, a_star, b_star)
 
     def green_stokes_residual(self, domain, u, v, level=1):
-        """Defect of the Green-Stokes identity at the given quadrature level."""
-        vol = volume_rule(domain, level)
-        bnd = boundary_rule(domain, level)
-        lhs = inner_volume(vol, self.apply(u), v)
-        mid = inner_volume(vol, u, self.formal_adjoint().apply(v))
-        sig = normal_symbol_values(self, bnd)
-        uv = np.asarray(u(bnd.nodes), dtype=complex) * np.conj(
-            np.asarray(v(bnd.nodes), dtype=complex))
-        boundary = complex(np.sum(bnd.weights * sig * uv))
+        """Defect of the Green-Stokes identity at the given quadrature level:
+        weak_bv_residual's pairing with u_b = u and the one test v."""
+        rec = weak_bv_residual(domain, self, u, u, self.apply(u), [v],
+                               level)["records"][0]
         return {
-            "volume_lhs": lhs, "volume_rhs": mid, "boundary": boundary,
-            "residual": abs(lhs - mid - boundary),
+            "volume_lhs": rec["data_term"], "volume_rhs": rec["interior_term"],
+            "boundary": rec["boundary_term"], "residual": rec["residual"],
         }
 
 
@@ -156,7 +147,8 @@ def weak_bv_residual(domain, op, u, u_b, F, tests, level=1):
         data = inner_volume(vol, F, phi)
         interior = inner_volume(vol, u, q_star.apply(phi))
         phib = np.conj(np.asarray(phi(bnd.nodes), dtype=complex))
-        boundary = complex(np.sum(bnd.weights * sig * ub_vals * phib))
+        # u_b conj(phi) first: green-stokes' report depends on this order
+        boundary = complex(np.sum(bnd.weights * sig * (ub_vals * phib)))
         records.append({
             "test": idx, "level": level,
             "data_term": data, "interior_term": interior,
@@ -166,78 +158,47 @@ def weak_bv_residual(domain, op, u, u_b, F, tests, level=1):
             "max_residual": max(r["residual"] for r in records)}
 
 
-def _dbar_bv_single(f, f_b, F, phi, vol, bnd):
-    q = f.q
-    sign = -1.0 if q % 2 else 1.0
-    volume = integrate_top(F.wedge(phi), vol.nodes, vol.weights) + \
-        sign * integrate_top(f.wedge(phi.dbar()), vol.nodes, vol.weights)
-    boundary = integrate_boundary(f_b.wedge(phi), bnd.nodes, bnd.weights, bnd.tangents)
-    return {"volume": volume, "boundary": boundary, "residual": abs(boundary - volume)}
-
-
-def dbar_bv_residual(domain, f, f_b, F, tests, level=1):
-    """Stokes defects for the Cauchy-Riemann boundary-value identity.
-
-    tests: a single (n, n-q-1) form or a family; returns per-test records
-    and the max residual over the family.
-    """
-    if isinstance(tests, DifferentialForm):
-        tests = [tests]
-    if not tests:
-        raise ValueError("empty test family")
-    vol = volume_rule(domain, level)
-    bnd = boundary_rule(domain, level)
-    records = []
-    for idx, phi in enumerate(tests):
-        rec = _dbar_bv_single(f, f_b, F, phi, vol, bnd)
-        rec["test"] = idx
-        rec["level"] = level
-        records.append(rec)
-    return {"records": records,
-            "max_residual": max(r["residual"] for r in records)}
-
-
-def pairing_equivalence_check(domain, f, f_b, F, phi, level=1):
-    """Run routes A and B for one test form and report agreement.
-
-    Route agreement (volume_route_diff, boundary_route_diff) is a pointwise
-    algebraic identity evaluated on shared nodes, so it sits at roundoff;
-    the Stokes gaps carry the actual quadrature error.
-    """
-    q = f.q
-    n = f.n
-    if (phi.p, phi.q) != (n, n - q - 1):
-        raise ValueError("test form must have type (n, n-q-1)")
-    vol = volume_rule(domain, level)
-    bnd = boundary_rule(domain, level)
-    route_a = _dbar_bv_single(f, f_b, F, phi, vol, bnd)
-
-    sgn = -1.0 if (q + 1) % 2 else 1.0   # (-1)^(q+1)
-    g = phi.conj().star().scale(sgn)
-    b_volume = form_inner_volume(vol, F, g) + \
-        sgn * form_inner_volume(vol, f, vartheta(g))
-    nu_wedge = dbar_r_form(domain).wedge(f_b)
-    dens = np.asarray(nu_wedge.inner(g)(bnd.nodes), dtype=complex)
-    b_boundary = complex(np.sum(bnd.weights * dens))
-    return {
-        "q": q,
-        "route_form_volume": route_a["volume"],
-        "route_form_boundary": route_a["boundary"],
-        "route_inner_volume": b_volume,
-        "route_inner_boundary": b_boundary,
-        "stokes_gap_form": route_a["residual"],
-        "stokes_gap_inner": abs(b_boundary - b_volume),
-        "volume_route_diff": abs(route_a["volume"] - b_volume),
-        "boundary_route_diff": abs(route_a["boundary"] - b_boundary),
-    }
-
-
 def equivalence_report(domain, f, f_b, F, tests, level=1):
-    """pairing_equivalence_check over a test family, with family maxima."""
+    """Routes A and B of the dbar boundary-value identity over a test family.
+
+    f is a (0,q)-form with dbar f = F and candidate boundary value f_b; each
+    test must have type (n, n-q-1).  Route agreement (volume_route_diff,
+    boundary_route_diff) is a pointwise algebraic identity evaluated on
+    shared nodes, so it sits at roundoff; the Stokes gaps carry the actual
+    quadrature error.  Returns per-test records and the family maxima.
+    """
     if not tests:
         raise ValueError("empty test family")
-    records = [pairing_equivalence_check(domain, f, f_b, F, phi, level)
-               for phi in tests]
+    n, q = f.n, f.q
+    vol = volume_rule(domain, level)
+    bnd = boundary_rule(domain, level)
+    nu_wedge = dbar_r_form(domain).wedge(f_b)
+    sign_a = -1.0 if q % 2 else 1.0   # (-1)^q
+    sign_b = -sign_a                  # (-1)^(q+1)
+    records = []
+    for phi in tests:
+        if (phi.p, phi.q) != (n, n - q - 1):
+            raise ValueError("test form must have type (n, n-q-1)")
+        a_volume = integrate_top(F.wedge(phi), vol.nodes, vol.weights) + \
+            sign_a * integrate_top(f.wedge(phi.dbar()), vol.nodes, vol.weights)
+        a_boundary = integrate_boundary(f_b.wedge(phi), bnd.nodes, bnd.weights,
+                                        bnd.tangents)
+        g = phi.conj().star().scale(sign_b)
+        b_volume = form_inner_volume(vol, F, g) + \
+            sign_b * form_inner_volume(vol, f, vartheta(g))
+        dens = np.asarray(nu_wedge.inner(g)(bnd.nodes), dtype=complex)
+        b_boundary = complex(np.sum(bnd.weights * dens))
+        records.append({
+            "q": q,
+            "route_form_volume": a_volume,
+            "route_form_boundary": a_boundary,
+            "route_inner_volume": b_volume,
+            "route_inner_boundary": b_boundary,
+            "stokes_gap_form": abs(a_boundary - a_volume),
+            "stokes_gap_inner": abs(b_boundary - b_volume),
+            "volume_route_diff": abs(a_volume - b_volume),
+            "boundary_route_diff": abs(a_boundary - b_boundary),
+        })
     return {
         "records": records,
         "max_volume_route_diff": max(r["volume_route_diff"] for r in records),
@@ -245,55 +206,6 @@ def equivalence_report(domain, f, f_b, F, tests, level=1):
         "max_stokes_gap_form": max(r["stokes_gap_form"] for r in records),
         "max_stokes_gap_inner": max(r["stokes_gap_inner"] for r in records),
     }
-
-
-def normal_tangential_split(op, normal_axis=0):
-    """Split the adjoint as Q* = -conj(a_1) d/dx_1 + Q' (half-space model).
-
-    Returns (conj(a_1), Q') with Q' carrying the tangential derivatives and
-    all zeroth-order terms.  Only the axis-aligned half-space frame is
-    supported; the conjugate appears because the adjoint is taken against
-    the Hermitian pairing.
-    """
-    if normal_axis != 0:
-        raise ValueError("half-space model has boundary normal along axis 0")
-    adj = op.formal_adjoint()
-    a_prime = list(adj.a)
-    a_prime[0] = as_field(0.0, op.m)
-    q_prime = FirstOrderOperator(op.m, a_prime, adj.b)
-    return op.a[0].conj(), q_prime
-
-
-def covector_normal_split(n, q, nu_coeffs, omega_coeffs):
-    """Split a (0,q)-covector omega = nu_bar ^ alpha + beta at one point.
-
-    nu_coeffs maps j -> coefficient of dzbar_j in the (0,1) direction
-    (e.g. dbar r at a boundary point); omega_coeffs maps ascending tuples
-    J -> coefficient.  beta is the part orthogonal to nu_bar ^ (anything),
-    which is what survives tangential pairing against test forms.
-    Returns (normal, tangential, alpha) coefficient dicts.
-    """
-    basis_q = multi_indices(n, q)
-    if q == 0:
-        return {}, dict(omega_coeffs), {}
-    basis_qm1 = multi_indices(n, q - 1)
-    row = {J: i for i, J in enumerate(basis_q)}
-    A = np.zeros((len(basis_q), len(basis_qm1)), dtype=complex)
-    for col, Jp in enumerate(basis_qm1):
-        for j, c in nu_coeffs.items():
-            if j in Jp:
-                continue
-            below = sum(1 for e in Jp if e < j)
-            J = tuple(sorted(Jp + (j,)))
-            A[row[J], col] += c * (-1.0) ** below
-    w = np.array([complex(omega_coeffs.get(J, 0.0)) for J in basis_q])
-    alpha, *_ = np.linalg.lstsq(A, w, rcond=None)
-    normal_vec = A @ alpha
-    tang_vec = w - normal_vec
-    normal = {J: normal_vec[i] for J, i in row.items() if abs(normal_vec[i]) > 0}
-    tangential = {J: tang_vec[i] for J, i in row.items() if abs(tang_vec[i]) > 0}
-    alpha_d = {Jp: alpha[c] for c, Jp in enumerate(basis_qm1) if abs(alpha[c]) > 0}
-    return normal, tangential, alpha_d
 
 
 def _random_poly(m, degree, rng):

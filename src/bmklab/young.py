@@ -235,15 +235,9 @@ def bmk_norm_kernel(n, q):
     return kern
 
 
-def log_bound_fit(domain, level=1):
-    """Fit int_bD ||K(x,y)|| dS <= C0 + C1 |log dist(y, bD)| on a dyadic ladder.
-
-    K is the q = 0 BMK kernel, whose norm is A/|x-y|^(2n-1), and the ladder
-    approaches the boundary along the first axis over LOG_FIT_K.  C1 comes
-    from least squares on the ladder values; C0 is lifted so the
-    bound majorizes every sample, making fit_residual (the largest excess
-    of the data over the bound) <= 0 by construction.
-    """
+def _boundary_mass_ladder(domain, level):
+    """dist(y, bD) and int_bD ||K(x,y)|| dS for the q = 0 BMK kernel, at the
+    points y that approach the boundary along the first axis over LOG_FIT_K."""
     n = domain.n_complex
     power = 2 * n - 1
     a_const = bmk_kernel_norm_constant(n, 0)
@@ -258,6 +252,19 @@ def log_bound_fit(domain, level=1):
         d = np.linalg.norm(rule.nodes - y, axis=1)
         values.append(float(np.sum(rule.weights * a_const / d ** power)))
         deltas.append(float(dist_boundary(domain, y)))
+    return deltas, values
+
+
+def log_bound_fit(domain, level=1):
+    """Fit int_bD ||K(x,y)|| dS <= C0 + C1 |log dist(y, bD)| on a dyadic ladder.
+
+    K is the q = 0 BMK kernel, whose norm is A/|x-y|^(2n-1), and the ladder
+    approaches the boundary along the first axis over LOG_FIT_K.  C1 comes
+    from least squares on the ladder values; C0 is lifted so the
+    bound majorizes every sample, making fit_residual (the largest excess
+    of the data over the bound) <= 0 by construction.
+    """
+    deltas, values = _boundary_mass_ladder(domain, level)
     logs = np.abs(np.log(np.asarray(deltas)))
     vals = np.asarray(values)
     design = np.stack([np.ones_like(logs), logs], axis=1)

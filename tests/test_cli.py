@@ -145,6 +145,20 @@ def test_grid_without_boundary_row_is_a_usage_error(tmp_path, capsys, grid_n):
     assert not list(tmp_path.glob("moll*"))
 
 
+@pytest.mark.parametrize("window", ["-1", "0", "2.5", "nan", "inf"])
+def test_delta_window_must_be_a_whole_count(tmp_path, capsys, window):
+    """bmk-verify judges the first delta_window ladder deltas, so the window
+    is a whole number >= 1: anything else stops the run before any work."""
+    with pytest.raises(ValueError, match="delta_window"):
+        cli.ExperimentConfig("bmk-verify", thresholds={"delta_window": float(window)})
+    ini = tmp_path / "window.ini"
+    ini.write_text(f"[bmk-verify]\nthreshold_delta_window = {window}\n")
+    out = tmp_path / "verify"
+    assert cli.main(["bmk-verify", "--config", str(ini), "--out", str(out)]) == 2
+    assert "delta_window" in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify*"))
+
+
 def test_coefficients_rejected_outside_green_stokes(tmp_path, capsys):
     """Coefficient keys are unknown config keys, in green-stokes and elsewhere."""
     with pytest.raises(TypeError, match="coefficients"):

@@ -6,11 +6,9 @@ import pytest
 from bmklab.exterior import DifferentialForm, dbar
 from bmklab.fields import PolyField, constant, coordinate, zmonomial
 from bmklab.geometry import make_domain, volume_rule
-from bmklab.operators import (FirstOrderOperator, covector_normal_split,
-                              dbar_bv_residual, dbar_r_form,
+from bmklab.operators import (FirstOrderOperator, dbar_r_form,
                               equivalence_report, form_inner_volume,
-                              form_test_family, normal_tangential_split,
-                              pairing_equivalence_check, scalar_test_family,
+                              form_test_family, scalar_test_family,
                               vartheta, weak_bv_residual)
 
 DISC = make_domain("ball", m=2)
@@ -113,22 +111,22 @@ def test_weak_bv_empty_family_raises():
 def test_dbar_bv_zbar_exact_for_polynomial_tests():
     f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
     tests = form_test_family(DISC, 1, 0, 5, seed=3)
-    res = dbar_bv_residual(DISC, f, f, f.dbar(), tests, level=3)
-    assert res["max_residual"] < 1e-12
+    rep = equivalence_report(DISC, f, f, f.dbar(), tests, level=3)
+    assert rep["max_stokes_gap_form"] < 1e-12
 
 
 def test_dbar_bv_detects_wrong_boundary_datum():
     f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
     wrong = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (1,), (0,))})
     tests = form_test_family(DISC, 1, 0, 5, seed=3)
-    res = dbar_bv_residual(DISC, f, wrong, f.dbar(), tests, level=3)
-    assert res["max_residual"] > 1e-2
+    rep = equivalence_report(DISC, f, wrong, f.dbar(), tests, level=3)
+    assert rep["max_stokes_gap_form"] > 1e-2
 
 
 def test_pairing_routes_agree_pointwise():
     f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
     phi = form_test_family(DISC, 1, 0, 1, seed=9)[0]
-    rec = pairing_equivalence_check(DISC, f, f, f.dbar(), phi, level=2)
+    (rec,) = equivalence_report(DISC, f, f, f.dbar(), [phi], level=2)["records"]
     assert rec["volume_route_diff"] < 1e-12
     assert rec["boundary_route_diff"] < 1e-12
 
@@ -148,6 +146,16 @@ def test_equivalence_report_thirty_member_family():
     assert rep["max_boundary_route_diff"] < 1e-8
 
 
+@pytest.mark.parametrize("tests", [
+    [], [DifferentialForm(1, 0, 0, {((), ()): constant(2, 1.0)})]],
+    ids=["empty-family", "type-0-0-test"])
+def test_equivalence_report_rejects_bad_family(tests):
+    """For q = 0 on the disc a test must have type (1, 0)."""
+    f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
+    with pytest.raises(ValueError):
+        equivalence_report(DISC, f, f, f.dbar(), tests, level=1)
+
+
 def test_vartheta_is_formal_adjoint_of_dbar():
     """(dbar u, g) = (u, vartheta g) for compactly supported polynomials."""
     w3 = _cup_window()
@@ -159,51 +167,17 @@ def test_vartheta_is_formal_adjoint_of_dbar():
     assert abs(lhs - rhs) < 1e-13
 
 
-def test_normal_tangential_split_reconstructs_adjoint():
-    op = FirstOrderOperator(2, a=[PolyField(2, {(0, 1): 1.0, (0, 0): 2.0}), 1j],
-                            b=0.7)
-    a1c, q_prime = normal_tangential_split(op)
-    adj = op.formal_adjoint()
-    v = PolyField(2, {(1, 1): 1.0})
-    x = np.random.default_rng(1).uniform(-1, 1, (15, 2))
-    recon = -a1c(x) * v.partial(0)(x) + q_prime.apply(v)(x)
-    assert np.allclose(recon, adj.apply(v)(x), atol=1e-12)
-    assert q_prime.a[0].is_zero
-
-
-def test_covector_normal_split_plane_example():
-    # omega = 3 dzbar_1 + 2 dzbar_2 against nu_bar = dzbar_1
-    normal, tangential, alpha = covector_normal_split(
-        2, 1, {1: 1.0}, {(1,): 3.0, (2,): 2.0})
-    assert np.isclose(normal[(1,)], 3.0)
-    assert (2,) not in normal
-    assert np.isclose(tangential[(2,)], 2.0)
-    assert np.isclose(alpha[()], 3.0)
-
-
-def test_covector_split_reconstruction_random():
-    rng = np.random.default_rng(8)
-    nu = {1: complex(rng.standard_normal(), rng.standard_normal()),
-          2: complex(rng.standard_normal(), rng.standard_normal())}
-    omega = {J: complex(rng.standard_normal(), rng.standard_normal())
-             for J in [(1,), (2,), (3,)]}
-    normal, tangential, alpha = covector_normal_split(3, 1, nu, omega)
-    for J in omega:
-        total = normal.get(J, 0.0) + tangential.get(J, 0.0)
-        assert np.isclose(total, omega[J], atol=1e-12)
-
-
 def test_perturbation_along_nu_bar_is_invisible():
     """Adding dbar(r) ^ gamma to the boundary datum leaves residuals alone."""
     ball = make_domain("ball", m=4)
     f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
     tests = form_test_family(ball, 2, 0, 3, seed=4)
-    base = dbar_bv_residual(ball, f, f, f.dbar(), tests, level=1)
+    base = equivalence_report(ball, f, f, f.dbar(), tests, level=1)
     gamma = DifferentialForm(2, 0, 0, {((), ()): zmonomial(2, (1, 0), (0, 0))})
     shifted = f + dbar_r_form(ball).wedge(gamma)
-    pert = dbar_bv_residual(ball, f, shifted, f.dbar(), tests, level=1)
+    pert = equivalence_report(ball, f, shifted, f.dbar(), tests, level=1)
     for a, b in zip(base["records"], pert["records"]):
-        assert np.isclose(a["residual"], b["residual"], atol=1e-10)
+        assert np.isclose(a["stokes_gap_form"], b["stokes_gap_form"], atol=1e-10)
 
 
 def test_nu_form_unit_length_on_boundary():
@@ -211,7 +185,7 @@ def test_nu_form_unit_length_on_boundary():
     assert nu.bidegree == (0, 1)
     from bmklab.geometry import boundary_rule
     bnd = boundary_rule(DISC, 1)
-    norms = nu.pointwise_norm(bnd.nodes)
+    norms = np.sqrt(nu.inner(nu)(bnd.nodes).real)
     # |dbar r| = 1/sqrt(2) when |dr| = 1: the (0,1) half carries half the mass
     assert np.allclose(norms, np.sqrt(0.5), atol=1e-12)
 
