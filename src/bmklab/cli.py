@@ -9,7 +9,8 @@ Five experiments wrap the verification pipelines at desk scale:
   young-scan    exponent admissibility scan plus the log-majorant fit
 
 Configuration is INI-style ([common] plus one section per experiment);
-command-line flags win over file values.  Thresholds live in config with
+command-line flags win over file values, and each experiment takes only
+the flags of the settings it reads.  Thresholds live in config with
 the documented defaults; overriding a threshold changes the verdict only,
 never the measurements.  Random test families derive from numpy's
 default_rng (PCG64) seeded from the config, so reports are reproducible
@@ -75,6 +76,16 @@ _KEYS = {"level": int, "steps": int, "seed": int, "grid_n": int, "p": float,
 # the settings that are also flags; fmt is spelled --format
 _FLAGS = {"level": "--level", "eps": "--eps", "p": "--p", "seed": "--seed",
           "out": "--out", "fmt": "--format"}
+
+# the flags of the settings each experiment reads; every experiment also
+# takes --out and --format, and a flag it does not take is a usage error
+_EXPERIMENT_FLAGS = {
+    "bmk-verify": ("level", "seed"),
+    "bmk-lp": ("level", "seed"),
+    "mollify": ("eps", "p"),
+    "green-stokes": ("level", "seed"),
+    "young-scan": ("level", "seed", "p"),
+}
 
 
 @dataclass
@@ -501,8 +512,8 @@ def _build_parser():
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        for key, flag in _FLAGS.items():
-            sp.add_argument(flag, dest=key, type=_KEYS[key], default=None)
+        for key in _EXPERIMENT_FLAGS[name] + ("out", "fmt"):
+            sp.add_argument(_FLAGS[key], dest=key, type=_KEYS[key], default=None)
     return parser
 
 
@@ -517,7 +528,7 @@ def main(argv=None):
         if args.config:
             kwargs.update(load_config(args.config, args.experiment))
         kwargs.update((key, getattr(args, key)) for key in _FLAGS
-                      if getattr(args, key) is not None)
+                      if getattr(args, key, None) is not None)
         config = ExperimentConfig(**kwargs)
     except (ValueError, TypeError) as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -11,8 +11,10 @@ arbitrary callables fall back to centered finite differences.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 
 FD_STEP = 1e-6   # centered-difference step of AnalyticField.partial
 
@@ -26,6 +28,19 @@ def _as_points(x):
 
 def _unsqueeze(vals, squeeze):
     return vals[0] if squeeze else vals
+
+
+@functools.lru_cache(maxsize=None)
+def leggauss(order):
+    """Gauss-Legendre (nodes, weights) on [-1, 1], solved once per order.
+
+    numpy's `leggauss` runs an eigenvalue solve on every call; the cached
+    arrays are read-only, so callers build new arrays from them.
+    """
+    x, w = legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 class Field:

@@ -19,18 +19,16 @@ exactly; in particular the area comes out 2 pi^2 up to roundoff.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import legendre
 
-from .fields import _as_points
+from .fields import _as_points, leggauss
 
 __all__ = [
     "Domain", "make_domain", "QuadratureRule", "volume_rule", "boundary_rule",
-    "dist_boundary",
+    "dist_boundary", "lp_norm",
 ]
 
 # base node counts at level 0; a level multiplies these by 2^level
@@ -73,19 +71,6 @@ def make_domain(kind, **params):
         return Domain(kind, len(bounds), bounds=bounds)
 
     raise ValueError(f"unknown domain kind {kind!r}")
-
-
-@functools.lru_cache(maxsize=None)
-def leggauss(order):
-    """Gauss-Legendre (nodes, weights) on [-1, 1], solved once per order.
-
-    numpy's `leggauss` runs an eigenvalue solve on every call; the cached
-    arrays are read-only, so callers build new arrays from them.
-    """
-    x, w = legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 @dataclass
@@ -156,6 +141,11 @@ def _composite_gauss(lo, hi, panels, order):
 
 
 def _tensor(axis_nodes, axis_weights):
+    """Product rule of per-axis rules: (N, m) nodes, last axis fastest, and flat weights.
+
+    Every product grid is built here; an axis held fixed is a one-node axis
+    of weight 1, which leaves the other axes' weight products unchanged.
+    """
     grids = np.meshgrid(*axis_nodes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     w = axis_weights[0]
@@ -164,16 +154,20 @@ def _tensor(axis_nodes, axis_weights):
     return nodes, w.ravel()
 
 
-def _box_axes(bounds, panels):
-    """Tensor composite-Gauss rule on a box: (nodes, weights, spacing)."""
-    axis_nodes, axis_weights, spacing = [], [], 0.0
-    for lo, hi in bounds:
-        xs, ws = _composite_gauss(lo, hi, panels, BOX_ORDER)
-        axis_nodes.append(xs)
-        axis_weights.append(ws)
-        spacing = max(spacing, (hi - lo) / (panels * BOX_ORDER))
-    nodes, w = _tensor(axis_nodes, axis_weights)
-    return nodes, w, spacing
+def lp_norm(values, weights, p):
+    """Discrete L^p norm (sum_i w_i |v_i|^p)^(1/p) of values at weighted nodes; p=inf -> max."""
+    values = np.abs(np.asarray(values))
+    if np.isinf(p):
+        return float(values.max())
+    return float(np.sum(weights * values ** p) ** (1.0 / p))
+
+
+def _gauss_axes(bounds, level):
+    """Composite-Gauss (nodes, weights) of each box axis, and each axis's node spacing."""
+    panels = BOX_PANELS * 2 ** level
+    axes = [_composite_gauss(lo, hi, panels, BOX_ORDER) for lo, hi in bounds]
+    steps = [(hi - lo) / (panels * BOX_ORDER) for lo, hi in bounds]
+    return [a[0] for a in axes], [a[1] for a in axes], steps
 
 
 def _orient(nu, tangents):
@@ -211,18 +205,19 @@ def _sphere_rule(m, level, frames=False):
         xe, we = leggauss(ne)
         eta = np.arcsin(np.sqrt((xe + 1.0) / 2.0))     # u = sin^2(eta) on [0, 1]
         xi = 2.0 * np.pi * np.arange(nx) / nx
-        E, A, B = np.meshgrid(eta, xi, xi, indexing="ij")
+        ones = np.ones(nx)
+        # (1/2) du against the [0,1]-scaled rule, times both angle steps
+        angles, w = _tensor([eta, xi, xi], [we / 4.0 * (2.0 * np.pi / nx) ** 2, ones, ones])
+        E, A, B = angles.T
         nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
-                          np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1).reshape(-1, 4)
-        # (1/2) du against the [0,1]-scaled rule
-        w = (we[:, None, None] / 4.0 * np.ones((1, nx, nx)) * (2.0 * np.pi / nx) ** 2).ravel()
+                          np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1)
         spacing, tangents = np.pi / (2 * ne), None
         if frames:
-            t1 = np.stack([-np.sin(A), np.cos(A), np.zeros_like(A), np.zeros_like(A)], axis=-1)
-            t2 = np.stack([np.zeros_like(B), np.zeros_like(B), -np.sin(B), np.cos(B)], axis=-1)
-            t3 = np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
-                           np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)
-            tangents = [t1.reshape(-1, 4), t2.reshape(-1, 4), t3.reshape(-1, 4)]
+            zero = np.zeros_like(E)
+            tangents = [np.stack([-np.sin(A), np.cos(A), zero, zero], axis=-1),
+                        np.stack([zero, zero, -np.sin(B), np.cos(B)], axis=-1),
+                        np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
+                                  np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)]
     if tangents is not None:
         tangents = _orient(nodes, np.stack(tangents, axis=1))
     return nodes, w, spacing, tangents
@@ -242,8 +237,9 @@ def volume_rule(domain, level):
                               shells=(r, wr * r ** (m - 1), sph, sph_w, domain.center))
 
     if domain.kind in ("interval-box", "half-space-patch"):
-        nodes, w, spacing = _box_axes(domain.bounds, BOX_PANELS * scale)
-        return QuadratureRule(level, "interior", spacing, arrays=(nodes, w))
+        axis_nodes, axis_weights, steps = _gauss_axes(domain.bounds, level)
+        return QuadratureRule(level, "interior", max(steps),
+                              arrays=_tensor(axis_nodes, axis_weights))
 
     raise ValueError(f"no volume rule for {domain.kind} in dimension {domain.m}")
 
@@ -274,26 +270,21 @@ def boundary_rule(domain, level):
 
 
 def _face_rule(domain, axis, side, level):
-    """Rule on one box face, axis held at its lower (-1) or upper (+1) bound."""
-    bounds = domain.bounds
+    """Rule on one box face, axis held at its lower (-1) or upper (+1) bound.
+
+    The box rule's axes with the held axis as one node of weight 1; a face
+    of an interval (m = 1) is that one node, with spacing 1.
+    """
     m = domain.m
-    panels = BOX_PANELS * 2 ** level
-    other = [k for k in range(m) if k != axis]
-    if other:
-        lat_nodes, w, spacing = _box_axes(bounds[other], panels)
-    else:
-        lat_nodes, w = np.zeros((1, 0)), np.ones(1)
-        spacing = 1.0
-    nodes = np.zeros((len(w), m))
-    nodes[:, axis] = bounds[axis, 1] if side > 0 else bounds[axis, 0]
-    for i, k in enumerate(other):
-        nodes[:, k] = lat_nodes[:, i]
+    axis_nodes, axis_weights, steps = _gauss_axes(domain.bounds, level)
+    axis_nodes[axis] = np.array([domain.bounds[axis, 1 if side > 0 else 0]])
+    axis_weights[axis] = np.ones(1)
+    nodes, w = _tensor(axis_nodes, axis_weights)
+    spacing = max(steps[:axis] + steps[axis + 1:], default=1.0)
     nu = np.zeros((len(w), m))
     nu[:, axis] = float(side)
-    tangents = np.zeros((len(w), m - 1, m))
-    for i, k in enumerate(other):
-        tangents[:, i, k] = 1.0
-    tangents = _orient(nu, tangents)
+    lateral = np.delete(np.eye(m), axis, axis=0)     # e_k for every k != axis
+    tangents = _orient(nu, np.repeat(lateral[None], len(w), axis=0))
     return QuadratureRule(level, "boundary", spacing, nu=nu, tangents=tangents,
                           arrays=(nodes, w))
 

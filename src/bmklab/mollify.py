@@ -36,7 +36,7 @@ import numpy as np
 
 from .fields import (_bump01, _bump01_deriv, smooth_transition,
                      smooth_transition_deriv, smooth_transition_deriv2)
-from .geometry import _composite_gauss, _tensor
+from .geometry import _composite_gauss, _tensor, lp_norm
 
 __all__ = [
     "TangentialMollifier", "DiracSequence", "HalfSpaceField",
@@ -152,16 +152,6 @@ def _trapezoid_weights(axis_nodes):
     return w
 
 
-def _trapezoid_lp(v, axes, p):
-    """Trapezoid L^p norm of v sampled on the tensor grid of axes (p=inf -> max)."""
-    if np.isinf(p):
-        return float(np.max(np.abs(v)))
-    acc = np.abs(v) ** p
-    for ax in range(len(axes) - 1, -1, -1):
-        acc = np.tensordot(acc, _trapezoid_weights(axes[ax]), ([ax], [0]))
-    return float(acc ** (1.0 / p))
-
-
 class HalfSpaceField:
     """Complex field on a box inside the closed half-space {x_1 <= 0}.
 
@@ -171,21 +161,28 @@ class HalfSpaceField:
     never computes its infinite boundary samples.  func must be a pure
     function of its (N, m) points, row by row: convolve_field calls
     evaluate() on slabs of its points from several threads at once.
+
+    The grid and its face {x_1 = 0} are trapezoid product rules; the face
+    holds the normal axis as one node of weight 1.
     """
 
     def __init__(self, func, bounds, shape):
         self.bounds = np.asarray(bounds, dtype=float)
+        self.shape = tuple(int(s) for s in shape)
+        if len(self.shape) != len(self.bounds):
+            raise ValueError(f"shape {self.shape} needs one bound row per axis, "
+                             f"got {len(self.bounds)}")
         if abs(self.bounds[0, 1]) > 1e-14:
             raise ValueError("half-space grid must end at x_1 = 0")
-        self.shape = tuple(int(s) for s in shape)
         if self.shape[0] < 2:
             raise ValueError("the normal axis needs 2 or more samples to reach x_1 = 0")
         self.m = len(self.shape)
         self.axes = [np.linspace(lo, hi, k)
                      for (lo, hi), k in zip(self.bounds, self.shape)]
+        self.axis_weights = [_trapezoid_weights(ax) for ax in self.axes]
         self.func = func
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        self._nodes = np.stack([g.ravel() for g in grids], axis=-1)
+        self._nodes, self._weights = _tensor(self.axes, self.axis_weights)
+        self._face = _tensor([np.zeros(1)] + self.axes[1:], [np.ones(1)] + self.axis_weights[1:])
         self._samples = None
 
     def grid_nodes(self):
@@ -203,21 +200,15 @@ class HalfSpaceField:
 
     def lp_norm(self, values, p):
         """Trapezoid L^p norm of grid values over the grid box (p=inf -> max)."""
-        return _trapezoid_lp(np.asarray(values).reshape(self.shape), self.axes, p)
+        return lp_norm(np.ravel(values), self._weights, p)
 
     def boundary_nodes(self):
         """Grid points on {x_1 = 0}: shape (prod(lateral shape), m)."""
-        lat = self.axes[1:]
-        if not lat:
-            return np.zeros((1, 1))
-        grids = np.meshgrid(*lat, indexing="ij")
-        flat = [np.zeros(grids[0].size)] + [g.ravel() for g in grids]
-        return np.stack(flat, axis=-1)
+        return self._face[0]
 
     def trace_lp_norm(self, values, p):
         """Trapezoid L^p norm over the lateral boundary grid."""
-        v = np.asarray(values).reshape(tuple(self.shape[1:]) or (1,))
-        return _trapezoid_lp(v, self.axes[1:], p)
+        return lp_norm(np.ravel(values), self._face[1], p)
 
 
 def slab_mass(f, tau, p):
@@ -234,25 +225,14 @@ def slab_mass(f, tau, p):
         left = right
         if -left < 1e-280:
             break
-    lat_axes = f.axes[1:]
-    if lat_axes:
-        lat_nodes, lat_w = _tensor(lat_axes, [_trapezoid_weights(ax) for ax in lat_axes])
-    else:
-        lat_nodes = np.zeros((1, 0))
-        lat_w = np.ones(1)
     total = 0.0
     for a, b in edges:
         t1, wt = _composite_gauss(a, b, 1, 10)
         factor = 1.0 - smooth_transition(-t1 / tau)
         if np.max(np.abs(factor)) == 0.0:
             continue
-        pts = np.empty((len(t1) * len(lat_w), f.m))
-        pts[:, 0] = np.repeat(t1, len(lat_w))
-        if lat_nodes.shape[1]:
-            pts[:, 1:] = np.tile(lat_nodes, (len(t1), 1))
-        vals = np.abs(f.evaluate(pts)) ** p
-        lat_int = vals.reshape(len(t1), len(lat_w)) @ lat_w
-        total += float(np.sum(wt * factor * lat_int))
+        pts, w = _tensor([t1] + f.axes[1:], [wt * factor] + f.axis_weights[1:])
+        total += float(np.sum(w * np.abs(f.evaluate(pts)) ** p))
     return total
 
 

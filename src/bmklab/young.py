@@ -29,7 +29,7 @@ import numpy as np
 
 from .bmk import kernel_norm
 from .fields import _bump01
-from .geometry import boundary_rule, dist_boundary, volume_rule
+from .geometry import boundary_rule, dist_boundary, lp_norm, volume_rule
 
 __all__ = [
     "INF", "inv", "ExponentPair", "MeasureSpace", "KernelSpec",
@@ -65,10 +65,7 @@ class MeasureSpace:
     weights: np.ndarray
 
     def lp_norm(self, values, p):
-        values = np.abs(np.asarray(values))
-        if p == INF:
-            return float(values.max())
-        return float(np.sum(self.weights * values ** p) ** (1.0 / p))
+        return lp_norm(values, self.weights, p)
 
 
 def _materialize(descriptor, level):

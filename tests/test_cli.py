@@ -131,6 +131,19 @@ def test_main_usage_errors(tmp_path, capsys):
     assert not list(tmp_path.glob("gs*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["bmk-verify", "--eps", "0.1"], ["bmk-lp", "--p", "7"], ["mollify", "--seed", "3"],
+    ["mollify", "--level", "2"], ["green-stokes", "--p", "3"], ["young-scan", "--eps", "0.1"],
+], ids=["bmk-verify", "bmk-lp", "mollify-seed", "mollify-level", "green-stokes", "young-scan"])
+def test_flag_the_experiment_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    """Each experiment takes only the flags it reads, so a setting it would
+    ignore stops the run before any work."""
+    out = tmp_path / "rep"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
+
+
 @pytest.mark.parametrize("grid_n", [0, 1])
 def test_grid_without_boundary_row_is_a_usage_error(tmp_path, capsys, grid_n):
     """A strip grid of fewer than 2 samples never reaches x_1 = 0, so it has

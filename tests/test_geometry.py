@@ -233,6 +233,46 @@ def test_interval_boundary_rule_matches_reference_bytes(bounds, level):
     assert br.tangents.shape == (2, 0, 1)
 
 
+@pytest.mark.parametrize("bounds", [[[-1.0, 1.0], [-0.5, 2.0]],
+                                    [[-1.0, 0.0], [-0.5, 2.0], [0.0, 1.5]]])
+@pytest.mark.parametrize("level", [0, 2])
+def test_box_boundary_rule_matches_reference_bytes(bounds, level):
+    """Each box face is the composite-Gauss rule on the other axes with the
+    held coordinate copied in, a constant normal and the other axes' unit
+    vectors as its oriented frame, byte for byte."""
+    bounds = np.asarray(bounds)
+    m, panels = len(bounds), 2 ** level
+    nodes, weights, normals, frames = [], [], [], []
+    for k in range(m):
+        for side in (-1, 1):
+            other = [j for j in range(m) if j != k]
+            axes = [geometry._composite_gauss(lo, hi, panels, geometry.BOX_ORDER)
+                    for lo, hi in bounds[other]]
+            grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+            w = axes[0][1]
+            for a in axes[1:]:
+                w = np.multiply.outer(w, a[1])
+            face = np.zeros((w.size, m))
+            face[:, k] = bounds[k, 1] if side > 0 else bounds[k, 0]
+            nu = np.zeros((w.size, m))
+            nu[:, k] = side
+            t = np.zeros((w.size, m - 1, m))
+            for i, j in enumerate(other):
+                face[:, j] = grids[i].ravel()
+                t[:, i, j] = 1.0
+            if np.linalg.det(np.vstack([nu[:1], t[0]])) < 0:
+                t[:, 0] *= -1.0
+            nodes.append(face)
+            weights.append(w.ravel())
+            normals.append(nu)
+            frames.append(t)
+    br = boundary_rule(make_domain("interval-box", bounds=bounds), level)
+    for got, want in ((br.nodes, nodes), (br.weights, weights), (br.nu, normals),
+                      (br.tangents, frames)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+    assert br.spacing == max((hi - lo) / (panels * geometry.BOX_ORDER) for lo, hi in bounds[1:])
+
+
 @pytest.mark.parametrize("order", [1, 10, 12, 64, 512])
 def test_cached_leggauss_equals_numpy_and_is_read_only(order):
     """geometry.leggauss solves each order once: its arrays equal numpy's,

@@ -63,6 +63,68 @@ def test_half_space_field_needs_a_boundary_row(n_normal):
     assert f.axes[0][-1] == 0.0
 
 
+@pytest.mark.parametrize("bounds, shape", [(BOUNDS, (9,)), ([[-1.0, 0.0]], (9, 5))])
+def test_half_space_field_needs_one_bound_row_per_axis(bounds, shape):
+    """A bound row too many or too few is an error, not a field of another
+    dimension or a grid that fails on first use."""
+    with pytest.raises(ValueError, match="one bound row per axis"):
+        HalfSpaceField(lambda x: np.ones(len(x)), bounds, shape)
+
+
+AFFINE_SLOPES = (0.7, -0.4, 0.3)
+M_SHAPES = {1: (9,), 2: (9, 5), 3: (9, 5, 4)}
+
+
+def _box_field(m, fn):
+    bounds = [[-1.0, 0.0]] + [[-1.0, 1.0 + 0.5 * k] for k in range(1, m)]
+    return HalfSpaceField(fn, bounds, M_SHAPES[m]), np.asarray(bounds)
+
+
+def _affine(x):
+    """prod_k (2 + c_k x_k): affine in each coordinate and positive on the boxes."""
+    return np.prod([2.0 + c * x[:, k] for k, c in enumerate(AFFINE_SLOPES[:x.shape[1]])],
+                   axis=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_field_norms_are_exact_on_affine_data(m):
+    """The trapezoid rule integrates a field affine in each coordinate
+    exactly, so the p = 1 norms are the products of the per-axis integrals;
+    at m = 1 the face is the single point x_1 = 0 of weight 1."""
+    f, bounds = _box_field(m, _affine)
+    lo, hi = bounds.T
+    axis_int = [2.0 * (b - a) + c * (b * b - a * a) / 2.0
+                for a, b, c in zip(lo, hi, AFFINE_SLOPES)]
+    values = f.grid_values()
+    assert np.isclose(f.lp_norm(values, 1.0), np.prod(axis_int), rtol=1e-14, atol=0)
+    assert f.lp_norm(values, np.inf) == np.max(np.abs(values))
+    trace = _affine(f.boundary_nodes())
+    assert np.isclose(f.trace_lp_norm(trace, 1.0), 2.0 * np.prod(axis_int[1:]),
+                      rtol=1e-14, atol=0)
+    assert f.trace_lp_norm(trace, np.inf) == np.max(trace)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_boundary_nodes_are_the_grid_row_on_x1_zero(m):
+    f, _ = _box_field(m, _affine)
+    row = f.grid_nodes().reshape(M_SHAPES[m] + (m,))[-1].reshape(-1, m)
+    assert np.array_equal(f.boundary_nodes(), row)
+    assert np.all(f.boundary_nodes()[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("tau", [0.1, 0.01])
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_slab_mass_of_a_constant(m, tau, p):
+    """int_{-2tau}^0 (1 - h(-t/tau)) dt = 3 tau / 2 (h rises symmetrically
+    about 3/2), so a constant c has slab mass |c|^p * lateral width * 3 tau / 2."""
+    c = 0.5 - 1.2j
+    f, bounds = _box_field(m, lambda x: np.full(len(x), c))
+    width = np.prod(bounds[1:, 1] - bounds[1:, 0])
+    assert np.isclose(slab_mass(f, tau, p), abs(c) ** p * width * 1.5 * tau,
+                      rtol=1e-13, atol=0)
+
+
 def test_choose_tau_returns_largest_admissible_dyadic():
     f, _ = _smooth_field()
     eps, p = 0.2, 2.0
