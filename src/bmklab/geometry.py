@@ -28,7 +28,7 @@ from .fields import _as_points, leggauss
 
 __all__ = [
     "Domain", "make_domain", "QuadratureRule", "volume_rule", "boundary_rule",
-    "dist_boundary", "lp_norm",
+    "dist_boundary",
 ]
 
 # base node counts at level 0; a level multiplies these by 2^level
@@ -154,9 +154,11 @@ def _tensor(axis_nodes, axis_weights):
     return nodes, w.ravel()
 
 
-def lp_norm(values, weights, p):
+def _lp_norm(values, weights, p):
     """Discrete L^p norm (sum_i w_i |v_i|^p)^(1/p) of values at weighted nodes; p=inf -> max."""
     values = np.abs(np.asarray(values))
+    if values.size != len(weights):
+        raise ValueError(f"{values.size} values for {len(weights)} weights")
     if np.isinf(p):
         return float(values.max())
     return float(np.sum(weights * values ** p) ** (1.0 / p))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .fields import (_bump01, _bump01_deriv, smooth_transition,
                      smooth_transition_deriv, smooth_transition_deriv2)
-from .geometry import _composite_gauss, _tensor, lp_norm
+from .geometry import _composite_gauss, _lp_norm, _tensor
 
 __all__ = [
     "TangentialMollifier", "DiracSequence", "HalfSpaceField",
@@ -200,7 +200,7 @@ class HalfSpaceField:
 
     def lp_norm(self, values, p):
         """Trapezoid L^p norm of grid values over the grid box (p=inf -> max)."""
-        return lp_norm(np.ravel(values), self._weights, p)
+        return _lp_norm(np.ravel(values), self._weights, p)
 
     def boundary_nodes(self):
         """Grid points on {x_1 = 0}: shape (prod(lateral shape), m)."""
@@ -208,7 +208,7 @@ class HalfSpaceField:
 
     def trace_lp_norm(self, values, p):
         """Trapezoid L^p norm over the lateral boundary grid."""
-        return lp_norm(np.ravel(values), self._face[1], p)
+        return _lp_norm(np.ravel(values), self._face[1], p)
 
 
 def slab_mass(f, tau, p):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bmk import kernel_norm
 from .fields import _bump01
-from .geometry import boundary_rule, dist_boundary, lp_norm, volume_rule
+from .geometry import _lp_norm, boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
     "INF", "inv", "ExponentPair", "MeasureSpace", "KernelSpec",
@@ -65,7 +65,7 @@ class MeasureSpace:
     weights: np.ndarray
 
     def lp_norm(self, values, p):
-        return lp_norm(values, self.weights, p)
+        return _lp_norm(values, self.weights, p)
 
 
 def _materialize(descriptor, level):

@@ -90,7 +90,8 @@ def _affine(x):
 def test_field_norms_are_exact_on_affine_data(m):
     """The trapezoid rule integrates a field affine in each coordinate
     exactly, so the p = 1 norms are the products of the per-axis integrals;
-    at m = 1 the face is the single point x_1 = 0 of weight 1."""
+    at m = 1 the face is the single point x_1 = 0 of weight 1.  Values of
+    the wrong length are an error, a single value or p = inf included."""
     f, bounds = _box_field(m, _affine)
     lo, hi = bounds.T
     axis_int = [2.0 * (b - a) + c * (b * b - a * a) / 2.0
@@ -102,6 +103,13 @@ def test_field_norms_are_exact_on_affine_data(m):
     assert np.isclose(f.trace_lp_norm(trace, 1.0), 2.0 * np.prod(axis_int[1:]),
                       rtol=1e-14, atol=0)
     assert f.trace_lp_norm(trace, np.inf) == np.max(trace)
+    for p in (1.0, np.inf):
+        with pytest.raises(ValueError):
+            f.lp_norm(values.ravel()[1:], p)
+        with pytest.raises(ValueError):
+            f.lp_norm(values.ravel()[:1], p)
+        with pytest.raises(ValueError):
+            f.trace_lp_norm(np.append(trace, 1.0), p)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
