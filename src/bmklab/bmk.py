@@ -65,9 +65,8 @@ __all__ = [
     "reproduce_residual",
 ]
 
-NODE_BLOCK = 131_072   # nodes a worker writes and folds at once: one shell of the level-3 4-ball rule
+NODE_BLOCK = 32_768    # nodes a worker writes and folds at once (8.4 MB of fold at n = 2, q = 1)
 PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
-FOLD_SLICE = 32_768    # nodes per density evaluation within a block
 
 EXCLUSION_FACTOR = 2.0      # op_volume / volume term: rho = factor * rule spacing
 FD_EXCLUSION_FACTOR = 4.0   # dbar_potential: rho = factor * rule spacing
@@ -150,8 +149,8 @@ def _densities(n, q, form, interior):
     kernel_table(n, q), the part of B that multiplies s_j dzbar^J(z), with
     J = multi_indices(n, q)[k].  On an interior rule density is the field of
     form ^ K_Jj against dV (top_density); on a boundary rule it is the
-    (2n-1)-form form ^ K_Jj, taken against dS through the rule's tangent
-    frames by batch_pullback_density.
+    (2n-1)-form form ^ K_Jj, which batch_pullback_density takes against dS
+    through the rule's outward normals.
     """
     if (form.p, form.q) != (0, q + interior):
         region = "interior" if interior else "boundary"
@@ -165,7 +164,7 @@ def _densities(n, q, form, interior):
     return out
 
 
-def _fold(coef, densities, nodes, tangents, weights):
+def _fold(coef, densities, nodes, nu, weights):
     """Write one node block's weighted fold into coef, a real (2n, B, 2K) array.
 
     Entry (c, i) holds what the scaled difference (zeta_i - y)_c / |zeta_i - y|^{2n}
@@ -173,22 +172,19 @@ def _fold(coef, densities, nodes, tangents, weights):
     gives A s_j = (Re A dx_j + Im A dy_j + i (Im A dx_j - Re A dy_j))/|.|^{2n},
     so the x_j row carries (Re A, Im A) and the y_j row (Im A, -Re A) in the
     real and imaginary columns of J = multi_indices(n, q)[k].  Every block
-    writes the same entries, so the others stay 0 from allocation.  tangents
-    is None on an interior rule.  The densities are evaluated FOLD_SLICE
-    nodes at a time, which keeps each worker's field temporaries small.
+    writes the same entries, so the others stay 0 from allocation.  nu, the
+    outward normals, is None on an interior rule.
     """
     width = coef.shape[2] // 2
-    for lo in range(0, len(nodes), FOLD_SLICE):
-        part = slice(lo, lo + FOLD_SLICE)
-        for k, j, density in densities:
-            if tangents is None:
-                a = weights[part] * np.asarray(density(nodes[part]), dtype=complex)
-            else:
-                a = weights[part] * batch_pullback_density(density, nodes[part], tangents[part])
-            coef[2 * j - 2, part, k] = a.real
-            coef[2 * j - 2, part, width + k] = a.imag
-            coef[2 * j - 1, part, k] = a.imag
-            coef[2 * j - 1, part, width + k] = -a.real
+    for k, j, density in densities:
+        if nu is None:
+            a = weights * np.asarray(density(nodes), dtype=complex)
+        else:
+            a = weights * batch_pullback_density(density, nodes, nu)
+        coef[2 * j - 2, :, k] = a.real
+        coef[2 * j - 2, :, width + k] = a.imag
+        coef[2 * j - 1, :, k] = a.imag
+        coef[2 * j - 1, :, width + k] = -a.real
 
 
 def _norm2(d, out, tmp):
@@ -245,9 +241,9 @@ def _sweep(n, q, form, rule, points, radius=0.0, centers=None):
             grouped = drop.reshape(len(centers), -1, step)
         while (k := next(claim)) < len(starts):
             start = starts[k]
-            nodes, weights, tangents = rule.part(start, start + NODE_BLOCK)
+            nodes, weights, nu = rule.part(start, start + NODE_BLOCK)
             size = len(nodes)
-            _fold(coef[:, :size], densities, nodes, tangents, weights)
+            _fold(coef[:, :size], densities, nodes, nu, weights)
             zeta = nodes.T[:, None, :]
             out = []
             for sub in range(0, size, step):

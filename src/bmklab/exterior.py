@@ -320,40 +320,30 @@ class DifferentialForm:
         return total
 
 
-def monomial_frame_values(n, I, J, frames):
-    """Evaluate dz^I^dzbar^J on batched vector tuples.
-
-    frames has shape (N, k, 2n) with k = |I|+|J|; returns a complex (N,) array
-    of determinants det[factor_a(frame_b)].
-    """
-    frames = np.asarray(frames, dtype=float)
-    N, k, _ = frames.shape
-    if k != len(I) + len(J):
-        raise ValueError("frame size does not match monomial degree")
-    if k == 0:
-        return np.ones(N, dtype=complex)
-    M = np.empty((N, k, k), dtype=complex)
-    row = 0
-    for i in I:
-        M[:, row, :] = frames[:, :, 2 * i - 2] + 1j * frames[:, :, 2 * i - 1]
-        row += 1
-    for j in J:
-        M[:, row, :] = frames[:, :, 2 * j - 2] - 1j * frames[:, :, 2 * j - 1]
-        row += 1
-    return np.linalg.det(M)
-
-
-def batch_pullback_density(form, nodes, tangents):
+def batch_pullback_density(form, nodes, nu):
     """Density of the boundary pullback of a (2n-1)-form against dS.
 
-    nodes: (N, 2n) boundary points; tangents: (N, 2n-1, 2n) oriented
-    orthonormal tangent frames.  Returns complex (N,).
+    nodes, nu: (N, 2n) boundary points and outward unit normals.  With T an
+    oriented orthonormal tangent frame, det[nu | T] = 1 and nu_flat(T) = 0,
+    so form(T) is the top density of nu_flat ^ form, where
+    nu_flat = sum_i (conj(c_i) dz_i + c_i dzbar_i) / 2, c_i = nu_{x_i} + i nu_{y_i}.
+    Each monomial lacks exactly one dz_i or dzbar_i, which nu_flat supplies.
+    Returns complex (N,).
     """
-    if form.degree != 2 * form.n - 1:
+    n = form.n
+    if form.degree != 2 * n - 1:
         raise ValueError("pullback density needs a (2n-1)-form")
+    nu = np.asarray(nu, dtype=float)
+    nu_c = nu[:, 0::2] + 1j * nu[:, 1::2]
     out = np.zeros(len(nodes), dtype=complex)
     for (I, J), c in form.coeffs.items():
-        out += np.asarray(c(nodes), dtype=complex) * monomial_frame_values(form.n, I, J, tangents)
+        if len(I) < n:   # nu_flat's dz_i term completes the monomial
+            (i,) = set(range(1, n + 1)) - set(I)
+            sign, dual = _wedge_monomial_sign(n, (i,), (), I, J), np.conj(nu_c[:, i - 1])
+        else:            # its dzbar_i term does
+            (i,) = set(range(1, n + 1)) - set(J)
+            sign, dual = _wedge_monomial_sign(n, (), (i,), I, J), nu_c[:, i - 1]
+        out += np.asarray(c(nodes), dtype=complex) * (0.5 * sign * _top_real_constant(n) * dual)
     return out
 
 
@@ -363,9 +353,9 @@ def integrate_top(form, nodes, weights):
     return complex(np.sum(np.asarray(weights) * np.asarray(dens(nodes), dtype=complex)))
 
 
-def integrate_boundary(form, nodes, weights, tangents):
-    """Integrate a (2n-1)-form over boundary nodes via its pullback density."""
-    dens = batch_pullback_density(form, nodes, tangents)
+def integrate_boundary(form, nodes, weights, nu):
+    """Integrate a (2n-1)-form over boundary nodes with outward normals nu."""
+    dens = batch_pullback_density(form, nodes, nu)
     return complex(np.sum(np.asarray(weights) * dens))
 
 

@@ -3,9 +3,9 @@
 Supported regions: balls in R^m (complex dimension n = m/2 when forms are
 involved), axis-aligned interval boxes, and half-space patches {x_1 < 0}
 truncated to a box.  A domain is plain data: its kind and parameters.
-Boundary rules carry outward normals and oriented orthonormal tangent
-frames so (2n-1)-forms can be integrated as densities against the surface
-measure.
+Boundary rules carry outward unit normals nu: bmklab.exterior takes the
+density of a (2n-1)-form against the surface measure as the top density of
+nu_flat ^ form, so no rule needs tangent frames.
 
 Rules are nested by an integer level: level L+1 doubles the node counts of
 level L in every direction.  The sphere S^3 uses product angles
@@ -57,18 +57,27 @@ class Domain:
 
 
 def make_domain(kind, **params):
-    """Construct a domain: ball | interval-box | half-space-patch."""
+    """Construct a domain: ball | interval-box | half-space-patch.
+
+    ValueError on a radius that is not finite and positive, a centre that is
+    not an m-vector, or bounds that are not m rows [lo, hi] with lo < hi.
+    """
     if kind == "ball":
         m = int(params.get("m", 2))
         R = float(params.get("radius", 1.0))
         c = np.asarray(params.get("center", np.zeros(m)), dtype=float)
+        if not (np.isfinite(R) and R > 0) or c.shape != (m,):
+            raise ValueError(f"ball needs a finite radius > 0 and a centre of length {m}")
         return Domain("ball", m, center=c, radius=R)
 
     if kind in ("interval-box", "half-space-patch"):
         bounds = np.asarray(params["bounds"], dtype=float)
+        m = int(params.get("m", len(bounds)))
+        if bounds.shape != (m, 2) or not np.all(bounds[:, 0] < bounds[:, 1]):
+            raise ValueError(f"{kind} needs {m} bound rows [lo, hi] with lo < hi")
         if kind == "half-space-patch" and abs(bounds[0, 1]) > 1e-14:
             raise ValueError("half-space patch needs x1 upper bound 0")
-        return Domain(kind, len(bounds), bounds=bounds)
+        return Domain(kind, m, bounds=bounds)
 
     raise ValueError(f"unknown domain kind {kind!r}")
 
@@ -88,7 +97,6 @@ class QuadratureRule:
     region: str                          # "interior" | "boundary"
     spacing: float
     nu: Optional[np.ndarray] = None
-    tangents: Optional[np.ndarray] = None
     arrays: Optional[tuple] = None
     shells: Optional[tuple] = None
 
@@ -112,10 +120,10 @@ class QuadratureRule:
         return self.arrays
 
     def part(self, lo, hi):
-        """(nodes, weights, tangents) of nodes lo:hi; tangents is None off a boundary."""
+        """(nodes, weights, nu) of nodes lo:hi; nu is None off a boundary."""
         if self.arrays is not None:
-            tangents = None if self.tangents is None else self.tangents[lo:hi]
-            return self.arrays[0][lo:hi], self.arrays[1][lo:hi], tangents
+            nu = None if self.nu is None else self.nu[lo:hi]
+            return self.arrays[0][lo:hi], self.arrays[1][lo:hi], nu
         r, shell_w, sph, sph_w, center = self.shells
         size = len(sph)
         hi = min(hi, len(self))
@@ -172,27 +180,11 @@ def _gauss_axes(bounds, level):
     return [a[0] for a in axes], [a[1] for a in axes], steps
 
 
-def _orient(nu, tangents):
-    """Flip the first tangent, in place, if det[nu | t_1 | ... ] < 0.
-
-    Every frame built here has one orientation at all its nodes (a face's
-    frame is constant, the circle's det is +1, the raw S^3 frame's is -1),
-    so the first node's sign stands for all of them.
-    """
-    if tangents.shape[1] == 0:
-        return tangents
-    first = np.concatenate([nu[:1, None, :], tangents[:1]], axis=1)
-    if np.linalg.det(np.transpose(first, (0, 2, 1)))[0] < 0:
-        tangents[:, 0, :] *= -1.0
-    return tangents
-
-
-def _sphere_rule(m, level, frames=False):
+def _sphere_rule(m, level):
     """Product rule on the unit sphere S^{m-1}: the circle (m = 2) or S^3 (m = 4).
 
-    Returns (nodes, weights, spacing, tangents): unit nodes, also the outward
-    normals; weights summing to the area; the angular spacing; and, if frames,
-    oriented tangent frames (on S^3 along xi1, xi2 and eta), else None.
+    Returns (nodes, weights, spacing): unit nodes, also the outward normals;
+    weights summing to the area; and the angular spacing.
     """
     scale = 2 ** level
     if m == 2:
@@ -201,7 +193,6 @@ def _sphere_rule(m, level, frames=False):
         cs, sn = np.cos(theta), np.sin(theta)
         spacing = 2.0 * np.pi / nt
         nodes, w = np.stack([cs, sn], axis=-1), np.full(nt, spacing)
-        tangents = [np.stack([-sn, cs], axis=-1)] if frames else None
     else:
         ne, nx = S3_ETA * scale, S3_XI * scale
         xe, we = leggauss(ne)
@@ -213,16 +204,8 @@ def _sphere_rule(m, level, frames=False):
         E, A, B = angles.T
         nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
                           np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1)
-        spacing, tangents = np.pi / (2 * ne), None
-        if frames:
-            zero = np.zeros_like(E)
-            tangents = [np.stack([-np.sin(A), np.cos(A), zero, zero], axis=-1),
-                        np.stack([zero, zero, -np.sin(B), np.cos(B)], axis=-1),
-                        np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
-                                  np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)]
-    if tangents is not None:
-        tangents = _orient(nodes, np.stack(tangents, axis=1))
-    return nodes, w, spacing, tangents
+        spacing = np.pi / (2 * ne)
+    return nodes, w, spacing
 
 
 def volume_rule(domain, level):
@@ -234,7 +217,7 @@ def volume_rule(domain, level):
         xr, wr = leggauss(nr)
         r = R * (xr + 1.0) / 2.0
         wr = R * wr / 2.0
-        sph, sph_w, _, _ = _sphere_rule(m, level)
+        sph, sph_w, _ = _sphere_rule(m, level)
         return QuadratureRule(level, "interior", R / nr,
                               shells=(r, wr * r ** (m - 1), sph, sph_w, domain.center))
 
@@ -247,11 +230,11 @@ def volume_rule(domain, level):
 
 
 def boundary_rule(domain, level):
-    """Boundary rule with outward normals and oriented tangent frames."""
+    """Boundary rule with outward unit normals."""
     if domain.kind == "ball" and domain.m in BALL_RADIAL:
         R = domain.radius
-        sph, sph_w, spacing, tangents = _sphere_rule(domain.m, level, frames=True)
-        return QuadratureRule(level, "boundary", spacing * R, nu=sph, tangents=tangents,
+        sph, sph_w, spacing = _sphere_rule(domain.m, level)
+        return QuadratureRule(level, "boundary", spacing * R, nu=sph,
                               arrays=(domain.center + R * sph, sph_w * R ** (domain.m - 1)))
 
     if domain.kind == "half-space-patch":
@@ -264,9 +247,7 @@ def boundary_rule(domain, level):
         nodes = np.concatenate([p.nodes for p in parts])
         w = np.concatenate([p.weights for p in parts])
         nu = np.concatenate([p.nu for p in parts])
-        tangents = np.concatenate([p.tangents for p in parts])
-        return QuadratureRule(level, "boundary", parts[0].spacing, nu=nu, tangents=tangents,
-                              arrays=(nodes, w))
+        return QuadratureRule(level, "boundary", parts[0].spacing, nu=nu, arrays=(nodes, w))
 
     raise ValueError(f"no boundary rule for {domain.kind} in dimension {domain.m}")
 
@@ -285,10 +266,7 @@ def _face_rule(domain, axis, side, level):
     spacing = max(steps[:axis] + steps[axis + 1:], default=1.0)
     nu = np.zeros((len(w), m))
     nu[:, axis] = float(side)
-    lateral = np.delete(np.eye(m), axis, axis=0)     # e_k for every k != axis
-    tangents = _orient(nu, np.repeat(lateral[None], len(w), axis=0))
-    return QuadratureRule(level, "boundary", spacing, nu=nu, tangents=tangents,
-                          arrays=(nodes, w))
+    return QuadratureRule(level, "boundary", spacing, nu=nu, arrays=(nodes, w))
 
 
 def dist_boundary(domain, x):

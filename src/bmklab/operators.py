@@ -181,8 +181,7 @@ def equivalence_report(domain, f, f_b, F, tests, level=1):
             raise ValueError("test form must have type (n, n-q-1)")
         a_volume = integrate_top(F.wedge(phi), vol.nodes, vol.weights) + \
             sign_a * integrate_top(f.wedge(phi.dbar()), vol.nodes, vol.weights)
-        a_boundary = integrate_boundary(f_b.wedge(phi), bnd.nodes, bnd.weights,
-                                        bnd.tangents)
+        a_boundary = integrate_boundary(f_b.wedge(phi), bnd.nodes, bnd.weights, bnd.nu)
         g = phi.conj().star().scale(sign_b)
         b_volume = form_inner_volume(vol, F, g) + \
             sign_b * form_inner_volume(vol, f, vartheta(g))

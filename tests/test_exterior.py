@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmklab.exterior import (DifferentialForm, dbar, eps_sign, hodge_star,
-                             multi_indices, wedge)
+from bmklab.exterior import (DifferentialForm, batch_pullback_density, dbar, eps_sign,
+                             hodge_star, multi_indices, wedge)
 from bmklab.fields import PolyField, zmonomial
+from bmklab.geometry import boundary_rule, make_domain
 
 mono = DifferentialForm.monomial
 
@@ -219,3 +220,57 @@ def test_dbar_leibniz_on_polynomials():
         va = lhs.coeffs[key](x) if key in lhs.coeffs else np.zeros(25)
         vb = rhs.coeffs[key](x) if key in rhs.coeffs else np.zeros(25)
         assert np.allclose(va, vb, atol=1e-13)
+
+
+def _linear_form(n, p, rng):
+    """A (p, 2n-1-p)-form whose every coefficient is c0 + sum_k c_k x_k, drawn complex."""
+    m = 2 * n
+    coeffs = {}
+    for I in multi_indices(n, p):
+        for J in multi_indices(n, 2 * n - 1 - p):
+            draw = rng.normal(size=(m + 1, 2)) @ np.array([1.0, 1.0j])
+            terms = {(0,) * m: draw[0]}
+            terms.update({tuple(np.eye(m, dtype=int)[k]): draw[k + 1] for k in range(m)})
+            coeffs[(I, J)] = PolyField(m, terms)
+    return DifferentialForm(n, p, 2 * n - 1 - p, coeffs)
+
+
+@pytest.mark.parametrize("kind,params,level", [
+    (kind, params, level)
+    for kind, params, levels in [
+        ("ball", {"m": 2}, range(3)),
+        ("ball", {"m": 2, "radius": 0.8, "center": [0.1, -0.2]}, range(3)),
+        ("ball", {"m": 4}, range(3)),
+        ("ball", {"m": 4, "radius": 0.7, "center": [0.1, -0.2, 0.3, 0.0]}, range(3)),
+        ("interval-box", {"bounds": [[-1.0, 1.0], [-0.5, 2.0]]}, range(3)),
+        # level 2 would be 884,736 nodes; its faces are the patch's kind
+        ("interval-box", {"bounds": [[-1.0, 0.0], [-0.5, 2.0], [0.0, 1.5], [-1.0, 1.0]]},
+         range(2)),
+        ("half-space-patch", {"bounds": [[-1.0, 0.0], [-1.0, 1.0], [-0.5, 0.5], [0.0, 2.0]]},
+         range(3)),
+    ]
+    for level in levels
+])
+def test_pullback_density_equals_frame_determinants(kind, params, level, frame_density):
+    """The top density of nu_flat ^ form equals the form evaluated on an
+    oriented orthonormal tangent frame (QR of the normal's complement), for
+    drawn (n, n-1)- and (n-1, n)-forms with linear coefficients, on every
+    boundary-rule kind.  The bound is 1e-15 of 2^((2n-1)/2) sum |c_IJ|,
+    Hadamard's bound on sum |c_IJ det| for an orthonormal frame."""
+    dom = make_domain(kind, **params)
+    n = dom.n_complex
+    rule = boundary_rule(dom, level)
+    rng = np.random.default_rng(level)
+    for p in (n, n - 1):
+        form = _linear_form(n, p, rng)
+        got = batch_pullback_density(form, rule.nodes, rule.nu)
+        want = frame_density(form, rule.nodes, rule.nu)
+        scale = 2.0 ** (n - 0.5) * sum(np.abs(c(rule.nodes)) for c in form.coeffs.values())
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_pullback_density_rejects_wrong_degree():
+    nodes = np.array([[1.0, 0.0, 0.0, 0.0]])
+    for form in (mono(2, (1,), (1,)), mono(2, (1, 2), (1, 2))):
+        with pytest.raises(ValueError, match="needs a \\(2n-1\\)-form"):
+            batch_pullback_density(form, nodes, nodes)

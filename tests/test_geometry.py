@@ -1,4 +1,4 @@
-"""Domains, quadrature rules, boundary frames, and boundary distance."""
+"""Domains, quadrature rules, boundary normals, and boundary distance."""
 
 import numpy as np
 import pytest
@@ -63,18 +63,13 @@ def test_volume_refinement_converges_on_smooth_integrand():
     ("half-space-patch", {"bounds": [[-1.0, 0.0], [-1.0, 1.0]]}),
 ])
 def test_boundary_frames_orthonormal_outward(kind, params):
-    """The frames boundary_rule integrates with, at levels 0-3: [nu |
-    tangents] is an orthonormal, positively oriented basis at every node,
-    and nu points out of D."""
+    """The normals boundary_rule integrates with, at levels 0-3: nu is a
+    unit vector at every node and points out of D."""
     dom = make_domain(kind, **params)
-    m = dom.m
     for level in range(4):
         br = boundary_rule(dom, level)
-        basis = np.concatenate([br.nu[:, None, :], br.tangents], axis=1)
-        assert basis.shape == (len(br.nodes), m, m)
-        gram = basis @ np.transpose(basis, (0, 2, 1))
-        assert np.allclose(gram, np.eye(m), atol=1e-12)
-        assert np.all(np.linalg.det(np.transpose(basis, (0, 2, 1))) > 0)
+        assert br.nu.shape == br.nodes.shape == (len(br.weights), dom.m)
+        assert np.allclose(np.linalg.norm(br.nu, axis=1), 1.0, rtol=0, atol=1e-15)
         assert np.all(dist_boundary(dom, br.nodes - 1e-6 * br.nu) > 0)
 
 
@@ -101,9 +96,28 @@ def test_ellipsoid_kind_is_not_supported():
         make_domain("ellipsoid", semi_axes=[1.0, 0.6])
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("ball", {"m": 2, "radius": -1.0}),
+    ("ball", {"m": 2, "radius": 0.0}),
+    ("ball", {"m": 2, "radius": float("nan")}),
+    ("ball", {"m": 4, "center": [0.0, 0.0]}),
+    ("interval-box", {"bounds": [[1.0, -1.0], [0.0, 1.0]]}),
+    ("interval-box", {"bounds": [[0.0, 0.0]]}),
+    ("interval-box", {"m": 3, "bounds": [[-1.0, 1.0], [0.0, 1.0]]}),
+    ("interval-box", {"bounds": [-1.0, 1.0]}),
+    ("half-space-patch", {"bounds": [[-1.0, 0.0], [1.0, -1.0]]}),
+])
+def test_make_domain_rejects_malformed_input(kind, params):
+    """A radius that is not positive, a centre of the wrong length, reversed
+    or empty bounds and bound rows that disagree with m raise, rather than
+    build a rule of negative, zero or misplaced measure."""
+    with pytest.raises(ValueError):
+        make_domain(kind, **params)
+
+
 def _reference_s3(level):
-    """The S^3 product rule built the straightforward way, frames included:
-    nodes, weights, spacing, normals and oriented tangent frames."""
+    """The S^3 product rule built the straightforward way: nodes, weights
+    and spacing."""
     ne, nx = 4 * 2 ** level, 8 * 2 ** level
     xe, we = leggauss(ne)
     eta = np.arcsin(np.sqrt((xe + 1.0) / 2.0))
@@ -112,32 +126,22 @@ def _reference_s3(level):
     nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
                       np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1).reshape(-1, 4)
     w = ((we / 4.0)[:, None, None] * np.ones((1, nx, nx)) * (2.0 * np.pi / nx) ** 2).ravel()
-    t1 = np.stack([-np.sin(A), np.cos(A), np.zeros_like(A), np.zeros_like(A)], axis=-1)
-    t2 = np.stack([np.zeros_like(B), np.zeros_like(B), -np.sin(B), np.cos(B)], axis=-1)
-    t3 = np.stack([-np.sin(E) * np.cos(A), -np.sin(E) * np.sin(A),
-                   np.cos(E) * np.cos(B), np.cos(E) * np.sin(B)], axis=-1)
-    tangents = np.stack([t1.reshape(-1, 4), t2.reshape(-1, 4), t3.reshape(-1, 4)], axis=1)
-    nu = nodes.copy()
-    dets = np.linalg.det(np.transpose(np.concatenate([nu[:, None, :], tangents], axis=1),
-                                      (0, 2, 1)))
-    tangents[dets < 0, 0, :] *= -1.0
-    return nodes, w, np.pi / (2 * ne), nu, tangents
+    return nodes, w, np.pi / (2 * ne)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_four_ball_rules_match_reference_bytes(level):
-    """The in-place interior build and the frames built only for the
-    boundary rule leave every array byte-identical to the straightforward
-    construction; the level-3 interior rule is compared shell by shell."""
+    """The in-place interior build and the boundary rule leave every array
+    byte-identical to the straightforward construction, whose unit nodes are
+    the normals; the level-3 interior rule is compared shell by shell."""
     ball = make_domain("ball", m=4, radius=0.8, center=[0.1, -0.2, 0.05, 0.0])
     R, c = ball.radius, ball.center
-    sph, sph_w, spacing, nu, tangents = _reference_s3(level)
+    sph, sph_w, spacing = _reference_s3(level)
 
     bnd = boundary_rule(ball, level)
     assert bnd.nodes.tobytes() == (c + R * sph).tobytes()
     assert bnd.weights.tobytes() == (sph_w * R ** 3).tobytes()
-    assert bnd.nu.tobytes() == nu.tobytes()
-    assert bnd.tangents.tobytes() == tangents.tobytes()
+    assert bnd.nu.tobytes() == sph.tobytes()
     assert bnd.spacing == spacing * R
     del bnd
 
@@ -146,7 +150,7 @@ def test_four_ball_rules_match_reference_bytes(level):
     r = R * (xr + 1.0) / 2.0
     wr = R * wr / 2.0
     vol = volume_rule(ball, level)
-    assert vol.tangents is None and vol.nu is None
+    assert vol.nu is None
     weights = (wr[:, None] * r[:, None] ** 3 * sph_w[None, :]).ravel()
     assert vol.weights.tobytes() == weights.tobytes()
     shells = vol.nodes.reshape(nr, len(sph), 4)
@@ -175,7 +179,7 @@ def test_ball_volume_parts_match_materialised_bytes(params, level):
     nodes, weights = rule.nodes, rule.weights
     assert rule.nodes is nodes and nodes.shape == (size, params["m"])
     for chunks in parts.values():
-        assert all(t is None for _, _, t in chunks)
+        assert all(nu is None for _, _, nu in chunks)
         assert np.concatenate([n for n, _, _ in chunks]).tobytes() == nodes.tobytes()
         assert np.concatenate([w for _, w, _ in chunks]).tobytes() == weights.tobytes()
 
@@ -197,7 +201,7 @@ def test_disc_rule_matches_reference_bytes(level):
     vol = volume_rule(disc, level)
     assert vol.nodes.tobytes() == (nodes + c).tobytes()
     assert vol.weights.tobytes() == weights.tobytes()
-    assert vol.spacing == R / nr and vol.tangents is None
+    assert vol.spacing == R / nr and vol.nu is None
 
 
 @pytest.mark.parametrize("level", range(7))
@@ -209,14 +213,10 @@ def test_disc_boundary_rule_matches_reference_bytes(level):
     nt = 32 * 2 ** level
     theta = 2.0 * np.pi * np.arange(nt) / nt
     nu = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    # det[nu | (-sin, cos)] = 1, so orienting flips nothing
-    tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)[:, None, :]
     bnd = boundary_rule(disc, level)
     assert bnd.nodes.tobytes() == (c + R * nu).tobytes()
     assert bnd.weights.tobytes() == np.full(nt, R * 2.0 * np.pi / nt).tobytes()
     assert bnd.nu.tobytes() == nu.tobytes()
-    assert bnd.tangents.shape == (nt, 1, 2)
-    assert bnd.tangents.tobytes() == tangents.tobytes()
     assert bnd.spacing == 2 * np.pi * R / nt
 
 
@@ -224,13 +224,12 @@ def test_disc_boundary_rule_matches_reference_bytes(level):
 @pytest.mark.parametrize("level", [0, 3])
 def test_interval_boundary_rule_matches_reference_bytes(bounds, level):
     """An interval's boundary is its two endpoints, unit-weighted, with
-    normals -1 and +1 and empty tangent frames, at every level."""
+    normals -1 and +1, at every level."""
     (lo, hi), = bounds
     br = boundary_rule(make_domain("interval-box", bounds=bounds), level)
     assert br.nodes.tobytes() == np.array([[lo], [hi]]).tobytes()
     assert br.weights.tobytes() == np.ones(2).tobytes()
     assert br.nu.tobytes() == np.array([[-1.0], [1.0]]).tobytes()
-    assert br.tangents.shape == (2, 0, 1)
 
 
 @pytest.mark.parametrize("bounds", [[[-1.0, 1.0], [-0.5, 2.0]],
@@ -238,11 +237,10 @@ def test_interval_boundary_rule_matches_reference_bytes(bounds, level):
 @pytest.mark.parametrize("level", [0, 2])
 def test_box_boundary_rule_matches_reference_bytes(bounds, level):
     """Each box face is the composite-Gauss rule on the other axes with the
-    held coordinate copied in, a constant normal and the other axes' unit
-    vectors as its oriented frame, byte for byte."""
+    held coordinate copied in and a constant normal, byte for byte."""
     bounds = np.asarray(bounds)
     m, panels = len(bounds), 2 ** level
-    nodes, weights, normals, frames = [], [], [], []
+    nodes, weights, normals = [], [], []
     for k in range(m):
         for side in (-1, 1):
             other = [j for j in range(m) if j != k]
@@ -256,19 +254,13 @@ def test_box_boundary_rule_matches_reference_bytes(bounds, level):
             face[:, k] = bounds[k, 1] if side > 0 else bounds[k, 0]
             nu = np.zeros((w.size, m))
             nu[:, k] = side
-            t = np.zeros((w.size, m - 1, m))
             for i, j in enumerate(other):
                 face[:, j] = grids[i].ravel()
-                t[:, i, j] = 1.0
-            if np.linalg.det(np.vstack([nu[:1], t[0]])) < 0:
-                t[:, 0] *= -1.0
             nodes.append(face)
             weights.append(w.ravel())
             normals.append(nu)
-            frames.append(t)
     br = boundary_rule(make_domain("interval-box", bounds=bounds), level)
-    for got, want in ((br.nodes, nodes), (br.weights, weights), (br.nu, normals),
-                      (br.tangents, frames)):
+    for got, want in ((br.nodes, nodes), (br.weights, weights), (br.nu, normals)):
         assert got.tobytes() == np.concatenate(want).tobytes()
     assert br.spacing == max((hi - lo) / (panels * geometry.BOX_ORDER) for lo, hi in bounds[1:])
 
