@@ -16,11 +16,16 @@ dyadically toward the boundary, so integrable concentration at {x_1 = 0} is
 resolved far below the sample-grid spacing.
 
 Convolutions are direct summation: quadrature nodes over the kernel's own
-support, with f sampled through its exact callable.  One pass samples f once
-per shifted point and contracts the samples with the kernel and with each of
-its partials, so f * phi_eps and every derivative of it come from the same
-evaluations.  The points are split into one contiguous slab per usable CPU;
-each slab's worker samples and contracts one kernel node at a time with
+support, with the data sampled through its exact callable.  Friedrichs'
+lemma mollifies an element (f, Qf) of the graph of Q with one kernel, and
+so does convolve_field: a field whose callable returns the pair is sampled
+once per shifted point, and the samples of f are contracted with the kernel
+and each of its partials while those of Qf are contracted with the kernel,
+so f * phi_eps, its derivatives and (Qf) * phi_eps all come from the same
+evaluations.  Real data stays real: a field's samples are float64 when its
+callable is real and complex128 otherwise, and the sums are kept in that
+dtype.  The points are split into one contiguous slab per usable CPU; each
+slab's worker samples and contracts one kernel node at a time with
 elementwise arithmetic in a fixed order, so the result does not depend on
 the number of CPUs or on the BLAS build.  No transforms; boundary handling
 stays explicit.
@@ -152,8 +157,20 @@ def _trapezoid_weights(axis_nodes):
     return w
 
 
+def _components(values, count):
+    """A field callable's output, one array or a tuple, with count values in
+    each component, made float64 if real and complex128 otherwise."""
+    parts = [np.asarray(v) for v in (values if isinstance(values, tuple) else (values,))]
+    for v in parts:
+        if v.shape != (count,):
+            raise ValueError(f"a field needs one value per point: got shape {v.shape} "
+                             f"at {count} points")
+    parts = [v.astype(float if np.isrealobj(v) else complex, copy=False) for v in parts]
+    return tuple(parts) if isinstance(values, tuple) else parts[0]
+
+
 class HalfSpaceField:
-    """Complex field on a box inside the closed half-space {x_1 <= 0}.
+    """Real or complex field on a box inside the closed half-space {x_1 <= 0}.
 
     Backed by an exact callable func, sampled on an inclusive uniform grid
     (axis 0 runs up to x_1 = 0) the first time grid_values() is asked for,
@@ -161,6 +178,11 @@ class HalfSpaceField:
     never computes its infinite boundary samples.  func must be a pure
     function of its (N, m) points, row by row: convolve_field calls
     evaluate() on slabs of its points from several threads at once.
+
+    func returns one value per point, or a tuple of such arrays: a graph
+    field returns the pair (f, Qf).  evaluate() and grid_values() keep that
+    shape, with each component float64 when it is real and complex128
+    otherwise, and raise ValueError unless each has one value per point.
 
     The grid and its face {x_1 = 0} are trapezoid product rules; the face
     holds the normal axis as one node of weight 1.
@@ -190,13 +212,14 @@ class HalfSpaceField:
 
     def grid_values(self):
         if self._samples is None:
-            self._samples = np.asarray(self.func(self._nodes),
-                                       dtype=complex).reshape(self.shape)
+            values = _components(self.func(self._nodes), len(self._nodes))
+            self._samples = (tuple(v.reshape(self.shape) for v in values)
+                             if isinstance(values, tuple) else values.reshape(self.shape))
         return self._samples
 
     def evaluate(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self.func(x), dtype=complex)
+        return _components(self.func(x), len(x))
 
     def lp_norm(self, values, p):
         """Trapezoid L^p norm of grid values over the grid box (p=inf -> max)."""
@@ -211,36 +234,49 @@ class HalfSpaceField:
         return _lp_norm(np.ravel(values), self._face[1], p)
 
 
-def slab_mass(f, tau, p):
+def _slab_panel(f, edges, p, samples):
+    """(t1, wt, |f|^p, mass where h_tau = 0) of one slab panel, sampled once per samples dict."""
+    if edges not in samples:
+        t1, wt = _composite_gauss(*edges, 1, 10)
+        pts, w = _tensor([t1] + f.axes[1:], [wt] + f.axis_weights[1:])
+        vals = np.abs(f.evaluate(pts)) ** p
+        samples[edges] = t1, wt, vals, float(np.sum(w * vals))
+    return samples[edges]
+
+
+def slab_mass(f, tau, p, samples=None):
     """int |f|^p (1 - h_tau(-t_1)) dt by boundary-refined panel quadrature.
 
     Panels: [-2tau, -tau], then dyadic halves of [-tau, 0) toward the
-    boundary, so integrable singularities at t_1 = 0 are captured.
+    boundary, so integrable singularities at t_1 = 0 are captured.  On the
+    halves h_tau is exactly 0, so their masses do not depend on tau.
+
+    samples, if given, is a dict that keeps each panel's samples and mass
+    by its edges.  choose_tau shares one across its search: the panels of
+    tau/2 are those of tau less [-2tau, -tau], plus one deeper half, so each
+    panel is sampled once, and the sum is the same either way.
     """
-    edges = [(-2.0 * tau, -tau)]
+    if samples is None:
+        samples = {}
+    t1, wt, vals, _ = _slab_panel(f, (-2.0 * tau, -tau), p, samples)
+    _, w = _tensor([t1] + f.axes[1:],
+                   [wt * (1.0 - smooth_transition(-t1 / tau))] + f.axis_weights[1:])
+    total = float(np.sum(w * vals))
     left = -tau
     for _ in range(SLAB_DEPTH):
-        right = left / 2.0
-        edges.append((left, right))
-        left = right
+        total += _slab_panel(f, (left, left / 2.0), p, samples)[3]
+        left /= 2.0
         if -left < 1e-280:
             break
-    total = 0.0
-    for a, b in edges:
-        t1, wt = _composite_gauss(a, b, 1, 10)
-        factor = 1.0 - smooth_transition(-t1 / tau)
-        if np.max(np.abs(factor)) == 0.0:
-            continue
-        pts, w = _tensor([t1] + f.axes[1:], [wt * factor] + f.axis_weights[1:])
-        total += float(np.sum(w * np.abs(f.evaluate(pts)) ** p))
     return total
 
 
 def choose_tau(f, epsilon, p):
     """Largest dyadic tau = eps * 2^{-k} passing the boundary-slab criterion."""
+    samples = {}   # one search's panel samples, shared by the taus it tries
     for k in range(TAU_K_MAX + 1):
         tau = epsilon * 2.0 ** (-k)
-        if slab_mass(f, tau, p) <= epsilon * epsilon:
+        if slab_mass(f, tau, p, samples) <= epsilon * epsilon:
             return tau
     raise ValueError(
         "no admissible normal scale down to eps*2^-%d; the boundary slab "
@@ -259,18 +295,22 @@ def convolve_field(f, kernel, x, *, quad):
     diagnostics).  quad is the kernel's (nodes, weights) rule,
     kernel.quad_rule().
 
+    A graph field, whose callable returns the pair (f, Qf), gives shape
+    (2+m, N): the rows above, then (Qf * k)(x) from the same samples.  The
+    rows are float64 when every component is real and complex128 otherwise.
+
     The points are split into one contiguous slab of ceil(N / CPUs) points
-    per usable CPU, and a pool of threads runs the slabs; numpy releases
-    the GIL.  A slab's worker takes the rule CONV_CHUNK nodes at a time:
-    it evaluates f at its points shifted by each node t_k in turn and adds
-    c_r[k] * f(x - t_k) into its own (1+m, slab) chunk partial in node
-    order.  The short partial sums keep the rounding error of the
-    5,120-node m = 3 rule within 1e-13 of the sum, which one running sum
-    over all nodes does not.  Every output element goes through the same
-    chain of elementwise additions whatever the number of CPUs, and no
-    matrix product (whose summation order depends on the BLAS build and
-    its thread count) is involved.  Every temporary is slab-sized and
-    reused.
+    per usable CPU (an empty point set is one empty slab), and a pool of
+    threads runs the slabs; numpy releases the GIL.  A slab's worker takes
+    the rule CONV_CHUNK nodes at a time: it evaluates f at its points
+    shifted by each node t_k in turn and adds c_r[k] * f(x - t_k) into its
+    own (rows, slab) chunk partial in node order.  The short partial sums
+    keep the rounding error of the 5,120-node m = 3 rule within 1e-13 of
+    the sum, which one running sum over all nodes does not.  Every output
+    element goes through the same chain of elementwise additions whatever
+    the number of CPUs, and no matrix product (whose summation order
+    depends on the BLAS build and its thread count) is involved.  Every
+    temporary is slab-sized and reused.
     """
     t, w = quad
     base = w * kernel.values(t)
@@ -278,40 +318,52 @@ def convolve_field(f, kernel, x, *, quad):
                      for kv in kernel.grad(t).T]
     x = np.atleast_2d(np.asarray(x, dtype=float))
     count = x.shape[0]
-    out = np.zeros((len(coef), count), dtype=complex)
     size = max(1, -(-count // len(os.sched_getaffinity(0))))
-    slabs = [slice(lo, lo + size) for lo in range(0, count, size)]
+    slabs = [slice(lo, lo + size) for lo in range(0, max(count, 1), size)]
 
     def run(slab):
         xT = np.ascontiguousarray(x[slab].T)   # coordinate-major: x[:, j] contiguous
         shifted = np.empty_like(xT)
-        part = np.empty((len(coef), xT.shape[1]), dtype=complex)
-        term = np.empty(xT.shape[1], dtype=complex)
+        total = None
         for start in range(0, len(t), CONV_CHUNK):
-            part.fill(0.0)
             for k in range(start, min(start + CONV_CHUNK, len(t))):
                 np.subtract(xT, t[k][:, None], out=shifted)
-                v = f.evaluate(shifted.T)
-                for row, c in zip(part, coef):
-                    np.multiply(c[k], v, out=term)
+                values = f.evaluate(shifted.T)
+                comps = values if isinstance(values, tuple) else (values,)
+                if total is None:
+                    # f takes the kernel and every partial, Qf the kernel only
+                    rows = [(0, c) for c in coef] + [(i, base) for i in range(1, len(comps))]
+                    total = np.zeros((len(rows), xT.shape[1]), np.result_type(*comps))
+                    part = np.zeros_like(total)
+                    term = np.empty_like(total[0])
+                for row, (i, c) in zip(part, rows):
+                    np.multiply(c[k], comps[i], out=term)
                     row += term
-            out[:, slab] += part
+            total += part
+            part.fill(0.0)
+        return total
 
-    with ThreadPoolExecutor(max(1, len(slabs))) as pool:
-        list(pool.map(run, slabs))   # re-raises a slab's error
-    return out
+    with ThreadPoolExecutor(len(slabs)) as pool:
+        return np.concatenate(list(pool.map(run, slabs)), axis=1)   # re-raises a slab's error
 
 
-def convergence_report(op, f, qf, f_b, eps_list, p):
+def convergence_report(op, f, graph, f_b, eps_list, p):
     """Mollification diagnostics along an eps ladder.
 
-    op: FirstOrderOperator; f, qf: HalfSpaceField (qf = the interior data
-    Qf); f_b: callable trace candidate on boundary nodes.  Row columns:
+    op: FirstOrderOperator; f: HalfSpaceField of the data, which gives the
+    grid, tau, the norms and the trace; graph: HalfSpaceField on the same
+    grid whose callable returns the pair (f, Qf), with f's values bit for
+    bit, so that one convolution per eps mollifies the graph element
+    (f, Qf); f_b: callable trace candidate on boundary nodes.  Row columns:
     (epsilon, tau, interior_err, q_err, commutator_ratio, trace_err).
     """
     nodes = f.grid_nodes()
     f_grid = f.grid_values().ravel()
-    qf_grid = qf.grid_values().ravel()
+    pair = graph.grid_values()
+    if not (isinstance(pair, tuple) and len(pair) == 2
+            and np.array_equal(pair[0], f.grid_values())):
+        raise ValueError("graph must return the pair (f, Qf) with f's own values on f's grid")
+    qf_grid = pair[1].ravel()
     f_norm = f.lp_norm(f_grid, p)
     bnodes = f.boundary_nodes()
     a1_b = np.asarray(op.a[0](bnodes), dtype=complex)
@@ -322,12 +374,11 @@ def convergence_report(op, f, qf, f_b, eps_list, p):
     for eps in eps_list:
         tau = choose_tau(f, eps, p)
         kernel = DiracSequence(f.m, eps, tau)
-        quad = kernel.quad_rule()
-        f_eps, *partials = convolve_field(f, kernel, nodes, quad=quad)
+        f_eps, *partials, qf_conv = convolve_field(graph, kernel, nodes,
+                                                   quad=kernel.quad_rule())
         q_f_eps = b_vals * f_eps
         for a, df in zip(a_vals, partials):
             q_f_eps = q_f_eps + a * df
-        qf_conv = convolve_field(qf, kernel, nodes, quad=quad)[0]
         trace = f_eps.reshape(f.shape)[-1].ravel()
         rows.append({
             "epsilon": eps,

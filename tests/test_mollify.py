@@ -71,6 +71,22 @@ def test_half_space_field_needs_one_bound_row_per_axis(bounds, shape):
         HalfSpaceField(lambda x: np.ones(len(x)), bounds, shape)
 
 
+@pytest.mark.parametrize("fn", [lambda x: 1.0,
+                                lambda x: np.ones((len(x), 1)),
+                                lambda x: (np.ones(len(x)), 2.0)])
+def test_half_space_field_needs_one_value_per_point(fn):
+    """A callable that returns a scalar, a column or a short component is an
+    error in evaluate() and grid_values(), and so in slab_mass, not a value
+    broadcast over the points."""
+    f = HalfSpaceField(fn, BOUNDS, (5, 5))
+    with pytest.raises(ValueError, match="one value per point"):
+        f.evaluate(np.array([[-0.5, 0.0], [-0.25, 0.5]]))
+    with pytest.raises(ValueError, match="one value per point"):
+        f.grid_values()
+    with pytest.raises(ValueError, match="one value per point"):
+        slab_mass(f, 0.1, 2.0)
+
+
 AFFINE_SLOPES = (0.7, -0.4, 0.3)
 M_SHAPES = {1: (9,), 2: (9, 5), 3: (9, 5, 4)}
 
@@ -142,6 +158,49 @@ def test_choose_tau_returns_largest_admissible_dyadic():
     assert slab_mass(f, tau, p) <= eps * eps
     if k > 0:
         assert slab_mass(f, 2 * tau, p) > eps * eps
+
+
+def _per_panel_slab_mass(f, tau, p):
+    """slab_mass as a plain loop: every panel sampled and weighted afresh."""
+    edges = [(-2.0 * tau, -tau)]
+    left = -tau
+    for _ in range(mollify.SLAB_DEPTH):
+        right = left / 2.0
+        edges.append((left, right))
+        left = right
+        if -left < 1e-280:
+            break
+    total = 0.0
+    for a, b in edges:
+        t1, wt = _composite_gauss(a, b, 1, 10)
+        factor = 1.0 - smooth_transition(-t1 / tau)
+        pts, w = _tensor([t1] + f.axes[1:], [wt * factor] + f.axis_weights[1:])
+        total += float(np.sum(w * np.abs(f.evaluate(pts)) ** p))
+    return total
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_slab_mass_and_choose_tau_match_the_per_panel_loop(p, monkeypatch):
+    """Shared panel samples change no bit of a slab mass or of tau, and a
+    search that stops at eps * 2^-k samples its k + 49 distinct panels once:
+    [-2eps, -eps] and the dyadic halves down to eps * 2^-(k+48)."""
+    calls = []
+    evaluate = HalfSpaceField.evaluate
+    monkeypatch.setattr(HalfSpaceField, "evaluate",
+                        lambda self, x: calls.append(len(x)) or evaluate(self, x))
+    fields = [cli.mollify_fixture(grid_n=17)[1], _smooth_field((17, 9))[0],
+              HalfSpaceField(lambda x: np.abs(x[:, 0]) ** -0.25, BOUNDS, (9, 9))]
+    for f in fields:
+        for eps in (0.2, 0.05):
+            for k in range(4):
+                tau = eps * 2.0 ** -k
+                assert slab_mass(f, tau, p) == _per_panel_slab_mass(f, tau, p)
+            k = next(k for k in range(mollify.TAU_K_MAX + 1)
+                     if _per_panel_slab_mass(f, eps * 2.0 ** -k, p) <= eps * eps)
+            calls.clear()
+            assert choose_tau(f, eps, p) == eps * 2.0 ** -k
+            assert len(calls) == k + 49
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -287,7 +346,8 @@ def test_convolve_field_reraises_a_worker_rows_exception():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_convolve_field_empty_and_one_point_sets(m, monkeypatch):
-    """No points give a (1+m, 0) result; one point on 7 CPUs is one slab."""
+    """No points give a (1+m, 0) result from one empty slab, which samples f
+    at no points; one point on 7 CPUs is one slab."""
     calls = []
 
     def fn(pts):
@@ -300,7 +360,8 @@ def test_convolve_field_empty_and_one_point_sets(m, monkeypatch):
     quad = kernel.quad_rule()
     monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(7)))
     empty = convolve_field(f, kernel, np.zeros((0, m)), quad=quad)
-    assert empty.shape == (1 + m, 0) and calls == []
+    assert empty.shape == (1 + m, 0) and calls == [0] * len(quad[0])
+    calls.clear()
     x = np.full((1, m), -0.5)
     one = convolve_field(f, kernel, x, quad=quad)
     assert one.shape == (1 + m, 1)
@@ -308,14 +369,68 @@ def test_convolve_field_empty_and_one_point_sets(m, monkeypatch):
     assert np.array_equal(one, _fixed_order_convolve_oracle(f, kernel, x, quad))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_convolve_field_keeps_real_data_real(m):
+    """A real callable gives float64 samples and rows, bit-equal to the real
+    parts that its complex copy gives, whose imaginary parts are zero."""
+    bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
+    fn = lambda x: np.exp(0.3 * x[:, 0]) * np.cos(2.0 * x[:, -1]) - 0.4
+    real = HalfSpaceField(fn, bounds, (9,) * m)
+    copy = HalfSpaceField(lambda x: fn(x).astype(complex), bounds, (9,) * m)
+    assert real.grid_values().dtype == np.float64
+    assert copy.grid_values().dtype == np.complex128
+    kernel = DiracSequence(m, 0.2, 0.05)
+    quad = kernel.quad_rule()
+    x = np.random.default_rng(m).uniform(-0.9, 0.0, (31, m))
+    assert real.evaluate(x).dtype == np.float64
+    got = convolve_field(real, kernel, x, quad=quad)
+    want = convolve_field(copy, kernel, x, quad=quad)
+    assert got.dtype == np.float64 and want.dtype == np.complex128
+    assert np.array_equal(got, want.real) and not np.any(want.imag)
+
+
+def _graph_fields(grid_n=17):
+    """The strip problem's f and graph, plus a field of Qf alone."""
+    op, f, graph, f_fn = cli.mollify_fixture(grid_n)
+    qf = HalfSpaceField(lambda x: graph.func(x)[1], f.bounds, f.shape)
+    return op, f, graph, qf, f_fn
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_graph_rows_equal_two_passes(cpus, monkeypatch):
+    """The graph (f, Qf) in one pass gives [f * k, f * d_j k..., Qf * k],
+    the rows of one pass over f and one over Qf, bit for bit."""
+    _, f, graph, qf, _ = _graph_fields()
+    kernel = DiracSequence(2, 0.1, 0.025)
+    quad = kernel.quad_rule()
+    x = f.grid_nodes()
+    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    got = convolve_field(graph, kernel, x, quad=quad)
+    assert got.shape == (4, len(x)) and got.dtype == np.float64
+    want = np.vstack([_fixed_order_convolve_oracle(f, kernel, x, quad),
+                      _fixed_order_convolve_oracle(qf, kernel, x, quad)[:1]])
+    assert np.array_equal(got, want)
+
+
+def test_convergence_report_rejects_a_graph_of_other_data():
+    """graph must return the pair (f, Qf) on f's grid, with f's own values:
+    a one-ulp change of f, a plain field or another grid is an error."""
+    op, f, graph, qf, f_fn = _graph_fields()
+    off = HalfSpaceField(lambda x: (np.nextafter(f_fn(x), np.inf), graph.func(x)[1]),
+                         f.bounds, f.shape)
+    for bad in (off, qf, _graph_fields(9)[2]):
+        with pytest.raises(ValueError, match="pair"):
+            convergence_report(op, f, bad, f_fn, [0.2], 2.0)
+
+
 def test_mollify_report_is_the_same_at_any_cpu_count(monkeypatch):
     """The strip problem's report rows are bit-equal at 1, 2, 3 and 7 CPUs."""
-    op, f, qf, f_fn = cli.mollify_fixture(grid_n=17)
+    op, f, graph, f_fn = cli.mollify_fixture(grid_n=17)
     reports = []
     for cpus in (1, 2, 3, 7):
         monkeypatch.setattr(mollify.os, "sched_getaffinity",
                             lambda pid, cpus=cpus: set(range(cpus)))
-        rep = convergence_report(op, f, qf, f_fn, [0.2, 0.1], 2.0)
+        rep = convergence_report(op, f, graph, f_fn, [0.2, 0.1], 2.0)
         reports.append(np.array([[row[c] for c in mollify.REPORT_COLUMNS]
                                  for row in rep["rows"]]))
     for rows in reports[1:]:
@@ -338,32 +453,39 @@ def test_grid_values_are_sampled_once_on_first_use():
 
 
 def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
-    """One eps step evaluates f at len(rule) * N shifted points, not (1+m)x."""
-    calls = []
+    """Each eps step samples the graph (f, Qf) at len(rule) * N shifted
+    points, once per point, not (2+m)x or once for f and again for Qf; f
+    itself is sampled only on its grid."""
+    f_calls, graph_calls = [], []
 
     def fn(x):
-        calls.append(len(x))
+        f_calls.append(len(x))
         return np.cos(x[:, 0]) + 1j * x[:, 1]
+
+    def graph_fn(x):
+        graph_calls.append(len(x))
+        return np.cos(x[:, 0]) + 1j * x[:, 1], -np.sin(x[:, 0])
 
     shape = (17, 17)
     f = HalfSpaceField(fn, BOUNDS, shape)
-    qf = HalfSpaceField(lambda x: -np.sin(x[:, 0]), BOUNDS, shape)
-    f.grid_values()
-    calls.clear()
+    graph = HalfSpaceField(graph_fn, BOUNDS, shape)
     monkeypatch.setattr(mollify, "choose_tau", lambda f, eps, p: 0.05)
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
-    convergence_report(op, f, qf, lambda x: np.cos(x[:, 0]), [0.2], 2.0)
-    t, _ = DiracSequence(2, 0.2, 0.05).quad_rule()
-    assert sum(calls) == len(t) * shape[0] * shape[1]
+    eps = [0.2, 0.1]
+    convergence_report(op, f, graph, lambda x: np.cos(x[:, 0]), eps, 2.0)
+    n = shape[0] * shape[1]
+    rule = sum(len(DiracSequence(2, e, 0.05).quad_rule()[0]) for e in eps)
+    assert f_calls == [n]
+    assert graph_calls[0] == n and sum(graph_calls[1:]) == rule * n
 
 
 def test_convergence_report_structure_and_interior_ladder():
     fn = lambda x: np.cos(1.3 * x[:, 0] + 0.4) * np.exp(0.7 * x[:, 1]) * 0.5
     qfn = lambda x: -0.65 * np.sin(1.3 * x[:, 0] + 0.4) * np.exp(0.7 * x[:, 1])
     f = HalfSpaceField(fn, BOUNDS, (65, 65))
-    qf = HalfSpaceField(qfn, BOUNDS, (65, 65))
+    graph = HalfSpaceField(lambda x: (fn(x), qfn(x)), BOUNDS, (65, 65))
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
-    rep = convergence_report(op, f, qf, fn, [0.2, 0.1], 2.0)
+    rep = convergence_report(op, f, graph, fn, [0.2, 0.1], 2.0)
     rows = rep["rows"]
     assert [r["epsilon"] for r in rows] == [0.2, 0.1]
     for key in ("tau", "interior_err", "q_err", "commutator_ratio", "trace_err"):
