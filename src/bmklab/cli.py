@@ -116,6 +116,9 @@ class ExperimentConfig:
         # written so that a NaN fails them
         if not self.eps or not all(e > 0 for e in self.eps) or not self.p >= 1:
             raise ValueError("eps needs one or more values, all positive, and p >= 1")
+        if self.experiment == "mollify" and not math.isfinite(self.p):
+            raise ValueError("mollify needs a finite p: at p = inf the slab mass of "
+                             "|f|^p is 0 or inf, so it cannot choose tau")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}; use csv or json")
         base = dict(_DEFAULT_THRESHOLDS[self.experiment])
@@ -270,6 +273,8 @@ def run_bmk_lp(cfg):
     ball = make_domain("ball", m=4)
     steps = cfg.steps or 3
     zs = _sample_ball4_points(cfg.seed)
+    if not len(zs):
+        raise ValueError(f"seed {cfg.seed} drew no evaluation point in the ball")
     smooth = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
     cfg_smooth = bmk.SingularQuadratureConfig(base_level=cfg.level, refinement_steps=steps)
     cfg_lp = bmk.SingularQuadratureConfig(base_level=cfg.level + 1, refinement_steps=steps)
@@ -295,18 +300,14 @@ def mollify_fixture(grid_n=257):
     The data is oscillatory enough that the O(eps^2) smoothing error
     dominates every rung of the documented ladder, so all four diagnostics
     decrease through eps = 0.025.  Returns (op, f, graph, f_b): graph's
-    callable gives the pair (f, Qf), and f_b is f's own callable.
+    callable gives the pair (f, Qf), and f_b is f's own callable, the
+    pair's first component.
     """
     bounds = [[-1.0, 0.0], [-1.0, 1.0]]
     op = FirstOrderOperator(2, a=[1.0, coordinate(2, 1)], b=0.5)
 
-    def f_fn(x):
-        return (0.5 * np.cos(1.3 * x[:, 0] + 0.4) * np.exp(0.7 * x[:, 1])
-                + 0.25 * x[:, 0] * x[:, 1])
-
     def graph_fn(x):
-        # the pair (f, Qf) from three transcendentals per point; f in f_fn's
-        # operation order, so its values are f_fn's bit for bit
+        # the pair (f, Qf) from three transcendentals per point
         x1, x2 = x[:, 0], x[:, 1]
         arg = 1.3 * x1 + 0.4
         c, e = np.cos(arg), np.exp(0.7 * x2)
@@ -314,6 +315,9 @@ def mollify_fixture(grid_n=257):
         df1 = -0.65 * np.sin(arg) * e + 0.25 * x2
         df2 = 0.35 * c * e + 0.25 * x1
         return fv, df1 + x2 * df2 + 0.5 * fv
+
+    def f_fn(x):
+        return graph_fn(x)[0]
 
     shape = (grid_n, grid_n)
     f = mollify.HalfSpaceField(f_fn, bounds, shape)

@@ -25,8 +25,7 @@ import numpy as np
 from .fields import PolyField, as_field, dz_part, dzbar_part
 
 __all__ = [
-    "eps_sign", "multi_indices", "DifferentialForm", "wedge", "hodge_star",
-    "top_density", "dbar", "dholo",
+    "eps_sign", "multi_indices", "DifferentialForm", "wedge", "hodge_star", "dbar",
 ]
 
 
@@ -369,13 +368,5 @@ def hodge_star(a):
     return a.star()
 
 
-def top_density(a):
-    return a.top_density()
-
-
 def dbar(a):
     return a.dbar()
-
-
-def dholo(a):
-    return a.dholo()

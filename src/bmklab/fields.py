@@ -1,12 +1,13 @@
-"""Scalar coefficient fields on R^m with exact or finite-difference derivatives.
+"""Scalar coefficient fields on R^m with exact derivatives or none.
 
 Everything downstream (forms, operators, mollifiers, kernels) consumes scalar
 fields through a small common interface: vectorized evaluation at points of
 shape (..., m), first partial derivatives, complex conjugation and pointwise
 arithmetic.  Polynomial fields implement derivatives and products exactly, so
 identities such as dbar(dbar(f)) = 0 hold coefficientwise with no quadrature
-involved.  Smooth bump / step windows carry closed-form first derivatives;
-arbitrary callables fall back to centered finite differences.
+involved.  Smooth bump / step windows carry closed-form first derivatives.
+A callable-backed field carries values only: asking it for a derivative
+raises, and a derivative it needs is supplied in closed form as data.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import functools
 
 import numpy as np
 from numpy.polynomial import legendre
-
-FD_STEP = 1e-6   # centered-difference step of AnalyticField.partial
 
 
 def _as_points(x):
@@ -54,10 +53,12 @@ class Field:
 
     def partial(self, k):
         """Field for d(self)/dx_k (0-based real coordinate)."""
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} has no derivative: supply the derivative of a "
+            "callable field in closed form, as bmk-lp supplies the dbar of its L^p datum")
 
     def conj(self):
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no conjugate")
 
     def __add__(self, other):
         other = as_field(other, self.m)
@@ -69,9 +70,6 @@ class Field:
 
     def __sub__(self, other):
         return self + (-1.0) * as_field(other, self.m)
-
-    def __rsub__(self, other):
-        return as_field(other, self.m) + (-1.0) * self
 
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, (int, float, complex)):
@@ -85,9 +83,6 @@ class Field:
 
     def __neg__(self):
         return (-1.0) * self
-
-    def __truediv__(self, c):
-        return self * (1.0 / complex(c))
 
     def _scaled(self, c):
         return ScaledField(c, self)
@@ -183,8 +178,6 @@ def as_field(obj, m):
         return obj
     if np.isscalar(obj) or isinstance(obj, (int, float, complex)):
         return constant(m, complex(obj))
-    if callable(obj):
-        return AnalyticField(m, obj)
     raise TypeError(f"cannot interpret {obj!r} as a field on R^{m}")
 
 
@@ -196,12 +189,6 @@ class SumField(Field):
 
     def __call__(self, x):
         return self.f(x) + self.g(x)
-
-    def partial(self, k):
-        return self.f.partial(k) + self.g.partial(k)
-
-    def conj(self):
-        return SumField(self.f.conj(), self.g.conj())
 
 
 class ProductField(Field):
@@ -216,9 +203,6 @@ class ProductField(Field):
     def partial(self, k):
         return self.f.partial(k) * self.g + self.f * self.g.partial(k)
 
-    def conj(self):
-        return ProductField(self.f.conj(), self.g.conj())
-
 
 class ScaledField(Field):
     def __init__(self, c, f):
@@ -232,36 +216,20 @@ class ScaledField(Field):
     def partial(self, k):
         return ScaledField(self.c, self.f.partial(k))
 
-    def conj(self):
-        return ScaledField(np.conj(self.c), self.f.conj())
-
 
 class AnalyticField(Field):
-    """Callable-backed field; derivatives by centered FD with step FD_STEP."""
+    """Callable-backed field: values and conjugate only, no derivative."""
 
-    def __init__(self, m, func, real=False):
+    def __init__(self, m, func):
         self.m = m
         self.func = func
-        self.real = real
 
     def __call__(self, x):
         x, sq = _as_points(x)
         vals = np.asarray(self.func(x), dtype=complex)
         return _unsqueeze(vals, sq)
 
-    def partial(self, k):
-        def fd(x, _k=k, _h=FD_STEP, _f=self.func):
-            xp = np.array(x, dtype=float)
-            xm = np.array(x, dtype=float)
-            xp[..., _k] += _h
-            xm[..., _k] -= _h
-            return (np.asarray(_f(xp), dtype=complex) - np.asarray(_f(xm), dtype=complex)) / (2 * _h)
-
-        return AnalyticField(self.m, fd, real=self.real)
-
     def conj(self):
-        if self.real:
-            return self
         return AnalyticField(self.m, lambda x: np.conj(self.func(x)))
 
 
@@ -372,10 +340,7 @@ class SmoothStepField(Field):
         def deriv(x, _self=self, _scale=scale):
             return smooth_transition_deriv(_self._arg(x)) * _scale
 
-        return AnalyticField(self.m, deriv, real=True)
-
-    def conj(self):
-        return self
+        return AnalyticField(self.m, deriv)
 
 
 class PlateauField(Field):
@@ -414,10 +379,7 @@ class PlateauField(Field):
             safe = np.where(s > 1e-12, s, 1.0)
             return -rho * (x[..., _k] - _self.center[_i]) / safe
 
-        return AnalyticField(self.m, deriv, real=True)
-
-    def conj(self):
-        return self
+        return AnalyticField(self.m, deriv)
 
 
 class RadialPowerField(Field):
@@ -441,14 +403,3 @@ class RadialPowerField(Field):
         u = self._u(x)
         out = np.where(u < 1.0, np.maximum(1.0 - u, 0.0) ** self.gamma, 0.0)
         return _unsqueeze(out.astype(complex), sq)
-
-    def partial(self, k):
-        def deriv(x, _self=self, _k=k):
-            u = _self._u(x)
-            base = np.where(u < 1.0, np.maximum(1.0 - u, 1e-300) ** (_self.gamma - 1.0), 0.0)
-            return -_self.gamma * base * 2.0 * (x[..., _k] - _self.center[_k]) / _self.radius ** 2
-
-        return AnalyticField(self.m, deriv, real=True)
-
-    def conj(self):
-        return self

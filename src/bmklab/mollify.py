@@ -255,7 +255,10 @@ def slab_mass(f, tau, p, samples=None):
     by its edges.  choose_tau shares one across its search: the panels of
     tau/2 are those of tau less [-2tau, -tau], plus one deeper half, so each
     panel is sampled once, and the sum is the same either way.
+    Needs 1 <= p < inf: at p = inf, |f|^p is 0 or inf.
     """
+    if not 1 <= p < np.inf:
+        raise ValueError(f"slab_mass needs 1 <= p < inf, got p = {p!r}")
     if samples is None:
         samples = {}
     t1, wt, vals, _ = _slab_panel(f, (-2.0 * tau, -tau), p, samples)

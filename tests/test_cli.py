@@ -26,6 +26,11 @@ def test_experiment_config_validation_and_threshold_merge():
         cli.ExperimentConfig(experiment="mollify", eps=())
     with pytest.raises(ValueError, match="p >= 1"):
         cli.ExperimentConfig(experiment="mollify", p=math.nan)
+    # at p = inf the slab mass of |f|^p is 0 where |f| < 1, so every tau
+    # would pass; young-scan's exponent lab still takes p = inf
+    with pytest.raises(ValueError, match="finite p"):
+        cli.ExperimentConfig(experiment="mollify", p=math.inf)
+    assert cli.ExperimentConfig(experiment="young-scan", p=math.inf).p == math.inf
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         cli.ExperimentConfig(experiment="mollify", fmt="xml")
     cfg = cli.ExperimentConfig(experiment="bmk-verify",
@@ -116,7 +121,8 @@ def test_emit_report_unknown_format(tmp_path):
 def test_main_usage_errors(tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
-    for flags in (["--eps", "0.2,-0.1"], ["--eps", "0.2,nan"], ["--p", "nan"]):
+    for flags in (["--eps", "0.2,-0.1"], ["--eps", "0.2,nan"], ["--p", "nan"],
+                  ["--p", "inf"]):
         assert cli.main(["mollify", *flags]) == 2
         assert "usage error" in capsys.readouterr().err
     bad = tmp_path / "bad.ini"
@@ -129,6 +135,17 @@ def test_main_usage_errors(tmp_path, capsys):
     assert cli.main(["green-stokes", "--config", str(xml), "--out", str(out)]) == 2
     assert "unknown format" in capsys.readouterr().err
     assert not list(tmp_path.glob("gs*"))
+
+
+def test_bmk_lp_seed_without_points_names_the_cause(tmp_path, capsys):
+    """Seed 1382 draws no point inside the ball: a fail verdict that says so."""
+    assert len(cli._sample_ball4_points(1382)) == 0
+    out = str(tmp_path / "lp")
+    assert cli.main(["bmk-lp", "--seed", "1382", "--out", out]) == 1
+    assert "drew no evaluation point" in capsys.readouterr().out
+    meta = json.load(open(out + ".meta.json"))
+    assert meta["verdict"] == "fail"
+    assert meta["error"] == "ValueError: seed 1382 drew no evaluation point in the ball"
 
 
 @pytest.mark.parametrize("argv", [

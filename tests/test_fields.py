@@ -1,9 +1,11 @@
 """Coefficient fields: exact polynomial calculus and smooth windows."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmklab.exterior import DifferentialForm
 from bmklab.fields import (AnalyticField, PolyField, RadialPowerField,
                            as_field, constant, coordinate, dz_part, dzbar_part,
                            zmonomial)
@@ -57,11 +59,22 @@ def test_wirtinger_derivatives_on_monomials():
     assert dzbar_part(h, 0).is_zero and dzbar_part(h, 1).is_zero
 
 
-def test_analytic_field_fd_gradient():
+def test_callable_field_has_no_derivative():
+    """A callable field carries values only: differentiating it, directly or
+    through a form's dbar, raises and asks for a closed-form derivative."""
     f = AnalyticField(2, lambda x: np.sin(x[:, 0]) * np.exp(x[:, 1]))
     x = np.array([[0.3, -0.2]])
-    want = np.cos(0.3) * np.exp(-0.2)
-    assert np.isclose(f.partial(0)(x)[0], want, atol=1e-8)
+    assert np.isclose(f(x)[0], np.sin(0.3) * np.exp(-0.2))
+    with pytest.raises(NotImplementedError, match="AnalyticField.*closed form"):
+        f.partial(0)
+    form = DifferentialForm(1, 0, 0, {((), ()): f})
+    with pytest.raises(NotImplementedError, match="AnalyticField.*closed form"):
+        form.dbar()
+
+
+def test_as_field_rejects_a_bare_callable():
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_field(lambda x: x[:, 0], 2)
 
 
 def test_radial_power_field_support_and_value():

@@ -234,6 +234,16 @@ def test_choose_tau_singular_selection_matches_prediction():
     assert np.isclose(tau, eps * 2.0 ** (-k_pred))
 
 
+@pytest.mark.parametrize("p", [np.inf, 0.5, np.nan])
+def test_slab_mass_needs_a_finite_p_of_at_least_one(p):
+    """At p = inf, |f|^p is 0 or inf, so the tau search would decide nothing."""
+    f, _ = _smooth_field()
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        slab_mass(f, 0.1, p)
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        choose_tau(f, 0.2, p)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_choose_tau_raises_when_slab_mass_cannot_comply():
     """|f|^p just inside non-integrability defeats every dyadic scale."""
