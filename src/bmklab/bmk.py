@@ -54,8 +54,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (DifferentialForm, _star_monomial, batch_pullback_density,
-                       eps_sign, multi_indices)
+from .exterior import (DifferentialForm, _merge, _star_monomial, _wedge_monomial_sign,
+                       batch_pullback_density, eps_sign, multi_indices)
 from .fields import _as_points
 from .geometry import boundary_rule, dist_boundary, volume_rule
 
@@ -68,7 +68,7 @@ __all__ = [
 NODE_BLOCK = 32_768    # nodes a worker writes and folds at once (8.4 MB of fold at n = 2, q = 1)
 PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
 
-EXCLUSION_FACTOR = 2.0      # op_volume / volume term: rho = factor * rule spacing
+EXCLUSION_FACTOR = 2.0      # _volume_term: rho = factor * rule spacing
 FD_EXCLUSION_FACTOR = 4.0   # dbar_potential: rho = factor * rule spacing
 FD_STEP_FACTOR = 0.5        # dbar_potential: step h = factor * rho
 MARGIN_FACTOR = 0.25        # reproduce_residual skips z within factor * radius of bD
@@ -299,28 +299,27 @@ def _value_norm(values, q):
     return math.sqrt(sum(2.0 ** q * abs(v) ** 2 for v in values.values()))
 
 
+def _volume_term(g, rule, points):
+    """(P, K) values of B^D_q g, q = g.q - 1, at the (P, 2n) points: the sweep
+    over the interior rule without the nodes within EXCLUSION_FACTOR spacings."""
+    return _sweep(g.n, g.q - 1, g, rule, points, EXCLUSION_FACTOR * rule.spacing)
+
+
 def op_volume(g, z, domain, config=None):
     """B^D_q g(z) by exclusion quadrature over a refinement ladder.
 
-    Returns the finest-level value, per-level values, level deltas and a
-    flag when z sits within the exclusion radius of the boundary.
+    Returns the finest-level value, per-level values and level deltas.
     """
     config = config or SingularQuadratureConfig()
-    n = domain.n_complex
     q = g.q - 1
     z = np.asarray(z, dtype=float)
-    keys = multi_indices(n, q)
-    per_level, flags = [], []
-    for level in config.levels():
-        rule = volume_rule(domain, level)
-        rho = EXCLUSION_FACTOR * rule.spacing
-        flags.append(bool(dist_boundary(domain, z) < rho))
-        per_level.append(_as_dict(keys, _sweep(n, q, g, rule, z[None, :], rho)[0]))
+    keys = multi_indices(domain.n_complex, q)
+    per_level = [_as_dict(keys, _volume_term(g, volume_rule(domain, level), z[None, :])[0])
+                 for level in config.levels()]
     deltas = [_value_norm({J: per_level[i + 1][J] - per_level[i][J]
                            for J in per_level[0]}, q)
               for i in range(len(per_level) - 1)]
-    return {"value": per_level[-1], "per_level": per_level, "deltas": deltas,
-            "boundary_flag": any(flags), "q": q}
+    return {"value": per_level[-1], "per_level": per_level, "deltas": deltas}
 
 
 def op_boundary(f_b, z, domain, config=None):
@@ -330,9 +329,8 @@ def op_boundary(f_b, z, domain, config=None):
     if dist_boundary(domain, z) <= 0:
         raise ValueError("evaluation point must be strictly inside the domain")
     n = domain.n_complex
-    level = config.levels()[-1]
-    value = _sweep(n, f_b.q, f_b, boundary_rule(domain, level), z[None, :])[0]
-    return {"value": _as_dict(multi_indices(n, f_b.q), value), "q": f_b.q, "level": level}
+    value = _sweep(n, f_b.q, f_b, boundary_rule(domain, config.levels()[-1]), z[None, :])[0]
+    return {"value": _as_dict(multi_indices(n, f_b.q), value)}
 
 
 def _dbar_from_partials(n, q, partials):
@@ -343,11 +341,9 @@ def _dbar_from_partials(n, q, partials):
     out = {J: 0.0 + 0.0j for J in multi_indices(n, q + 1)}
     for j, comps in partials.items():
         for Jp, v in comps.items():
-            if j in Jp:
-                continue
-            below = sum(1 for e in Jp if e < j)
-            J = tuple(sorted(Jp + (j,)))
-            out[J] += (-1.0) ** below * v
+            sign = _wedge_monomial_sign(n, (), (j,), (), Jp)
+            if sign:
+                out[_merge(Jp, (j,))] += sign * v
     return out
 
 
@@ -415,7 +411,7 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     inside = dist_boundary(domain, z_points) >= margin
     flagged = [z_points[i] for i in range(len(z_points)) if not inside[i]]
     zs = z_points[inside]
-    keys = list(multi_indices(n, q))
+    keys = multi_indices(n, q)
     fz = np.stack([np.broadcast_to(f.coefficient((), J)(zs), len(zs)) for J in keys], axis=-1)
     zero = dict.fromkeys(keys, 0.0 + 0.0j)
     rows = []
@@ -424,8 +420,7 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
         vol_rule = volume_rule(domain, level)   # factors only; the sweeps write its blocks
         vvals = np.zeros_like(bvals)
         if dbar_f is not None:
-            rho = EXCLUSION_FACTOR * vol_rule.spacing
-            vvals = _sweep(n, q, dbar_f, vol_rule, zs, rho)
+            vvals = _volume_term(dbar_f, vol_rule, zs)
         dvals = dbar_potential(f, zs, vol_rule)
         for i, z in enumerate(zs):
             bval, vval = _as_dict(keys, bvals[i]), _as_dict(keys, vvals[i])
@@ -439,4 +434,4 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
                 "volume_term_norm": _value_norm(vval, q),
                 "potential_dbar_norm": _value_norm(dval, q),
             })
-    return {"rows": rows, "flagged": flagged, "q": q}
+    return {"rows": rows, "flagged": flagged}

@@ -10,7 +10,8 @@ Five experiments wrap the verification pipelines at desk scale:
 
 Configuration is INI-style ([common] plus one section per experiment);
 command-line flags win over file values, and each experiment takes only
-the flags of the settings it reads.  Thresholds live in config with
+the settings it reads: an unread setting given as a flag or in its own
+section is a usage error.  Thresholds live in config with
 the documented defaults; overriding a threshold changes the verdict only,
 never the measurements.  Random test families derive from numpy's
 default_rng (PCG64) seeded from the config, so reports are reproducible
@@ -77,12 +78,13 @@ _KEYS = {"level": int, "steps": int, "seed": int, "grid_n": int, "p": float,
 _FLAGS = {"level": "--level", "eps": "--eps", "p": "--p", "seed": "--seed",
           "out": "--out", "fmt": "--format"}
 
-# the flags of the settings each experiment reads; every experiment also
-# takes --out and --format, and a flag it does not take is a usage error
-_EXPERIMENT_FLAGS = {
-    "bmk-verify": ("level", "seed"),
-    "bmk-lp": ("level", "seed"),
-    "mollify": ("eps", "p"),
+# the settings each experiment reads besides out and fmt, which all read; a
+# flag, or a key in the experiment's own INI section, that it does not read
+# is a usage error
+_READS = {
+    "bmk-verify": ("level", "seed", "steps"),
+    "bmk-lp": ("level", "seed", "steps"),
+    "mollify": ("eps", "p", "grid_n"),
     "green-stokes": ("level", "seed"),
     "young-scan": ("level", "seed", "p"),
 }
@@ -142,11 +144,15 @@ class Report:
 
 
 def load_config(path, experiment):
-    """Merge [common] and the experiment's section into keyword overrides."""
+    """Merge [common] and the experiment's section into keyword overrides.
+    A setting in its own section that the experiment does not read is an error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"config file {path!r} not readable")
+    own = parser.options(experiment) if parser.has_section(experiment) else ()
+    unread = sorted(set(own).intersection(_KEYS).difference(_READS[experiment], ("out", "fmt")))
+    if unread:
+        raise ValueError(f"{experiment} does not read {unread}")
     merged = {}
     for section in ("common", experiment):
         if parser.has_section(section):
@@ -227,8 +233,7 @@ def run_bmk_verify(cfg):
     res_conj = bmk.reproduce_residual(conj, conj, conj.dbar(), disc, zs, qcfg)
     cols, rows = _residual_rows(res_holo, 1)
     rows += _residual_rows(res_conj, 1)[1]
-    finest = max(r["level"] for r in res_holo["rows"])
-    holo_max = max(r["residual"] for r in res_holo["rows"] if r["level"] == finest)
+    holo_max = _level_maxima(res_holo)[-1]
     maxima = _level_maxima(res_conj)
     deltas = [abs(maxima[i] - maxima[i + 1]) for i in range(len(maxima) - 1)]
     win = int(cfg.thresholds["delta_window"])
@@ -519,8 +524,9 @@ def _build_parser():
     for name in EXPERIMENTS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        for key in _EXPERIMENT_FLAGS[name] + ("out", "fmt"):
-            sp.add_argument(_FLAGS[key], dest=key, type=_KEYS[key], default=None)
+        for key in _READS[name] + ("out", "fmt"):
+            if key in _FLAGS:
+                sp.add_argument(_FLAGS[key], dest=key, type=_KEYS[key], default=None)
     return parser
 
 

@@ -18,6 +18,7 @@ density -2i, star maps (p,q) to (n-q,n-p), and star(star(w)) = (-1)^(p+q) w.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -59,22 +60,8 @@ def eps_sign(a, b):
 
 
 def multi_indices(n, k):
-    """All strictly increasing k-tuples with entries in 1..n."""
-    if k < 0:
-        return []
-    if k == 0:
-        return [()]
-    out = []
-
-    def rec(start, prefix):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for v in range(start, n + 1):
-            rec(v + 1, prefix + [v])
-
-    rec(1, [])
-    return out
+    """All strictly increasing k-tuples with entries in 1..n, in lexicographic order."""
+    return list(itertools.combinations(range(1, n + 1), k)) if k >= 0 else []
 
 
 # ---------------------------------------------------------------------------
@@ -264,37 +251,30 @@ class DifferentialForm:
 
     def dbar(self):
         """Antiholomorphic exterior derivative, (p,q) -> (p,q+1)."""
-        out = {}
-        for (I, J), c in self.coeffs.items():
-            for j in range(1, self.n + 1):
-                if j in J:
-                    continue
-                dc = dzbar_part(c, j - 1)
-                if dc.is_zero:
-                    continue
-                below = sum(1 for l in J if l < j)
-                sign = (-1) ** (self.p + below)
-                key = (I, tuple(sorted(J + (j,))))
-                term = dc * float(sign)
-                out[key] = out[key] + term if key in out else term
-        return DifferentialForm(self.n, self.p, self.q + 1, out)
+        return self._d(holo=False)
 
     def dholo(self):
         """Holomorphic exterior derivative, (p,q) -> (p+1,q)."""
+        return self._d(holo=True)
+
+    def _d(self, holo):
+        """sum_j dz_j ^ d_j (holo) or dzbar_j ^ dbar_j of each coefficient, each
+        sign from the wedge rule, which gives 0 where j is already present."""
+        partial, dp = (dz_part, 1) if holo else (dzbar_part, 0)
         out = {}
         for (I, J), c in self.coeffs.items():
             for j in range(1, self.n + 1):
-                if j in I:
+                I1, J1 = ((j,), ()) if holo else ((), (j,))
+                sign = _wedge_monomial_sign(self.n, I1, J1, I, J)
+                if sign == 0:
                     continue
-                dc = dz_part(c, j - 1)
+                dc = partial(c, j - 1)
                 if dc.is_zero:
                     continue
-                below = sum(1 for l in I if l < j)
-                sign = (-1) ** below
-                key = (tuple(sorted(I + (j,))), J)
+                key = (_merge(I1, I), _merge(J1, J))
                 term = dc * float(sign)
                 out[key] = out[key] + term if key in out else term
-        return DifferentialForm(self.n, self.p + 1, self.q, out)
+        return DifferentialForm(self.n, self.p + dp, self.q + 1 - dp, out)
 
     def top_density(self):
         """For an (n,n)-form: the field c with self = c dV_{R^{2n}}."""

@@ -26,6 +26,8 @@ limited only by roundoff, independently of the quadrature level.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fields import AnalyticField, PolyField, as_field
@@ -208,20 +210,12 @@ def equivalence_report(domain, f, f_b, F, tests, level=1):
 
 
 def _random_poly(m, degree, rng):
+    """N(0, 1) real and imaginary coefficient parts, drawn in lexicographic exponent order."""
     terms = {}
-    for alpha in _exponents(m, degree):
-        c = rng.standard_normal() + 1j * rng.standard_normal()
-        terms[alpha] = complex(c)
+    for alpha in itertools.product(range(degree + 1), repeat=m):
+        if sum(alpha) <= degree:
+            terms[alpha] = complex(rng.standard_normal() + 1j * rng.standard_normal())
     return PolyField(m, terms)
-
-
-def _exponents(m, degree):
-    if m == 0:
-        yield ()
-        return
-    for d in range(degree + 1):
-        for rest in _exponents(m - 1, degree - d):
-            yield (d,) + rest
 
 
 def _domain_window(domain):

@@ -147,28 +147,6 @@ def admissible_exponents(spec, p):
     return pairs
 
 
-def _violation_message(spec, p, r):
-    t, s, a, b = spec.t, spec.s, spec.a, spec.b
-    p_min_1, p_min_2 = _p_minima(spec)
-    parts = []
-    if p < p_min_1:
-        parts.append(f"case I needs p >= {p_min_1}")
-    elif r > a * t:
-        parts.append(f"case I needs r <= a*t = {a * t}")
-    sb = s * b
-    if not (p_min_2 <= p < INF):
-        parts.append(f"cases II/III need {p_min_2} <= p < infinity")
-    elif sb == t:
-        parts.append("case III needs s*b != t")
-    else:
-        got = [pr.r for pr in admissible_exponents(spec, p) if pr.case_tag == "III"]
-        if got:
-            parts.append(f"case III admits only r <= {got[0]}")
-        else:
-            parts.append("case III line falls outside [1, infinity] or its cap")
-    return "; ".join(parts)
-
-
 def _sample_functions(space, count, seed, p):
     """Normalized test functions: one constant, then polynomial*bump draws."""
     rng = np.random.default_rng(seed)
@@ -197,9 +175,15 @@ def _sample_functions(space, count, seed, p):
 
 def empirical_norm(spec, p, r, sample_count=20, seed=0, level=1):
     """Max over normalized samples of ||T f||_r; a lower bound on ||T||."""
-    if not any(r <= pair.r + 1e-12 for pair in admissible_exponents(spec, p)):
-        raise ValueError(
-            f"(p={p}, r={r}) is not admissible: {_violation_message(spec, p, r)}")
+    pairs = admissible_exponents(spec, p)
+    if not any(r <= pair.r + 1e-12 for pair in pairs):
+        if pairs:
+            why = "; ".join(f"case {pair.case_tag} admits only r <= {pair.r}" for pair in pairs)
+        else:
+            p_min_1, p_min_2 = _p_minima(spec)
+            why = (f"no case admits p: case I needs p >= {p_min_1}, "
+                   f"cases II/III need {p_min_2} <= p < infinity")
+        raise ValueError(f"(p={p}, r={r}) is not admissible: {why}")
     X = _materialize(spec.X, level)
     Y = _materialize(spec.Y, level)
     samples = _sample_functions(X, sample_count, seed, p)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -158,6 +159,32 @@ def test_flag_the_experiment_does_not_read_is_a_usage_error(tmp_path, capsys, ar
     out = tmp_path / "rep"
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
+
+
+@pytest.mark.parametrize("experiment, section, unread", [
+    ("young-scan", "grid_n = 3\neps = 0.1\n", "['eps', 'grid_n']"),
+    ("mollify", "level = 5\nsteps = 9\n", "['level', 'steps']"),
+    ("green-stokes", "steps = 2\n", "['steps']"),
+], ids=["young-scan", "mollify", "green-stokes"])
+def test_setting_the_experiment_does_not_read_in_its_section_is_an_error(
+        tmp_path, experiment, section, unread):
+    """A key in an experiment's own section that it would ignore is an error;
+    the same key in [common] applies only where it is read."""
+    path = tmp_path / "lab.ini"
+    path.write_text(f"[{experiment}]\n{section}")
+    with pytest.raises(ValueError, match=f"{experiment} does not read {re.escape(unread)}"):
+        cli.load_config(str(path), experiment)
+    path.write_text(f"[common]\n{section}")
+    cli.ExperimentConfig(experiment=experiment, **cli.load_config(str(path), experiment))
+
+
+def test_main_unread_section_setting_is_a_usage_error(tmp_path, capsys):
+    ini = tmp_path / "lab.ini"
+    ini.write_text("[mollify]\nlevel = 5\n")
+    out = tmp_path / "rep"
+    assert cli.main(["mollify", "--config", str(ini), "--out", str(out)]) == 2
+    assert "does not read" in capsys.readouterr().err
     assert not list(tmp_path.glob("rep*"))
 
 

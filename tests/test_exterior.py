@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bmklab.exterior import (DifferentialForm, batch_pullback_density, dbar, eps_sign,
                              hodge_star, multi_indices, wedge)
-from bmklab.fields import PolyField, zmonomial
+from bmklab.fields import PolyField, dz_part, dzbar_part, zmonomial
 from bmklab.geometry import boundary_rule, make_domain
 
 mono = DifferentialForm.monomial
@@ -58,6 +58,8 @@ def test_multi_indices_sorted_and_complete():
     got = multi_indices(4, 2)
     assert got == [tuple(c) for c in itertools.combinations(range(1, 5), 2)]
     assert multi_indices(3, 0) == [()]
+    assert multi_indices(3, -1) == []
+    assert multi_indices(3, 4) == []
 
 
 # hand table for n=1: *1 = (i/2) dz^dzbar, *dz = -i dz, *dzbar = i dzbar,
@@ -220,6 +222,35 @@ def test_dbar_leibniz_on_polynomials():
         va = lhs.coeffs[key](x) if key in lhs.coeffs else np.zeros(25)
         vb = rhs.coeffs[key](x) if key in rhs.coeffs else np.zeros(25)
         assert np.allclose(va, vb, atol=1e-13)
+
+
+def _poly_form(n, p, q, rng, degree=2):
+    """A (p,q)-form whose coefficients are complex polynomials of the given degree in x."""
+    exps = [a for a in itertools.product(range(degree + 1), repeat=2 * n) if sum(a) <= degree]
+    return DifferentialForm(n, p, q, {
+        (I, J): PolyField(2 * n, {a: complex(*rng.standard_normal(2)) for a in exps})
+        for I in multi_indices(n, p) for J in multi_indices(n, q)})
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1)])
+def test_dbar_and_dholo_are_sums_of_wedges(p, q):
+    """dbar f = sum_j dzbar_j ^ (dbar_j f) and dholo f = sum_j dz_j ^ (d_j f),
+    with every sign from wedge.  An odd p moves dzbar_j across dz^I, so a
+    dbar that drops the p in its sign fails here."""
+    rng = np.random.default_rng(10 * p + q)
+    f = _poly_form(2, p, q, rng)
+    x = rng.uniform(-1, 1, (20, 4))
+    for got, part, holo in ((f.dbar(), dzbar_part, False), (f.dholo(), dz_part, True)):
+        want = {}
+        for j in (1, 2):
+            fj = DifferentialForm(2, p, q, {k: part(c, j - 1) for k, c in f.coeffs.items()})
+            one = mono(2, (j,), ()) if holo else mono(2, (), (j,))
+            for key, c in one.wedge(fj).coeffs.items():
+                want[key] = want.get(key, 0.0) + c(x)
+        assert bool(got.coeffs) == (p < 2 if holo else q < 2)
+        for key in set(got.coeffs) | set(want):
+            va = got.coeffs[key](x) if key in got.coeffs else 0.0
+            assert np.allclose(va, want.get(key, 0.0), rtol=0, atol=1e-12), (holo, key)
 
 
 def _linear_form(n, p, rng):

@@ -190,6 +190,17 @@ def test_inadmissible_pair_error_names_constraint():
         young.empirical_norm(spec, 2.0, 10.0)
 
 
+def test_inadmissible_p_error_names_the_p_ranges():
+    """t = 1.5 and s b = 4: case I needs p >= 3 and cases II/III p >= 4/3,
+    so no case admits p = 1.2 and the error gives both ranges."""
+    spec = young.KernelSpec(X=("boundary", DISC), Y=("domain", DISC),
+                            kernel=young.bmk_norm_kernel(1, 0), t=1.5, s=2.0, a=4.0, b=2.0)
+    assert young.admissible_exponents(spec, 1.2) == []
+    with pytest.raises(ValueError, match=r"no case admits p: case I needs p >= 3\.0, "
+                                         r"cases II/III need 1\.333\d* <= p < infinity"):
+        young.empirical_norm(spec, 1.2, 1.0)
+
+
 def test_center_point_boundary_mass():
     """I(0) = A * 2 pi = sqrt(2); without the constant it is 2 pi."""
     rule = boundary_rule(DISC, 5)
