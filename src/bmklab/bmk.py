@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import (DifferentialForm, _merge, _star_monomial, _wedge_monomial_sign,
-                       batch_pullback_density, eps_sign, multi_indices)
+                       density, eps_sign, multi_indices)
 from .fields import _as_points
 from .geometry import boundary_rule, dist_boundary, volume_rule
 
@@ -144,24 +144,18 @@ class SingularQuadratureConfig:
         return list(range(self.base_level, self.base_level + max(1, self.refinement_steps)))
 
 
-def _densities(n, q, form, interior):
-    """[(k, j, density)] for each constant (n, n-q-1)-form K_Jj of
+def _densities(form, q):
+    """[(k, j, form ^ K_Jj)] for each constant (n, n-q-1)-form K_Jj of
     kernel_table(n, q), the part of B that multiplies s_j dzbar^J(z), with
-    J = multi_indices(n, q)[k].  On an interior rule density is the field of
-    form ^ K_Jj against dV (top_density); on a boundary rule it is the
-    (2n-1)-form form ^ K_Jj, which batch_pullback_density takes against dS
-    through the rule's outward normals.
+    J = multi_indices(n, q)[k].  exterior.density takes each wedge against
+    dV or, through a boundary rule's outward normals, against dS.
     """
-    if (form.p, form.q) != (0, q + interior):
-        region = "interior" if interior else "boundary"
-        raise ValueError(f"{region} operand must be a (0, {q + interior})-form")
+    if form.p:
+        raise ValueError(f"operand must be a (0, q)-form, got ({form.p}, {form.q})")
+    n = form.n
     keys = multi_indices(n, q)
-    out = []
-    for J, terms in kernel_table(n, q).items():
-        for j, mono in terms:
-            wedged = form.wedge(DifferentialForm(n, n, n - q - 1, mono))
-            out.append((keys.index(J), j, wedged.top_density() if interior else wedged))
-    return out
+    return [(keys.index(J), j, form.wedge(DifferentialForm(n, n, n - q - 1, mono)))
+            for J, terms in kernel_table(n, q).items() for j, mono in terms]
 
 
 def _fold(coef, densities, nodes, nu, weights):
@@ -176,11 +170,8 @@ def _fold(coef, densities, nodes, nu, weights):
     outward normals, is None on an interior rule.
     """
     width = coef.shape[2] // 2
-    for k, j, density in densities:
-        if nu is None:
-            a = weights * np.asarray(density(nodes), dtype=complex)
-        else:
-            a = weights * batch_pullback_density(density, nodes, nu)
+    for k, j, wedged in densities:
+        a = weights * density(wedged, nodes, nu)
         coef[2 * j - 2, :, k] = a.real
         coef[2 * j - 2, :, width + k] = a.imag
         coef[2 * j - 1, :, k] = a.imag
@@ -196,8 +187,11 @@ def _norm2(d, out, tmp):
     return out
 
 
-def _sweep(n, q, form, rule, points, radius=0.0, centers=None):
+def _sweep(form, rule, points, radius=0.0, centers=None):
     """(P, K) values sum_i w_i sum_j fold_Jj(i) s_j(i; y_p), K = |multi_indices(n, q)|.
+
+    n = form.n, and q is form.q on a boundary rule and form.q - 1 on an
+    interior rule (rule.nu None), the degree of the value.
 
     Every point y_p of the (P, 2n) stack is evaluated in one pass over the
     rule, taken one block of NODE_BLOCK nodes at a time.  The blocks run on
@@ -213,11 +207,13 @@ def _sweep(n, q, form, rule, points, radius=0.0, centers=None):
     centers (C, 2n), to the centre shared by the p-th group of P / C
     consecutive points.
     """
-    interior = rule.region == "interior"
-    densities = _densities(n, q, form, interior)
+    n, q = form.n, form.q - (rule.nu is None)
+    densities = _densities(form, q)
     width = len(multi_indices(n, q))
     points = np.asarray(points, dtype=float)
     count, m = points.shape
+    if m != 2 * n:
+        raise ValueError(f"a form on C^{n} needs points in R^{2 * n}, got R^{m}")
     acc = np.zeros((count, 2 * width))
     if not (count and densities):
         return acc[:, :width] + 1j * acc[:, width:]
@@ -302,7 +298,7 @@ def _value_norm(values, q):
 def _volume_term(g, rule, points):
     """(P, K) values of B^D_q g, q = g.q - 1, at the (P, 2n) points: the sweep
     over the interior rule without the nodes within EXCLUSION_FACTOR spacings."""
-    return _sweep(g.n, g.q - 1, g, rule, points, EXCLUSION_FACTOR * rule.spacing)
+    return _sweep(g, rule, points, EXCLUSION_FACTOR * rule.spacing)
 
 
 def op_volume(g, z, domain, config=None):
@@ -328,9 +324,8 @@ def op_boundary(f_b, z, domain, config=None):
     z = np.asarray(z, dtype=float)
     if dist_boundary(domain, z) <= 0:
         raise ValueError("evaluation point must be strictly inside the domain")
-    n = domain.n_complex
-    value = _sweep(n, f_b.q, f_b, boundary_rule(domain, config.levels()[-1]), z[None, :])[0]
-    return {"value": _as_dict(multi_indices(n, f_b.q), value)}
+    value = _sweep(f_b, boundary_rule(domain, config.levels()[-1]), z[None, :])[0]
+    return {"value": _as_dict(multi_indices(f_b.n, f_b.q), value)}
 
 
 def _dbar_from_partials(n, q, partials):
@@ -363,6 +358,8 @@ def dbar_potential(f, z, rule):
     while B(z, rho + h) lies inside D.  rho + h is 6 level spacings, 2^-level
     on the unit ball, so at level 0 it never does.
     """
+    if rule.nu is not None:
+        raise ValueError("dbar_potential needs an interior rule, got a boundary rule")
     n = f.n
     q = f.q
     zs, single = _as_points(z)
@@ -375,13 +372,13 @@ def dbar_potential(f, z, rule):
     shifts = np.stack([sign * steps[c] for c in range(2 * n) for sign in (1.0, -1.0)])
     ys = zs[:, None, :] + shifts[None, :, :]
     keys = multi_indices(n, q - 1)
-    vals = _sweep(n, q - 1, f, rule, ys.reshape(-1, 2 * n), rho + h, centers=zs)
+    vals = _sweep(f, rule, ys.reshape(-1, 2 * n), rho + h, centers=zs)
     vals = vals.reshape(len(zs), 4 * n, len(keys))
     d = ys - zs[:, None, :]
     dc = d[..., 0::2] + 1j * d[..., 1::2]
     ball_factor = math.pi ** n / math.factorial(n)
-    for k, j, density in _densities(n, q - 1, f, True):
-        a = np.asarray(density(zs), dtype=complex)
+    for k, j, wedged in _densities(f, q - 1):
+        a = density(wedged, zs)
         vals[:, :, k] += a[:, None] * ball_factor * (-np.conj(dc[:, :, j - 1]))
     vals = vals.reshape(len(zs), n, 4, len(keys))
     ddx = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
@@ -403,6 +400,8 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     Each level takes one sweep per term over all kept points.
     """
     config = config or SingularQuadratureConfig()
+    if f_b.bidegree != f.bidegree:
+        raise ValueError(f"f_b must have f's bidegree {f.bidegree}, got {f_b.bidegree}")
     n = domain.n_complex
     q = f.q
     scale = domain.radius if domain.radius is not None else 1.0
@@ -416,7 +415,7 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     zero = dict.fromkeys(keys, 0.0 + 0.0j)
     rows = []
     for level in config.levels():
-        bvals = _sweep(n, q, f_b, boundary_rule(domain, level), zs)
+        bvals = _sweep(f_b, boundary_rule(domain, level), zs)
         vol_rule = volume_rule(domain, level)   # factors only; the sweeps write its blocks
         vvals = np.zeros_like(bvals)
         if dbar_f is not None:

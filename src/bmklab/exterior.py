@@ -299,19 +299,24 @@ class DifferentialForm:
         return total
 
 
-def batch_pullback_density(form, nodes, nu):
-    """Density of the boundary pullback of a (2n-1)-form against dS.
+def density(form, nodes, nu=None):
+    """Density of a form at nodes against dV, or against dS given normals.
 
-    nodes, nu: (N, 2n) boundary points and outward unit normals.  With T an
-    oriented orthonormal tangent frame, det[nu | T] = 1 and nu_flat(T) = 0,
-    so form(T) is the top density of nu_flat ^ form, where
+    An (n,n)-form with nu None gives its top density, the field c with
+    form = c dV.  A (2n-1)-form with nu, the (N, 2n) outward unit normals,
+    gives the density of its boundary pullback.  With T an oriented
+    orthonormal tangent frame, det[nu | T] = 1 and nu_flat(T) = 0, so
+    form(T) is the top density of nu_flat ^ form, where
     nu_flat = sum_i (conj(c_i) dz_i + c_i dzbar_i) / 2, c_i = nu_{x_i} + i nu_{y_i}.
     Each monomial lacks exactly one dz_i or dzbar_i, which nu_flat supplies.
-    Returns complex (N,).
+    Returns complex (N,); ValueError on any other degree and normals.
     """
     n = form.n
-    if form.degree != 2 * n - 1:
-        raise ValueError("pullback density needs a (2n-1)-form")
+    if nu is None and form.degree == 2 * n:
+        return np.asarray(form.top_density()(nodes), dtype=complex)
+    if nu is None or form.degree != 2 * n - 1:
+        raise ValueError("density needs an (n,n)-form without normals "
+                         "or a (2n-1)-form with normals")
     nu = np.asarray(nu, dtype=float)
     nu_c = nu[:, 0::2] + 1j * nu[:, 1::2]
     out = np.zeros(len(nodes), dtype=complex)
@@ -326,16 +331,9 @@ def batch_pullback_density(form, nodes, nu):
     return out
 
 
-def integrate_top(form, nodes, weights):
-    """Integrate an (n,n)-form over interior nodes via its density against dV."""
-    dens = form.top_density()
-    return complex(np.sum(np.asarray(weights) * np.asarray(dens(nodes), dtype=complex)))
-
-
-def integrate_boundary(form, nodes, weights, nu):
-    """Integrate a (2n-1)-form over boundary nodes with outward normals nu."""
-    dens = batch_pullback_density(form, nodes, nu)
-    return complex(np.sum(np.asarray(weights) * dens))
+def integrate(form, rule):
+    """Integrate a form over a rule: against dV inside, against dS on a boundary."""
+    return complex(np.sum(rule.weights * density(form, rule.nodes, rule.nu)))
 
 
 # module-level aliases matching the operation vocabulary

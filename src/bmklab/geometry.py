@@ -84,7 +84,7 @@ def make_domain(kind, **params):
 
 @dataclass
 class QuadratureRule:
-    """A rule held as arrays, or as the factors of a ball volume rule.
+    """Nodes, weights and, on a boundary, outward unit normals nu (None inside).
 
     arrays is (nodes, weights).  A ball volume rule keeps shells instead:
     (r, shell_w, sph, sph_w, center), the radial nodes, the shell weights
@@ -93,8 +93,6 @@ class QuadratureRule:
     part reads any node range from either; nodes and weights build a ball
     volume rule's arrays from part on first access and keep them.
     """
-    level: int
-    region: str                          # "interior" | "boundary"
     spacing: float
     nu: Optional[np.ndarray] = None
     arrays: Optional[tuple] = None
@@ -218,13 +216,11 @@ def volume_rule(domain, level):
         r = R * (xr + 1.0) / 2.0
         wr = R * wr / 2.0
         sph, sph_w, _ = _sphere_rule(m, level)
-        return QuadratureRule(level, "interior", R / nr,
-                              shells=(r, wr * r ** (m - 1), sph, sph_w, domain.center))
+        return QuadratureRule(R / nr, shells=(r, wr * r ** (m - 1), sph, sph_w, domain.center))
 
     if domain.kind in ("interval-box", "half-space-patch"):
         axis_nodes, axis_weights, steps = _gauss_axes(domain.bounds, level)
-        return QuadratureRule(level, "interior", max(steps),
-                              arrays=_tensor(axis_nodes, axis_weights))
+        return QuadratureRule(max(steps), arrays=_tensor(axis_nodes, axis_weights))
 
     raise ValueError(f"no volume rule for {domain.kind} in dimension {domain.m}")
 
@@ -234,7 +230,7 @@ def boundary_rule(domain, level):
     if domain.kind == "ball" and domain.m in BALL_RADIAL:
         R = domain.radius
         sph, sph_w, spacing = _sphere_rule(domain.m, level)
-        return QuadratureRule(level, "boundary", spacing * R, nu=sph,
+        return QuadratureRule(spacing * R, nu=sph,
                               arrays=(domain.center + R * sph, sph_w * R ** (domain.m - 1)))
 
     if domain.kind == "half-space-patch":
@@ -247,7 +243,7 @@ def boundary_rule(domain, level):
         nodes = np.concatenate([p.nodes for p in parts])
         w = np.concatenate([p.weights for p in parts])
         nu = np.concatenate([p.nu for p in parts])
-        return QuadratureRule(level, "boundary", parts[0].spacing, nu=nu, arrays=(nodes, w))
+        return QuadratureRule(parts[0].spacing, nu=nu, arrays=(nodes, w))
 
     raise ValueError(f"no boundary rule for {domain.kind} in dimension {domain.m}")
 
@@ -266,7 +262,7 @@ def _face_rule(domain, axis, side, level):
     spacing = max(steps[:axis] + steps[axis + 1:], default=1.0)
     nu = np.zeros((len(w), m))
     nu[:, axis] = float(side)
-    return QuadratureRule(level, "boundary", spacing, nu=nu, arrays=(nodes, w))
+    return QuadratureRule(spacing, nu=nu, arrays=(nodes, w))
 
 
 def dist_boundary(domain, x):

@@ -44,7 +44,7 @@ from .fields import (_bump01, _bump01_deriv, smooth_transition,
 from .geometry import _composite_gauss, _lp_norm, _tensor
 
 __all__ = [
-    "TangentialMollifier", "DiracSequence", "HalfSpaceField",
+    "DiracSequence", "HalfSpaceField",
     "choose_tau", "slab_mass", "convolve_field", "convergence_report",
 ]
 
@@ -60,36 +60,11 @@ def _sphere_area(d):
 
 
 def _radial_bump_mass(d):
-    """Integral of exp(-1/(1-|x|^2)) over the unit ball of R^d."""
+    """Integral of exp(-1/(1-|x|^2)) over the unit ball of R^d; that of R^0 is one point."""
     if d == 0:
-        return 1.0
+        return float(_bump01(0.0))
     r, w = _composite_gauss(0.0, 1.0, 1, 80)
     return float(_sphere_area(d) * np.sum(w * _bump01(r) * r ** (d - 1)))
-
-
-class TangentialMollifier:
-    """Unit-mass radial bump on the unit ball of R^d (the lateral slice)."""
-
-    def __init__(self, d):
-        self.d = d
-        self.mass = _radial_bump_mass(d)
-
-    def values(self, xp, eps):
-        if self.d == 0:
-            return np.ones(np.asarray(xp).shape[0])
-        r = np.linalg.norm(np.asarray(xp, dtype=float) / eps, axis=-1)
-        return _bump01(r) / self.mass / eps ** self.d
-
-    def grad(self, xp, eps):
-        """Spatial gradient of the eps-scaled profile, shape (N, d)."""
-        xp = np.asarray(xp, dtype=float)
-        if self.d == 0:
-            return np.zeros((xp.shape[0], 0))
-        y = xp / eps
-        r = np.linalg.norm(y, axis=-1)
-        safe = np.maximum(r, 1e-300)
-        radial = _bump01_deriv(r) / self.mass
-        return (radial / safe)[:, None] * y / eps ** (self.d + 1)
 
 
 class DiracSequence:
@@ -98,7 +73,8 @@ class DiracSequence:
     h is fields.smooth_transition, the smoothed step with h = 0 below 1,
     h = 1 above 2 and h' >= 0.  The support {tau < t_1 < 2tau} x {|t'| < eps}
     sits strictly inside {t_1 > 0}, which is what pushes the convolution
-    sampling into the open half-space.
+    sampling into the open half-space.  psi_eps is the unit-mass radial bump
+    fields._bump01(|t'|/eps) on the ball |t'| < eps of R^{m-1}.
     """
 
     def __init__(self, m, epsilon, tau):
@@ -107,21 +83,26 @@ class DiracSequence:
         self.m = m
         self.epsilon = float(epsilon)
         self.tau = float(tau)
-        self.psi = TangentialMollifier(m - 1)
+        self.mass = _radial_bump_mass(m - 1)
+
+    def _lateral(self, t):
+        """t'/eps, |t'|/eps and psi_eps(t') at the lateral coordinates t' of t."""
+        y = t[:, 1:] / self.epsilon
+        r = np.linalg.norm(y, axis=-1)
+        return y, r, _bump01(r) / self.mass / self.epsilon ** (self.m - 1)
 
     def values(self, t):
         t = np.atleast_2d(np.asarray(t, dtype=float))
-        lat = self.psi.values(t[:, 1:], self.epsilon)
-        return lat * smooth_transition_deriv(t[:, 0] / self.tau) / self.tau
+        return self._lateral(t)[2] * smooth_transition_deriv(t[:, 0] / self.tau) / self.tau
 
     def grad(self, t):
         t = np.atleast_2d(np.asarray(t, dtype=float))
-        lat = self.psi.values(t[:, 1:], self.epsilon)
-        dlat = self.psi.grad(t[:, 1:], self.epsilon)
+        y, r, lat = self._lateral(t)
         rho = smooth_transition_deriv(t[:, 0] / self.tau) / self.tau
+        dlat = (_bump01_deriv(r) / self.mass / np.maximum(r, 1e-300))[:, None] * y
         out = np.empty((t.shape[0], self.m))
         out[:, 0] = lat * smooth_transition_deriv2(t[:, 0] / self.tau) / self.tau ** 2
-        out[:, 1:] = dlat * rho[:, None]
+        out[:, 1:] = dlat / self.epsilon ** self.m * rho[:, None]
         return out
 
     def support_box(self):
@@ -148,11 +129,8 @@ class DiracSequence:
 
 
 def _trapezoid_weights(axis_nodes):
-    n = len(axis_nodes)
-    if n == 1:
-        return np.ones(1)
     h = axis_nodes[1] - axis_nodes[0]
-    w = np.full(n, h)
+    w = np.full(len(axis_nodes), h)
     w[0] = w[-1] = h / 2.0
     return w
 
@@ -196,8 +174,11 @@ class HalfSpaceField:
                              f"got {len(self.bounds)}")
         if abs(self.bounds[0, 1]) > 1e-14:
             raise ValueError("half-space grid must end at x_1 = 0")
-        if self.shape[0] < 2:
-            raise ValueError("the normal axis needs 2 or more samples to reach x_1 = 0")
+        if not np.all(np.isfinite(self.bounds)) or np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
+            raise ValueError("every bound row needs finite lo < hi")
+        if min(self.shape) < 2:
+            raise ValueError(f"every axis needs 2 or more samples, the normal axis to reach "
+                             f"x_1 = 0: got shape {self.shape}")
         self.m = len(self.shape)
         self.axes = [np.linspace(lo, hi, k)
                      for (lo, hi), k in zip(self.bounds, self.shape)]

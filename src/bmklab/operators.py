@@ -31,8 +31,7 @@ import itertools
 import numpy as np
 
 from .fields import AnalyticField, PolyField, as_field
-from .exterior import (DifferentialForm, integrate_boundary, integrate_top,
-                       multi_indices)
+from .exterior import DifferentialForm, integrate, multi_indices
 from .geometry import boundary_rule, volume_rule
 
 __all__ = [
@@ -181,9 +180,8 @@ def equivalence_report(domain, f, f_b, F, tests, level=1):
     for phi in tests:
         if (phi.p, phi.q) != (n, n - q - 1):
             raise ValueError("test form must have type (n, n-q-1)")
-        a_volume = integrate_top(F.wedge(phi), vol.nodes, vol.weights) + \
-            sign_a * integrate_top(f.wedge(phi.dbar()), vol.nodes, vol.weights)
-        a_boundary = integrate_boundary(f_b.wedge(phi), bnd.nodes, bnd.weights, bnd.nu)
+        a_volume = integrate(F.wedge(phi), vol) + sign_a * integrate(f.wedge(phi.dbar()), vol)
+        a_boundary = integrate(f_b.wedge(phi), bnd)
         g = phi.conj().star().scale(sign_b)
         b_volume = form_inner_volume(vol, F, g) + \
             sign_b * form_inner_volume(vol, f, vartheta(g))

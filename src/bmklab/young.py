@@ -29,10 +29,10 @@ import numpy as np
 
 from .bmk import kernel_norm
 from .fields import _bump01
-from .geometry import _lp_norm, boundary_rule, dist_boundary, volume_rule
+from .geometry import QuadratureRule, _lp_norm, boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
-    "INF", "inv", "ExponentPair", "MeasureSpace", "KernelSpec",
+    "INF", "inv", "ExponentPair", "KernelSpec",
     "admissible_exponents", "empirical_norm", "bmk_kernel_norm_constant",
     "bmk_norm_kernel", "log_bound_fit", "log_majorant_integral",
     "scan_rows", "SCAN_COLUMNS",
@@ -58,33 +58,24 @@ class ExponentPair:
     case_tag: str
 
 
-@dataclass
-class MeasureSpace:
-    """Finite quadrature model of a measure space: nodes carry weights."""
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def lp_norm(self, values, p):
-        return _lp_norm(values, self.weights, p)
-
-
 def _materialize(descriptor, level):
-    """Turn ('domain', dom) / ('boundary', dom) / MeasureSpace into nodes."""
-    if isinstance(descriptor, MeasureSpace):
+    """The QuadratureRule of ('domain', dom) or ('boundary', dom); a rule passes through."""
+    if isinstance(descriptor, QuadratureRule):
         return descriptor
     kind, dom = descriptor
     if kind == "domain":
-        rule = volume_rule(dom, level)
-    elif kind == "boundary":
-        rule = boundary_rule(dom, level)
-    else:
-        raise ValueError(f"unknown measure-space kind {kind!r}")
-    return MeasureSpace(rule.nodes, rule.weights)
+        return volume_rule(dom, level)
+    if kind == "boundary":
+        return boundary_rule(dom, level)
+    raise ValueError(f"unknown measure-space kind {kind!r}")
 
 
 @dataclass
 class KernelSpec:
-    """Kernel operator data: spaces, |K|, and the majorant exponents."""
+    """Kernel operator data: spaces, |K|, and the majorant exponents.
+
+    X and Y are QuadratureRules or descriptors ('domain' | 'boundary', dom).
+    """
     X: object
     Y: object
     kernel: object
@@ -167,7 +158,7 @@ def _sample_functions(space, count, seed, p):
         funcs.append(vals * (0.25 + bump))
     out = []
     for f in funcs:
-        nrm = space.lp_norm(f, p)
+        nrm = _lp_norm(f, space.weights, p)
         if nrm > 1e-14:
             out.append(f / nrm)
     return out
@@ -194,7 +185,7 @@ def empirical_norm(spec, p, r, sample_count=20, seed=0, level=1):
     for i, y in enumerate(Y.nodes):
         kmat[i] = spec.kernel(X.nodes, y)
     tf = kmat @ (X.weights * np.stack(samples)).T
-    return max([0.0] + [Y.lp_norm(col, r) for col in tf.T])
+    return max([0.0] + [_lp_norm(col, Y.weights, r) for col in tf.T])
 
 
 def bmk_kernel_norm_constant(n, q):
@@ -219,17 +210,18 @@ def bmk_norm_kernel(n, q):
 def _boundary_mass_ladder(domain, level):
     """dist(y, bD) and int_bD ||K(x,y)|| dS for the q = 0 BMK kernel, at the
     points y that approach the boundary along the first axis over LOG_FIT_K."""
+    if domain.kind != "ball":
+        raise ValueError(f"the log bound ladder needs a ball, got {domain.kind!r}")
     n = domain.n_complex
     power = 2 * n - 1
     a_const = bmk_kernel_norm_constant(n, 0)
     rule = boundary_rule(domain, level)
-    radius = domain.radius if domain.radius is not None else 1.0
     deltas, values = [], []
     direction = np.zeros(2 * n)
     direction[0] = 1.0
     for k in LOG_FIT_K:
         delta = 2.0 ** (-k)
-        y = domain.center + (radius - delta * radius) * direction
+        y = domain.center + (domain.radius - delta * domain.radius) * direction
         d = np.linalg.norm(rule.nodes - y, axis=1)
         values.append(float(np.sum(rule.weights * a_const / d ** power)))
         deltas.append(float(dist_boundary(domain, y)))

@@ -35,5 +35,5 @@ def _frame_density_of(form, nodes, nu):
 @pytest.fixture(scope="session")
 def frame_density():
     """The frame-determinant pullback density, the oracle for
-    exterior.batch_pullback_density."""
+    exterior.density on a boundary rule."""
     return _frame_density_of

@@ -1,0 +1,79 @@
+"""The names that the benchmark under perfbench/ reads from bmklab still exist.
+
+perfbench's layer tracer finds bmklab's public functions and methods by
+name, and its workloads read a few private cli names.  A rename passes
+every other test and shows up only in a traced benchmark run, as a metric
+that reads 0 or as a crash, so these tests read each such name.
+"""
+
+import dataclasses
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+from bmklab import cli
+from bmklab.geometry import Domain
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+# the names that Tracer.install's hooks and Tracer.metrics read
+TRACED = [
+    "geometry.volume_rule", "geometry.boundary_rule",
+    "mollify.HalfSpaceField.evaluate", "mollify.convolve_field", "mollify.choose_tau",
+    "mollify.slab_mass",
+    "bmk.reproduce_residual", "bmk.dbar_potential", "bmk.kernel_norm",
+    "bmk.SingularQuadratureConfig.levels",
+    "young.empirical_norm", "young.bmk_norm_kernel",
+    "operators.FirstOrderOperator.green_stokes_residual",
+    "cli.emit_report",
+]
+
+# installs the tracer as perfbench/worker.py does; in a child process,
+# since it rebinds the names of the modules it wraps
+PROBE = """
+import json
+from layertrace import Tracer
+from bmklab import bmk, cli, fields, geometry, mollify, operators, young
+tracer = Tracer()
+tracer.install({"geometry": geometry, "fields": fields, "bmk": bmk, "mollify": mollify,
+                "young": young, "operators": operators, "cli": cli})
+print(json.dumps(sorted(tracer.stats)))
+"""
+
+
+def _load(path, name, monkeypatch):
+    """Import a script by path without writing its bytecode beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_name_its_metrics_read():
+    path = os.pathsep.join([PERFBENCH, os.path.join(ROOT, "src")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    wrapped = set(json.loads(out.stdout))
+    assert [name for name in TRACED if name not in wrapped] == []
+
+
+def test_workloads_read_names_that_exist(monkeypatch):
+    workloads = _load(os.path.join(PERFBENCH, "workloads.py"), "perfbench_workloads",
+                      monkeypatch)
+    assert set(cli._DEFAULT_LEVEL) == set(cli.EXPERIMENTS)
+    assert set(cli._DEFAULT_SEED) == set(cli.EXPERIMENTS)
+    for experiments in workloads.WORKLOADS.values():
+        assert set(experiments) - {"kernel-profile"} <= set(cli.EXPERIMENTS)
+    assert sorted(workloads.SAMPLERS.values()) == ["_sample_ball4_points",
+                                                   "_sample_plane_points"]
+    for sampler in workloads.SAMPLERS.values():
+        assert callable(getattr(cli, sampler))
+    profile = _load(workloads.KERNEL_PROFILE, "kernel_profile", monkeypatch)
+    for _, writer in workloads.PROFILE_WRITERS:
+        assert callable(getattr(profile, writer))
+    assert "semi_axes" in {field.name for field in dataclasses.fields(Domain)}

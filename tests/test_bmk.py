@@ -215,12 +215,13 @@ def test_sweep_blocking_does_not_change_results(monkeypatch):
     _stack_matches_points(stack, single)
 
 
-def _serial_sweep(n, q, form, rule, points, radius=0.0, centers=None):
+def _serial_sweep(form, rule, points, radius=0.0, centers=None):
     """The one-thread sweep that bmk._sweep must equal bit for bit: blocks
     folded and swept in node order, each product added as soon as it is
     made."""
-    interior = rule.region == "interior"
-    densities = bmk._densities(n, q, form, interior)
+    interior = rule.nu is None
+    n, q = form.n, form.q - interior
+    densities = bmk._densities(form, q)
     width = len(multi_indices(n, q))
     points = np.asarray(points, dtype=float)
     count, m = points.shape
@@ -320,7 +321,7 @@ def test_sweep_reraises_a_blocks_exception(monkeypatch, cpus):
     sys.setswitchinterval(1e-6)
     try:
         with pytest.raises(ZeroDivisionError, match="one block"):
-            bmk._sweep(1, 0, g, rule, np.array([[0.1, 0.2], [-0.3, 0.4]]), 0.05)
+            bmk._sweep(g, rule, np.array([[0.1, 0.2], [-0.3, 0.4]]), 0.05)
     finally:
         sys.setswitchinterval(interval)
     assert len(failed) == 1
@@ -592,6 +593,25 @@ def test_operators_match_node_by_node_kernel_wedge(n, q, data, frame_density):
             f_b.wedge(K), bnd.nodes[i:i + 1], bnd.nu[i:i + 1])[0])
     got = bmk.op_boundary(f_b, z, domain, cfg)["value"]
     assert all(abs(got[J] - want[J]) <= 1e-12 * scale[J] for J in want)
+
+
+def test_operand_and_rule_errors_name_the_bad_argument():
+    """A (1, 0) boundary operand is not a (0, q)-form, dbar_potential takes
+    an interior rule, f_b needs f's bidegree and a form on C^1 does not
+    integrate over the 4-ball: each is a ValueError that names the
+    argument at fault."""
+    f = DifferentialForm(1, 1, 0, {((1,), ()): 1.0})
+    g = DifferentialForm(1, 0, 1, {((), (1,)): 1.0})
+    with pytest.raises(ValueError, match=r"a form on C\^1 needs points in R\^2, got R\^4"):
+        bmk.op_volume(g, np.full(4, 0.1), BALL4)
+    with pytest.raises(ValueError, match=r"a form on C\^1 needs points in R\^2, got R\^4"):
+        bmk.op_boundary(DifferentialForm(1, 0, 0, {((), ()): 1.0}), np.full(4, 0.1), BALL4)
+    with pytest.raises(ValueError, match=r"operand must be a \(0, q\)-form, got \(1, 0\)"):
+        bmk.op_boundary(f, np.zeros(2), DISC)
+    with pytest.raises(ValueError, match="dbar_potential needs an interior rule"):
+        bmk.dbar_potential(g, np.zeros(2), boundary_rule(DISC, 0))
+    with pytest.raises(ValueError, match="f_b must have f's bidegree"):
+        bmk.reproduce_residual(g, f, None, DISC, np.zeros((1, 2)))
 
 
 @given(radius=st.sampled_from([0.5, 1.0, 2.0]),

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmklab.exterior import (DifferentialForm, batch_pullback_density, dbar, eps_sign,
-                             hodge_star, multi_indices, wedge)
+from bmklab.exterior import (DifferentialForm, dbar, density, eps_sign,
+                             hodge_star, integrate, multi_indices, wedge)
 from bmklab.fields import PolyField, dz_part, dzbar_part, zmonomial
-from bmklab.geometry import boundary_rule, make_domain
+from bmklab.geometry import boundary_rule, make_domain, volume_rule
 
 mono = DifferentialForm.monomial
 
@@ -294,7 +294,7 @@ def test_pullback_density_equals_frame_determinants(kind, params, level, frame_d
     rng = np.random.default_rng(level)
     for p in (n, n - 1):
         form = _linear_form(n, p, rng)
-        got = batch_pullback_density(form, rule.nodes, rule.nu)
+        got = density(form, rule.nodes, rule.nu)
         want = frame_density(form, rule.nodes, rule.nu)
         scale = 2.0 ** (n - 0.5) * sum(np.abs(c(rule.nodes)) for c in form.coeffs.values())
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
@@ -303,5 +303,20 @@ def test_pullback_density_equals_frame_determinants(kind, params, level, frame_d
 def test_pullback_density_rejects_wrong_degree():
     nodes = np.array([[1.0, 0.0, 0.0, 0.0]])
     for form in (mono(2, (1,), (1,)), mono(2, (1, 2), (1, 2))):
-        with pytest.raises(ValueError, match="needs a \\(2n-1\\)-form"):
-            batch_pullback_density(form, nodes, nodes)
+        with pytest.raises(ValueError, match="or a \\(2n-1\\)-form with normals"):
+            density(form, nodes, nodes)
+
+
+def test_integrate_takes_dv_or_ds_from_the_degree():
+    """On the unit disc, int_bD zbar dz = int e^{-i t} i e^{i t} dt = 2 pi i
+    and int_D dz ^ dzbar = -2i area = -2 pi i.  A top form over a boundary
+    rule and a 1-form over an interior rule are errors."""
+    disc = make_domain("ball", m=2)
+    vol, bnd = volume_rule(disc, 3), boundary_rule(disc, 3)
+    one_form = mono(1, (1,), (), zmonomial(1, (0,), (1,)))
+    top = mono(1, (1,), (1,))
+    assert abs(integrate(one_form, bnd) - 2j * np.pi) < 1e-13
+    assert abs(integrate(top, vol) + 2j * np.pi) < 1e-13
+    for form, rule in ((top, bnd), (one_form, vol)):
+        with pytest.raises(ValueError, match="density needs an \\(n,n\\)-form"):
+            integrate(form, rule)

@@ -63,6 +63,25 @@ def test_half_space_field_needs_a_boundary_row(n_normal):
     assert f.axes[0][-1] == 0.0
 
 
+@pytest.mark.parametrize("bounds", [[[-1.0, 0.0], [1.0, -1.0]], [[0.0, 0.0], [-1.0, 1.0]],
+                                    [[-1.0, 0.0], [-1.0, np.nan]],
+                                    [[-np.inf, 0.0], [-1.0, 1.0]]])
+def test_half_space_field_needs_finite_increasing_bounds(bounds):
+    """A reversed lateral row gave nan norms, an empty normal row a 0.0
+    L^p norm and a NaN bound nan: each is now an error."""
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        HalfSpaceField(lambda x: np.ones(len(x)), bounds, (5, 5))
+
+
+@pytest.mark.parametrize("n_lateral", [0, 1])
+def test_half_space_field_needs_two_lateral_samples(n_lateral):
+    """One lateral sample weighed [-1, 1] as 1, not its length 2, and none
+    failed with an IndexError; like the normal axis, each lateral axis
+    needs 2 or more samples."""
+    with pytest.raises(ValueError, match="every axis needs 2 or more samples"):
+        HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (5, n_lateral))
+
+
 @pytest.mark.parametrize("bounds, shape", [(BOUNDS, (9,)), ([[-1.0, 0.0]], (9, 5))])
 def test_half_space_field_needs_one_bound_row_per_axis(bounds, shape):
     """A bound row too many or too few is an error, not a field of another

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from bmklab import bmk, cli, young
-from bmklab.geometry import boundary_rule, make_domain
+from bmklab.geometry import QuadratureRule, _lp_norm, boundary_rule, make_domain
 
 INF = math.inf
 DISC = make_domain("ball", m=2)
@@ -27,7 +27,7 @@ DISC = make_domain("ball", m=2)
 def _unit_interval_space(n=400):
     h = 1.0 / n
     nodes = (np.arange(n) + 0.5)[:, None] * h
-    return young.MeasureSpace(nodes, np.full(n, h))
+    return QuadratureRule(h, arrays=(nodes, np.full(n, h)))
 
 
 def _disc_spec():
@@ -168,7 +168,7 @@ def test_empirical_norm_matches_per_y_loop():
         for f in young._sample_functions(X, 6, 3, p):
             tf = np.array([np.sum(X.weights * f * spec.kernel(X.nodes, y))
                            for y in Y.nodes])
-            want = max(want, Y.lp_norm(tf, p))
+            want = max(want, _lp_norm(tf, Y.weights, p))
         got = young.empirical_norm(spec, p, p, sample_count=6, seed=3, level=1)
         assert abs(got - want) <= 1e-12 * want
 
@@ -228,6 +228,16 @@ def test_log_bound_fit_majorizes_and_is_stable():
     _, c1b, resb = young.log_bound_fit(DISC, level=6)
     assert resb <= 0.0
     assert abs(c1b - c1) / c1 < 0.10
+
+
+def test_log_bound_fit_needs_a_ball():
+    """The ladder approaches the boundary from the centre of a ball; on a
+    box, which has no centre, both it and the fit are a ValueError."""
+    box = make_domain("interval-box", bounds=[[-1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(ValueError, match="needs a ball"):
+        young.log_bound_fit(box)
+    with pytest.raises(ValueError, match="needs a ball"):
+        young._boundary_mass_ladder(box, 1)
 
 
 def test_log_power_integral_reference():
