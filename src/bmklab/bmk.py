@@ -56,7 +56,6 @@ import numpy as np
 
 from .exterior import (DifferentialForm, _merge, _star_monomial, _wedge_monomial_sign,
                        density, eps_sign, multi_indices)
-from .fields import _as_points
 from .geometry import boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
@@ -291,8 +290,9 @@ def _as_dict(keys, row):
     return {J: complex(v) for J, v in zip(keys, row)}
 
 
-def _value_norm(values, q):
-    return math.sqrt(sum(2.0 ** q * abs(v) ** 2 for v in values.values()))
+def _value_norm(row, q):
+    """Norm of one point's values of a (0, q)-form; Python's abs, not numpy's, sets its bits."""
+    return math.sqrt(sum(2.0 ** q * abs(complex(v)) ** 2 for v in row))
 
 
 def _volume_term(g, rule, points):
@@ -302,20 +302,11 @@ def _volume_term(g, rule, points):
 
 
 def op_volume(g, z, domain, config=None):
-    """B^D_q g(z) by exclusion quadrature over a refinement ladder.
-
-    Returns the finest-level value, per-level values and level deltas.
-    """
+    """B^D_q g(z), q = g.q - 1, by exclusion quadrature on the config's finest level."""
     config = config or SingularQuadratureConfig()
-    q = g.q - 1
-    z = np.asarray(z, dtype=float)
-    keys = multi_indices(domain.n_complex, q)
-    per_level = [_as_dict(keys, _volume_term(g, volume_rule(domain, level), z[None, :])[0])
-                 for level in config.levels()]
-    deltas = [_value_norm({J: per_level[i + 1][J] - per_level[i][J]
-                           for J in per_level[0]}, q)
-              for i in range(len(per_level) - 1)]
-    return {"value": per_level[-1], "per_level": per_level, "deltas": deltas}
+    z = np.asarray(z, dtype=float)[None, :]
+    value = _volume_term(g, volume_rule(domain, config.levels()[-1]), z)[0]
+    return {"value": _as_dict(multi_indices(g.n, g.q - 1), value)}
 
 
 def op_boundary(f_b, z, domain, config=None):
@@ -328,25 +319,24 @@ def op_boundary(f_b, z, domain, config=None):
     return {"value": _as_dict(multi_indices(f_b.n, f_b.q), value)}
 
 
-def _dbar_from_partials(n, q, partials):
-    """Assemble dbar coefficients from per-direction complex partials.
-
-    partials: {j: {J': value}} with j the zbar_j direction (1-based).
-    """
-    out = {J: 0.0 + 0.0j for J in multi_indices(n, q + 1)}
-    for j, comps in partials.items():
-        for Jp, v in comps.items():
+def _dbar_from_partials(n, q, comps):
+    """(P, K) dbar coefficients over multi_indices(n, q + 1) from the (P, n, K')
+    partials d/dzbar_j (column j - 1) of the coefficients over multi_indices(n, q)."""
+    keys = multi_indices(n, q + 1)
+    out = np.zeros((len(comps), len(keys)), dtype=complex)
+    for j in range(1, n + 1):
+        for k, Jp in enumerate(multi_indices(n, q)):
             sign = _wedge_monomial_sign(n, (), (j,), (), Jp)
             if sign:
-                out[_merge(Jp, (j,))] += sign * v
+                out[:, keys.index(_merge(Jp, (j,)))] += sign * comps[:, j - 1, k]
     return out
 
 
 def dbar_potential(f, z, rule):
-    """dbar_z of B^D_{q-1} f by centered differences of the potential.
+    """(P, K) values of dbar_z B^D_{q-1} f at the (P, 2n) points z, by centered
+    differences of the potential; K = |multi_indices(n, q)|, and q = 0 gives zeros.
 
-    z is one point (2n,), giving one dict, or a stack (P, 2n), giving a list
-    of P dicts.  rule is the level's interior rule; f is folded once over it
+    rule is the level's interior rule; f is folded once over it
     for all 4n P stencil points.  The stencil points of a base point share
     one exclusion ball centered at that base point with radius rho + step,
     so the node set never changes inside its difference stencil.  The removed ball is not
@@ -360,11 +350,13 @@ def dbar_potential(f, z, rule):
     """
     if rule.nu is not None:
         raise ValueError("dbar_potential needs an interior rule, got a boundary rule")
-    n = f.n
-    q = f.q
-    zs, single = _as_points(z)
+    n, q = f.n, f.q
+    zs = np.asarray(z, dtype=float)
+    if zs.ndim != 2 or zs.shape[1] != 2 * n:
+        raise ValueError(f"dbar_potential needs a (P, {2 * n}) stack of points, "
+                         f"got shape {zs.shape}")
     if q == 0:
-        return {} if single else [{} for _ in zs]
+        return np.zeros((len(zs), 1), dtype=complex)
     rho = FD_EXCLUSION_FACTOR * rule.spacing
     h = FD_STEP_FACTOR * rho
     steps = h * np.eye(2 * n)
@@ -383,11 +375,7 @@ def dbar_potential(f, z, rule):
     vals = vals.reshape(len(zs), n, 4, len(keys))
     ddx = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
     ddy = (vals[:, :, 2] - vals[:, :, 3]) / (2.0 * h)
-    comps = 0.5 * (ddx + 1j * ddy)
-    out = [_dbar_from_partials(n, q - 1, {j: _as_dict(keys, comps[p, j - 1])
-                                          for j in range(1, n + 1)})
-           for p in range(len(zs))]
-    return out[0] if single else out
+    return _dbar_from_partials(n, q - 1, 0.5 * (ddx + 1j * ddy))
 
 
 def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
@@ -412,7 +400,6 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     zs = z_points[inside]
     keys = multi_indices(n, q)
     fz = np.stack([np.broadcast_to(f.coefficient((), J)(zs), len(zs)) for J in keys], axis=-1)
-    zero = dict.fromkeys(keys, 0.0 + 0.0j)
     rows = []
     for level in config.levels():
         bvals = _sweep(f_b, boundary_rule(domain, level), zs)
@@ -421,16 +408,13 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
         if dbar_f is not None:
             vvals = _volume_term(dbar_f, vol_rule, zs)
         dvals = dbar_potential(f, zs, vol_rule)
+        defect = fz - (bvals - vvals - dvals)
         for i, z in enumerate(zs):
-            bval, vval = _as_dict(keys, bvals[i]), _as_dict(keys, vvals[i])
-            dval = dvals[i] or zero
-            defect = {J: complex(fz[i, k]) - (bval[J] - vval[J] - dval[J])
-                      for k, J in enumerate(keys)}
             rows.append({
                 "z": z.copy(), "level": level,
-                "residual": _value_norm(defect, q),
-                "boundary_term_norm": _value_norm(bval, q),
-                "volume_term_norm": _value_norm(vval, q),
-                "potential_dbar_norm": _value_norm(dval, q),
+                "residual": _value_norm(defect[i], q),
+                "boundary_term_norm": _value_norm(bvals[i], q),
+                "volume_term_norm": _value_norm(vvals[i], q),
+                "potential_dbar_norm": _value_norm(dvals[i], q),
             })
     return {"rows": rows, "flagged": flagged}

@@ -1,13 +1,14 @@
 """Scalar coefficient fields on R^m with exact derivatives or none.
 
 Everything downstream (forms, operators, mollifiers, kernels) consumes scalar
-fields through a small common interface: vectorized evaluation at points of
-shape (..., m), first partial derivatives, complex conjugation and pointwise
-arithmetic.  Polynomial fields implement derivatives and products exactly, so
-identities such as dbar(dbar(f)) = 0 hold coefficientwise with no quadrature
-involved.  Smooth bump / step windows carry closed-form first derivatives.
-A callable-backed field carries values only: asking it for a derivative
-raises, and a derivative it needs is supplied in closed form as data.
+fields through a small common interface: vectorized evaluation, where points
+of shape (..., m) give values of shape (...), first partial derivatives,
+complex conjugation and pointwise arithmetic.  Polynomial fields implement
+derivatives and products exactly, so identities such as dbar(dbar(f)) = 0
+hold coefficientwise with no quadrature involved.  Smooth bump / step
+windows carry closed-form first derivatives.  A callable-backed field
+carries values only: asking it for a derivative raises, and a derivative it
+needs is supplied in closed form as data.
 """
 
 from __future__ import annotations
@@ -16,17 +17,6 @@ import functools
 
 import numpy as np
 from numpy.polynomial import legendre
-
-
-def _as_points(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
-def _unsqueeze(vals, squeeze):
-    return vals[0] if squeeze else vals
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,14 +96,14 @@ class PolyField(Field):
         self.terms = {tuple(a): complex(c) for a, c in terms.items() if c != 0}
 
     def __call__(self, x):
-        x, sq = _as_points(x)
+        x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1], dtype=complex)
         # table[k][a] = x_k^a, each power one product from the one before
         # (no libm pow per point); x_k^2 is x_k * x_k, the bits of x_k ** 2
         table = []
         for k in range(self.m):
             deg = max((a[k] for a in self.terms), default=0)
-            pows = [None, np.ascontiguousarray(x[..., k])] if deg else [None]
+            pows = [None, np.array(x[..., k], order="C")] if deg else [None]
             for _ in range(deg - 1):
                 pows.append(pows[-1] * pows[1])
             table.append(pows)
@@ -125,7 +115,7 @@ class PolyField(Field):
                 elif a:
                     term *= table[k][a]
             out += c if term is None else term
-        return _unsqueeze(out, sq)
+        return out
 
     def partial(self, k):
         terms = {}
@@ -225,9 +215,7 @@ class AnalyticField(Field):
         self.func = func
 
     def __call__(self, x):
-        x, sq = _as_points(x)
-        vals = np.asarray(self.func(x), dtype=complex)
-        return _unsqueeze(vals, sq)
+        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=complex)
 
     def conj(self):
         return AnalyticField(self.m, lambda x: np.conj(self.func(x)))
@@ -329,8 +317,7 @@ class SmoothStepField(Field):
         return 1.0 + (x[..., self.axis] - self.lo) / (self.hi - self.lo)
 
     def __call__(self, x):
-        x, sq = _as_points(x)
-        return _unsqueeze(smooth_transition(self._arg(x)).astype(complex), sq)
+        return smooth_transition(self._arg(np.asarray(x, dtype=float))).astype(complex)
 
     def partial(self, k):
         if k != self.axis:
@@ -364,9 +351,8 @@ class PlateauField(Field):
         return 1.0 + (s - self.r_flat) / (self.r_out - self.r_flat)
 
     def __call__(self, x):
-        x, sq = _as_points(x)
-        v = 1.0 - smooth_transition(self._arg(self._s(x)))
-        return _unsqueeze(v.astype(complex), sq)
+        v = 1.0 - smooth_transition(self._arg(self._s(np.asarray(x, dtype=float))))
+        return v.astype(complex)
 
     def partial(self, k):
         if k not in self.axes:
@@ -383,7 +369,7 @@ class PlateauField(Field):
 
 
 class RadialPowerField(Field):
-    """(1 - ||(x-c)/R||^2)^gamma inside the ball, 0 outside (gamma > 0)."""
+    """(1 - ||(x-c)/R||^2)^gamma inside the ball, 0 on and outside it; any real gamma."""
 
     def __init__(self, m, gamma, radius=1.0, center=None):
         self.m = m
@@ -399,7 +385,9 @@ class RadialPowerField(Field):
         return u
 
     def __call__(self, x):
-        x, sq = _as_points(x)
-        u = self._u(x)
-        out = np.where(u < 1.0, np.maximum(1.0 - u, 0.0) ** self.gamma, 0.0)
-        return _unsqueeze(out.astype(complex), sq)
+        u = self._u(np.asarray(x, dtype=float))
+        # np.power, not **: one point's u is a numpy scalar, whose ** rounds
+        # differently; errstate: 0 ** gamma < 0 on and outside the sphere
+        with np.errstate(divide="ignore"):
+            out = np.where(u < 1.0, np.power(np.maximum(1.0 - u, 0.0), self.gamma), 0.0)
+        return out.astype(complex)

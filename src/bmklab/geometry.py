@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import _as_points, leggauss
+from .fields import leggauss
 
 __all__ = [
     "Domain", "make_domain", "QuadratureRule", "volume_rule", "boundary_rule",
@@ -206,8 +206,16 @@ def _sphere_rule(m, level):
     return nodes, w, spacing
 
 
+def _check_level(level):
+    """level as an int; ValueError unless it is an integer (np.int64 too) >= 0."""
+    if not isinstance(level, (int, np.integer)) or level < 0:
+        raise ValueError(f"rule level must be an integer >= 0, got {level!r}")
+    return int(level)
+
+
 def volume_rule(domain, level):
     """Interior product rule at the given refinement level."""
+    level = _check_level(level)
     scale = 2 ** level
     if domain.kind == "ball" and domain.m in BALL_RADIAL:
         m, R = domain.m, domain.radius
@@ -227,6 +235,7 @@ def volume_rule(domain, level):
 
 def boundary_rule(domain, level):
     """Boundary rule with outward unit normals."""
+    level = _check_level(level)
     if domain.kind == "ball" and domain.m in BALL_RADIAL:
         R = domain.radius
         sph, sph_w, spacing = _sphere_rule(domain.m, level)
@@ -266,15 +275,13 @@ def _face_rule(domain, axis, side, level):
 
 
 def dist_boundary(domain, x):
-    """Distance to the boundary for x inside the closed domain."""
-    x, sq = _as_points(x)
+    """Distance to the boundary of points x (..., m) inside the closed domain: values (...)."""
+    x = np.asarray(x, dtype=float)
     if domain.kind == "ball":
-        d = domain.radius - np.linalg.norm(x - domain.center, axis=-1)
-    elif domain.kind == "interval-box":
-        d = np.min(np.minimum(x - domain.bounds[:, 0], domain.bounds[:, 1] - x), axis=-1)
-    elif domain.kind == "half-space-patch":
-        d = -x[:, 0]
-    else:
-        raise ValueError(domain.kind)
-    return d[0] if sq else d
+        return domain.radius - np.linalg.norm(x - domain.center, axis=-1)
+    if domain.kind == "interval-box":
+        return np.min(np.minimum(x - domain.bounds[:, 0], domain.bounds[:, 1] - x), axis=-1)
+    if domain.kind == "half-space-patch":
+        return -x[..., 0]
+    raise ValueError(domain.kind)
 

@@ -67,7 +67,7 @@ def _materialize(descriptor, level):
         return volume_rule(dom, level)
     if kind == "boundary":
         return boundary_rule(dom, level)
-    raise ValueError(f"unknown measure-space kind {kind!r}")
+    raise ValueError(f"unknown rule descriptor kind {kind!r}")
 
 
 @dataclass

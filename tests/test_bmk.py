@@ -132,9 +132,8 @@ def test_volume_operator_finite_with_z_on_a_node():
     g = DifferentialForm(1, 0, 1, {((), (1,)): constant(2, 1.0)})
     cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=3)
     z = volume_rule(DISC, 1).nodes[100]
-    res = bmk.op_volume(g, z, DISC, cfg)
-    assert all(np.isfinite(v[()]) for v in res["per_level"])
-    assert np.all(np.isfinite(res["deltas"]))
+    got = [bmk.op_volume(g, z, DISC, _one_level(level))["value"][()] for level in cfg.levels()]
+    assert np.all(np.isfinite(got))
 
     # the batched paths: a residual point on a level-1 node ...
     f = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
@@ -149,7 +148,11 @@ def test_volume_operator_finite_with_z_on_a_node():
     node = next(x for x in rule.nodes
                 if np.linalg.norm(x) < 0.5 and np.array_equal((x - e) + e, x))
     got = bmk.dbar_potential(f1, np.vstack([node - e, [0.1, 0.2]]), rule)
-    assert all(np.isfinite(v) for vals in got for v in vals.values())
+    assert np.all(np.isfinite(got))
+
+
+def _one_level(level):
+    return bmk.SingularQuadratureConfig(base_level=level, refinement_steps=1)
 
 
 _ROW_TERMS = ("residual", "boundary_term_norm", "volume_term_norm", "potential_dbar_norm")
@@ -171,7 +174,8 @@ def _blocking_outputs():
     out = []
     cfg = bmk.SingularQuadratureConfig(base_level=0, refinement_steps=2)
     g = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (1,))})
-    out += [v[()] for v in bmk.op_volume(g, np.array([0.3, -0.2]), DISC, cfg)["per_level"]]
+    out += [bmk.op_volume(g, np.array([0.3, -0.2]), DISC, _one_level(level))["value"][()]
+            for level in cfg.levels()]
     f_b = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (2,), (1,))})
     out.append(bmk.op_boundary(f_b, np.array([0.3, -0.2]), DISC, cfg)["value"][()])
     out = [(v, abs(v)) for v in out]
@@ -185,8 +189,8 @@ def _blocking_outputs():
         bmk.reproduce_residual(smooth, smooth, smooth.dbar(), BALL4, zs4, cfg4))
     rule4 = volume_rule(BALL4, 0)
     stack = bmk.dbar_potential(smooth, zs4, rule4)
-    out += [(v, abs(v)) for vals in stack for v in vals.values()]
-    single = [bmk.dbar_potential(smooth, z, rule4) for z in zs4]
+    out += [(v, abs(v)) for v in stack.ravel()]
+    single = [bmk.dbar_potential(smooth, z[None], rule4)[0] for z in zs4]
     return out, stack, single
 
 
@@ -198,8 +202,7 @@ def _assert_close(got, want, rel=1e-13):
 
 def _stack_matches_points(stack, single):
     for got, want in zip(stack, single, strict=True):
-        _assert_close([(got[J], abs(got[J])) for J in want],
-                      [(v, abs(v)) for v in want.values()])
+        _assert_close([(v, abs(v)) for v in got], [(v, abs(v)) for v in want])
 
 
 def test_sweep_blocking_does_not_change_results(monkeypatch):
@@ -426,9 +429,9 @@ def test_dbar_potential_matches_gradient_of_closed_form():
     zp = np.array([0.2, -0.1, 0.3, 0.15])
     zb1, zb2 = np.conj(_cval(zp[:2])), np.conj(_cval(zp[2:]))
     f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
-    got = bmk.dbar_potential(f, zp, volume_rule(BALL4, 2))
-    assert abs(got[(1,)] - (-zb2 / 3)) < 3e-3
-    assert abs(got[(2,)] - (-zb1 / 3)) < 3e-3
+    got = bmk.dbar_potential(f, zp[None], volume_rule(BALL4, 2))[0]
+    assert abs(got[0] - (-zb2 / 3)) < 3e-3   # J = (1,)
+    assert abs(got[1] - (-zb1 / 3)) < 3e-3   # J = (2,)
 
 
 def test_removed_ball_center_rule_against_green_identity():
@@ -614,6 +617,18 @@ def test_operand_and_rule_errors_name_the_bad_argument():
         bmk.reproduce_residual(g, f, None, DISC, np.zeros((1, 2)))
 
 
+def test_dbar_potential_takes_a_stack_of_points_only():
+    """A (2n,) point and a (P, 2n + 1) stack are ValueErrors; a q = 0 form
+    gives (P, 1) zeros."""
+    f = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (0,))})
+    rule = volume_rule(DISC, 0)
+    for z in (np.zeros(2), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match=r"needs a \(P, 2\) stack of points"):
+            bmk.dbar_potential(f, z, rule)
+    f0 = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (1,), (0,))})
+    assert np.array_equal(bmk.dbar_potential(f0, np.zeros((3, 2)), rule), np.zeros((3, 1)))
+
+
 @given(radius=st.sampled_from([0.5, 1.0, 2.0]),
        polar=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi)),
                       min_size=1, max_size=4),
@@ -650,6 +665,6 @@ def test_dbar_potential_matches_closed_form_at_drawn_points(z):
     """
     zb1, zb2 = np.conj(_cval(z[:2])), np.conj(_cval(z[2:]))
     f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
-    got = bmk.dbar_potential(f, z, volume_rule(BALL4, 3))
-    assert abs(got[(1,)] - (-zb2 / 3)) < 3e-3
-    assert abs(got[(2,)] - (-zb1 / 3)) < 3e-3
+    got = bmk.dbar_potential(f, z[None], volume_rule(BALL4, 3))[0]
+    assert abs(got[0] - (-zb2 / 3)) < 3e-3   # J = (1,)
+    assert abs(got[1] - (-zb1 / 3)) < 3e-3   # J = (2,)

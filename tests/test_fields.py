@@ -1,14 +1,16 @@
 """Coefficient fields: exact polynomial calculus and smooth windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmklab.exterior import DifferentialForm
-from bmklab.fields import (AnalyticField, PolyField, RadialPowerField,
-                           as_field, constant, coordinate, dz_part, dzbar_part,
-                           zmonomial)
+from bmklab.fields import (AnalyticField, PlateauField, PolyField, RadialPowerField,
+                           SmoothStepField, as_field, constant, coordinate, dz_part,
+                           dzbar_part, zmonomial)
 
 
 def test_polyfield_evaluation_and_arithmetic():
@@ -87,9 +89,36 @@ def test_radial_power_field_support_and_value():
 
 
 def test_negative_exponent_radial_field_interior_only():
+    """gamma < 0 makes 0 ** gamma infinite on and outside the sphere; the
+    field is 0 there, without a divide-by-zero warning."""
     w = RadialPowerField(2, -0.25)
     x = np.array([[0.6, 0.0]])
     assert np.isclose(w(x)[0], (1 - 0.36) ** -0.25)
+    w4 = RadialPowerField(4, -0.25)
+    x4 = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(w4(x4), np.zeros(2))
+
+
+_SHAPE_FIELDS = [
+    PolyField(3, {(2, 0, 1): 1.5 - 0.5j, (0, 1, 0): 2.0, (0, 0, 0): -1.0}),
+    RadialPowerField(3, 0.75, radius=1.2, center=[0.1, 0.0, -0.2]),
+    SmoothStepField(3, 1, -0.5, 0.5),
+    PlateauField(3, (0, 2), [0.0, 0.1], 0.3, 0.9),
+]
+
+
+@pytest.mark.parametrize("f", _SHAPE_FIELDS, ids=lambda f: type(f).__name__)
+def test_points_of_any_leading_shape_give_values_of_that_shape(f):
+    """(2, 3, m) points give (2, 3) values, the bits of the (6, m) call
+    reshaped, and one (m,) point gives a 0-d value equal to the (1, m) call."""
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 3, 3))
+    got = f(x)
+    assert got.shape == (2, 3)
+    assert got.tobytes() == f(x.reshape(6, 3)).reshape(2, 3).tobytes()
+    one = f(x[1, 2])
+    assert np.shape(one) == () and one == f(x[1, 2:])[0]
 
 
 def test_radial_power_squared_radius_equals_axis_sum():
@@ -122,8 +151,6 @@ def _pow_poly(f, x):
     """PolyField evaluation with one np.power per term and coordinate: the
     former per-term loop, kept as the oracle of the power-table path."""
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x = x[None, :] if squeeze else x
     out = np.zeros(x.shape[:-1], dtype=complex)
     for powers, c in f.terms.items():
         term = np.full(x.shape[:-1], c)
@@ -131,7 +158,7 @@ def _pow_poly(f, x):
             if a:
                 term = term * x[..., k] ** a
         out += term
-    return out[0] if squeeze else out
+    return out
 
 
 # zero or 1e-3 <= |v| <= 1.5, so no power or product of degree <= 12 underflows
@@ -177,11 +204,17 @@ def test_polyfield_power_table_matches_pow(case):
 @settings(max_examples=100, deadline=None)
 def test_polyfield_low_powers_are_bit_identical(case):
     """With every exponent <= 2 the power table is x * x, the bits of
-    x ** 2, and the terms are built and summed in the same order."""
+    x ** 2, and the terms are built and summed in the same order, at an
+    (N, m) stack, at the (2, N, m) stack of it and its reverse, and at one
+    (m,) point, which gives a 0-d value."""
     f, x = case
     got, want = f(x), _pow_poly(f, x)
     assert got.tobytes() == want.tobytes()
-    assert f(x[0]) == _pow_poly(f, x[0])
+    both = np.stack([x, x[::-1]])
+    assert f(both).tobytes() == _pow_poly(f, both).tobytes()
+    assert f(both).tobytes() == np.stack([got, got[::-1]]).tobytes()
+    one = f(x[0])
+    assert np.shape(one) == () and one.tobytes() == got[0].tobytes()
 
 
 def test_zero_polyfield_is_zero_everywhere():

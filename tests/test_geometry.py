@@ -1,5 +1,7 @@
 """Domains, quadrature rules, boundary normals, and boundary distance."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -78,6 +80,47 @@ def test_dist_boundary_ball_and_box():
     assert np.isclose(dist_boundary(disc, np.array([0.3, 0.0])), 0.7)
     box = make_domain("interval-box", bounds=[[0.0, 1.0], [0.0, 1.0]])
     assert np.isclose(dist_boundary(box, np.array([0.2, 0.5])), 0.2)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("ball", {"m": 3, "radius": 1.5, "center": [0.1, -0.2, 0.3]}),
+    ("interval-box", {"bounds": [[-1.0, 1.0], [0.0, 0.5], [-0.5, 2.0]]}),
+    ("half-space-patch", {"bounds": [[-1.0, 0.0], [-1.0, 1.0], [-1.0, 1.0]]}),
+])
+def test_dist_boundary_takes_points_of_any_leading_shape(kind, params):
+    """(2, 3, m) points give (2, 3) distances, the bits of the (6, m) call
+    reshaped, and one (m,) point gives a 0-d distance equal to the (1, m) call."""
+    dom = make_domain(kind, **params)
+    x = np.random.default_rng(6).uniform(-0.4, 0.0, (2, 3, 3))
+    got = dist_boundary(dom, x)
+    assert got.shape == (2, 3)
+    assert got.tobytes() == dist_boundary(dom, x.reshape(6, 3)).reshape(2, 3).tobytes()
+    one = dist_boundary(dom, x[1, 2])
+    assert np.shape(one) == () and one == dist_boundary(dom, x[1, 2:])[0]
+
+
+_LEVEL_DOMAINS = [("ball", {"m": 2}), ("ball", {"m": 4}),
+                  ("interval-box", {"bounds": [[0.0, 1.0], [0.0, 0.5]]})]
+
+
+@pytest.mark.parametrize("level", [-1, 1.5])
+@pytest.mark.parametrize("kind, params", _LEVEL_DOMAINS)
+@pytest.mark.parametrize("build", [volume_rule, boundary_rule])
+def test_rule_level_must_be_an_integer_at_least_zero(build, kind, params, level):
+    with pytest.raises(ValueError, match=re.escape(f"rule level must be an integer >= 0, "
+                                                   f"got {level}")):
+        build(make_domain(kind, **params), level)
+
+
+@pytest.mark.parametrize("kind, params", _LEVEL_DOMAINS)
+@pytest.mark.parametrize("build", [volume_rule, boundary_rule])
+def test_numpy_integer_level_builds_the_same_rule(build, kind, params):
+    dom = make_domain(kind, **params)
+    got, want = build(dom, np.int64(1)), build(dom, 1)
+    assert got.spacing == want.spacing
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.weights, want.weights)
+    assert (got.nu is None and want.nu is None) or np.array_equal(got.nu, want.nu)
 
 
 def test_spacing_halves_with_level():
