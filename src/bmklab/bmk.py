@@ -139,8 +139,14 @@ class SingularQuadratureConfig:
     base_level: int = 0
     refinement_steps: int = 3
 
+    def __post_init__(self):
+        for name, least in (("base_level", 0), ("refinement_steps", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
     def levels(self):
-        return list(range(self.base_level, self.base_level + max(1, self.refinement_steps)))
+        return list(range(self.base_level, self.base_level + self.refinement_steps))
 
 
 def _densities(form, q):

@@ -23,7 +23,7 @@ boundedness and refinement stability, not sharp constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,11 +70,14 @@ def _materialize(descriptor, level):
     raise ValueError(f"unknown rule descriptor kind {kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSpec:
     """Kernel operator data: spaces, |K|, and the majorant exponents.
 
     X and Y are QuadratureRules or descriptors ('domain' | 'boundary', dom).
+    The X rule, the Y rule and the |Y| x |X| kernel matrix are built once per
+    level, on the first empirical_norm at that level, and kept for every
+    later one.
     """
     X: object
     Y: object
@@ -83,6 +86,7 @@ class KernelSpec:
     s: float
     a: float
     b: float
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (1.0 <= self.t <= self.s < INF):
@@ -91,6 +95,23 @@ class KernelSpec:
             v = getattr(self, name)
             if not (1.0 <= v <= INF):
                 raise ValueError(f"{name} must lie in [1, infinity]")
+
+    def _at(self, level):
+        """(X rule, Y rule, kernel matrix) at level, built on first use."""
+        if level not in self._built:
+            X = _materialize(self.X, level)
+            Y = _materialize(self.Y, level)
+            # kernels take (all x, one y), so the matrix is built row by row
+            kmat = np.empty((len(Y.nodes), len(X.nodes)))
+            for i, y in enumerate(Y.nodes):
+                kmat[i] = self.kernel(X.nodes, y)
+            bad = np.argwhere(~np.isfinite(kmat))
+            if len(bad):
+                i, j = bad[0]
+                raise ValueError(f"kernel is not finite at x = {X.nodes[j]}, y = {Y.nodes[i]} "
+                                 f"(x node {j}, y node {i}): {kmat[i, j]}")
+            self._built[level] = (X, Y, kmat)
+        return self._built[level]
 
 
 def _p_minima(spec):
@@ -146,7 +167,7 @@ def _sample_functions(space, count, seed, p):
     center = nodes.mean(axis=0)
     spread = max(float(np.linalg.norm(nodes - center, axis=1).max()), 1e-12)
     funcs = [np.ones(len(nodes))]
-    for _ in range(max(0, count - 1)):
+    for _ in range(count - 1):
         coeffs = rng.standard_normal(1 + 2 * m)
         vals = np.full(len(nodes), coeffs[0])
         for k in range(m):
@@ -166,6 +187,8 @@ def _sample_functions(space, count, seed, p):
 
 def empirical_norm(spec, p, r, sample_count=20, seed=0, level=1):
     """Max over normalized samples of ||T f||_r; a lower bound on ||T||."""
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count!r}")
     pairs = admissible_exponents(spec, p)
     if not any(r <= pair.r + 1e-12 for pair in pairs):
         if pairs:
@@ -175,15 +198,10 @@ def empirical_norm(spec, p, r, sample_count=20, seed=0, level=1):
             why = (f"no case admits p: case I needs p >= {p_min_1}, "
                    f"cases II/III need {p_min_2} <= p < infinity")
         raise ValueError(f"(p={p}, r={r}) is not admissible: {why}")
-    X = _materialize(spec.X, level)
-    Y = _materialize(spec.Y, level)
+    X, Y, kmat = spec._at(level)
     samples = _sample_functions(X, sample_count, seed, p)
     if not samples:
         return 0.0
-    # kernels take (all x, one y), so the |Y| x |X| matrix is built row by row
-    kmat = np.empty((len(Y.nodes), len(X.nodes)))
-    for i, y in enumerate(Y.nodes):
-        kmat[i] = spec.kernel(X.nodes, y)
     tf = kmat @ (X.weights * np.stack(samples)).T
     return max([0.0] + [_lp_norm(col, Y.weights, r) for col in tf.T])
 
@@ -259,7 +277,10 @@ SCAN_COLUMNS = ["t", "s", "a", "b", "p", "r", "case", "estimate", "level"]
 
 
 def scan_rows(spec, p_values, sample_count=20, seed=0, level=1):
-    """Admissibility scan plus empirical norms for every returned pair."""
+    """Admissibility scan plus empirical norms for every returned pair.
+
+    A row's estimate is NaN (not estimated) when p or r is infinite.
+    """
     rows = []
     for p in p_values:
         for pair in admissible_exponents(spec, p):

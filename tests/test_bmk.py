@@ -16,6 +16,7 @@ potential of the unit ball in R^4 and the plane Cauchy kernel:
 
 import csv
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -149,6 +150,23 @@ def test_volume_operator_finite_with_z_on_a_node():
                 if np.linalg.norm(x) < 0.5 and np.array_equal((x - e) + e, x))
     got = bmk.dbar_potential(f1, np.vstack([node - e, [0.1, 0.2]]), rule)
     assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("kwargs,bad", [
+    ({"refinement_steps": 0}, "refinement_steps must be an integer >= 1, got 0"),
+    ({"refinement_steps": -2}, "refinement_steps must be an integer >= 1, got -2"),
+    ({"refinement_steps": 1.5}, "refinement_steps must be an integer >= 1, got 1.5"),
+    ({"base_level": -1}, "base_level must be an integer >= 0, got -1"),
+    ({"base_level": 0.5}, "base_level must be an integer >= 0, got 0.5"),
+])
+def test_quadrature_config_rejects_bad_levels(kwargs, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        bmk.SingularQuadratureConfig(**{"base_level": 2, "refinement_steps": 3, **kwargs})
+
+
+def test_quadrature_config_levels():
+    assert bmk.SingularQuadratureConfig(base_level=2, refinement_steps=1).levels() == [2]
+    assert bmk.SingularQuadratureConfig(np.int64(1), np.int64(3)).levels() == [1, 2, 3]
 
 
 def _one_level(level):

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from bmklab import bmk, cli, young
-from bmklab.geometry import QuadratureRule, _lp_norm, boundary_rule, make_domain
+from bmklab.geometry import QuadratureRule, _lp_norm, boundary_rule, make_domain, volume_rule
 
 INF = math.inf
 DISC = make_domain("ball", m=2)
@@ -171,6 +171,53 @@ def test_empirical_norm_matches_per_y_loop():
             want = max(want, _lp_norm(tf, Y.weights, p))
         got = young.empirical_norm(spec, p, p, sample_count=6, seed=3, level=1)
         assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_empirical_norm_needs_one_sample(count):
+    with pytest.raises(ValueError, match=rf"sample_count must be at least 1, got {count}"):
+        young.empirical_norm(_disc_spec(), 2.0, 2.0, sample_count=count)
+
+
+def test_non_finite_kernel_matrix_names_the_first_pair():
+    """X = Y puts every node on the kernel's pole; the first non-finite
+    entry is at x node 0, y node 0."""
+    rule = volume_rule(DISC, 1)
+    spec = young.KernelSpec(X=rule, Y=rule, kernel=young.bmk_norm_kernel(1, 0),
+                            t=1.0, s=1.5, a=4.0, b=INF)
+    with pytest.raises(ValueError, match=r"kernel is not finite at .*\(x node 0, y node 0\): inf"):
+        young.empirical_norm(spec, 2.0, 2.0, sample_count=3)
+
+
+def test_scan_rows_equal_fresh_spec_norms_bit_for_bit():
+    """The spec keeps its kernel matrix across the scan's rows; each row's
+    estimate equals the norm taken on a spec that has built nothing yet."""
+    rows = young.scan_rows(_disc_spec(), [1.0, 1.5, 2.0, INF], sample_count=5, seed=2)
+    estimated = [row for row in rows if not math.isnan(row["estimate"])]
+    assert len(estimated) == 6
+    for row in estimated:
+        want = young.empirical_norm(_disc_spec(), row["p"], row["r"], 5, seed=2, level=1)
+        assert row["estimate"] == want
+
+
+def test_kernel_called_once_per_y_node_per_level():
+    calls = []
+    kern = young.bmk_norm_kernel(1, 0)
+
+    def counted(xs, y):
+        calls.append(1)
+        return kern(xs, y)
+
+    spec = young.KernelSpec(X=("boundary", DISC), Y=("domain", DISC), kernel=counted,
+                            t=1.0, s=1.5, a=4.0, b=INF)
+    y1 = len(volume_rule(DISC, 1).weights)
+    y2 = len(volume_rule(DISC, 2).weights)
+    young.scan_rows(spec, [1.0, 1.5, 2.0], sample_count=3, level=1)
+    assert len(calls) == y1
+    young.scan_rows(spec, [1.0, 2.0], sample_count=4, seed=5, level=2)
+    assert len(calls) == y1 + y2
+    young.empirical_norm(spec, 1.5, 1.5, sample_count=2, level=1)
+    assert len(calls) == y1 + y2
 
 
 @pytest.mark.parametrize("n,q", [(1, 0), (2, 0), (2, 1)])
