@@ -40,7 +40,9 @@ threads at once and must be pure.  Each worker reads its block through
 rule.part, which writes a ball volume rule's nodes and weights from the
 radial and unit-sphere factors the rule keeps, so only boundary rules and
 block-sized temporaries are resident, which keeps ladders over millions
-of nodes at desk scale.
+of nodes at desk scale.  part writes such a block coordinate-major, so
+the coordinate differences and the operand's fields read each coordinate
+as one contiguous row.
 """
 
 from __future__ import annotations
@@ -210,7 +212,11 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     whatever the number of CPUs.  A node is dropped (adds an exact 0) where
     it equals y_p and where it lies closer than radius to y_p, or, given
     centers (C, 2n), to the centre shared by the p-th group of P / C
-    consecutive points.
+    consecutive points.  Without centers one comparison of |zeta - y_p|^2
+    makes the test: below radius^2 when radius > 0 (which drops y_p's own
+    node too), equal to 0 when radius is 0.  The zeta rows of a block are
+    its coordinates, contiguous when rule.part writes the block
+    coordinate-major, as it does for a ball volume rule.
     """
     n, q = form.n, form.q - (rule.nu is None)
     densities = _densities(form, q)
@@ -234,8 +240,9 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
         coef = np.zeros((m, block, 2 * width))
         diff = np.empty((m, count, step))
         dist2, scale = np.empty((2, count, step))
-        drop, on_node = np.empty((2, count, step), dtype=bool)
+        drop = np.empty((count, step), dtype=bool)
         if centers is not None:
+            on_node = np.empty((count, step), dtype=bool)
             cs = centers.T[:, :, None]
             cdiff = np.empty((m, len(centers), step))
             cdist2, ctmp = np.empty((2, len(centers), step))
@@ -250,21 +257,26 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
             for sub in range(0, size, step):
                 b = min(step, size - sub)
                 d, r, sc = diff[:, :, :b], dist2[:, :b], scale[:, :b]
-                dr, on = drop[:, :b], on_node[:, :b]
+                dr = drop[:, :b]
                 np.subtract(zeta[:, :, sub:sub + b], ys, out=d)
                 _norm2(d, r, sc)
-                if centers is None:
-                    np.less(r, r2, out=dr)
-                else:
+                if centers is not None:
                     cd, cr = cdiff[:, :, :b], cdist2[:, :b]
                     np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
                     _norm2(cd, cr, ctmp[:, :b])
                     grouped[:, :, :b] = (cr < r2)[:, None, :]
-                np.equal(r, 0.0, out=on)
-                dr |= on
-                np.copyto(sc, r)
-                for _ in range(n - 1):
-                    sc *= r
+                    np.equal(r, 0.0, out=on_node[:, :b])
+                    dr |= on_node[:, :b]
+                elif r2 > 0.0:
+                    np.less(r, r2, out=dr)   # r == 0 < r2 drops too
+                else:
+                    np.equal(r, 0.0, out=dr)
+                if n > 1:
+                    np.multiply(r, r, out=sc)
+                    for _ in range(n - 2):
+                        sc *= r
+                else:
+                    sc = r   # no later step of the sub-block reads r
                 np.copyto(sc, np.inf, where=dr)
                 np.divide(1.0, sc, out=sc)
                 d *= sc

@@ -66,6 +66,10 @@ class Field:
             return self._scaled(complex(other))
         if self.is_poly and other.is_poly:
             return self._poly_mul(other)
+        # a constant polynomial scales the other factor: no array of one value
+        for f, g in ((self, other), (other, self)):
+            if g.is_poly and list(g.terms) == [(0,) * g.m]:
+                return f._scaled(g.terms[(0,) * g.m])
         return ProductField(self, other)
 
     def __rmul__(self, other):
@@ -378,10 +382,15 @@ class RadialPowerField(Field):
         self.center = np.zeros(m) if center is None else np.asarray(center, dtype=float)
 
     def _u(self, x):
-        u = 0.0
-        for k in range(self.m):   # coordinate by coordinate: no (N, m) temporary
-            d = (x[..., k] - self.center[k]) / self.radius
-            u = u + d * d
+        u = None
+        for k in range(self.m):   # coordinate by coordinate, one temporary each
+            d = np.subtract(x[..., k], self.center[k])
+            d /= self.radius
+            d *= d
+            if u is None:
+                u = d
+            else:
+                u += d
         return u
 
     def __call__(self, x):

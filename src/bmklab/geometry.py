@@ -19,6 +19,7 @@ exactly; in particular the area comes out 2 pi^2 up to roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,12 +87,16 @@ def make_domain(kind, **params):
 class QuadratureRule:
     """Nodes, weights and, on a boundary, outward unit normals nu (None inside).
 
-    arrays is (nodes, weights).  A ball volume rule keeps shells instead:
-    (r, shell_w, sph, sph_w, center), the radial nodes, the shell weights
-    wr * r^(m-1), the unit-sphere rule and the centre, whose node
-    i * len(sph) + j is r[i] * sph[j] + center with weight shell_w[i] * sph_w[j].
-    part reads any node range from either; nodes and weights build a ball
-    volume rule's arrays from part on first access and keep them.
+    arrays is (nodes, weights), nodes (N, m).  A ball volume rule keeps
+    shells instead: (r, shell_w, sph, sph_w, center), the radial nodes, the
+    shell weights wr * r^(m-1), the unit-sphere rule with its nodes
+    coordinate-major, (m, S), and the centre, whose node i * S + j is
+    r[i] * sph[:, j] + center with weight shell_w[i] * sph_w[j].
+    part(lo, hi) reads nodes lo:hi, clipped to the rule, so a range past the
+    end is empty.  A ball volume rule writes each part's nodes
+    coordinate-major, as the (B, m) transpose of an (m, B) array, so a
+    coordinate's values are contiguous.  nodes, C-ordered (N, m), and
+    weights are each written on first access and kept.
     """
     spacing: float
     nu: Optional[np.ndarray] = None
@@ -99,40 +104,49 @@ class QuadratureRule:
     shells: Optional[tuple] = None
 
     def __len__(self):
-        if self.arrays is not None:
+        if self.shells is None:
             return len(self.arrays[1])
         r, _, sph, _, _ = self.shells
-        return len(r) * len(sph)
+        return len(r) * sph.shape[1]
 
-    @property
+    @functools.cached_property
     def nodes(self):
-        return self._materialise()[0]
+        if self.shells is None:
+            return self.arrays[0]
+        nodes = np.empty((len(self), len(self.shells[2])))
+        self._write(0, len(self), nodes)
+        return nodes
 
-    @property
+    @functools.cached_property
     def weights(self):
-        return self._materialise()[1]
-
-    def _materialise(self):
-        if self.arrays is None:
-            self.arrays = self.part(0, len(self))[:2]
-        return self.arrays
+        if self.shells is None:
+            return self.arrays[1]
+        _, shell_w, _, sph_w, _ = self.shells
+        return np.multiply.outer(shell_w, sph_w).ravel()
 
     def part(self, lo, hi):
         """(nodes, weights, nu) of nodes lo:hi; nu is None off a boundary."""
-        if self.arrays is not None:
+        if self.shells is None:
             nu = None if self.nu is None else self.nu[lo:hi]
             return self.arrays[0][lo:hi], self.arrays[1][lo:hi], nu
-        r, shell_w, sph, sph_w, center = self.shells
-        size = len(sph)
         hi = min(hi, len(self))
-        nodes, weights = np.empty((hi - lo, sph.shape[1])), np.empty(hi - lo)
+        lo = min(lo, hi)
+        nodes, weights = np.empty((len(self.shells[2]), hi - lo)).T, np.empty(hi - lo)
+        self._write(lo, hi, nodes, weights)
+        return nodes, weights, None
+
+    def _write(self, lo, hi, nodes, weights=None):
+        """Write a ball volume rule's nodes lo:hi into nodes, (hi - lo, m) in
+        any layout, and, unless None, their weights into weights, shell by shell."""
+        r, shell_w, sph, sph_w, center = self.shells
+        size = sph.shape[1]
         for i in range(lo // size, (hi + size - 1) // size):   # the shells lo:hi touches
             a, b = max(lo, i * size), min(hi, (i + 1) * size)
             out, src = slice(a - lo, b - lo), slice(a - i * size, b - i * size)
-            np.multiply(r[i], sph[src], out=nodes[out])
+            np.multiply(r[i], sph[:, src].T, out=nodes[out])
             nodes[out] += center
-            np.multiply(shell_w[i], sph_w[src], out=weights[out])
-        return nodes, weights, None
+            if weights is not None:
+                np.multiply(shell_w[i], sph_w[src], out=weights[out])
 
 
 def _composite_gauss(lo, hi, panels, order):
@@ -224,7 +238,8 @@ def volume_rule(domain, level):
         r = R * (xr + 1.0) / 2.0
         wr = R * wr / 2.0
         sph, sph_w, _ = _sphere_rule(m, level)
-        return QuadratureRule(R / nr, shells=(r, wr * r ** (m - 1), sph, sph_w, domain.center))
+        return QuadratureRule(R / nr, shells=(r, wr * r ** (m - 1), np.ascontiguousarray(sph.T),
+                                              sph_w, domain.center))
 
     if domain.kind in ("interval-box", "half-space-patch"):
         axis_nodes, axis_weights, steps = _gauss_axes(domain.bounds, level)

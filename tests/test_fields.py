@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmklab.exterior import DifferentialForm
-from bmklab.fields import (AnalyticField, PlateauField, PolyField, RadialPowerField,
-                           SmoothStepField, as_field, constant, coordinate, dz_part,
-                           dzbar_part, zmonomial)
+from bmklab.fields import (AnalyticField, PlateauField, PolyField, ProductField,
+                           RadialPowerField, ScaledField, SmoothStepField, as_field,
+                           constant, coordinate, dz_part, dzbar_part, zmonomial)
 
 
 def test_polyfield_evaluation_and_arithmetic():
@@ -128,7 +128,23 @@ def test_radial_power_squared_radius_equals_axis_sum():
     x = np.random.default_rng(4).uniform(-1.0, 1.0, (4097, 4))
     d = (x - w.center) / w.radius
     assert np.array_equal(w._u(x), np.sum(d * d, axis=-1))
+    assert np.array_equal(w._u(np.asfortranarray(x)), np.sum(d * d, axis=-1))
     assert w._u(x[7]) == np.sum(d[7] * d[7])
+
+
+def test_product_with_a_constant_polynomial_is_scaled():
+    """A field times a constant PolyField, on either side, scales the field:
+    its values have the bits of the product with the constant's values.
+    Polynomial products stay exact and other products stay products."""
+    f = RadialPowerField(4, 0.75)
+    c = constant(4, 0.3 - 1.25j)
+    x = np.random.default_rng(6).uniform(-0.6, 0.6, (4097, 4))
+    for prod in (f * c, c * f):
+        assert isinstance(prod, ScaledField)
+        assert prod(x).tobytes() == (f(x) * c(x)).tobytes()
+    assert isinstance(coordinate(4, 1) * c, PolyField)
+    assert isinstance(f * coordinate(4, 1), ProductField)
+    assert isinstance(f * PolyField(4, {}), ProductField)
 
 
 def test_coordinate_and_as_field():

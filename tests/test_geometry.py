@@ -208,23 +208,49 @@ def test_four_ball_rules_match_reference_bytes(level):
 ])
 @pytest.mark.parametrize("level", [0, 1])
 def test_ball_volume_parts_match_materialised_bytes(params, level):
-    """A ball volume rule keeps its factors: len and part build no (N, m)
-    array, and part over 7-node ranges, which split shells, over whole
-    shells and past the end gives the bytes of the materialised nodes and
-    weights, which are then kept."""
+    """A ball volume rule keeps its factors, the unit-sphere nodes
+    coordinate-major: len, part and weights build no (N, m) array, and part
+    over 7-node ranges, which split shells, over whole shells and past the
+    end gives coordinate-major blocks with the bytes of the materialised
+    nodes and weights, which are C-ordered (N, m) and then kept."""
     rule = volume_rule(make_domain("ball", **params), level)
-    r, shell = rule.shells[0], len(rule.shells[2])
+    r, sph = rule.shells[0], rule.shells[2]
+    shell = sph.shape[1]
+    assert sph.shape == (params["m"], shell) and sph.flags.c_contiguous
     size = len(rule)
     assert size == len(r) * shell
     parts = {step: [rule.part(lo, lo + step) for lo in range(0, size, step)]
              for step in (7, shell, size + 5)}
-    assert rule.arrays is None
-    nodes, weights = rule.nodes, rule.weights
-    assert rule.nodes is nodes and nodes.shape == (size, params["m"])
+    weights = rule.weights
+    assert rule.arrays is None and "nodes" not in vars(rule)
+    nodes = rule.nodes
+    assert rule.nodes is nodes and rule.weights is weights
+    assert nodes.shape == (size, params["m"])
+    assert nodes.flags.c_contiguous
     for chunks in parts.values():
         assert all(nu is None for _, _, nu in chunks)
+        assert all(n.T.flags.c_contiguous for n, _, _ in chunks)
         assert np.concatenate([n for n, _, _ in chunks]).tobytes() == nodes.tobytes()
         assert np.concatenate([w for _, w, _ in chunks]).tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    {"kind": "ball", "m": 4},
+    {"kind": "ball", "m": 2},
+    {"kind": "interval-box", "bounds": [[0.0, 1.0], [-1.0, 1.0]]},
+])
+def test_part_past_the_end_is_empty(params):
+    """part(lo, hi) from the end of the rule or past it gives an empty
+    block, for a ball volume rule as for a rule that keeps its arrays."""
+    domain = make_domain(**params)
+    rule = volume_rule(domain, 0)
+    size = len(rule)
+    for lo in (size, size + 1, size + 1000):
+        nodes, weights, nu = rule.part(lo, lo + 7)
+        assert nodes.shape == (0, domain.m) and weights.shape == (0,) and nu is None
+    nodes, weights, _ = rule.part(size - 3, size + 7)
+    assert nodes.tobytes() == rule.nodes[size - 3:].tobytes()
+    assert weights.tobytes() == rule.weights[size - 3:].tobytes()
 
 
 @pytest.mark.parametrize("level", range(7))
