@@ -25,12 +25,19 @@ constants) of the level rule's spacing or of the domain radius; a
 SingularQuadratureConfig sets only which levels run.
 
 Both operators, the residual ladder and the stencil go through one sweep.
-A fold wedges the operand with each constant form K_Jj of the kernel
-table (the part of B multiplying s_j dzbar^J(z), s_j = conj(zeta_j -
-z_j)/|zeta-z|^{2n}), takes the density against dV or dS at the nodes, with
-every sign left to bmklab.exterior, and multiplies in the weights.  The
-sweep evaluates every point of a level in one pass over the rule, in blocks
-of at most NODE_BLOCK nodes that one worker per usable CPU folds and sweeps:
+A fold writes, per node, the weighted density against dV or dS of the
+operand wedged with each constant form K_Jj of the kernel table (the part
+of B multiplying s_j dzbar^J(z), s_j = conj(zeta_j - z_j)/|zeta-z|^{2n}).
+Each density is an operand coefficient times constants fixed once per
+sweep (kernel entry, wedge sign, top or boundary-density factor, every
+sign from bmklab.exterior's rules).  The fold calls each coefficient
+field, and each callable shared by several, once per node block, keeps
+no value past the block, and applies the constants in the order of the
+symbolic wedge and exterior.density, so every value keeps that path's
+bits (numpy's complex multiply rounds through FMA, so operand order
+matters).  The sweep evaluates every point of a level in one pass over
+the rule, in blocks of at most NODE_BLOCK nodes that one worker per
+usable CPU folds and sweeps:
 within a block it takes sub-blocks of about PAIR_BLOCK node-point pairs,
 where the coordinate differences are scaled in place by 1/|zeta-z|^{2n}
 (exactly 0 at dropped nodes) and contracted with the fold by real matmuls.
@@ -56,8 +63,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import (DifferentialForm, _merge, _star_monomial, _wedge_monomial_sign,
-                       density, eps_sign, multi_indices)
+from .exterior import (DifferentialForm, _merge, _normal_completion, _star_monomial,
+                       _top_real_constant, _wedge_monomial_sign, eps_sign, multi_indices)
+from .fields import shared_values
 from .geometry import boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
@@ -66,7 +74,7 @@ __all__ = [
     "reproduce_residual",
 ]
 
-NODE_BLOCK = 32_768    # nodes a worker writes and folds at once (8.4 MB of fold at n = 2, q = 1)
+NODE_BLOCK = 32_768    # nodes a worker writes and folds at once (4.2 MB of fold per worker at n = 2, q = 1)
 PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
 
 EXCLUSION_FACTOR = 2.0      # _volume_term: rho = factor * rule spacing
@@ -151,21 +159,81 @@ class SingularQuadratureConfig:
         return list(range(self.base_level, self.base_level + self.refinement_steps))
 
 
-def _densities(form, q):
-    """[(k, j, form ^ K_Jj)] for each constant (n, n-q-1)-form K_Jj of
+def _kernel_terms(form, q, interior):
+    """[(k, j, parts)] for each constant (n, n-q-1)-form K_Jj of
     kernel_table(n, q), the part of B that multiplies s_j dzbar^J(z), with
-    J = multi_indices(n, q)[k].  exterior.density takes each wedge against
-    dV or, through a boundary rule's outward normals, against dS.
+    J = multi_indices(n, q)[k], built once per sweep.
+
+    The density of form ^ K_Jj against dV, or against dS (exterior.density),
+    sums one part per coefficient g of the form that meets K_Jj's one
+    monomial: one part inside, q + 1 on a boundary.  A part (g, consts,
+    dual) is g's values times each constant in turn: the kernel entry times
+    the wedge sign, then inside the top factor of dV, which joins the entry
+    only where it is a real power of two (n = 2) and so scales every product
+    exactly; any other regrouping could move bits through FMA.  Every kernel
+    entry is real or imaginary, so c * value and value * c agree.  On a
+    boundary, dual = (k, c) adds value * c * (nu_x_k + i nu_y_k), k 0-based,
+    the normal's dzbar term that completes the monomial
+    (exterior._normal_completion).  A polynomial g takes its constants into its
+    coefficients instead, as the wedge of polynomial forms does.  A (J, j)
+    that no coefficient meets has density 0 and is left out.
     """
     if form.p:
         raise ValueError(f"operand must be a (0, q)-form, got ({form.p}, {form.q})")
     n = form.n
     keys = multi_indices(n, q)
-    return [(keys.index(J), j, form.wedge(DifferentialForm(n, n, n - q - 1, mono)))
-            for J, terms in kernel_table(n, q).items() for j, mono in terms]
+    top = complex(_top_real_constant(n))
+    exact_top = top.imag == 0 and abs(math.frexp(top.real)[0]) == 0.5
+    out = []
+    for J, terms in kernel_table(n, q).items():
+        for j, mono in terms:
+            (((I2, J2), entry),) = mono.items()
+            parts = []
+            for (I1, J1), g in form.coeffs.items():
+                sign = _wedge_monomial_sign(n, I1, J1, I2, J2)
+                if not sign:
+                    continue
+                consts, dual = (sign * entry,), None
+                if not interior:
+                    # K_Jj holds every dz_i, so a dzbar_i term completes it
+                    i, _, factor = _normal_completion(n, I2, _merge(J1, J2))
+                    dual = (i - 1, factor)
+                elif exact_top:
+                    consts = (top * consts[0],)
+                else:
+                    consts += (top,)
+                if g.is_poly:
+                    for c in consts:
+                        g = g._scaled(c)
+                    consts = ()
+                parts.append((g, consts, dual))
+            if parts:
+                out.append((keys.index(J), j, parts))
+    return out
 
 
-def _fold(coef, densities, nodes, nu, weights):
+def _density(parts, nodes, nu, calls):
+    """One (J, j) density at nodes from its parts (see _kernel_terms):
+    against dV with nu None, else against dS with nu the outward normals.
+    calls shares the operand's values across the densities of one block
+    (fields.shared_values)."""
+    out = None if nu is None else np.zeros(len(nodes), dtype=complex)
+    for field, consts, dual in parts:
+        value = shared_values(field, nodes, calls)
+        for c in consts:
+            value = c * value
+        if dual is None:
+            return value   # an interior density has one part
+        i, factor = dual
+        term = factor * (nu[:, 2 * i] + 1j * nu[:, 2 * i + 1])
+        # np.multiply keeps value the first operand: `value * temporary`
+        # lets numpy reuse the temporary, as `temporary *= value`, and
+        # FMA rounds a complex product differently in the other order
+        out += np.multiply(value, term, out=term)
+    return out
+
+
+def _fold(coef, terms, nodes, nu, weights):
     """Write one node block's weighted fold into coef, a real (2n, B, 2K) array.
 
     Entry (c, i) holds what the scaled difference (zeta_i - y)_c / |zeta_i - y|^{2n}
@@ -174,15 +242,17 @@ def _fold(coef, densities, nodes, nu, weights):
     so the x_j row carries (Re A, Im A) and the y_j row (Im A, -Re A) in the
     real and imaginary columns of J = multi_indices(n, q)[k].  Every block
     writes the same entries, so the others stay 0 from allocation.  nu, the
-    outward normals, is None on an interior rule.
+    outward normals, is None on an interior rule.  Each field of the operand
+    runs once on the block, and the values it shares go when the fold returns.
     """
     width = coef.shape[2] // 2
-    for k, j, wedged in densities:
-        a = weights * density(wedged, nodes, nu)
+    calls = {}
+    for k, j, parts in terms:
+        a = weights * _density(parts, nodes, nu, calls)
         coef[2 * j - 2, :, k] = a.real
         coef[2 * j - 2, :, width + k] = a.imag
         coef[2 * j - 1, :, k] = a.imag
-        coef[2 * j - 1, :, width + k] = -a.real
+        np.negative(a.real, out=coef[2 * j - 1, :, width + k])
 
 
 def _norm2(d, out, tmp):
@@ -219,14 +289,14 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     coordinate-major, as it does for a ball volume rule.
     """
     n, q = form.n, form.q - (rule.nu is None)
-    densities = _densities(form, q)
+    terms = _kernel_terms(form, q, rule.nu is None)
     width = len(multi_indices(n, q))
     points = np.asarray(points, dtype=float)
     count, m = points.shape
     if m != 2 * n:
         raise ValueError(f"a form on C^{n} needs points in R^{2 * n}, got R^{m}")
     acc = np.zeros((count, 2 * width))
-    if not (count and densities):
+    if not (count and terms):
         return acc[:, :width] + 1j * acc[:, width:]
     r2 = radius * radius
     block = min(NODE_BLOCK, len(rule))
@@ -251,7 +321,7 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
             start = starts[k]
             nodes, weights, nu = rule.part(start, start + NODE_BLOCK)
             size = len(nodes)
-            _fold(coef[:, :size], densities, nodes, nu, weights)
+            _fold(coef[:, :size], terms, nodes, nu, weights)
             zeta = nodes.T[:, None, :]
             out = []
             for sub in range(0, size, step):
@@ -387,8 +457,9 @@ def dbar_potential(f, z, rule):
     d = ys - zs[:, None, :]
     dc = d[..., 0::2] + 1j * d[..., 1::2]
     ball_factor = math.pi ** n / math.factorial(n)
-    for k, j, wedged in _densities(f, q - 1):
-        a = density(wedged, zs)
+    calls = {}
+    for k, j, parts in _kernel_terms(f, q - 1, True):
+        a = _density(parts, zs, None, calls)
         vals[:, :, k] += a[:, None] * ball_factor * (-np.conj(dc[:, :, j - 1]))
     vals = vals.reshape(len(zs), n, 4, len(keys))
     ddx = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import bmk, mollify, young
 from .exterior import DifferentialForm
-from .fields import (AnalyticField, PolyField, RadialPowerField, coordinate,
+from .fields import (AnalyticField, PolyField, RadialPowerField, components, coordinate,
                      zmonomial)
 from .geometry import make_domain
 from .operators import FirstOrderOperator, scalar_test_family
@@ -256,15 +256,13 @@ def _lp_test_forms():
     fb = DifferentialForm(2, 0, 0, {((), ()): zmonomial(2, (0, 0), (1, 0))})
     neg = RadialPowerField(4, -0.25)
 
-    def dcoef(j):
-        def fn(x, _j=j):
-            zj = x[:, 2 * _j - 2] + 1j * x[:, 2 * _j - 1]
-            base = -0.75 * np.asarray(neg(x)) * zj
-            if _j == 1:
-                base = base + 1.0
-            return base
-        return AnalyticField(4, fn)
-    dbar_lp = DifferentialForm(2, 0, 1, {((), (1,)): dcoef(1), ((), (2,)): dcoef(2)})
+    def dbar_coefs(x):
+        # d/dzbar_j of the datum: -3/4 (1 - |z|^2)^(-1/4) z_j, plus 1 at j = 1
+        w = -0.75 * np.asarray(neg(x))
+        return (w * (x[:, 0] + 1j * x[:, 1]) + 1.0, w * (x[:, 2] + 1j * x[:, 3]))
+
+    d1, d2 = components(4, dbar_coefs, 2)
+    dbar_lp = DifferentialForm(2, 0, 1, {((), (1,)): d1, ((), (2,)): d2})
     return flp, fb, dbar_lp
 
 
@@ -312,14 +310,35 @@ def mollify_fixture(grid_n=257):
     op = FirstOrderOperator(2, a=[1.0, coordinate(2, 1)], b=0.5)
 
     def graph_fn(x):
-        # the pair (f, Qf) from three transcendentals per point
+        # the pair (f, Qf) from three transcendentals per point, in place:
+        # f = 0.5 c e + 0.25 x1 x2 and Qf = d1 f + x2 d2 f + 0.5 f, with
+        # d1 f = -0.65 sin(arg) e + 0.25 x2 and d2 f = 0.35 c e + 0.25 x1,
+        # each product and sum in that order
         x1, x2 = x[:, 0], x[:, 1]
-        arg = 1.3 * x1 + 0.4
-        c, e = np.cos(arg), np.exp(0.7 * x2)
-        fv = 0.5 * c * e + 0.25 * x1 * x2
-        df1 = -0.65 * np.sin(arg) * e + 0.25 * x2
-        df2 = 0.35 * c * e + 0.25 * x1
-        return fv, df1 + x2 * df2 + 0.5 * fv
+        arg = np.multiply(x1, 1.3)
+        arg += 0.4
+        c = np.cos(arg)
+        e = np.multiply(x2, 0.7)
+        np.exp(e, out=e)
+        t = np.multiply(x1, 0.25)
+        t *= x2
+        fv = np.multiply(c, 0.5)
+        fv *= e
+        fv += t
+        qf = np.sin(arg, out=arg)
+        qf *= -0.65
+        qf *= e
+        np.multiply(x2, 0.25, out=t)
+        qf += t
+        c *= 0.35
+        c *= e
+        np.multiply(x1, 0.25, out=t)
+        c += t
+        c *= x2
+        qf += c
+        np.multiply(fv, 0.5, out=t)
+        qf += t
+        return fv, qf
 
     def f_fn(x):
         return graph_fn(x)[0]

@@ -321,14 +321,22 @@ def density(form, nodes, nu=None):
     nu_c = nu[:, 0::2] + 1j * nu[:, 1::2]
     out = np.zeros(len(nodes), dtype=complex)
     for (I, J), c in form.coeffs.items():
-        if len(I) < n:   # nu_flat's dz_i term completes the monomial
-            (i,) = set(range(1, n + 1)) - set(I)
-            sign, dual = _wedge_monomial_sign(n, (i,), (), I, J), np.conj(nu_c[:, i - 1])
-        else:            # its dzbar_i term does
-            (i,) = set(range(1, n + 1)) - set(J)
-            sign, dual = _wedge_monomial_sign(n, (), (i,), I, J), nu_c[:, i - 1]
-        out += np.asarray(c(nodes), dtype=complex) * (0.5 * sign * _top_real_constant(n) * dual)
+        i, dz, factor = _normal_completion(n, I, J)
+        dual = np.conj(nu_c[:, i - 1]) if dz else nu_c[:, i - 1]
+        out += np.asarray(c(nodes), dtype=complex) * (factor * dual)
     return out
+
+
+def _normal_completion(n, I, J):
+    """(i, dz, c) for a (2n-1)-monomial dz^I ^ dzbar^J: nu_flat's dz_i term
+    (dz True, coefficient conj(c_i) / 2) or dzbar_i term (c_i / 2) completes
+    it, and the top density of that term wedged with the monomial is
+    c * conj(c_i) or c * c_i: the wedge sign times half the top constant."""
+    if len(I) < n:
+        (i,) = set(range(1, n + 1)) - set(I)
+        return i, True, 0.5 * _wedge_monomial_sign(n, (i,), (), I, J) * _top_real_constant(n)
+    (i,) = set(range(1, n + 1)) - set(J)
+    return i, False, 0.5 * _wedge_monomial_sign(n, (), (i,), I, J) * _top_real_constant(n)
 
 
 def integrate(form, rule):

@@ -14,6 +14,7 @@ needs is supplied in closed form as data.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -225,6 +226,45 @@ class AnalyticField(Field):
         return AnalyticField(self.m, lambda x: np.conj(self.func(x)))
 
 
+class ComponentField(Field):
+    """Value number `index` of a callable that gives several values per point."""
+
+    def __init__(self, m, func, index):
+        self.m = m
+        self.func = func
+        self.index = index
+
+    def __call__(self, x):
+        return self.pick(self.func(np.asarray(x, dtype=float)))
+
+    def pick(self, values):
+        """This field's entry of func's values at some points."""
+        return np.asarray(values[self.index], dtype=complex)
+
+
+def components(m, func, count):
+    """count fields on R^m, the k-th giving func(x)[k]: values that share work
+    come from one callable.  Each field alone calls func; bmk's fold calls
+    it once per node block for all of them (see shared_values)."""
+    return [ComponentField(m, func, k) for k in range(count)]
+
+
+def shared_values(field, x, calls):
+    """field(x), where calls is a dict kept for one stack of points x: each
+    non-polynomial field, and each callable behind `components`, runs once
+    on x however often it is asked for.  A polynomial, cheap to evaluate and
+    often scaled for one use only, runs on every call and is not kept."""
+    if field.is_poly:
+        return field(x)
+    if isinstance(field, ComponentField):
+        if field.func not in calls:
+            calls[field.func] = field.func(np.asarray(x, dtype=float))
+        return field.pick(calls[field.func])
+    if field not in calls:
+        calls[field] = field(x)
+    return calls[field]
+
+
 # ---------------------------------------------------------------------------
 # complex coordinates: z_j = x_{2j} + i x_{2j+1} (0-based pairs)
 
@@ -316,6 +356,8 @@ class SmoothStepField(Field):
         self.m = m
         self.axis = axis
         self.lo, self.hi = float(lo), float(hi)
+        if not self.hi > self.lo:   # written so that a NaN fails it
+            raise ValueError(f"SmoothStepField needs hi > lo, got lo={lo!r}, hi={hi!r}")
 
     def _arg(self, x):
         return 1.0 + (x[..., self.axis] - self.lo) / (self.hi - self.lo)
@@ -379,14 +421,24 @@ class RadialPowerField(Field):
         self.m = m
         self.gamma = float(gamma)
         self.radius = float(radius)
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"RadialPowerField needs a finite radius > 0, got {radius!r}")
         self.center = np.zeros(m) if center is None else np.asarray(center, dtype=float)
+        if self.center.shape != (m,):
+            raise ValueError(f"RadialPowerField on R^{m} needs a centre of {m} coordinates, "
+                             f"got shape {self.center.shape}")
+        # x - 0 and x / 1 are x, bit for bit: the unit ball skips both
+        self._unit = self.radius == 1.0 and not self.center.any()
 
     def _u(self, x):
         u = None
         for k in range(self.m):   # coordinate by coordinate, one temporary each
-            d = np.subtract(x[..., k], self.center[k])
-            d /= self.radius
-            d *= d
+            if self._unit:
+                d = np.multiply(x[..., k], x[..., k])
+            else:
+                d = np.subtract(x[..., k], self.center[k])
+                d /= self.radius
+                d *= d
             if u is None:
                 u = d
             else:

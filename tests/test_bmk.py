@@ -26,9 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmklab import bmk, cli
-from bmklab.exterior import DifferentialForm, multi_indices
-from bmklab.fields import AnalyticField, PolyField, constant, zmonomial
+from bmklab import bmk, cli, fields
+from bmklab.exterior import DifferentialForm, density, multi_indices
+from bmklab.fields import AnalyticField, PolyField, components, constant, zmonomial
 from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_rule
 
 DISC = make_domain("ball", m=2)
@@ -242,12 +242,12 @@ def _serial_sweep(form, rule, points, radius=0.0, centers=None):
     made."""
     interior = rule.nu is None
     n, q = form.n, form.q - interior
-    densities = bmk._densities(form, q)
+    terms = bmk._kernel_terms(form, q, interior)
     width = len(multi_indices(n, q))
     points = np.asarray(points, dtype=float)
     count, m = points.shape
     acc = np.zeros((count, 2 * width))
-    if not (count and densities):
+    if not (count and terms):
         return acc[:, :width] + 1j * acc[:, width:]
     r2 = radius * radius
     block = min(bmk.NODE_BLOCK, len(rule))
@@ -266,7 +266,7 @@ def _serial_sweep(form, rule, points, radius=0.0, centers=None):
         nodes = rule.nodes[start:start + bmk.NODE_BLOCK]
         size = len(nodes)
         nu = None if interior else rule.nu[start:start + bmk.NODE_BLOCK]
-        bmk._fold(coef[:, :size], densities, nodes, nu,
+        bmk._fold(coef[:, :size], terms, nodes, nu,
                   rule.weights[start:start + bmk.NODE_BLOCK])
         zeta = nodes.T[:, None, :]
         for sub in range(0, size, step):
@@ -356,15 +356,97 @@ def test_block_error_gives_a_fail_verdict(monkeypatch):
     bad = volume_rule(DISC, 1).nodes[500]
     fold = bmk._fold
 
-    def failing_fold(coef, densities, nodes, nu, weights):
+    def failing_fold(coef, terms, nodes, nu, weights):
         if np.any(np.all(nodes == bad, axis=-1)):
             raise ZeroDivisionError("one block")
-        fold(coef, densities, nodes, nu, weights)
+        fold(coef, terms, nodes, nu, weights)
 
     monkeypatch.setattr(bmk, "_fold", failing_fold)
     report = cli.run_experiment(cli.ExperimentConfig(experiment="bmk-verify", steps=2))
     assert report.verdict == "fail"
     assert report.metadata["error"] == "ZeroDivisionError: one block"
+
+
+def _callable_form(n, q):
+    """A (0, q)-form whose coefficients are complex callables: one
+    AnalyticField alone, or components of one callable when there are
+    several."""
+    m = 2 * n
+    keys = multi_indices(n, q)
+
+    def func(x):
+        z = x[:, 0] + 1j * x[:, 1]
+        return [np.exp(0.3j * k + z) * (1.0 - 0.5j * x[:, m - 1]) for k in range(len(keys))]
+
+    coefs = (components(m, func, len(keys)) if len(keys) > 1
+             else [AnalyticField(m, lambda x: func(x)[0])])
+    return DifferentialForm(n, 0, q, dict(zip([((), J) for J in keys], coefs)))
+
+
+def _symbolic_fold(form, q, nodes, nu, weights):
+    """The fold written through the symbolic wedge: w * exterior.density of
+    form ^ K_Jj, in the layout of bmk._fold."""
+    n = form.n
+    keys = multi_indices(n, q)
+    coef = np.zeros((2 * n, len(nodes), 2 * len(keys)))
+    for J, terms in bmk.kernel_table(n, q).items():
+        k = keys.index(J)
+        for j, mono in terms:
+            wedged = form.wedge(DifferentialForm(n, n, n - q - 1, mono))
+            a = weights * density(wedged, nodes, nu)
+            coef[2 * j - 2, :, k] = a.real
+            coef[2 * j - 2, :, len(keys) + k] = a.imag
+            coef[2 * j - 1, :, k] = a.imag
+            coef[2 * j - 1, :, len(keys) + k] = -a.real
+    return coef
+
+
+@pytest.mark.parametrize("n, q, interior", [
+    (1, 0, True), (1, 0, False), (2, 0, True), (2, 1, True), (2, 0, False), (2, 1, False)])
+@pytest.mark.parametrize("size", [7, 32_768])
+def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
+    """bmk._fold of the kernel terms equals the symbolic wedge with each K_Jj
+    followed by exterior.density, bit for bit, for polynomial and callable
+    operands of degree 0, 1 and 2, on interior and boundary rules.  A
+    q = 1 boundary density sums two monomials, each from its own
+    coefficient.  32,768-node blocks are large enough that numpy reuses
+    temporaries, which fixes the operand order of complex products."""
+    domain = make_domain("ball", m=2 * n)
+    deg = q + interior
+    level = {(1, True): 5, (1, False): 10, (2, True): 2, (2, False): 3}[n, interior]
+    rule = volume_rule(domain, level) if interior else boundary_rule(domain, level)
+    nodes, weights, nu = rule.part(0, size)
+    assert len(nodes) == size
+    for form in (_generic_form(n, deg), _callable_form(n, deg)):
+        terms = bmk._kernel_terms(form, q, interior)
+        got = np.zeros((2 * n, size, 2 * len(multi_indices(n, q))))
+        bmk._fold(got, terms, nodes, nu, weights)
+        want = _symbolic_fold(form, q, nodes, nu, weights)
+        assert got.tobytes() == want.tobytes()
+        assert got.any()
+
+
+def test_lp_datum_runs_once_per_node_block(monkeypatch):
+    """The bmk-lp dbar datum's two coefficients come from one callable, and
+    the volume sweep calls it, and the (1 - |z|^2)^(-1/4) it computes,
+    once per node block."""
+    monkeypatch.setattr(bmk, "NODE_BLOCK", 4096)
+    _use_cpus(monkeypatch, 2)
+    _, _, dbar_lp = cli._lp_test_forms()
+    seen = []
+    wrapped = {}
+    for coef in dbar_lp.coeffs.values():
+        if coef.func not in wrapped:
+            wrapped[coef.func] = lambda x, _f=coef.func: seen.append("datum") or _f(x)
+        coef.func = wrapped[coef.func]
+    power = fields.RadialPowerField.__call__
+    monkeypatch.setattr(fields.RadialPowerField, "__call__",
+                        lambda self, x: seen.append("power") or power(self, x))
+    rule = volume_rule(BALL4, 1)
+    bmk._volume_term(dbar_lp, rule, np.array([[0.2, -0.1, 0.3, 0.15]]))
+    blocks = -(-len(rule) // 4096)
+    assert blocks > 2
+    assert sorted(seen) == ["datum"] * blocks + ["power"] * blocks
 
 
 def _residual_peak(monkeypatch, base_level, steps):

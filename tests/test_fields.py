@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from bmklab.exterior import DifferentialForm
 from bmklab.fields import (AnalyticField, PlateauField, PolyField, ProductField,
                            RadialPowerField, ScaledField, SmoothStepField, as_field,
-                           constant, coordinate, dz_part, dzbar_part, zmonomial)
+                           components, constant, coordinate, dz_part, dzbar_part,
+                           shared_values, zmonomial)
 
 
 def test_polyfield_evaluation_and_arithmetic():
@@ -130,6 +131,74 @@ def test_radial_power_squared_radius_equals_axis_sum():
     assert np.array_equal(w._u(x), np.sum(d * d, axis=-1))
     assert np.array_equal(w._u(np.asfortranarray(x)), np.sum(d * d, axis=-1))
     assert w._u(x[7]) == np.sum(d[7] * d[7])
+
+
+def test_radial_power_unit_ball_keeps_the_general_bits():
+    """Centre 0 and radius 1 skip x - c and / R, which change no bit: the
+    values and |x|^2 equal those of the general formula, at a stack of
+    points and at one point.  Any other centre or radius takes the general
+    formula."""
+    x = np.random.default_rng(8).uniform(-0.7, 0.7, (4097, 4))
+    for gamma in (0.75, -0.25):
+        unit = RadialPowerField(4, gamma, radius=1.0, center=[0.0, -0.0, 0.0, 0.0])
+        general = RadialPowerField(4, gamma)
+        general._unit = False
+        assert unit._unit
+        assert unit._u(x).tobytes() == general._u(x).tobytes()
+        assert unit(x).tobytes() == general(x).tobytes()
+        assert unit(x[5]) == general(x[5])
+    assert not RadialPowerField(4, 0.75, radius=0.5)._unit
+    assert not RadialPowerField(2, 0.75, center=[0.0, 1e-300])._unit
+
+
+@pytest.mark.parametrize("kwargs, bad", [
+    ({"radius": -1.0}, "finite radius > 0, got -1.0"),
+    ({"radius": 0.0}, "finite radius > 0, got 0.0"),
+    ({"radius": float("nan")}, "finite radius > 0, got nan"),
+    ({"radius": float("inf")}, "finite radius > 0, got inf"),
+    ({"center": [0.1, 0.2, 0.3]}, r"centre of 2 coordinates, got shape \(3,\)"),
+    ({"center": [[0.1, 0.2]]}, r"centre of 2 coordinates, got shape \(1, 2\)"),
+    ({"center": 0.0}, r"centre of 2 coordinates, got shape \(\)"),
+])
+def test_radial_power_field_rejects_a_bad_ball(kwargs, bad):
+    """A radius that is not finite and positive, or a centre that is not an
+    m-vector, is a ValueError: before, -1 acted as 1, NaN gave 0 everywhere
+    and a 3-vector centre on R^2 lost its last coordinate."""
+    with pytest.raises(ValueError, match=bad):
+        RadialPowerField(2, 0.75, **kwargs)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (1.0, -1.0), (0.0, float("nan"))])
+def test_smooth_step_needs_hi_above_lo(lo, hi):
+    """hi <= lo (or a NaN bound) is a ValueError, not a divide-by-zero
+    warning and a field of zeros."""
+    with pytest.raises(ValueError, match="SmoothStepField needs hi > lo"):
+        SmoothStepField(2, 0, lo, hi)
+
+
+def test_components_share_one_call_per_stack():
+    """components(m, func, count) gives count fields, the k-th func(x)[k] as
+    complex.  Alone each calls func; through shared_values with one dict, a
+    stack of points calls func once for all of them, and any other
+    non-polynomial field once however often it is asked for."""
+    calls = []
+
+    def func(x):
+        calls.append(len(x))
+        return x[:, 0] * x[:, 1], np.exp(1j * x[:, 0])
+
+    first, second = components(2, func, 2)
+    x = np.random.default_rng(9).uniform(-1.0, 1.0, (5, 2))
+    assert first(x).dtype == complex
+    assert first(x).tobytes() == (x[:, 0] * x[:, 1]).astype(complex).tobytes()
+    assert second(x).tobytes() == np.exp(1j * x[:, 0]).tobytes()
+    assert calls == [5, 5, 5]
+    other = AnalyticField(2, lambda y: y[:, 1])
+    shared = {}
+    got = [shared_values(f, x, shared) for f in (first, other, second, other, first)]
+    assert calls == [5, 5, 5, 5]
+    assert got[2].tobytes() == second(x).tobytes() and got[1] is got[3]
+    assert len(calls) == 5
 
 
 def test_product_with_a_constant_polynomial_is_scaled():

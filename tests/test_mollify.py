@@ -425,6 +425,23 @@ def _graph_fields(grid_n=17):
     return op, f, graph, qf, f_fn
 
 
+def test_graph_callable_keeps_the_expression_bits():
+    """The strip problem's in-place graph callable gives the bits of the
+    plain expressions for f and Qf = d_1 f + x_2 d_2 f + f / 2, products
+    and sums in the same order, on its grid and on random points."""
+    _, f, graph, _, f_fn = _graph_fields(33)
+    x = np.vstack([f.grid_nodes(), np.random.default_rng(3).uniform(-1.0, 0.0, (999, 2))])
+    x1, x2 = x[:, 0], x[:, 1]
+    arg = 1.3 * x1 + 0.4
+    c, e = np.cos(arg), np.exp(0.7 * x2)
+    fv = 0.5 * c * e + 0.25 * x1 * x2
+    df1 = -0.65 * np.sin(arg) * e + 0.25 * x2
+    df2 = 0.35 * c * e + 0.25 * x1
+    got = graph.func(x)
+    assert got[0].tobytes() == fv.tobytes() == f_fn(x).tobytes()
+    assert got[1].tobytes() == (df1 + x2 * df2 + 0.5 * fv).tobytes()
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_graph_rows_equal_two_passes(cpus, monkeypatch):
     """The graph (f, Qf) in one pass gives [f * k, f * d_j k..., Qf * k],
