@@ -114,9 +114,12 @@ def kernel_table(n, q):
 
 
 def kernel_eval(n, q, zeta, z):
-    """B_nq at one (zeta, z) pair: {J: constant-coefficient (n, n-q-1)-form}."""
+    """B_nq at one (zeta, z) pair of 2n-vectors: {J: constant-coefficient (n, n-q-1)-form}."""
     zeta = np.asarray(zeta, dtype=float)
     z = np.asarray(z, dtype=float)
+    if zeta.shape != (2 * n,) or z.shape != (2 * n,):
+        raise ValueError(f"the kernel on C^{n} needs zeta and z of length {2 * n}, "
+                         f"got shapes {zeta.shape} and {z.shape}")
     if np.array_equal(zeta, z):
         raise ValueError("kernel singularity: zeta = z")
     d = zeta - z
@@ -280,13 +283,15 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     calling thread adds the products into the sum in node order as their
     blocks finish: the chain of additions is that of one serial pass,
     whatever the number of CPUs.  A node is dropped (adds an exact 0) where
-    it equals y_p and where it lies closer than radius to y_p, or, given
+    it equals y_p and where it lies closer than radius to y_p or, given
     centers (C, 2n), to the centre shared by the p-th group of P / C
     consecutive points.  Without centers one comparison of |zeta - y_p|^2
     makes the test: below radius^2 when radius > 0 (which drops y_p's own
-    node too), equal to 0 when radius is 0.  The zeta rows of a block are
-    its coordinates, contiguous when rule.part writes the block
-    coordinate-major, as it does for a ball volume rule.
+    node too), equal to 0 when radius is 0.  Given centers, the centre test
+    alone makes it: every y_p must lie closer than radius to its centre, as
+    dbar_potential's stencil points do (h from the centre, radius rho + h).
+    The zeta rows of a block are its coordinates, contiguous when rule.part
+    writes the block coordinate-major, as it does for a ball volume rule.
     """
     n, q = form.n, form.q - (rule.nu is None)
     terms = _kernel_terms(form, q, rule.nu is None)
@@ -312,7 +317,6 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
         dist2, scale = np.empty((2, count, step))
         drop = np.empty((count, step), dtype=bool)
         if centers is not None:
-            on_node = np.empty((count, step), dtype=bool)
             cs = centers.T[:, :, None]
             cdiff = np.empty((m, len(centers), step))
             cdist2, ctmp = np.empty((2, len(centers), step))
@@ -335,8 +339,6 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
                     np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
                     _norm2(cd, cr, ctmp[:, :b])
                     grouped[:, :, :b] = (cr < r2)[:, None, :]
-                    np.equal(r, 0.0, out=on_node[:, :b])
-                    dr |= on_node[:, :b]
                 elif r2 > 0.0:
                     np.less(r, r2, out=dr)   # r == 0 < r2 drops too
                 else:

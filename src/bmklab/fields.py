@@ -14,7 +14,6 @@ needs is supplied in closed form as data.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -415,34 +414,16 @@ class PlateauField(Field):
 
 
 class RadialPowerField(Field):
-    """(1 - ||(x-c)/R||^2)^gamma inside the ball, 0 on and outside it; any real gamma."""
+    """(1 - |x|^2)^gamma inside the unit ball, 0 on and outside it; any real gamma."""
 
-    def __init__(self, m, gamma, radius=1.0, center=None):
+    def __init__(self, m, gamma):
         self.m = m
         self.gamma = float(gamma)
-        self.radius = float(radius)
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"RadialPowerField needs a finite radius > 0, got {radius!r}")
-        self.center = np.zeros(m) if center is None else np.asarray(center, dtype=float)
-        if self.center.shape != (m,):
-            raise ValueError(f"RadialPowerField on R^{m} needs a centre of {m} coordinates, "
-                             f"got shape {self.center.shape}")
-        # x - 0 and x / 1 are x, bit for bit: the unit ball skips both
-        self._unit = self.radius == 1.0 and not self.center.any()
 
     def _u(self, x):
-        u = None
-        for k in range(self.m):   # coordinate by coordinate, one temporary each
-            if self._unit:
-                d = np.multiply(x[..., k], x[..., k])
-            else:
-                d = np.subtract(x[..., k], self.center[k])
-                d /= self.radius
-                d *= d
-            if u is None:
-                u = d
-            else:
-                u += d
+        u = np.multiply(x[..., 0], x[..., 0])
+        for k in range(1, self.m):   # coordinate by coordinate, one temporary each
+            u += np.multiply(x[..., k], x[..., k])
         return u
 
     def __call__(self, x):

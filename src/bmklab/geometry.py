@@ -8,13 +8,15 @@ density of a (2n-1)-form against the surface measure as the top density of
 nu_flat ^ form, so no rule needs tangent frames.
 
 Rules are nested by an integer level: level L+1 doubles the node counts of
-level L in every direction.  The sphere S^3 uses product angles
-z1 = cos(eta) e^{i xi1}, z2 = sin(eta) e^{i xi2} with the substitution
-u = sin^2(eta), which turns the cos*sin density into the flat measure du/2:
-Gauss-Legendre in u and trapezoid rules in both periodic angles.  Monomials
-survive the angular average only with matched conjugate powers, so their
-eta-profiles are polynomials in u and the product rule integrates them
-exactly; in particular the area comes out 2 pi^2 up to roundoff.
+level L in every direction.  The unit sphere S^(2n-1) in C^n takes the
+coordinates u_k = |z_k|^2 on the simplex sum u = 1 and theta_k = arg z_k,
+in which the surface measure is flat: dsigma = 2^(1-n) du dtheta, du the
+Lebesgue measure of (u_2, ..., u_n).  One rule serves every n: collapsed
+Gauss on the simplex times the trapezoid rule in each angle.  Monomials
+survive the angular average only with matched conjugate powers, so what
+is left is a polynomial in u, which the rule integrates exactly up to a
+degree that grows with the level; in particular the area comes out
+2 pi^n/(n-1)! up to roundoff.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ __all__ = [
 # base node counts at level 0; a level multiplies these by 2^level
 BOX_PANELS = 1
 BOX_ORDER = 12
-BALL_RADIAL = {2: 8, 4: 6}             # Gauss nodes along the radius, by m
-CIRCLE_NODES = 32
-S3_ETA = 4
-S3_XI = 8
+# by complex dimension n: Gauss nodes along the radius, Gauss nodes per
+# simplex axis and trapezoid nodes per angle of the unit sphere S^(2n-1)
+BALL_NODES = {1: (8, 1, 32), 2: (6, 4, 8), 3: (6, 2, 6)}
 
 
 @dataclass
@@ -85,7 +86,8 @@ def make_domain(kind, **params):
 
 @dataclass
 class QuadratureRule:
-    """Nodes, weights and, on a boundary, outward unit normals nu (None inside).
+    """Nodes, weights and, on a boundary, outward unit normals nu (None inside);
+    an interior rule also has its node spacing, which a boundary rule leaves None.
 
     arrays is (nodes, weights), nodes (N, m).  A ball volume rule keeps
     shells instead: (r, shell_w, sph, sph_w, center), the radial nodes, the
@@ -98,7 +100,7 @@ class QuadratureRule:
     coordinate's values are contiguous.  nodes, C-ordered (N, m), and
     weights are each written on first access and kept.
     """
-    spacing: float
+    spacing: Optional[float] = None
     nu: Optional[np.ndarray] = None
     arrays: Optional[tuple] = None
     shells: Optional[tuple] = None
@@ -185,39 +187,37 @@ def _lp_norm(values, weights, p):
 
 
 def _gauss_axes(bounds, level):
-    """Composite-Gauss (nodes, weights) of each box axis, and each axis's node spacing."""
-    panels = BOX_PANELS * 2 ** level
-    axes = [_composite_gauss(lo, hi, panels, BOX_ORDER) for lo, hi in bounds]
-    steps = [(hi - lo) / (panels * BOX_ORDER) for lo, hi in bounds]
-    return [a[0] for a in axes], [a[1] for a in axes], steps
+    """Composite-Gauss (nodes, weights) of each box axis."""
+    axes = [_composite_gauss(lo, hi, BOX_PANELS * 2 ** level, BOX_ORDER) for lo, hi in bounds]
+    return [a[0] for a in axes], [a[1] for a in axes]
 
 
-def _sphere_rule(m, level):
-    """Product rule on the unit sphere S^{m-1}: the circle (m = 2) or S^3 (m = 4).
+def _sphere_rule(n, level):
+    """Product rule on the unit sphere S^(2n-1) in C^n: (nodes, weights),
+    unit nodes, also the outward normals, and weights summing to the area.
 
-    Returns (nodes, weights, spacing): unit nodes, also the outward normals;
-    weights summing to the area; and the angular spacing.
+    Collapsed Gauss puts v_k = |z_k|^2, k = 2..n, on the simplex: v_k is the
+    rest 1 - (v_2 + ... + v_(k-1)) times a Gauss node on [0, 1], with that
+    rest as Jacobian, and |z_1|^2 is the last rest.  z_k = sqrt(u_k) e^(i theta_k);
+    the simplex axes vary slowest, then theta_1..theta_n.
     """
-    scale = 2 ** level
-    if m == 2:
-        nt = CIRCLE_NODES * scale
-        theta = 2.0 * np.pi * np.arange(nt) / nt
-        cs, sn = np.cos(theta), np.sin(theta)
-        spacing = 2.0 * np.pi / nt
-        nodes, w = np.stack([cs, sn], axis=-1), np.full(nt, spacing)
-    else:
-        ne, nx = S3_ETA * scale, S3_XI * scale
-        xe, we = leggauss(ne)
-        eta = np.arcsin(np.sqrt((xe + 1.0) / 2.0))     # u = sin^2(eta) on [0, 1]
-        xi = 2.0 * np.pi * np.arange(nx) / nx
-        ones = np.ones(nx)
-        # (1/2) du against the [0,1]-scaled rule, times both angle steps
-        angles, w = _tensor([eta, xi, xi], [we / 4.0 * (2.0 * np.pi / nx) ** 2, ones, ones])
-        E, A, B = angles.T
-        nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
-                          np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1)
-        spacing = np.pi / (2 * ne)
-    return nodes, w, spacing
+    _, axis, t = (c * 2 ** level for c in BALL_NODES[n])
+    x, w = leggauss(axis)
+    s = (x + 1.0) / 2.0
+    rest, v, sw = np.ones(1), [], np.full(1, 2.0 ** (1 - n))
+    for _ in range(n - 1):
+        sw = np.multiply.outer(sw * rest, w / 2.0).ravel()
+        v = [np.repeat(a, axis) for a in v] + [np.multiply.outer(rest, s).ravel()]
+        rest = np.multiply.outer(rest, 1.0 - s).ravel()
+    theta = 2.0 * np.pi * np.arange(t) / t
+    cs, sn = np.cos(theta), np.sin(theta)
+    nodes = np.empty((len(sw),) + (t,) * n + (2 * n,))
+    for k, u in enumerate([rest] + v):
+        r = np.sqrt(u).reshape((-1,) + (1,) * n)
+        angle = (1,) * k + (t,) + (1,) * (n - k - 1)
+        nodes[..., 2 * k] = r * cs.reshape(angle)
+        nodes[..., 2 * k + 1] = r * sn.reshape(angle)
+    return nodes.reshape(-1, 2 * n), np.repeat(sw * (2.0 * np.pi / t) ** n, t ** n)
 
 
 def _check_level(level):
@@ -230,20 +230,20 @@ def _check_level(level):
 def volume_rule(domain, level):
     """Interior product rule at the given refinement level."""
     level = _check_level(level)
-    scale = 2 ** level
-    if domain.kind == "ball" and domain.m in BALL_RADIAL:
+    n = domain.m // 2
+    if domain.kind == "ball" and domain.m == 2 * n and n in BALL_NODES:
         m, R = domain.m, domain.radius
-        nr = BALL_RADIAL[m] * scale
+        nr = BALL_NODES[n][0] * 2 ** level
         xr, wr = leggauss(nr)
         r = R * (xr + 1.0) / 2.0
         wr = R * wr / 2.0
-        sph, sph_w, _ = _sphere_rule(m, level)
+        sph, sph_w = _sphere_rule(n, level)
         return QuadratureRule(R / nr, shells=(r, wr * r ** (m - 1), np.ascontiguousarray(sph.T),
                                               sph_w, domain.center))
 
     if domain.kind in ("interval-box", "half-space-patch"):
-        axis_nodes, axis_weights, steps = _gauss_axes(domain.bounds, level)
-        return QuadratureRule(max(steps), arrays=_tensor(axis_nodes, axis_weights))
+        spacing = max(hi - lo for lo, hi in domain.bounds) / (BOX_PANELS * 2 ** level * BOX_ORDER)
+        return QuadratureRule(spacing, arrays=_tensor(*_gauss_axes(domain.bounds, level)))
 
     raise ValueError(f"no volume rule for {domain.kind} in dimension {domain.m}")
 
@@ -251,11 +251,11 @@ def volume_rule(domain, level):
 def boundary_rule(domain, level):
     """Boundary rule with outward unit normals."""
     level = _check_level(level)
-    if domain.kind == "ball" and domain.m in BALL_RADIAL:
+    n = domain.m // 2
+    if domain.kind == "ball" and domain.m == 2 * n and n in BALL_NODES:
         R = domain.radius
-        sph, sph_w, spacing = _sphere_rule(domain.m, level)
-        return QuadratureRule(spacing * R, nu=sph,
-                              arrays=(domain.center + R * sph, sph_w * R ** (domain.m - 1)))
+        sph, sph_w = _sphere_rule(n, level)
+        return QuadratureRule(nu=sph, arrays=(domain.center + R * sph, sph_w * R ** (domain.m - 1)))
 
     if domain.kind == "half-space-patch":
         # only the physical face {x1 = 0}; the other box faces are truncation
@@ -267,7 +267,7 @@ def boundary_rule(domain, level):
         nodes = np.concatenate([p.nodes for p in parts])
         w = np.concatenate([p.weights for p in parts])
         nu = np.concatenate([p.nu for p in parts])
-        return QuadratureRule(parts[0].spacing, nu=nu, arrays=(nodes, w))
+        return QuadratureRule(nu=nu, arrays=(nodes, w))
 
     raise ValueError(f"no boundary rule for {domain.kind} in dimension {domain.m}")
 
@@ -276,17 +276,16 @@ def _face_rule(domain, axis, side, level):
     """Rule on one box face, axis held at its lower (-1) or upper (+1) bound.
 
     The box rule's axes with the held axis as one node of weight 1; a face
-    of an interval (m = 1) is that one node, with spacing 1.
+    of an interval (m = 1) is that one node.
     """
     m = domain.m
-    axis_nodes, axis_weights, steps = _gauss_axes(domain.bounds, level)
+    axis_nodes, axis_weights = _gauss_axes(domain.bounds, level)
     axis_nodes[axis] = np.array([domain.bounds[axis, 1 if side > 0 else 0]])
     axis_weights[axis] = np.ones(1)
     nodes, w = _tensor(axis_nodes, axis_weights)
-    spacing = max(steps[:axis] + steps[axis + 1:], default=1.0)
     nu = np.zeros((len(w), m))
     nu[:, axis] = float(side)
-    return QuadratureRule(spacing, nu=nu, arrays=(nodes, w))
+    return QuadratureRule(nu=nu, arrays=(nodes, w))
 
 
 def dist_boundary(domain, x):

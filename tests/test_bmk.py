@@ -71,7 +71,7 @@ def test_kernel_eval_coincident_points_rejected():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_bidegree_bookkeeping(n):
     zeta = np.arange(1.0, 2 * n + 1.0)
     z = np.zeros(2 * n)
@@ -84,6 +84,18 @@ def test_kernel_bidegree_bookkeeping(n):
         for J, form in table.items():
             assert len(J) == q
             assert form.bidegree == (n, n - q - 1)
+
+
+@pytest.mark.parametrize("n, length", [(1, 4), (2, 2), (2, 3)])
+def test_kernel_needs_points_of_length_2n(n, length):
+    """zeta and z must be 2n-vectors: a 4-vector pair on C^1 once gave a
+    value (and kernel_norm 0.18), and a 2-vector pair on C^2 an IndexError."""
+    zeta, z = np.arange(1.0, length + 1.0), np.zeros(length)
+    for call in (bmk.kernel_eval, bmk.kernel_norm):
+        with pytest.raises(ValueError, match=rf"C\^{n} needs zeta and z of length {2 * n}"):
+            call(n, 0, zeta, z)
+    with pytest.raises(ValueError, match=r"got shapes \(2,\) and \(4,\)"):
+        bmk.kernel_eval(2, 0, np.ones(2), np.zeros(4))
 
 
 def test_kernel_norm_times_distance_power_is_constant():
@@ -402,7 +414,8 @@ def _symbolic_fold(form, q, nodes, nu, weights):
 
 
 @pytest.mark.parametrize("n, q, interior", [
-    (1, 0, True), (1, 0, False), (2, 0, True), (2, 1, True), (2, 0, False), (2, 1, False)])
+    (1, 0, True), (1, 0, False), (2, 0, True), (2, 1, True), (2, 0, False), (2, 1, False),
+    (3, 0, True), (3, 1, True), (3, 0, False), (3, 1, False)])
 @pytest.mark.parametrize("size", [7, 32_768])
 def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     """bmk._fold of the kernel terms equals the symbolic wedge with each K_Jj
@@ -413,7 +426,8 @@ def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     temporaries, which fixes the operand order of complex products."""
     domain = make_domain("ball", m=2 * n)
     deg = q + interior
-    level = {(1, True): 5, (1, False): 10, (2, True): 2, (2, False): 3}[n, interior]
+    level = {(1, True): 5, (1, False): 10, (2, True): 2, (2, False): 3,
+             (3, True): 1, (3, False): 2}[n, interior]
     rule = volume_rule(domain, level) if interior else boundary_rule(domain, level)
     nodes, weights, nu = rule.part(0, size)
     assert len(nodes) == size
@@ -573,6 +587,16 @@ def test_reproduction_exact_for_holomorphic_data():
     cfg = bmk.SingularQuadratureConfig(base_level=3, refinement_steps=1)
     res = bmk.reproduce_residual(f, f, None, DISC, np.array([[0.3, -0.2]]), cfg)
     assert res["rows"][0]["residual"] < 1e-8
+
+
+def test_six_ball_boundary_term_reproduces_holomorphic_data():
+    """On the unit ball in C^3 the boundary term alone reproduces z1^2 z3 at
+    an interior point, to 1e-8 on the level-2 sphere rule (884,736 nodes):
+    the kernel constant (n-1)!/(2 pi^n) and the S^5 rule at n = 3."""
+    z = np.array([0.2, -0.1, 0.3, 0.15, -0.1, 0.25])
+    f_b = DifferentialForm(3, 0, 0, {((), ()): zmonomial(3, (2, 0, 1), (0, 0, 0))})
+    got = bmk.op_boundary(f_b, z, make_domain("ball", m=6), _one_level(2))["value"][()]
+    assert abs(got - _cval(z[:2]) ** 2 * _cval(z[4:])) < 1e-8
 
 
 def test_singularity_integrability_order():

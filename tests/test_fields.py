@@ -81,10 +81,10 @@ def test_as_field_rejects_a_bare_callable():
 
 
 def test_radial_power_field_support_and_value():
-    w = RadialPowerField(2, 2.0, radius=0.5, center=[0.25, 0.0])
+    w = RadialPowerField(2, 2.0)
     inside = np.array([[0.25, 0.1]])
     outside = np.array([[0.9, 0.9]])
-    u = (0.1 / 0.5) ** 2
+    u = 0.25 ** 2 + 0.1 ** 2
     assert np.isclose(w(inside)[0], (1 - u) ** 2)
     assert w(outside)[0] == 0.0
 
@@ -104,7 +104,7 @@ def test_negative_exponent_radial_field_interior_only():
 
 _SHAPE_FIELDS = [
     PolyField(3, {(2, 0, 1): 1.5 - 0.5j, (0, 1, 0): 2.0, (0, 0, 0): -1.0}),
-    RadialPowerField(3, 0.75, radius=1.2, center=[0.1, 0.0, -0.2]),
+    RadialPowerField(3, 0.75),
     SmoothStepField(3, 1, -0.5, 0.5),
     PlateauField(3, (0, 2), [0.0, 0.1], 0.3, 0.9),
 ]
@@ -123,49 +123,13 @@ def test_points_of_any_leading_shape_give_values_of_that_shape(f):
 
 
 def test_radial_power_squared_radius_equals_axis_sum():
-    """|(x - c)/R|^2 summed coordinate by coordinate is bit-identical to the
-    sum over the coordinate axis, at a stack of points and at one point."""
-    w = RadialPowerField(4, -0.25, radius=0.9, center=[0.1, -0.2, 0.05, 0.3])
+    """|x|^2 summed coordinate by coordinate is bit-identical to the sum
+    over the coordinate axis, at a stack of points and at one point."""
+    w = RadialPowerField(4, -0.25)
     x = np.random.default_rng(4).uniform(-1.0, 1.0, (4097, 4))
-    d = (x - w.center) / w.radius
-    assert np.array_equal(w._u(x), np.sum(d * d, axis=-1))
-    assert np.array_equal(w._u(np.asfortranarray(x)), np.sum(d * d, axis=-1))
-    assert w._u(x[7]) == np.sum(d[7] * d[7])
-
-
-def test_radial_power_unit_ball_keeps_the_general_bits():
-    """Centre 0 and radius 1 skip x - c and / R, which change no bit: the
-    values and |x|^2 equal those of the general formula, at a stack of
-    points and at one point.  Any other centre or radius takes the general
-    formula."""
-    x = np.random.default_rng(8).uniform(-0.7, 0.7, (4097, 4))
-    for gamma in (0.75, -0.25):
-        unit = RadialPowerField(4, gamma, radius=1.0, center=[0.0, -0.0, 0.0, 0.0])
-        general = RadialPowerField(4, gamma)
-        general._unit = False
-        assert unit._unit
-        assert unit._u(x).tobytes() == general._u(x).tobytes()
-        assert unit(x).tobytes() == general(x).tobytes()
-        assert unit(x[5]) == general(x[5])
-    assert not RadialPowerField(4, 0.75, radius=0.5)._unit
-    assert not RadialPowerField(2, 0.75, center=[0.0, 1e-300])._unit
-
-
-@pytest.mark.parametrize("kwargs, bad", [
-    ({"radius": -1.0}, "finite radius > 0, got -1.0"),
-    ({"radius": 0.0}, "finite radius > 0, got 0.0"),
-    ({"radius": float("nan")}, "finite radius > 0, got nan"),
-    ({"radius": float("inf")}, "finite radius > 0, got inf"),
-    ({"center": [0.1, 0.2, 0.3]}, r"centre of 2 coordinates, got shape \(3,\)"),
-    ({"center": [[0.1, 0.2]]}, r"centre of 2 coordinates, got shape \(1, 2\)"),
-    ({"center": 0.0}, r"centre of 2 coordinates, got shape \(\)"),
-])
-def test_radial_power_field_rejects_a_bad_ball(kwargs, bad):
-    """A radius that is not finite and positive, or a centre that is not an
-    m-vector, is a ValueError: before, -1 acted as 1, NaN gave 0 everywhere
-    and a 3-vector centre on R^2 lost its last coordinate."""
-    with pytest.raises(ValueError, match=bad):
-        RadialPowerField(2, 0.75, **kwargs)
+    assert np.array_equal(w._u(x), np.sum(x * x, axis=-1))
+    assert np.array_equal(w._u(np.asfortranarray(x)), np.sum(x * x, axis=-1))
+    assert w._u(x[7]) == np.sum(x[7] * x[7])
 
 
 @pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (1.0, -1.0), (0.0, float("nan"))])

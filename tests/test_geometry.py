@@ -1,5 +1,7 @@
 """Domains, quadrature rules, boundary normals, and boundary distance."""
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -159,17 +161,17 @@ def test_make_domain_rejects_malformed_input(kind, params):
 
 
 def _reference_s3(level):
-    """The S^3 product rule built the straightforward way: nodes, weights
-    and spacing."""
-    ne, nx = 4 * 2 ** level, 8 * 2 ** level
-    xe, we = leggauss(ne)
-    eta = np.arcsin(np.sqrt((xe + 1.0) / 2.0))
+    """The S^3 product rule built the straightforward way, with u = |z_2|^2
+    on Gauss nodes and both angles on trapezoid nodes: nodes and weights."""
+    nu, nx = 4 * 2 ** level, 8 * 2 ** level
+    xu, wu = leggauss(nu)
     xi = 2.0 * np.pi * np.arange(nx) / nx
-    E, A, B = np.meshgrid(eta, xi, xi, indexing="ij")
-    nodes = np.stack([np.cos(E) * np.cos(A), np.cos(E) * np.sin(A),
-                      np.sin(E) * np.cos(B), np.sin(E) * np.sin(B)], axis=-1).reshape(-1, 4)
-    w = ((we / 4.0)[:, None, None] * np.ones((1, nx, nx)) * (2.0 * np.pi / nx) ** 2).ravel()
-    return nodes, w, np.pi / (2 * ne)
+    U, A, B = np.meshgrid((xu + 1.0) / 2.0, xi, xi, indexing="ij")
+    r1, r2 = np.sqrt(1.0 - U), np.sqrt(U)
+    nodes = np.stack([r1 * np.cos(A), r1 * np.sin(A),
+                      r2 * np.cos(B), r2 * np.sin(B)], axis=-1).reshape(-1, 4)
+    w = ((wu / 4.0)[:, None, None] * np.ones((1, nx, nx)) * (2.0 * np.pi / nx) ** 2).ravel()
+    return nodes, w
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -179,13 +181,12 @@ def test_four_ball_rules_match_reference_bytes(level):
     the normals; the level-3 interior rule is compared shell by shell."""
     ball = make_domain("ball", m=4, radius=0.8, center=[0.1, -0.2, 0.05, 0.0])
     R, c = ball.radius, ball.center
-    sph, sph_w, spacing = _reference_s3(level)
+    sph, sph_w = _reference_s3(level)
 
     bnd = boundary_rule(ball, level)
     assert bnd.nodes.tobytes() == (c + R * sph).tobytes()
     assert bnd.weights.tobytes() == (sph_w * R ** 3).tobytes()
     assert bnd.nu.tobytes() == sph.tobytes()
-    assert bnd.spacing == spacing * R
     del bnd
 
     nr = 6 * 2 ** level
@@ -286,7 +287,6 @@ def test_disc_boundary_rule_matches_reference_bytes(level):
     assert bnd.nodes.tobytes() == (c + R * nu).tobytes()
     assert bnd.weights.tobytes() == np.full(nt, R * 2.0 * np.pi / nt).tobytes()
     assert bnd.nu.tobytes() == nu.tobytes()
-    assert bnd.spacing == 2 * np.pi * R / nt
 
 
 @pytest.mark.parametrize("bounds", [[[-1.0, 0.0]], [[-0.3, 2.5]]])
@@ -331,7 +331,43 @@ def test_box_boundary_rule_matches_reference_bytes(bounds, level):
     br = boundary_rule(make_domain("interval-box", bounds=bounds), level)
     for got, want in ((br.nodes, nodes), (br.weights, weights), (br.nu, normals)):
         assert got.tobytes() == np.concatenate(want).tobytes()
-    assert br.spacing == max((hi - lo) / (panels * geometry.BOX_ORDER) for lo, hi in bounds[1:])
+
+
+def _folland(n, alpha):
+    """int over S^(2n-1) of |z^alpha|^2 dsigma = 2 pi^n alpha! / (n - 1 + |alpha|)!."""
+    num = math.prod(math.factorial(a) for a in alpha)
+    return 2.0 * math.pi ** n * num / math.factorial(n - 1 + sum(alpha))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_rules_integrate_monomials_exactly(n):
+    """At level 1 the sphere rule integrates z^alpha conj(z^beta), |alpha|,
+    |beta| <= 3, over the unit sphere S^(2n-1) to 1e-13 relative: Folland's
+    closed form where alpha = beta and 0 elsewhere, relative to the geometric
+    mean of the two diagonal values.  The volume rule integrates |z^alpha|^2
+    over the unit ball to the sphere value over 2n + 2|alpha|."""
+    alphas = [a for a in itertools.product(range(4), repeat=n) if sum(a) <= 3]
+    exact = np.array([_folland(n, a) for a in alphas])
+    ball = make_domain("ball", m=2 * n)
+    bnd = boundary_rule(ball, 1)
+    z = bnd.nodes[:, 0::2] + 1j * bnd.nodes[:, 1::2]
+    mono = np.stack([np.prod(z ** np.array(a), axis=1) for a in alphas], axis=1)
+    gram = mono.T @ (bnd.weights[:, None] * mono.conj())
+    assert np.all(np.abs(gram - np.diag(exact)) <= 1e-13 * np.sqrt(np.outer(exact, exact)))
+    vol = volume_rule(ball, 1)
+    u = vol.nodes[:, 0::2] ** 2 + vol.nodes[:, 1::2] ** 2
+    for a, want in zip(alphas, exact / (2 * n + 2 * np.sum(alphas, axis=1))):
+        got = np.sum(vol.weights * np.prod(u ** np.array(a), axis=1))
+        assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("build", [volume_rule, boundary_rule])
+def test_ball_rule_outside_the_table_names_the_dimension(build, m):
+    """A ball of odd dimension, or of a complex dimension BALL_NODES does
+    not list, has no rule: a ValueError naming the dimension."""
+    with pytest.raises(ValueError, match=f"rule for ball in dimension {m}$"):
+        build(make_domain("ball", m=m), 0)
 
 
 @pytest.mark.parametrize("order", [1, 10, 12, 64, 512])
