@@ -170,23 +170,23 @@ def _kernel_terms(form, q, interior):
     The density of form ^ K_Jj against dV, or against dS (exterior.density),
     sums one part per coefficient g of the form that meets K_Jj's one
     monomial: one part inside, q + 1 on a boundary.  A part (g, consts,
-    dual) is g's values times each constant in turn: the kernel entry times
-    the wedge sign, then inside the top factor of dV, which joins the entry
-    only where it is a real power of two (n = 2) and so scales every product
-    exactly; any other regrouping could move bits through FMA.  Every kernel
-    entry is real or imaginary, so c * value and value * c agree.  On a
-    boundary, dual = (k, c) adds value * c * (nu_x_k + i nu_y_k), k 0-based,
-    the normal's dzbar term that completes the monomial
-    (exterior._normal_completion).  A polynomial g takes its constants into its
-    coefficients instead, as the wedge of polynomial forms does.  A (J, j)
-    that no coefficient meets has density 0 and is left out.
+    dual) is g's values times its one constant: the kernel entry times the
+    wedge sign, and inside that times the top factor of dV.  The top factor
+    is -2i, 4 or -8i at n = 1, 2, 3, a power of two times a unit, and every
+    kernel entry is real or imaginary, so the joined constant is exact and
+    gives the bits of the two applied in turn; and constant * value and
+    value * constant agree.  On a boundary, dual = (k, f) adds
+    value * f * (nu_x_k + i nu_y_k), k 0-based, the normal's dzbar term that
+    completes the monomial (exterior._normal_completion).  A polynomial g takes its constant into
+    its coefficients instead, leaving consts empty, as the wedge of
+    polynomial forms does.  A (J, j) that no coefficient meets has density
+    0 and is left out.
     """
     if form.p:
         raise ValueError(f"operand must be a (0, q)-form, got ({form.p}, {form.q})")
     n = form.n
     keys = multi_indices(n, q)
     top = complex(_top_real_constant(n))
-    exact_top = top.imag == 0 and abs(math.frexp(top.real)[0]) == 0.5
     out = []
     for J, terms in kernel_table(n, q).items():
         for j, mono in terms:
@@ -196,20 +196,17 @@ def _kernel_terms(form, q, interior):
                 sign = _wedge_monomial_sign(n, I1, J1, I2, J2)
                 if not sign:
                     continue
-                consts, dual = (sign * entry,), None
-                if not interior:
+                c, dual = sign * entry, None
+                if interior:
+                    c = top * c
+                else:
                     # K_Jj holds every dz_i, so a dzbar_i term completes it
                     i, _, factor = _normal_completion(n, I2, _merge(J1, J2))
                     dual = (i - 1, factor)
-                elif exact_top:
-                    consts = (top * consts[0],)
-                else:
-                    consts += (top,)
                 if g.is_poly:
-                    for c in consts:
-                        g = g._scaled(c)
-                    consts = ()
-                parts.append((g, consts, dual))
+                    parts.append((g._scaled(c), (), dual))
+                else:
+                    parts.append((g, (c,), dual))
             if parts:
                 out.append((keys.index(J), j, parts))
     return out

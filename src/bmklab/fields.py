@@ -3,12 +3,13 @@
 Everything downstream (forms, operators, mollifiers, kernels) consumes scalar
 fields through a small common interface: vectorized evaluation, where points
 of shape (..., m) give values of shape (...), first partial derivatives,
-complex conjugation and pointwise arithmetic.  Polynomial fields implement
-derivatives and products exactly, so identities such as dbar(dbar(f)) = 0
-hold coefficientwise with no quadrature involved.  Smooth bump / step
-windows carry closed-form first derivatives.  A callable-backed field
-carries values only: asking it for a derivative raises, and a derivative it
-needs is supplied in closed form as data.
+complex conjugation and pointwise arithmetic.  Only polynomials
+differentiate: polynomial fields implement derivatives and products exactly,
+so identities such as dbar(dbar(f)) = 0 hold coefficientwise with no
+quadrature involved.  Every other field (a callable, or a sum, product or
+multiple with a non-polynomial part) carries values only: asking it for a
+derivative raises, and a derivative it needs is supplied in closed form as
+data.
 """
 
 from __future__ import annotations
@@ -194,9 +195,6 @@ class ProductField(Field):
     def __call__(self, x):
         return self.f(x) * self.g(x)
 
-    def partial(self, k):
-        return self.f.partial(k) * self.g + self.f * self.g.partial(k)
-
 
 class ScaledField(Field):
     def __init__(self, c, f):
@@ -206,9 +204,6 @@ class ScaledField(Field):
 
     def __call__(self, x):
         return self.c * self.f(x)
-
-    def partial(self, k):
-        return ScaledField(self.c, self.f.partial(k))
 
 
 class AnalyticField(Field):
@@ -293,7 +288,9 @@ def dzbar_part(f, j):
 
 
 # ---------------------------------------------------------------------------
-# smooth windows built from the standard bump exp(-1/(1-u^2))
+# mollify's smooth step, built from the standard bump exp(-1/(1-u^2)): plain
+# functions with closed-form derivatives, not fields (only polynomials
+# differentiate)
 
 _GL_NODES, _GL_W = leggauss(80)
 
@@ -346,71 +343,6 @@ def smooth_transition_deriv2(s):
     """Second derivative of smooth_transition, supported on (1, 2)."""
     s = np.asarray(s, dtype=float)
     return 4.0 * _bump01_deriv(2.0 * s - 3.0) / BUMP_MASS_1D
-
-
-class SmoothStepField(Field):
-    """0 below lo, 1 above hi along one axis, smooth in between."""
-
-    def __init__(self, m, axis, lo, hi):
-        self.m = m
-        self.axis = axis
-        self.lo, self.hi = float(lo), float(hi)
-        if not self.hi > self.lo:   # written so that a NaN fails it
-            raise ValueError(f"SmoothStepField needs hi > lo, got lo={lo!r}, hi={hi!r}")
-
-    def _arg(self, x):
-        return 1.0 + (x[..., self.axis] - self.lo) / (self.hi - self.lo)
-
-    def __call__(self, x):
-        return smooth_transition(self._arg(np.asarray(x, dtype=float))).astype(complex)
-
-    def partial(self, k):
-        if k != self.axis:
-            return PolyField(self.m, {})
-        scale = 1.0 / (self.hi - self.lo)
-
-        def deriv(x, _self=self, _scale=scale):
-            return smooth_transition_deriv(_self._arg(x)) * _scale
-
-        return AnalyticField(self.m, deriv)
-
-
-class PlateauField(Field):
-    """Radial window over selected axes: 1 inside r_flat, 0 outside r_out."""
-
-    def __init__(self, m, axes, center, r_flat, r_out):
-        if not 0 < r_flat < r_out:
-            raise ValueError("need 0 < r_flat < r_out")
-        self.m = m
-        self.axes = tuple(axes)
-        self.center = np.asarray(center, dtype=float)
-        self.r_flat, self.r_out = float(r_flat), float(r_out)
-
-    def _s(self, x):
-        s = np.zeros(x.shape[:-1])
-        for i, k in enumerate(self.axes):
-            s = s + (x[..., k] - self.center[i]) ** 2
-        return np.sqrt(s)
-
-    def _arg(self, s):
-        return 1.0 + (s - self.r_flat) / (self.r_out - self.r_flat)
-
-    def __call__(self, x):
-        v = 1.0 - smooth_transition(self._arg(self._s(np.asarray(x, dtype=float))))
-        return v.astype(complex)
-
-    def partial(self, k):
-        if k not in self.axes:
-            return PolyField(self.m, {})
-        i = self.axes.index(k)
-
-        def deriv(x, _self=self, _i=i, _k=k):
-            s = _self._s(x)
-            rho = smooth_transition_deriv(_self._arg(s)) / (_self.r_out - _self.r_flat)
-            safe = np.where(s > 1e-12, s, 1.0)
-            return -rho * (x[..., _k] - _self.center[_i]) / safe
-
-        return AnalyticField(self.m, deriv)
 
 
 class RadialPowerField(Field):

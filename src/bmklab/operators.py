@@ -8,8 +8,8 @@ The formal adjoint is taken against the sesquilinear pairing
 
 A function u in L^p with Qu known in L^p has weak boundary value u_b when
 the boundary term of this identity can be replaced by u_b for every test
-function that is smooth up to the physical boundary (and supported away
-from any truncation faces of a half-space patch).
+function that is smooth up to the physical boundary (and, on a half-space
+patch, vanishes on the truncation faces).
 
 For the Cauchy-Riemann system on (0,q)-forms the same circle of ideas is
 expressed two ways and cross-checked:
@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .fields import AnalyticField, PolyField, as_field
+from .fields import AnalyticField, PolyField, as_field, coordinate
 from .exterior import DifferentialForm, integrate, multi_indices
 from .geometry import boundary_rule, volume_rule
 
@@ -217,18 +217,17 @@ def _random_poly(m, degree, rng):
 
 
 def _domain_window(domain):
-    """Cutoff that kills truncation faces of a half-space patch; else None."""
+    """Polynomial that vanishes on the truncation faces of a half-space patch,
+    (x_1 - lo_1) prod_{k >= 2} (x_k - lo_k)(hi_k - x_k), but not on its
+    physical face {x_1 = 0}; None on any other domain."""
     if domain.kind != "half-space-patch":
         return None
-    from .fields import PlateauField, SmoothStepField
-    lo, hi = domain.bounds[0]
-    depth = hi - lo
-    w = SmoothStepField(domain.m, 0, lo + 0.15 * depth, lo + 0.4 * depth)
-    for k in range(1, domain.m):
-        a, b = domain.bounds[k]
-        half = (b - a) / 2.0
-        w = w * PlateauField(domain.m, (k,), ((a + b) / 2.0,),
-                             0.35 * half, 0.85 * half)
+    m = domain.m
+    w = coordinate(m, 0) - domain.bounds[0][0]
+    for k in range(1, m):
+        lo, hi = domain.bounds[k]
+        x = coordinate(m, k)
+        w = w * (x - lo) * (-x + hi)
     return w
 
 
@@ -239,7 +238,9 @@ def _sup_normalize(field, probe_nodes):
 
 
 def scalar_test_family(domain, count, seed=0):
-    """Sup-normalized smooth scalar tests, admissible for the domain kind."""
+    """Sup-normalized polynomial scalar tests, admissible for the domain kind:
+    on a half-space patch each is a random polynomial times the window, so it
+    vanishes on the truncation faces."""
     rng = np.random.default_rng(seed)
     window = _domain_window(domain)
     probe = volume_rule(domain, 0).nodes

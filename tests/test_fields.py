@@ -1,4 +1,4 @@
-"""Coefficient fields: exact polynomial calculus and smooth windows."""
+"""Coefficient fields: exact polynomial calculus and value-only fields."""
 
 import warnings
 
@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmklab.exterior import DifferentialForm
-from bmklab.fields import (AnalyticField, PlateauField, PolyField, ProductField,
-                           RadialPowerField, ScaledField, SmoothStepField, as_field,
-                           components, constant, coordinate, dz_part, dzbar_part,
-                           shared_values, zmonomial)
+from bmklab.fields import (AnalyticField, PolyField, ProductField, RadialPowerField,
+                           ScaledField, as_field, components, constant, coordinate,
+                           dz_part, dzbar_part, shared_values, zmonomial)
 
 
 def test_polyfield_evaluation_and_arithmetic():
@@ -105,8 +104,6 @@ def test_negative_exponent_radial_field_interior_only():
 _SHAPE_FIELDS = [
     PolyField(3, {(2, 0, 1): 1.5 - 0.5j, (0, 1, 0): 2.0, (0, 0, 0): -1.0}),
     RadialPowerField(3, 0.75),
-    SmoothStepField(3, 1, -0.5, 0.5),
-    PlateauField(3, (0, 2), [0.0, 0.1], 0.3, 0.9),
 ]
 
 
@@ -130,14 +127,6 @@ def test_radial_power_squared_radius_equals_axis_sum():
     assert np.array_equal(w._u(x), np.sum(x * x, axis=-1))
     assert np.array_equal(w._u(np.asfortranarray(x)), np.sum(x * x, axis=-1))
     assert w._u(x[7]) == np.sum(x[7] * x[7])
-
-
-@pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (1.0, -1.0), (0.0, float("nan"))])
-def test_smooth_step_needs_hi_above_lo(lo, hi):
-    """hi <= lo (or a NaN bound) is a ValueError, not a divide-by-zero
-    warning and a field of zeros."""
-    with pytest.raises(ValueError, match="SmoothStepField needs hi > lo"):
-        SmoothStepField(2, 0, lo, hi)
 
 
 def test_components_share_one_call_per_stack():

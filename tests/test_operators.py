@@ -13,6 +13,7 @@ from bmklab.operators import (FirstOrderOperator, dbar_r_form,
 
 DISC = make_domain("ball", m=2)
 STRIP = make_domain("half-space-patch", bounds=[[-1.0, 0.0], [-1.0, 1.0]])
+PATCH_3D = make_domain("half-space-patch", bounds=[[-1.0, 0.0], [-1.0, 1.0], [-0.5, 0.5]])
 
 
 def _cup_window():
@@ -82,23 +83,52 @@ def test_green_stokes_with_boundary_term_box_and_interval():
 
 
 def test_weak_bv_accepts_true_trace_and_rejects_offset():
-    """u = 1 on the strip: the constant trace passes, 1.3 fails loudly."""
+    """u = 1 on the strip: the constant trace passes to roundoff, since the
+    polynomial tests make every pairing exact, and 1.3 fails loudly."""
     op = FirstOrderOperator(2, a=[1.0, coordinate(2, 1)], b=0.5)
     one = constant(2, 1.0)
     tests = scalar_test_family(STRIP, 6, seed=2)
     good = weak_bv_residual(STRIP, op, one, one, op.apply(one), tests, level=3)
-    assert good["max_residual"] < 1e-3
+    assert good["max_residual"] < 1e-12
     bad = weak_bv_residual(STRIP, op, one, constant(2, 1.3), op.apply(one),
                            tests, level=3)
     assert bad["max_residual"] > 0.1
 
 
 def test_weak_bv_polynomial_solution():
-    op = FirstOrderOperator(2, a=[1.0, coordinate(2, 1)], b=0.5)
-    u = PolyField(2, {(0, 0): 0.3, (1, 1): 1.0, (0, 2): -0.5})
-    tests = scalar_test_family(STRIP, 6, seed=2)
-    res = weak_bv_residual(STRIP, op, u, u, op.apply(u), tests, level=3)
-    assert res["max_residual"] < 1e-3
+    """Polynomial u, its own trace and polynomial tests: the Gauss rules
+    integrate every pairing exactly, on the strip and on a 3-D patch."""
+    cases = [
+        (STRIP, PolyField(2, {(0, 0): 0.3, (1, 1): 1.0, (0, 2): -0.5}), 3),
+        (PATCH_3D, PolyField(3, {(0, 0, 0): 0.3, (1, 1, 0): 1.0, (0, 2, 0): -0.5,
+                                 (0, 1, 1): 0.7j}), 1),
+    ]
+    for domain, u, level in cases:
+        m = domain.m
+        op = FirstOrderOperator(m, a=[1.0] + [coordinate(m, k) for k in range(1, m)], b=0.5)
+        tests = scalar_test_family(domain, 6, seed=2)
+        res = weak_bv_residual(domain, op, u, u, op.apply(u), tests, level=level)
+        assert res["max_residual"] < 1e-12, f"m = {m}: {res['max_residual']}"
+
+
+@pytest.mark.parametrize("domain", [make_domain("half-space-patch", bounds=[[-1.0, 0.0]]),
+                                    STRIP, PATCH_3D], ids=["1d", "2d", "3d"])
+def test_patch_tests_are_polynomials_that_vanish_on_truncation_faces(domain):
+    """On a half-space patch every scalar test is a PolyField that vanishes
+    on each truncation face, {x_1 = lo_1} and {x_k = lo_k}, {x_k = hi_k} for
+    k >= 2, but not on the physical face {x_1 = 0}."""
+    lo, hi = domain.bounds[:, 0], domain.bounds[:, 1]
+    rng = np.random.default_rng(3)
+    for phi in scalar_test_family(domain, 5, seed=4):
+        assert isinstance(phi, PolyField)
+        for k in range(domain.m):
+            for side in (lo[k],) if k == 0 else (lo[k], hi[k]):
+                x = rng.uniform(lo, hi, (64, domain.m))
+                x[:, k] = side
+                assert np.max(np.abs(phi(x))) <= 1e-13, (k, side)
+        x = rng.uniform(lo, hi, (64, domain.m))
+        x[:, 0] = 0.0
+        assert np.max(np.abs(phi(x))) > 0.1
 
 
 def test_weak_bv_empty_family_raises():

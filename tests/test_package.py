@@ -1,6 +1,8 @@
-"""Package-level structure: every exported name exists, and importing the
-harness or loading the shipped config loads neither sympy nor scipy."""
+"""Package-level structure: every exported name exists, no module imports a
+name it never uses, and importing the harness or loading the shipped config
+loads neither sympy nor scipy."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -17,6 +19,70 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"bmklab.{name}")
     missing = [attr for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
     assert not missing
+
+
+def _unused_imports(tree):
+    """(line, name) of each name an import binds that its scope never reads.
+
+    A module-level import may be read anywhere in the module, or listed in
+    __all__; an import inside a function, only in that function.
+    """
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = []
+    for scope in scopes:
+        own, stack = [], list(ast.iter_child_nodes(scope))
+        while stack:   # this scope's nodes, not those of functions nested in it
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.extend(ast.iter_child_nodes(node))
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        if scope is tree:
+            read |= {elt.value for node in own if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                     for elt in node.value.elts}
+        for node in own:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "*" and name not in read:
+                        unused.append((node.lineno, name))
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_no_module_imports_a_name_it_never_uses(name):
+    """Each src/bmklab/*.py, parsed with ast, reads every name it imports,
+    at module level and inside each function: a deletion leaves no import
+    behind."""
+    path = os.path.join(os.path.dirname(importlib.import_module("bmklab").__file__),
+                        f"{name}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert _unused_imports(tree) == []
+
+
+def test_dead_import_guard_sees_module_and_function_imports():
+    """The guard flags an unused import at module level and inside a function,
+    and passes __future__ imports, names read in nested functions and names
+    re-exported through __all__."""
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import pi, tau\n"
+        "__all__ = ['tau']\n"
+        "def f():\n"
+        "    from json import dumps, loads\n"
+        "    def g():\n"
+        "        return np.zeros(1), dumps\n"
+        "    return g\n"
+        "def h():\n"
+        "    return loads\n")
+    assert _unused_imports(tree) == [(2, "os"), (4, "pi"), (7, "loads")]
 
 
 def test_cli_import_loads_neither_sympy_nor_scipy():
