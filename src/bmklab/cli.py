@@ -11,13 +11,14 @@ Five experiments wrap the verification pipelines at desk scale:
 Configuration is INI-style ([common] plus one section per experiment);
 command-line flags win over file values, and each experiment takes only
 the settings it reads: an unread setting given as a flag or in its own
-section is a usage error.  Thresholds live in config with
-the documented defaults; overriding a threshold changes the verdict only,
-never the measurements.  Random test families derive from numpy's
-default_rng (PCG64) seeded from the config, so reports are reproducible
-across platforms.  Reports are CSV rows plus a JSON metadata sidecar
-(--format csv, default) or a single JSON document (--format json);
-JSON writes a non-finite float as its CSV text ("inf", "nan").
+section is a usage error.  The settings are level, steps, eps, p, seed,
+out, fmt and grid_n; the verdict thresholds are constants (THRESHOLDS),
+not settings, and each report records its experiment's entry.  Random
+test families derive from numpy's default_rng (PCG64) seeded from the
+config, so reports are reproducible across platforms.  Reports are CSV
+rows plus a JSON metadata sidecar (--format csv, default) or a single
+JSON document (--format json); JSON writes a non-finite float as its
+CSV text ("inf", "nan").
 Exit codes: 0 pass, 1 fail, 2 usage.
 """
 
@@ -31,7 +32,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +46,13 @@ from .young import INF
 
 __all__ = [
     "ExperimentConfig", "Report", "run_experiment", "emit_report", "write_csv",
-    "main", "EXPERIMENTS",
+    "main", "EXPERIMENTS", "THRESHOLDS",
 ]
 
 
 # ---------------------------------------------------------------- config
 
-_DEFAULT_THRESHOLDS = {
+THRESHOLDS = {
     "bmk-verify": {"holo_max": 1e-8, "final_max": 1e-3, "delta_window": 4},
     "bmk-lp": {"final_max": 1e-2},
     "mollify": {"trace_max": 1e-2, "commutator_cap": 50.0},
@@ -101,10 +102,9 @@ class ExperimentConfig:
     out: str = "report"
     fmt: str = "csv"
     grid_n: int = 257
-    thresholds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _DEFAULT_THRESHOLDS:
+        if self.experiment not in THRESHOLDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.level is None:
             self.level = _DEFAULT_LEVEL[self.experiment]
@@ -123,16 +123,6 @@ class ExperimentConfig:
                              "|f|^p is 0 or inf, so it cannot choose tau")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}; use csv or json")
-        base = dict(_DEFAULT_THRESHOLDS[self.experiment])
-        unknown = set(self.thresholds) - set(base)
-        if unknown:
-            raise ValueError(f"unknown thresholds {sorted(unknown)} for {self.experiment}")
-        base.update(self.thresholds)
-        self.thresholds = base
-        # a count of ladder deltas: written so that a NaN or infinity fails it
-        window = base.get("delta_window", 1)
-        if not (window >= 1 and float(window).is_integer()):
-            raise ValueError(f"delta_window must be a whole number >= 1, got {window!r}")
 
 
 @dataclass
@@ -157,15 +147,11 @@ def load_config(path, experiment):
     for section in ("common", experiment):
         if parser.has_section(section):
             merged.update(dict(parser.items(section)))
-    kwargs, thresholds = {}, {}
+    kwargs = {}
     for key, value in merged.items():
-        if key.startswith("threshold_"):
-            thresholds[key[len("threshold_"):]] = float(value)
-        elif key in _KEYS:
-            kwargs[key] = _KEYS[key](value)
-        else:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    kwargs["thresholds"] = thresholds
+        kwargs[key] = _KEYS[key](value)
     return kwargs
 
 
@@ -236,12 +222,12 @@ def run_bmk_verify(cfg):
     holo_max = _level_maxima(res_holo)[-1]
     maxima = _level_maxima(res_conj)
     deltas = [abs(maxima[i] - maxima[i + 1]) for i in range(len(maxima) - 1)]
-    win = int(cfg.thresholds["delta_window"])
+    limits = THRESHOLDS["bmk-verify"]
     checks = {
-        "holomorphic_reproduction": _below(holo_max, cfg.thresholds["holo_max"]),
-        "conjugate_final_residual": _below(maxima[-1], cfg.thresholds["final_max"]),
+        "holomorphic_reproduction": _below(holo_max, limits["holo_max"]),
+        "conjugate_final_residual": _below(maxima[-1], limits["final_max"]),
         "residual_monotone": _decreasing(maxima),
-        "delta_monotone": _decreasing(deltas[:win]),
+        "delta_monotone": _decreasing(deltas[:limits["delta_window"]]),
     }
     meta = {"levels": list(range(cfg.level, cfg.level + steps)),
             "holo_rows": len(res_holo["rows"]), "conj_rows": len(res_conj["rows"]),
@@ -286,11 +272,12 @@ def run_bmk_lp(cfg):
     res_lp = bmk.reproduce_residual(flp, fb, dbar_lp, ball, zs, cfg_lp)
     cols, rows = _residual_rows(res_smooth, 2)
     rows += _residual_rows(res_lp, 2)[1]
+    limits = THRESHOLDS["bmk-lp"]
     checks = {}
     for name, res in (("smooth", res_smooth), ("lp", res_lp)):
         maxima = _level_maxima(res)
         checks[f"{name}_monotone"] = _decreasing(maxima)
-        checks[f"{name}_final_residual"] = _below(maxima[-1], cfg.thresholds["final_max"])
+        checks[f"{name}_final_residual"] = _below(maxima[-1], limits["final_max"])
     meta = {"smooth_levels": list(range(cfg.level, cfg.level + steps)),
             "lp_levels": list(range(cfg.level + 1, cfg.level + 1 + steps)),
             "checks": checks}
@@ -357,12 +344,13 @@ def run_mollify(cfg):
     diag = ["interior_err", "q_err", "commutator_ratio", "trace_err"]
     # from the second rung on; the rungs are the report's rows, so no value
     ladder = rows[1:]
+    limits = THRESHOLDS["mollify"]
     checks = {
         "diagnostics_non_increasing": _every(
             a[k] >= b[k] - 1e-15 for k in diag for a, b in zip(ladder, ladder[1:])),
-        "trace_final": _below(rows[-1]["trace_err"], cfg.thresholds["trace_max"]),
+        "trace_final": _below(rows[-1]["trace_err"], limits["trace_max"]),
         "commutator_bounded": _at_most(max(r["commutator_ratio"] for r in rows),
-                                       cfg.thresholds["commutator_cap"]),
+                                       limits["commutator_cap"]),
     }
     meta = {"p": cfg.p, "grid_n": cfg.grid_n, "eps": list(cfg.eps), "checks": checks}
     return cols, rows, meta
@@ -383,6 +371,7 @@ def _green_stokes_cases():
 def run_green_stokes(cfg):
     disc, box, interval, op_box, op_int = _green_stokes_cases()
     level = cfg.level
+    limits = THRESHOLDS["green-stokes"]
     rows, checks = [], {}
 
     u_hand = PolyField(1, {(1,): 1.0})
@@ -392,7 +381,7 @@ def run_green_stokes(cfg):
                  "residual": hand["residual"]})
     hand_err = max(abs(hand["volume_lhs"] - 1.0), abs(hand["volume_rhs"]
                    + hand["boundary"] - 1.0), hand["residual"])
-    checks["interval_hand"] = _below(hand_err, cfg.thresholds["hand_max"])
+    checks["interval_hand"] = _below(hand_err, limits["hand_max"])
 
     cup = PolyField(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
     # case, domain, operator, family size, seed offset, window, check
@@ -412,10 +401,8 @@ def run_green_stokes(cfg):
             rows.append({"case": case, "test_index": i, "level": level,
                          "residual": ures["residual"]})
             worst[check] = max(worst[check], ures["residual"])
-    checks["compact_support"] = _below(worst["compact_support"],
-                                       cfg.thresholds["compact_max"])
-    checks["boundary_cases"] = _below(worst["boundary_cases"],
-                                      cfg.thresholds["boundary_max"])
+    checks["compact_support"] = _below(worst["compact_support"], limits["compact_max"])
+    checks["boundary_cases"] = _below(worst["boundary_cases"], limits["boundary_max"])
 
     cols = ["case", "test_index", "level", "residual"]
     meta = {"level": level, "checks": checks}
@@ -435,11 +422,12 @@ def run_young_scan(cfg):
     integrals = {a: young.log_majorant_integral(disc, fit_hi[0], fit_hi[1], a, level=3)
                  for a in (1, 2, 4)}
     case3 = {r["p"]: r["r"] for r in rows if r["case"] == "III"}
+    limits = THRESHOLDS["young-scan"]
     checks = {
         "case_iii_line_r_equals_p": _every(
             (math.isclose(p, r) for p, r in case3.items()), case3),
-        "c1_refinement_drift": _below(drift, cfg.thresholds["c1_drift_max"]),
-        "fit_residual_nonpositive": _at_most(fit_hi[2], cfg.thresholds["fit_residual_max"]),
+        "c1_refinement_drift": _below(drift, limits["c1_drift_max"]),
+        "fit_residual_nonpositive": _at_most(fit_hi[2], limits["fit_residual_max"]),
         "log_majorant_integrable": _every(
             (np.isfinite(v) for v in integrals.values()), integrals),
     }
@@ -462,7 +450,7 @@ EXPERIMENTS = {
 def run_experiment(config):
     """Run one experiment; any failure in it is recorded as a fail verdict."""
     meta = {"experiment": config.experiment, "seed": config.seed,
-            "thresholds": config.thresholds}
+            "thresholds": dict(THRESHOLDS[config.experiment])}
     try:
         cols, rows, extra = EXPERIMENTS[config.experiment](config)
         meta.update(extra)

@@ -3,8 +3,8 @@
 Conventions, fixed once and validated by the test suite rather than assumed:
 
 * points live in R^{2n} with z_j = x_{2j} + i x_{2j+1} (0-based coordinates);
-* monomials are written dz^I ^ dzbar^J with both multi-indices strictly
-  increasing and 1-based, dz factors before dzbar factors;
+* monomials are dz^I ^ dzbar^J, dz factors first, with both multi-indices
+  strictly increasing in 1..n (a form rejects any other);
 * the metric makes the real coordinate covectors orthonormal, so
   <dz_j, dz_j> = 2 and the volume form is dx_1^dy_1^...^dx_n^dy_n;
 * the star operator is the Euclidean star of the underlying real structure,
@@ -164,6 +164,10 @@ class DifferentialForm:
             I, J = tuple(I), tuple(J)
             if len(I) != p or len(J) != q:
                 raise ValueError(f"monomial ({I},{J}) does not match bidegree ({p},{q})")
+            # canonical: 1 <= i_1 < ... < i_k <= n in each multi-index
+            if not all(a < b for idx in (I, J) for a, b in zip((0,) + idx, idx + (n + 1,))):
+                raise ValueError(f"monomial ({I},{J}) needs strictly increasing "
+                                 f"indices in 1..{n}")
             c = as_field(c, 2 * n)
             if not c.is_zero:
                 self.coeffs[(I, J)] = c
@@ -217,8 +221,6 @@ class DifferentialForm:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         p, q = self.p + other.p, self.q + other.q
-        if p > self.n or q > self.n:
-            return DifferentialForm(self.n, min(p, self.n), min(q, self.n))
         # gather contributions keyed symmetrically so that a^b and b^a sum the
         # same floats in the same order (graded commutativity stays exact)
         buckets = {}

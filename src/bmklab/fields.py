@@ -65,6 +65,7 @@ class Field:
     def __mul__(self, other):
         if np.isscalar(other) or isinstance(other, (int, float, complex)):
             return self._scaled(complex(other))
+        other = as_field(other, self.m)
         if self.is_poly and other.is_poly:
             return self._poly_mul(other)
         # a constant polynomial scales the other factor: no array of one value
@@ -169,7 +170,10 @@ def coordinate(m, k):
 
 
 def as_field(obj, m):
+    """obj as a field on R^m: a field on another R^k is a ValueError."""
     if isinstance(obj, Field):
+        if obj.m != m:
+            raise ValueError(f"a field on R^{obj.m} where one on R^{m} is needed")
         return obj
     if np.isscalar(obj) or isinstance(obj, (int, float, complex)):
         return constant(m, complex(obj))
@@ -178,7 +182,6 @@ def as_field(obj, m):
 
 class SumField(Field):
     def __init__(self, f, g):
-        assert f.m == g.m
         self.m = f.m
         self.f, self.g = f, g
 
@@ -188,7 +191,6 @@ class SumField(Field):
 
 class ProductField(Field):
     def __init__(self, f, g):
-        assert f.m == g.m
         self.m = f.m
         self.f, self.g = f, g
 

@@ -133,7 +133,7 @@ def weak_bv_residual(domain, op, u, u_b, F, tests, level=1):
     """Residuals of the weak boundary value identity for scalar Q.
 
     F is the interior data Qu.  Each test phi (assumed normalized; the
-    families below are sup-normalized) contributes
+    families below peak at |value| 1 on level-0 interior nodes) contributes
     (F, phi) - (u, Q* phi) - int_{bD} (sum a_j nu_j) u_b conj(phi) dS.
     """
     if not tests:
@@ -238,9 +238,10 @@ def _sup_normalize(field, probe_nodes):
 
 
 def scalar_test_family(domain, count, seed=0):
-    """Sup-normalized polynomial scalar tests, admissible for the domain kind:
-    on a half-space patch each is a random polynomial times the window, so it
-    vanishes on the truncation faces."""
+    """Polynomial scalar tests, admissible for the domain kind: on a
+    half-space patch each is a random polynomial times the window, so it
+    vanishes on the truncation faces.  Each peaks at |value| 1 on the level-0
+    interior nodes, and between them may exceed 1 by a few percent."""
     rng = np.random.default_rng(seed)
     window = _domain_window(domain)
     probe = volume_rule(domain, 0).nodes
@@ -254,7 +255,8 @@ def scalar_test_family(domain, count, seed=0):
 
 
 def form_test_family(domain, p, q, count, seed=0):
-    """Forms of type (p,q) with random polynomial (times window) coefficients."""
+    """Forms of type (p,q) with random polynomial (times window) coefficients,
+    each normalized as a scalar_test_family member is."""
     rng = np.random.default_rng(seed)
     n = domain.n_complex
     window = _domain_window(domain)

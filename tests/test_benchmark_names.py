@@ -77,3 +77,17 @@ def test_workloads_read_names_that_exist(monkeypatch):
     for _, writer in workloads.PROFILE_WRITERS:
         assert callable(getattr(profile, writer))
     assert "semi_axes" in {field.name for field in dataclasses.fields(Domain)}
+
+
+def test_workload_configs_build_from_the_shipped_config(monkeypatch, tmp_path):
+    """Every input set of every workload builds its configs from full.ini as
+    the benchmark does, so a key that load_config stops accepting fails here."""
+    workloads = _load(os.path.join(PERFBENCH, "workloads.py"), "perfbench_workloads",
+                      monkeypatch)
+    for workload, experiments in workloads.WORKLOADS.items():
+        for seed in range(workloads.INPUT_SETS):
+            configs = workloads.build_configs(cli, workload, seed, str(tmp_path))
+            assert set(configs) == set(experiments) - {"kernel-profile"}
+            for experiment, config in configs.items():
+                assert isinstance(config, cli.ExperimentConfig)
+                assert config.experiment == experiment

@@ -14,7 +14,7 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "scripts", "configs")
 
 
-def test_experiment_config_validation_and_threshold_merge():
+def test_experiment_config_validation():
     with pytest.raises(ValueError, match="unknown experiment"):
         cli.ExperimentConfig(experiment="frobnicate")
     with pytest.raises(ValueError, match="nonnegative"):
@@ -34,27 +34,22 @@ def test_experiment_config_validation_and_threshold_merge():
     assert cli.ExperimentConfig(experiment="young-scan", p=math.inf).p == math.inf
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         cli.ExperimentConfig(experiment="mollify", fmt="xml")
-    cfg = cli.ExperimentConfig(experiment="bmk-verify",
-                               thresholds={"final_max": 5e-4})
-    assert cfg.thresholds["final_max"] == 5e-4
-    assert cfg.thresholds["holo_max"] == 1e-8
+    # the thresholds are constants, not settings
+    with pytest.raises(TypeError, match="thresholds"):
+        cli.ExperimentConfig(experiment="bmk-verify", thresholds={"final_max": 5e-4})
 
 
 def test_load_config_merges_common_and_section(tmp_path):
     path = tmp_path / "lab.ini"
     path.write_text(
         "[common]\nseed = 3\neps = 0.2,0.1\n"
-        "[mollify]\ngrid_n = 65\nthreshold_trace_max = 0.5\n"
+        "[mollify]\ngrid_n = 65\n"
         "[bmk-verify]\nlevel = 2\n")
     kwargs = cli.load_config(str(path), "mollify")
-    assert kwargs["seed"] == 3
-    assert kwargs["eps"] == (0.2, 0.1)
-    assert kwargs["grid_n"] == 65
-    assert kwargs["thresholds"] == {"trace_max": 0.5}
-    assert "level" not in kwargs
+    assert kwargs == {"seed": 3, "eps": (0.2, 0.1), "grid_n": 65}
 
 
-def test_load_config_rejects_unknown_key(tmp_path):
+def test_load_config_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[mollify]\ngrdi_n = 65\n")
     with pytest.raises(ValueError, match="unknown config key"):
@@ -64,13 +59,14 @@ def test_load_config_rejects_unknown_key(tmp_path):
         path.write_text(f"[{section}]\na1 = 1 + 0.5*x1*x2\n")
         with pytest.raises(ValueError, match="unknown config key 'a1'"):
             cli.load_config(str(path), "green-stokes")
-    path.write_text("[mollify]\nthreshold_trace_mx = 0.5\n")
-    kwargs = cli.load_config(str(path), "mollify")
-    with pytest.raises(ValueError, match="unknown thresholds \\['trace_mx'\\]"):
-        cli.ExperimentConfig(experiment="mollify", **kwargs)
-    with pytest.raises(ValueError, match="unknown thresholds"):
-        cli.ExperimentConfig(experiment="mollify", thresholds={"trace_mx": 0.5})
-    assert cli.main(["mollify", "--config", str(path)]) == 2
+    # the verdict thresholds are constants, so their old keys are unknown too
+    path.write_text("[bmk-verify]\nthreshold_final_max = 1e-3\n")
+    with pytest.raises(ValueError, match="unknown config key 'threshold_final_max'"):
+        cli.load_config(str(path), "bmk-verify")
+    out = tmp_path / "verify"
+    assert cli.main(["bmk-verify", "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown config key 'threshold_final_max'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("verify*"))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -202,20 +198,6 @@ def test_grid_without_boundary_row_is_a_usage_error(tmp_path, capsys, grid_n):
     assert not list(tmp_path.glob("moll*"))
 
 
-@pytest.mark.parametrize("window", ["-1", "0", "2.5", "nan", "inf"])
-def test_delta_window_must_be_a_whole_count(tmp_path, capsys, window):
-    """bmk-verify judges the first delta_window ladder deltas, so the window
-    is a whole number >= 1: anything else stops the run before any work."""
-    with pytest.raises(ValueError, match="delta_window"):
-        cli.ExperimentConfig("bmk-verify", thresholds={"delta_window": float(window)})
-    ini = tmp_path / "window.ini"
-    ini.write_text(f"[bmk-verify]\nthreshold_delta_window = {window}\n")
-    out = tmp_path / "verify"
-    assert cli.main(["bmk-verify", "--config", str(ini), "--out", str(out)]) == 2
-    assert "delta_window" in capsys.readouterr().err
-    assert not list(tmp_path.glob("verify*"))
-
-
 def test_coefficients_rejected_outside_green_stokes(tmp_path, capsys):
     """Coefficient keys are unknown config keys, in green-stokes and elsewhere."""
     with pytest.raises(TypeError, match="coefficients"):
@@ -253,6 +235,7 @@ def test_main_green_stokes_passes(tmp_path, capsys):
     meta = json.load(open(out + ".meta.json"))
     assert meta["verdict"] == "pass"
     assert all(chk["pass"] for chk in meta["checks"].values())
+    assert meta["thresholds"] == cli.THRESHOLDS["green-stokes"]
 
 
 def test_main_level_zero_is_kept(tmp_path, capsys):
@@ -279,7 +262,7 @@ def test_shipped_configs_load():
             cfg = cli.ExperimentConfig(experiment=experiment, **kwargs)
             if name == "full.ini":
                 default = cli.ExperimentConfig(experiment=experiment)
-                for key in ("thresholds", "eps", "p", "grid_n", "fmt", "level", "seed"):
+                for key in ("eps", "p", "grid_n", "fmt", "level", "seed"):
                     assert getattr(cfg, key) == getattr(default, key), (experiment, key)
 
 

@@ -6,6 +6,7 @@ monomial dz^I ^ dzbar^J the squared norm 2^{|I|+|J|}.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,28 @@ def test_wedge_anticommutes_on_one_forms():
 def test_wedge_repeated_factor_vanishes():
     a = mono(2, (1,), ())
     assert wedge(a, a).is_zero
+
+
+def test_wedge_past_degree_n_keeps_the_true_bidegree():
+    """A wedge past degree n is the zero form of the summed bidegree, as dbar
+    of a (0, n)-form is."""
+    dzb = mono(1, (), (1,))
+    assert wedge(dzb, dzb).is_zero and wedge(dzb, dzb).bidegree == (0, 2)
+    form = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (0,), (1,))})
+    assert dbar(form).bidegree == (0, 2)
+    top = wedge(mono(2, (1, 2), ()), mono(2, (1,), ()))
+    assert top.is_zero and top.bidegree == (3, 0)
+
+
+@pytest.mark.parametrize("n, monomial", [
+    (1, ((), (2,))), (2, ((), (2, 1))), (2, ((1, 1), ())), (2, ((0,), ()))],
+    ids=["past-n", "unsorted", "repeated", "zero"])
+def test_form_rejects_non_canonical_multi_indices(n, monomial):
+    """Each multi-index is strictly increasing in 1..n: an index past n would
+    pair with no coordinate, and an unsorted one would take wrong wedge signs."""
+    I, J = monomial
+    with pytest.raises(ValueError, match=re.escape(f"monomial ({I},{J})")):
+        DifferentialForm(n, len(I), len(J), {monomial: 1.0})
 
 
 @given(st.integers(1, 2), st.data())

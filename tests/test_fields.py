@@ -79,6 +79,20 @@ def test_as_field_rejects_a_bare_callable():
         as_field(lambda x: x[:, 0], 2)
 
 
+def test_fields_on_different_spaces_do_not_combine():
+    """Sums, products and form coefficients check the dimension, naming both."""
+    x2, x3 = coordinate(2, 0), coordinate(3, 2)
+    f2, f3 = AnalyticField(2, lambda x: x[:, 0]), AnalyticField(3, lambda x: x[:, 0])
+    for combine in (lambda: x2 * x3, lambda: x2 + x3, lambda: f2 + f3, lambda: f2 * f3):
+        with pytest.raises(ValueError, match=r"R\^3 where one on R\^2"):
+            combine()
+    for combine in (lambda: x3 - f2, lambda: f3 * x2, lambda: as_field(x2, 3)):
+        with pytest.raises(ValueError, match=r"R\^2 where one on R\^3"):
+            combine()
+    with pytest.raises(ValueError, match=r"R\^2 where one on R\^4"):
+        DifferentialForm(2, 0, 0, {((), ()): x2})
+
+
 def test_radial_power_field_support_and_value():
     w = RadialPowerField(2, 2.0)
     inside = np.array([[0.25, 0.1]])

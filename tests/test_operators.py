@@ -131,6 +131,19 @@ def test_patch_tests_are_polynomials_that_vanish_on_truncation_faces(domain):
         assert np.max(np.abs(phi(x))) > 0.1
 
 
+@pytest.mark.parametrize("domain", [DISC, STRIP, PATCH_3D], ids=["disc", "strip", "3d"])
+def test_test_families_peak_at_one_on_the_probe_nodes(domain):
+    """Each scalar test, and each coefficient of a form test, has largest
+    |value| 1 on the level-0 interior nodes: the normalization probes those
+    nodes only, so elsewhere a test may exceed 1."""
+    probe = volume_rule(domain, 0).nodes
+    peaks = [np.max(np.abs(phi(probe))) for phi in scalar_test_family(domain, 4, seed=2)]
+    if domain.m % 2 == 0:
+        peaks += [np.max(np.abs(c(probe))) for form in form_test_family(domain, 0, 1, 3, seed=5)
+                  for c in form.coeffs.values()]
+    assert np.allclose(peaks, 1.0, rtol=1e-13, atol=0)
+
+
 def test_weak_bv_empty_family_raises():
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
     with pytest.raises(ValueError):
