@@ -11,9 +11,9 @@ Five experiments wrap the verification pipelines at desk scale:
 Configuration is INI-style ([common] plus one section per experiment);
 command-line flags win over file values, and each experiment takes only
 the settings it reads: an unread setting given as a flag or in its own
-section is a usage error.  The settings are level, steps, eps, p, seed,
-out, fmt and grid_n; the verdict thresholds are constants (THRESHOLDS),
-not settings, and each report records its experiment's entry.  Random
+section is a usage error.  The settings are level, seed, out, fmt and
+mollify's p; each experiment's ladder is fixed in its run_* body and its
+verdict thresholds in THRESHOLDS, and its report records both.  Random
 test families derive from numpy's default_rng (PCG64) seeded from the
 config, so reports are reproducible across platforms.  Reports are CSV
 rows plus a JSON metadata sidecar (--format csv, default) or a single
@@ -29,6 +29,7 @@ import configparser
 import csv
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -67,27 +68,22 @@ _DEFAULT_SEED = {"bmk-verify": 7, "bmk-lp": 11, "mollify": 0,
                  "green-stokes": 0, "young-scan": 0}
 
 
-def _floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 # the parser of each setting, shared by the INI file and the flags
-_KEYS = {"level": int, "steps": int, "seed": int, "grid_n": int, "p": float,
-         "eps": _floats, "out": str, "fmt": str}
+_KEYS = {"level": int, "seed": int, "p": float, "out": str, "fmt": str}
 
 # the settings that are also flags; fmt is spelled --format
-_FLAGS = {"level": "--level", "eps": "--eps", "p": "--p", "seed": "--seed",
-          "out": "--out", "fmt": "--format"}
+_FLAGS = {"level": "--level", "p": "--p", "seed": "--seed", "out": "--out",
+          "fmt": "--format"}
 
 # the settings each experiment reads besides out and fmt, which all read; a
 # flag, or a key in the experiment's own INI section, that it does not read
 # is a usage error
 _READS = {
-    "bmk-verify": ("level", "seed", "steps"),
-    "bmk-lp": ("level", "seed", "steps"),
-    "mollify": ("eps", "p", "grid_n"),
+    "bmk-verify": ("level", "seed"),
+    "bmk-lp": ("level", "seed"),
+    "mollify": ("p",),
     "green-stokes": ("level", "seed"),
-    "young-scan": ("level", "seed", "p"),
+    "young-scan": ("level", "seed"),
 }
 
 
@@ -95,13 +91,10 @@ _READS = {
 class ExperimentConfig:
     experiment: str
     level: int | None = None  # None: the experiment's _DEFAULT_LEVEL
-    steps: int = 0
-    eps: tuple = (0.2, 0.1, 0.05, 0.025)
     p: float = 2.0
     seed: int | None = None   # None: the experiment's _DEFAULT_SEED
     out: str = "report"
     fmt: str = "csv"
-    grid_n: int = 257
 
     def __post_init__(self):
         if self.experiment not in THRESHOLDS:
@@ -113,14 +106,10 @@ class ExperimentConfig:
         for key in (k for k, kind in _KEYS.items() if kind is int):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be 2 or more: the strip grid has to reach x_1 = 0")
-        # written so that a NaN fails them
-        if not self.eps or not all(e > 0 for e in self.eps) or not self.p >= 1:
-            raise ValueError("eps needs one or more values, all positive, and p >= 1")
-        if self.experiment == "mollify" and not math.isfinite(self.p):
-            raise ValueError("mollify needs a finite p: at p = inf the slab mass of "
-                             "|f|^p is 0 or inf, so it cannot choose tau")
+        # written so that a NaN fails it
+        if not 1 <= self.p < math.inf:
+            raise ValueError("mollify needs a finite p >= 1: at p = inf the slab mass "
+                             "of |f|^p is 0 or inf, so it cannot choose tau")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}; use csv or json")
 
@@ -135,18 +124,23 @@ class Report:
 
 def load_config(path, experiment):
     """Merge [common] and the experiment's section into keyword overrides.
-    A setting in its own section that the experiment does not read is an error."""
+    A setting in its own section that the experiment does not read is an
+    error, and so is a file configparser cannot parse."""
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ValueError(f"config file {path!r} not readable")
-    own = parser.options(experiment) if parser.has_section(experiment) else ()
+    try:
+        if not parser.read(path):
+            raise ValueError(f"config file {path!r} not readable")
+        sections = {name: dict(parser.items(name)) for name in ("common", experiment)
+                    if parser.has_section(name)}
+    except configparser.Error as err:
+        raise ValueError(f"config file {path!r} is malformed: {err}") from None
+    own = sections.get(experiment, {})
     unread = sorted(set(own).intersection(_KEYS).difference(_READS[experiment], ("out", "fmt")))
     if unread:
         raise ValueError(f"{experiment} does not read {unread}")
     merged = {}
-    for section in ("common", experiment):
-        if parser.has_section(section):
-            merged.update(dict(parser.items(section)))
+    for section in sections.values():
+        merged.update(section)
     kwargs = {}
     for key, value in merged.items():
         if key not in _KEYS:
@@ -210,7 +204,7 @@ def _sample_plane_points(seed):
 
 def run_bmk_verify(cfg):
     disc = make_domain("ball", m=2)
-    steps = cfg.steps or 7
+    steps = 7
     qcfg = bmk.SingularQuadratureConfig(base_level=cfg.level, refinement_steps=steps)
     zs = _sample_plane_points(cfg.seed)
     holo = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (2,), (0,))})
@@ -260,7 +254,7 @@ def _sample_ball4_points(seed):
 
 def run_bmk_lp(cfg):
     ball = make_domain("ball", m=4)
-    steps = cfg.steps or 3
+    steps = 3
     zs = _sample_ball4_points(cfg.seed)
     if not len(zs):
         raise ValueError(f"seed {cfg.seed} drew no evaluation point in the ball")
@@ -337,8 +331,9 @@ def mollify_fixture(grid_n=257):
 
 
 def run_mollify(cfg):
-    op, f, graph, f_fn = mollify_fixture(cfg.grid_n)
-    report = mollify.convergence_report(op, f, graph, f_fn, list(cfg.eps), cfg.p)
+    grid_n, eps = 257, [0.2, 0.1, 0.05, 0.025]
+    op, f, graph, f_fn = mollify_fixture(grid_n)
+    report = mollify.convergence_report(op, f, graph, f_fn, eps, cfg.p)
     rows = report["rows"]
     cols = mollify.REPORT_COLUMNS
     diag = ["interior_err", "q_err", "commutator_ratio", "trace_err"]
@@ -352,7 +347,7 @@ def run_mollify(cfg):
         "commutator_bounded": _at_most(max(r["commutator_ratio"] for r in rows),
                                        limits["commutator_cap"]),
     }
-    meta = {"p": cfg.p, "grid_n": cfg.grid_n, "eps": list(cfg.eps), "checks": checks}
+    meta = {"p": cfg.p, "grid_n": grid_n, "eps": eps, "checks": checks}
     return cols, rows, meta
 
 
@@ -414,8 +409,8 @@ def run_young_scan(cfg):
     kern = young.bmk_norm_kernel(1, 0)
     spec = young.KernelSpec(X=("boundary", disc), Y=("domain", disc),
                             kernel=kern, t=1.0, s=1.5, a=4.0, b=INF)
-    p_values = [1.0, 1.5, 2.0] if cfg.p == 2.0 else [cfg.p]
-    rows = young.scan_rows(spec, p_values, sample_count=12, seed=cfg.seed, level=cfg.level)
+    rows = young.scan_rows(spec, [1.0, 1.5, 2.0], sample_count=12, seed=cfg.seed,
+                           level=cfg.level)
     fit_lo = young.log_bound_fit(disc, level=5)
     fit_hi = young.log_bound_fit(disc, level=6)
     drift = abs(fit_hi[1] - fit_lo[1]) / abs(fit_hi[1])
@@ -550,6 +545,9 @@ def main(argv=None):
         kwargs.update((key, getattr(args, key)) for key in _FLAGS
                       if getattr(args, key, None) is not None)
         config = ExperimentConfig(**kwargs)
+        folder = os.path.dirname(config.out) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"no directory {folder!r} to write the report in")
     except (ValueError, TypeError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

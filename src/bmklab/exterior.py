@@ -243,7 +243,10 @@ class DifferentialForm:
         return DifferentialForm(self.n, p, q, out)
 
     def star(self):
-        """Hodge star, (p,q) -> (n-q, n-p), complex-linear."""
+        """Hodge star, (p,q) -> (n-q, n-p), complex-linear; p and q at most n."""
+        if self.p > self.n or self.q > self.n:
+            raise ValueError(f"no Hodge star of a ({self.p}, {self.q})-form on C^{self.n}: "
+                             f"its bidegree is past degree {self.n}")
         out = {}
         for (I, J), c in self.coeffs.items():
             for mono, const in _star_monomial(self.n, I, J).items():

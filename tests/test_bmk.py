@@ -374,7 +374,7 @@ def test_block_error_gives_a_fail_verdict(monkeypatch):
         fold(coef, terms, nodes, nu, weights)
 
     monkeypatch.setattr(bmk, "_fold", failing_fold)
-    report = cli.run_experiment(cli.ExperimentConfig(experiment="bmk-verify", steps=2))
+    report = cli.run_experiment(cli.ExperimentConfig(experiment="bmk-verify"))
     assert report.verdict == "fail"
     assert report.metadata["error"] == "ZeroDivisionError: one block"
 

@@ -19,39 +19,36 @@ def test_experiment_config_validation():
         cli.ExperimentConfig(experiment="frobnicate")
     with pytest.raises(ValueError, match="nonnegative"):
         cli.ExperimentConfig(experiment="mollify", level=-1)
-    with pytest.raises(ValueError, match="positive"):
-        cli.ExperimentConfig(experiment="mollify", eps=(0.2, -0.1))
-    with pytest.raises(ValueError, match="positive"):
-        cli.ExperimentConfig(experiment="mollify", eps=(0.2, math.nan))
-    with pytest.raises(ValueError, match="one or more values"):
-        cli.ExperimentConfig(experiment="mollify", eps=())
-    with pytest.raises(ValueError, match="p >= 1"):
-        cli.ExperimentConfig(experiment="mollify", p=math.nan)
+    for p in (math.nan, 0.5):
+        with pytest.raises(ValueError, match="p >= 1"):
+            cli.ExperimentConfig(experiment="mollify", p=p)
     # at p = inf the slab mass of |f|^p is 0 where |f| < 1, so every tau
-    # would pass; young-scan's exponent lab still takes p = inf
+    # would pass
     with pytest.raises(ValueError, match="finite p"):
         cli.ExperimentConfig(experiment="mollify", p=math.inf)
-    assert cli.ExperimentConfig(experiment="young-scan", p=math.inf).p == math.inf
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         cli.ExperimentConfig(experiment="mollify", fmt="xml")
-    # the thresholds are constants, not settings
+    # the thresholds and the ladders are constants, not settings
     with pytest.raises(TypeError, match="thresholds"):
         cli.ExperimentConfig(experiment="bmk-verify", thresholds={"final_max": 5e-4})
+    for key, value in (("steps", 2), ("eps", (0.2,)), ("grid_n", 65)):
+        with pytest.raises(TypeError, match=key):
+            cli.ExperimentConfig(experiment="mollify", **{key: value})
 
 
 def test_load_config_merges_common_and_section(tmp_path):
     path = tmp_path / "lab.ini"
     path.write_text(
-        "[common]\nseed = 3\neps = 0.2,0.1\n"
-        "[mollify]\ngrid_n = 65\n"
+        "[common]\nseed = 3\np = 1.5\n"
+        "[mollify]\np = 3\nfmt = json\n"
         "[bmk-verify]\nlevel = 2\n")
     kwargs = cli.load_config(str(path), "mollify")
-    assert kwargs == {"seed": 3, "eps": (0.2, 0.1), "grid_n": 65}
+    assert kwargs == {"seed": 3, "p": 3.0, "fmt": "json"}
 
 
 def test_load_config_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text("[mollify]\ngrdi_n = 65\n")
+    path.write_text("[mollify]\npp = 3\n")
     with pytest.raises(ValueError, match="unknown config key"):
         cli.load_config(str(path), "mollify")
     # green-stokes's operator is fixed, so its old coefficient keys are typos too
@@ -66,12 +63,55 @@ def test_load_config_rejects_unknown_key(tmp_path, capsys):
     out = tmp_path / "verify"
     assert cli.main(["bmk-verify", "--config", str(path), "--out", str(out)]) == 2
     assert "unknown config key 'threshold_final_max'" in capsys.readouterr().err
+    # so are the ladders, even at their shipped values
+    for experiment, key, text in (("bmk-verify", "steps", "7"), ("bmk-lp", "steps", "3"),
+                                  ("mollify", "eps", "0.2,0.1,0.05,0.025"),
+                                  ("mollify", "grid_n", "257")):
+        for section in (experiment, "common"):
+            path.write_text(f"[{section}]\n{key} = {text}\n")
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                cli.load_config(str(path), experiment)
+            assert cli.main([experiment, "--config", str(path), "--out", str(out)]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("verify*"))
 
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ValueError, match="not readable"):
         cli.load_config(str(tmp_path / "nope.ini"), "mollify")
+
+
+@pytest.mark.parametrize("text", [
+    "seed = 3\n", "[common]\nseed = 3\nseed = 4\n", "[common]\n[common]\n",
+    "[common]\nout = 50%\n",
+], ids=["no-section-header", "duplicate-key", "duplicate-section", "bad-interpolation"])
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, text):
+    """A file configparser cannot read is a usage error naming the file, not a
+    traceback and a fail verdict; no report is written."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"config file {re.escape(repr(str(path)))} is malformed"):
+        cli.load_config(str(path), "young-scan")
+    out = tmp_path / "ys"
+    assert cli.main(["young-scan", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config file") and str(path) in err
+    assert not list(tmp_path.glob("ys*"))
+
+
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """--out in a directory that does not exist stops the run before the
+    experiment starts, with a usage error naming the directory."""
+    ran = []
+    monkeypatch.setitem(cli.EXPERIMENTS, "green-stokes", lambda cfg: ran.append(cfg))
+    missing = tmp_path / "no" / "such"
+    assert cli.main(["green-stokes", "--out", str(missing / "gs")]) == 2
+    assert f"usage error: no directory {str(missing)!r}" in capsys.readouterr().err
+    assert ran == [] and not (tmp_path / "no").exists()
+    ini = tmp_path / "out.ini"
+    ini.write_text(f"[common]\nout = {missing / 'gs'}\n")
+    assert cli.main(["green-stokes", "--config", str(ini)]) == 2
+    assert ran == []
 
 
 def _toy_report():
@@ -118,8 +158,7 @@ def test_emit_report_unknown_format(tmp_path):
 def test_main_usage_errors(tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
-    for flags in (["--eps", "0.2,-0.1"], ["--eps", "0.2,nan"], ["--p", "nan"],
-                  ["--p", "inf"]):
+    for flags in (["--p", "0.5"], ["--p", "nan"], ["--p", "inf"]):
         assert cli.main(["mollify", *flags]) == 2
         assert "usage error" in capsys.readouterr().err
     bad = tmp_path / "bad.ini"
@@ -146,9 +185,11 @@ def test_bmk_lp_seed_without_points_names_the_cause(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["bmk-verify", "--eps", "0.1"], ["bmk-lp", "--p", "7"], ["mollify", "--seed", "3"],
-    ["mollify", "--level", "2"], ["green-stokes", "--p", "3"], ["young-scan", "--eps", "0.1"],
-], ids=["bmk-verify", "bmk-lp", "mollify-seed", "mollify-level", "green-stokes", "young-scan"])
+    ["bmk-verify", "--p", "2"], ["bmk-lp", "--p", "7"], ["mollify", "--seed", "3"],
+    ["mollify", "--level", "2"], ["mollify", "--eps", "0.1"], ["green-stokes", "--p", "3"],
+    ["young-scan", "--p", "2"],
+], ids=["bmk-verify", "bmk-lp", "mollify-seed", "mollify-level", "mollify-eps",
+        "green-stokes", "young-scan"])
 def test_flag_the_experiment_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
     """Each experiment takes only the flags it reads, so a setting it would
     ignore stops the run before any work."""
@@ -159,9 +200,9 @@ def test_flag_the_experiment_does_not_read_is_a_usage_error(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize("experiment, section, unread", [
-    ("young-scan", "grid_n = 3\neps = 0.1\n", "['eps', 'grid_n']"),
-    ("mollify", "level = 5\nsteps = 9\n", "['level', 'steps']"),
-    ("green-stokes", "steps = 2\n", "['steps']"),
+    ("young-scan", "p = 3\n", "['p']"),
+    ("mollify", "seed = 9\nlevel = 5\n", "['level', 'seed']"),
+    ("green-stokes", "p = 2\n", "['p']"),
 ], ids=["young-scan", "mollify", "green-stokes"])
 def test_setting_the_experiment_does_not_read_in_its_section_is_an_error(
         tmp_path, experiment, section, unread):
@@ -182,20 +223,6 @@ def test_main_unread_section_setting_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["mollify", "--config", str(ini), "--out", str(out)]) == 2
     assert "does not read" in capsys.readouterr().err
     assert not list(tmp_path.glob("rep*"))
-
-
-@pytest.mark.parametrize("grid_n", [0, 1])
-def test_grid_without_boundary_row_is_a_usage_error(tmp_path, capsys, grid_n):
-    """A strip grid of fewer than 2 samples never reaches x_1 = 0, so it has
-    no trace row: the run stops before any work and writes no report."""
-    with pytest.raises(ValueError, match="grid_n"):
-        cli.ExperimentConfig("mollify", grid_n=grid_n)
-    ini = tmp_path / "tiny.ini"
-    ini.write_text(f"[mollify]\ngrid_n = {grid_n}\n")
-    out = tmp_path / "moll"
-    assert cli.main(["mollify", "--config", str(ini), "--out", str(out)]) == 2
-    assert "grid_n" in capsys.readouterr().err
-    assert not list(tmp_path.glob("moll*"))
 
 
 def test_coefficients_rejected_outside_green_stokes(tmp_path, capsys):
@@ -254,51 +281,82 @@ def test_main_level_zero_is_kept(tmp_path, capsys):
 
 
 def test_shipped_configs_load():
-    """Every experiment loads both shipped configs, and full.ini spells out
-    the defaults in the code."""
-    for name in ("full.ini", "quick.ini"):
-        for experiment in cli.EXPERIMENTS:
-            kwargs = cli.load_config(os.path.join(CONFIGS, name), experiment)
-            cfg = cli.ExperimentConfig(experiment=experiment, **kwargs)
-            if name == "full.ini":
-                default = cli.ExperimentConfig(experiment=experiment)
-                for key in ("eps", "p", "grid_n", "fmt", "level", "seed"):
-                    assert getattr(cfg, key) == getattr(default, key), (experiment, key)
+    """Every experiment loads full.ini, which spells out every setting at
+    the default in the code."""
+    path = os.path.join(CONFIGS, "full.ini")
+    with open(path) as fh:
+        text = fh.read()
+    for key in cli._KEYS:
+        assert re.search(rf"^#? ?{key} = ", text, re.M), key
+    for experiment in cli.EXPERIMENTS:
+        cfg = cli.ExperimentConfig(experiment=experiment, **cli.load_config(path, experiment))
+        default = cli.ExperimentConfig(experiment=experiment)
+        for key in cli._KEYS:
+            assert getattr(cfg, key) == getattr(default, key), (experiment, key)
 
 
-def test_main_short_ladder_mollify_fails(tmp_path, capsys):
+def _shorten_ladders(monkeypatch):
+    """Cut each experiment's fixed ladder at the library call it feeds: one
+    BMK rung, eps = 0.05 -> 0.025 on a 65-point strip grid, young-scan at
+    p = 3 only (no case-III pair)."""
+    quad, report, scan = (cli.bmk.SingularQuadratureConfig, cli.mollify.convergence_report,
+                          cli.young.scan_rows)
+    fixture = cli.mollify_fixture
+    monkeypatch.setattr(cli.bmk, "SingularQuadratureConfig",
+                        lambda base_level, refinement_steps: quad(base_level, 1))
+    monkeypatch.setattr(cli, "mollify_fixture", lambda grid_n: fixture(65))
+    monkeypatch.setattr(cli.mollify, "convergence_report",
+                        lambda op, f, graph, f_b, eps, p: report(op, f, graph, f_b, eps[2:], p))
+    monkeypatch.setattr(cli.young, "scan_rows",
+                        lambda spec, p_values, **kw: scan(spec, [3.0], **kw))
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (["bmk-verify", "--level", "6"], ["residual_monotone", "delta_monotone"]),
+    (["bmk-lp"], ["smooth_monotone", "lp_monotone"]),
+    (["mollify"], ["diagnostics_non_increasing"]),
+    (["young-scan"], ["case_iii_line_r_equals_p"]),
+], ids=["bmk-verify", "bmk-lp", "mollify", "young-scan"])
+def test_main_check_with_nothing_to_compare_fails(tmp_path, capsys, monkeypatch, argv,
+                                                  failing):
+    """One rung, two eps rungs or no case-III pair leave a check nothing to
+    compare; the run must fail rather than pass vacuously."""
+    _shorten_ladders(monkeypatch)
+    out = str(tmp_path / "rep")
+    assert cli.main(argv + ["--out", out]) == 1
+    printed = capsys.readouterr().out
+    meta = json.load(open(out + ".meta.json"))
+    assert meta["verdict"] == "fail"
+    for name in failing:
+        assert f"{name}: FAIL" in printed
+        assert meta["checks"][name]["pass"] is False
+
+
+def test_main_short_ladder_mollify_fails(tmp_path, capsys, monkeypatch):
     """A one-rung epsilon ladder never reaches the trace threshold; the
     harness must say so and exit 1 rather than papering over it."""
-    ini = tmp_path / "short.ini"
-    ini.write_text("[mollify]\ngrid_n = 65\neps = 0.2\n")
+    report = cli.mollify.convergence_report
+    monkeypatch.setattr(cli, "mollify_fixture", lambda grid_n, f=cli.mollify_fixture: f(65))
+    monkeypatch.setattr(cli.mollify, "convergence_report",
+                        lambda op, f, graph, f_b, eps, p: report(op, f, graph, f_b, eps[:1], p))
     out = str(tmp_path / "mf")
-    assert cli.main(["mollify", "--config", str(ini), "--out", out]) == 1
+    assert cli.main(["mollify", "--out", out]) == 1
     assert "trace_final: FAIL" in capsys.readouterr().out
     meta = json.load(open(out + ".meta.json"))
     assert meta["verdict"] == "fail"
     assert meta["checks"]["trace_final"]["pass"] is False
 
 
-@pytest.mark.parametrize("argv, ini, failing", [
-    (["bmk-verify", "--level", "6"], "[bmk-verify]\nsteps = 1\n",
-     ["residual_monotone", "delta_monotone"]),
-    (["bmk-lp"], "[bmk-lp]\nsteps = 1\n", ["smooth_monotone", "lp_monotone"]),
-    (["mollify", "--eps", "0.05,0.025"], "[mollify]\ngrid_n = 65\n",
-     ["diagnostics_non_increasing"]),
-    (["young-scan", "--p", "3"], "", ["case_iii_line_r_equals_p"]),
-], ids=["bmk-verify", "bmk-lp", "mollify", "young-scan"])
-def test_main_check_with_nothing_to_compare_fails(tmp_path, capsys, argv, ini, failing):
-    """One rung, two eps rungs or no case-III pair leave a check nothing to
-    compare; it must fail rather than pass vacuously."""
-    path = tmp_path / "short.ini"
-    path.write_text(ini)
-    out = str(tmp_path / "rep")
-    assert cli.main(argv + ["--config", str(path), "--out", out]) == 1
-    printed = capsys.readouterr().out
-    meta = json.load(open(out + ".meta.json"))
-    for name in failing:
-        assert f"{name}: FAIL" in printed
-        assert meta["checks"][name]["pass"] is False
+def test_check_with_nothing_to_compare_fails():
+    """A ladder of one rung, or a check with no verdict to judge, fails
+    rather than passing vacuously."""
+    for values in ([], [0.5]):
+        assert cli._decreasing(values) == {"value": values, "pass": False}
+    assert cli._decreasing([0.5, 0.25])["pass"]
+    assert not cli._decreasing([0.5, 0.5])["pass"]
+    assert cli._every([]) == {"pass": False}
+    assert cli._every([], {}) == {"value": {}, "pass": False}
+    assert cli._every([True, True])["pass"] and not cli._every([True, False])["pass"]
 
 
 def test_main_young_scan_json_is_strict(tmp_path, capsys):

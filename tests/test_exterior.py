@@ -185,6 +185,17 @@ def test_wedge_past_degree_n_keeps_the_true_bidegree():
     assert top.is_zero and top.bidegree == (3, 0)
 
 
+def test_star_past_degree_n_is_an_error():
+    """The zero form past degree n has no Hodge star of a real type: its
+    (n - q, n - p) would be negative, so star raises and names the bidegree."""
+    dzb = mono(1, (), (1,))
+    for form, name in ((wedge(dzb, dzb), "(0, 2)-form on C^1"),
+                       (wedge(mono(2, (1, 2), ()), mono(2, (1,), ())), "(3, 0)-form on C^2")):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            hodge_star(form)
+    assert hodge_star(mono(1, (1,), (1,))).bidegree == (0, 0)
+
+
 @pytest.mark.parametrize("n, monomial", [
     (1, ((), (2,))), (2, ((), (2, 1))), (2, ((1, 1), ())), (2, ((0,), ()))],
     ids=["past-n", "unsorted", "repeated", "zero"])
