@@ -33,23 +33,29 @@ sweep (kernel entry, wedge sign, top or boundary-density factor, every
 sign from bmklab.exterior's rules).  The fold calls each coefficient
 field, and each callable shared by several, once per node block, keeps
 no value past the block, and applies the constants in the order of the
-symbolic wedge and exterior.density, so every value keeps that path's
+symbolic wedge and exterior.density, so every density keeps that path's
 bits (numpy's complex multiply rounds through FMA, so operand order
-matters).  The sweep evaluates every point of a level in one pass over
-the rule, in blocks of at most NODE_BLOCK nodes that one worker per
-usable CPU folds and sweeps:
-within a block it takes sub-blocks of about PAIR_BLOCK node-point pairs,
-where the coordinate differences are scaled in place by 1/|zeta-z|^{2n}
-(exactly 0 at dropped nodes) and contracted with the fold by real matmuls.
-The products are added up in node order, so every value is the same
-whatever the number of CPUs.  The operand's field callables run on several
+matters).  Next to each weighted density A it writes conj(zeta_j) A, so
+that sum_i A conj(zeta_j - z_j)/|zeta-z|^{2n} is taken as
+sum_i conj(zeta_j) A/|.|^{2n} - conj(z_j) sum_i A/|.|^{2n}: the sweep
+needs no coordinate differences.  It evaluates every point of a level in
+one pass over the rule, in blocks of at most NODE_BLOCK nodes that one
+worker per usable CPU folds and sweeps: within a block it takes
+sub-blocks of about PAIR_BLOCK node-point pairs, each with one matmul for
+|zeta-z|^2 = |zeta|^2 + |z|^2 - 2 z.zeta and one of 1/|zeta-z|^{2n}
+(exactly 0 at dropped nodes) with the fold.  The products are added up in
+node order, so every value is the same whatever the number of CPUs.  The
+expanded distance and the final difference round differently from exact
+coordinate differences: the values agree with that contraction to within
+1e-13 of the sum of the terms' moduli, the cancellation being worst next
+to the excluded ball.  The operand's field callables run on several
 threads at once and must be pure.  Each worker reads its block through
 rule.part, which writes a ball volume rule's nodes and weights from the
 radial and unit-sphere factors the rule keeps, so only boundary rules and
 block-sized temporaries are resident, which keeps ladders over millions
 of nodes at desk scale.  part writes such a block coordinate-major, so
-the coordinate differences and the operand's fields read each coordinate
-as one contiguous row.
+the distance product and the operand's fields read each coordinate as
+one contiguous row.
 """
 
 from __future__ import annotations
@@ -74,8 +80,9 @@ __all__ = [
     "reproduce_residual",
 ]
 
-NODE_BLOCK = 32_768    # nodes a worker writes and folds at once (4.2 MB of fold per worker at n = 2, q = 1)
-PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (1 MB of differences at n = 2)
+NODE_BLOCK = 32_768    # nodes a worker writes and folds at once (2.1 MB of fold per worker at n = 2, q = 1)
+PAIR_BLOCK = 32_768    # node-point pairs per distance temporary (256 KB)
+R2_FLOOR = 64 * np.finfo(float).eps   # |zeta - y|^2 <= R2_FLOOR |y|^2 is zeta = y up to roundoff
 
 EXCLUSION_FACTOR = 2.0      # _volume_term: rho = factor * rule spacing
 FD_EXCLUSION_FACTOR = 4.0   # dbar_potential: rho = factor * rule spacing
@@ -233,26 +240,31 @@ def _density(parts, nodes, nu, calls):
     return out
 
 
-def _fold(coef, terms, nodes, nu, weights):
-    """Write one node block's weighted fold into coef, a real (2n, B, 2K) array.
+def _fold(fold, terms, nodes, nu, weights):
+    """Write one node block's weighted fold into fold, a real (4T, B) array
+    over the T kernel terms of _kernel_terms.
 
-    Entry (c, i) holds what the scaled difference (zeta_i - y)_c / |zeta_i - y|^{2n}
-    multiplies: with A = w_i * density_Jj(i), s_j = (dx_j - i dy_j)/|.|^{2n}
-    gives A s_j = (Re A dx_j + Im A dy_j + i (Im A dx_j - Re A dy_j))/|.|^{2n},
-    so the x_j row carries (Re A, Im A) and the y_j row (Im A, -Re A) in the
-    real and imaginary columns of J = multi_indices(n, q)[k].  Every block
-    writes the same entries, so the others stay 0 from allocation.  nu, the
-    outward normals, is None on an interior rule.  Each field of the operand
-    runs once on the block, and the values it shares go when the fold returns.
+    With A = w_i * density_Jj(i) for the t-th term (k, j), rows 4t to 4t + 3
+    hold Re A, Im A, Re(conj(zeta_j) A) and Im(conj(zeta_j) A), the last two
+    in real arithmetic, as x_j Re A + y_j Im A and x_j Im A - y_j Re A.  The
+    sweep contracts every row with 1/|zeta - y|^{2n} and takes
+    sum_i A conj(zeta_j - y_j)/|zeta - y|^{2n} per point as s1 - conj(y_j) s0
+    from the last two rows' sum s1 and the first two's s0.  nu, the outward
+    normals, is None on an interior rule.  Each field of the operand runs
+    once on the block, and the values it shares go when the fold returns.
     """
-    width = coef.shape[2] // 2
     calls = {}
-    for k, j, parts in terms:
+    for t, (_, j, parts) in enumerate(terms):
         a = weights * _density(parts, nodes, nu, calls)
-        coef[2 * j - 2, :, k] = a.real
-        coef[2 * j - 2, :, width + k] = a.imag
-        coef[2 * j - 1, :, k] = a.imag
-        np.negative(a.real, out=coef[2 * j - 1, :, width + k])
+        re, im, cre, cim = fold[4 * t:4 * t + 4]
+        x, y = nodes[:, 2 * j - 2], nodes[:, 2 * j - 1]
+        np.copyto(re, a.real)
+        np.copyto(im, a.imag)
+        np.multiply(x, re, out=cre)
+        np.multiply(y, im, out=cim)
+        cre += cim
+        np.multiply(x, im, out=cim)
+        cim -= y * re
 
 
 def _norm2(d, out, tmp):
@@ -265,7 +277,8 @@ def _norm2(d, out, tmp):
 
 
 def _sweep(form, rule, points, radius=0.0, centers=None):
-    """(P, K) values sum_i w_i sum_j fold_Jj(i) s_j(i; y_p), K = |multi_indices(n, q)|.
+    """(P, K) values sum_i w_i sum_j density_Jj(i) s_j(i; y_p), K = |multi_indices(n, q)|,
+    s_j = conj(zeta_j - y_j)/|zeta - y|^{2n}.
 
     n = form.n, and q is form.q on a boundary rule and form.q - 1 on an
     interior rule (rule.nu None), the degree of the value.
@@ -276,70 +289,79 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     one-block rule starts no thread.  Each worker has its own buffers, folds
     the operand over its block (so the operand's field callables are called
     from several threads) and sweeps the block in sub-blocks of about
-    PAIR_BLOCK node-point pairs, keeping each sub-block's product.  The
-    calling thread adds the products into the sum in node order as their
-    blocks finish: the chain of additions is that of one serial pass,
-    whatever the number of CPUs.  A node is dropped (adds an exact 0) where
-    it equals y_p and where it lies closer than radius to y_p or, given
-    centers (C, 2n), to the centre shared by the p-th group of P / C
-    consecutive points.  Without centers one comparison of |zeta - y_p|^2
-    makes the test: below radius^2 when radius > 0 (which drops y_p's own
-    node too), equal to 0 when radius is 0.  Given centers, the centre test
-    alone makes it: every y_p must lie closer than radius to its centre, as
-    dbar_potential's stencil points do (h from the centre, radius rho + h).
-    The zeta rows of a block are its coordinates, contiguous when rule.part
-    writes the block coordinate-major, as it does for a ball volume rule.
+    PAIR_BLOCK node-point pairs.  A sub-block takes |zeta - y_p|^2 as
+    |zeta|^2 + |y_p|^2 - 2 y_p . zeta from one (P, 2n) @ (2n, b) product,
+    and keeps one (P, b) @ (b, 4T) product of 1/|zeta - y_p|^{2n} (exactly 0
+    at dropped nodes) with the fold.  The calling thread adds the products
+    into the sum in node order as their blocks finish: the chain of additions
+    is that of one serial pass, whatever the number of CPUs.  The sum's
+    s1 - conj(y_j) s0 per point (see _fold) is taken once, at the end.
+
+    A node is dropped (adds an exact 0) where it equals y_p and where it
+    lies closer than radius to y_p or, given centers (C, 2n), to the centre
+    shared by the p-th group of P / C consecutive points.  Without centers
+    one comparison of |zeta - y_p|^2 makes the test: at most radius^2, or
+    at most R2_FLOOR * |y_p|^2 when that is larger, so that at radius 0 a
+    node at y_p, whose expanded distance rounds to a few units of
+    |y_p|^2 * eps (+-4.4e-16 on the unit circle) rather than to 0, is
+    dropped.  Given centers, the centre test alone
+    makes it, on exact coordinate differences: every y_p must lie closer
+    than radius to its centre, as dbar_potential's stencil points do (h
+    from the centre, radius rho + h).  The zeta rows of a block are its
+    coordinates, contiguous when rule.part writes the block
+    coordinate-major, as it does for a ball volume rule.
     """
     n, q = form.n, form.q - (rule.nu is None)
     terms = _kernel_terms(form, q, rule.nu is None)
-    width = len(multi_indices(n, q))
     points = np.asarray(points, dtype=float)
     count, m = points.shape
     if m != 2 * n:
         raise ValueError(f"a form on C^{n} needs points in R^{2 * n}, got R^{m}")
-    acc = np.zeros((count, 2 * width))
+    values = np.zeros((count, len(multi_indices(n, q))), dtype=complex)
     if not (count and terms):
-        return acc[:, :width] + 1j * acc[:, width:]
+        return values
+    acc = np.zeros((count, 4 * len(terms)))
     r2 = radius * radius
+    ysq = _norm2(points.T, np.empty(count), np.empty(count))[:, None]
+    limit = np.maximum(r2, R2_FLOOR * ysq)
+    ym2 = -2.0 * points
     block = min(NODE_BLOCK, len(rule))
     step = min(max(1, PAIR_BLOCK // count), block)
-    ys = points.T[:, :, None]
     starts = range(0, len(rule), NODE_BLOCK)
     products = [None] * len(starts)   # per block: its sub-block products, in node order
     claim = itertools.count()         # one atomic next() per block: no block runs twice
 
     def work(after_block):
-        coef = np.zeros((m, block, 2 * width))
-        diff = np.empty((m, count, step))
-        dist2, scale = np.empty((2, count, step))
-        drop = np.empty((count, step), dtype=bool)
+        fold = np.empty((4 * len(terms), block))
+        zsq, ztmp = np.empty((2, block))
+        dist2, scale = np.empty((2, count * step))
+        drop = np.empty(count * step, dtype=bool)
         if centers is not None:
             cs = centers.T[:, :, None]
             cdiff = np.empty((m, len(centers), step))
             cdist2, ctmp = np.empty((2, len(centers), step))
-            grouped = drop.reshape(len(centers), -1, step)
         while (k := next(claim)) < len(starts):
             start = starts[k]
             nodes, weights, nu = rule.part(start, start + NODE_BLOCK)
             size = len(nodes)
-            _fold(coef[:, :size], terms, nodes, nu, weights)
-            zeta = nodes.T[:, None, :]
+            _fold(fold[:, :size], terms, nodes, nu, weights)
+            zeta = nodes.T
+            _norm2(zeta, zsq[:size], ztmp[:size])
             out = []
             for sub in range(0, size, step):
                 b = min(step, size - sub)
-                d, r, sc = diff[:, :, :b], dist2[:, :b], scale[:, :b]
-                dr = drop[:, :b]
-                np.subtract(zeta[:, :, sub:sub + b], ys, out=d)
-                _norm2(d, r, sc)
-                if centers is not None:
-                    cd, cr = cdiff[:, :, :b], cdist2[:, :b]
-                    np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
-                    _norm2(cd, cr, ctmp[:, :b])
-                    grouped[:, :, :b] = (cr < r2)[:, None, :]
-                elif r2 > 0.0:
-                    np.less(r, r2, out=dr)   # r == 0 < r2 drops too
+                r, sc = dist2[:count * b].reshape(count, b), scale[:count * b].reshape(count, b)
+                dr = drop[:count * b].reshape(count, b)
+                np.matmul(ym2, zeta[:, sub:sub + b], out=r)
+                r += ysq
+                r += zsq[sub:sub + b]
+                if centers is None:
+                    np.less_equal(r, limit, out=dr)
                 else:
-                    np.equal(r, 0.0, out=dr)
+                    cd, cr = cdiff[:, :, :b], cdist2[:, :b]
+                    np.subtract(zeta[:, None, sub:sub + b], cs, out=cd)
+                    _norm2(cd, cr, ctmp[:, :b])
+                    dr.reshape(len(centers), -1, b)[:] = (cr < r2)[:, None, :]
                 if n > 1:
                     np.multiply(r, r, out=sc)
                     for _ in range(n - 2):
@@ -348,8 +370,7 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
                     sc = r   # no later step of the sub-block reads r
                 np.copyto(sc, np.inf, where=dr)
                 np.divide(1.0, sc, out=sc)
-                d *= sc
-                out += [d[c] @ coef[c, sub:sub + b] for c in range(m)]
+                out.append(sc @ fold[:, sub:sub + b].T)
             products[k] = out
             after_block()
 
@@ -370,7 +391,12 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
         for helper in helpers:
             helper.result()   # re-raises a helper's error
     add_done()
-    return acc[:, :width] + 1j * acc[:, width:]
+    ybar = np.conj(points[:, 0::2] + 1j * points[:, 1::2])
+    for t, (k, j, _) in enumerate(terms):
+        s0 = acc[:, 4 * t] + 1j * acc[:, 4 * t + 1]
+        s1 = acc[:, 4 * t + 2] + 1j * acc[:, 4 * t + 3]
+        values[:, k] += s1 - ybar[:, j - 1] * s0
+    return values
 
 
 def _as_dict(keys, row):

@@ -125,7 +125,8 @@ class Report:
 def load_config(path, experiment):
     """Merge [common] and the experiment's section into keyword overrides.
     A setting in its own section that the experiment does not read is an
-    error, and so is a file configparser cannot parse."""
+    error, and so are a file configparser cannot parse and a value its key's
+    type cannot parse; the message names the file, and the key if any."""
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path):
@@ -145,7 +146,11 @@ def load_config(path, experiment):
     for key, value in merged.items():
         if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _KEYS[key](value)
+        try:
+            kwargs[key] = _KEYS[key](value)
+        except ValueError:
+            raise ValueError(f"config file {path!r}: {key} = {value!r} is not "
+                             f"{'an integer' if _KEYS[key] is int else 'a number'}") from None
     return kwargs
 
 

@@ -361,9 +361,11 @@ class RadialPowerField(Field):
         return u
 
     def __call__(self, x):
-        u = self._u(np.asarray(x, dtype=float))
-        # np.power, not **: one point's u is a numpy scalar, whose ** rounds
-        # differently; errstate: 0 ** gamma < 0 on and outside the sphere
-        with np.errstate(divide="ignore"):
-            out = np.where(u < 1.0, np.power(np.maximum(1.0 - u, 0.0), self.gamma), 0.0)
-        return out.astype(complex)
+        v = np.asarray(self._u(np.asarray(x, dtype=float)))   # one point: a 0-d array
+        # in place: 1 - |x|^2, then +0.0 on and outside the sphere (fmax also
+        # maps a NaN to 0), and the power only where positive, so 0 ** gamma
+        # is never taken
+        np.subtract(1.0, v, out=v)
+        np.fmax(v, 0.0, out=v)
+        np.power(v, self.gamma, out=v, where=v > 0.0)
+        return v.astype(complex)

@@ -250,61 +250,124 @@ def test_sweep_blocking_does_not_change_results(monkeypatch):
 
 def _serial_sweep(form, rule, points, radius=0.0, centers=None):
     """The one-thread sweep that bmk._sweep must equal bit for bit: blocks
-    folded and swept in node order, each product added as soon as it is
-    made."""
+    folded and swept in node order, each sub-block's product added as soon
+    as it is made, and s1 - conj(y_j) s0 taken once at the end."""
     interior = rule.nu is None
     n, q = form.n, form.q - interior
     terms = bmk._kernel_terms(form, q, interior)
-    width = len(multi_indices(n, q))
     points = np.asarray(points, dtype=float)
     count, m = points.shape
-    acc = np.zeros((count, 2 * width))
+    values = np.zeros((count, len(multi_indices(n, q))), dtype=complex)
     if not (count and terms):
-        return acc[:, :width] + 1j * acc[:, width:]
-    r2 = radius * radius
-    block = min(bmk.NODE_BLOCK, len(rule))
-    step = min(max(1, bmk.PAIR_BLOCK // count), block)
-    coef = np.zeros((m, block, 2 * width))
-    diff = np.empty((m, count, step))
-    dist2, scale = np.empty((2, count, step))
-    drop, on_node = np.empty((2, count, step), dtype=bool)
-    ys = points.T[:, :, None]
-    if centers is not None:
-        cs = centers.T[:, :, None]
-        cdiff = np.empty((m, len(centers), step))
-        cdist2, ctmp = np.empty((2, len(centers), step))
-        grouped = drop.reshape(len(centers), -1, step)
+        return values
+    acc = np.zeros((count, 4 * len(terms)))
+    ysq = np.zeros((count, 1))
+    for c in range(m):
+        ysq[:, 0] += points[:, c] * points[:, c]
+    limit = np.maximum(radius * radius, bmk.R2_FLOOR * ysq)
+    step = min(max(1, bmk.PAIR_BLOCK // count), bmk.NODE_BLOCK, len(rule))
     for start in range(0, len(rule), bmk.NODE_BLOCK):
-        nodes = rule.nodes[start:start + bmk.NODE_BLOCK]
-        size = len(nodes)
-        nu = None if interior else rule.nu[start:start + bmk.NODE_BLOCK]
-        bmk._fold(coef[:, :size], terms, nodes, nu,
-                  rule.weights[start:start + bmk.NODE_BLOCK])
-        zeta = nodes.T[:, None, :]
-        for sub in range(0, size, step):
-            b = min(step, size - sub)
-            d, r, sc = diff[:, :, :b], dist2[:, :b], scale[:, :b]
-            dr, on = drop[:, :b], on_node[:, :b]
-            np.subtract(zeta[:, :, sub:sub + b], ys, out=d)
-            bmk._norm2(d, r, sc)
+        nodes, weights, nu = rule.part(start, start + bmk.NODE_BLOCK)
+        fold = np.empty((4 * len(terms), len(nodes)))
+        bmk._fold(fold, terms, nodes, nu, weights)
+        zsq = np.zeros(len(nodes))
+        for c in range(m):
+            zsq += nodes[:, c] * nodes[:, c]
+        for sub in range(0, len(nodes), step):
+            zeta = nodes[sub:sub + step]
+            r = (-2.0 * points) @ zeta.T
+            r += ysq
+            r += zsq[sub:sub + step]
             if centers is None:
-                np.less(r, r2, out=dr)
+                drop = r <= limit
             else:
-                cd, cr = cdiff[:, :, :b], cdist2[:, :b]
-                np.subtract(zeta[:, :, sub:sub + b], cs, out=cd)
-                bmk._norm2(cd, cr, ctmp[:, :b])
-                grouped[:, :, :b] = (cr < r2)[:, None, :]
-            np.equal(r, 0.0, out=on)
-            dr |= on
-            np.copyto(sc, r)
+                cr = np.zeros((len(centers), len(zeta)))
+                for c in range(m):
+                    cd = zeta[:, c] - centers[:, c, None]
+                    cr += cd * cd
+                drop = np.repeat(cr < radius * radius, count // len(centers), axis=0)
+            scale = r.copy()
             for _ in range(n - 1):
-                sc *= r
-            np.copyto(sc, np.inf, where=dr)
-            np.divide(1.0, sc, out=sc)
-            d *= sc
-            for c in range(m):
-                acc += d[c] @ coef[c, sub:sub + b]
-    return acc[:, :width] + 1j * acc[:, width:]
+                scale *= r
+            scale[drop] = np.inf
+            acc += (1.0 / scale) @ fold[:, sub:sub + step].T
+    ybar = np.conj(points[:, 0::2] + 1j * points[:, 1::2])
+    for t, (k, j, _) in enumerate(terms):
+        s0 = acc[:, 4 * t] + 1j * acc[:, 4 * t + 1]
+        s1 = acc[:, 4 * t + 2] + 1j * acc[:, 4 * t + 3]
+        values[:, k] += s1 - ybar[:, j - 1] * s0
+    return values
+
+
+def _exact_sweep(form, rule, points, radius=0.0, centers=None):
+    """The sweep on exact coordinate differences zeta - y_p, as bmk._sweep
+    took it before it expanded |zeta - y_p|^2: the (P, K) values and the
+    (P, K) sums of |terms|, sum_i |A conj(zeta_j - y_j)| / |zeta - y_p|^{2n}
+    over each column's kernel terms (k, j), with A from bmk._fold's first
+    two rows.  A node is dropped where it equals y_p, lies closer than
+    radius to y_p or, given centers, to y_p's centre."""
+    interior = rule.nu is None
+    n, q = form.n, form.q - interior
+    terms = bmk._kernel_terms(form, q, interior)
+    points = np.asarray(points, dtype=float)
+    values = np.zeros((len(points), len(multi_indices(n, q))), dtype=complex)
+    sums = np.zeros(values.shape)
+    group = len(points) // len(centers) if centers is not None else 0
+    for start in range(0, len(rule), bmk.NODE_BLOCK):
+        nodes, weights, nu = rule.part(start, start + bmk.NODE_BLOCK)
+        fold = np.empty((4 * len(terms), len(nodes)))
+        bmk._fold(fold, terms, nodes, nu, weights)
+        for p, y in enumerate(points):
+            d = nodes - y
+            r = np.sum(d * d, axis=1)
+            if centers is None:
+                drop = (r < radius * radius) | (r == 0.0)
+            else:
+                drop = np.sum((nodes - centers[p // group]) ** 2, axis=1) < radius * radius
+            g = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, r) ** n)
+            for t, (k, j, _) in enumerate(terms):
+                term = (fold[4 * t] + 1j * fold[4 * t + 1]) * (d[:, 2 * j - 2] - 1j * d[:, 2 * j - 1]) * g
+                values[p, k] += term.sum()
+                sums[p, k] += np.abs(term).sum()
+    return values, sums
+
+
+def _assert_near_exact_sweep(form, rule, points, radius=0.0, centers=None):
+    got = bmk._sweep(form, rule, points, radius, centers)
+    want, sums = _exact_sweep(form, rule, points, radius, centers)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-13 * sums), np.max(np.abs(got - want) / sums)
+
+
+def test_sweep_matches_exact_difference_contraction():
+    """The expanded |zeta - y|^2 and the s1 - conj(y_j) s0 combine agree with
+    the contraction on exact differences to 1e-13 of the sum of |terms|:
+    the bmk-verify volume term at z = (0.5, 0) on the level-6 disc, whose
+    combine cancels most near the pole, and a level-2 4-ball dbar_potential
+    stencil with its centre test."""
+    conj = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (0,), (1,))})
+    rule = volume_rule(DISC, 6)
+    _assert_near_exact_sweep(conj.dbar(), rule, np.array([[0.5, 0.0]]),
+                             bmk.EXCLUSION_FACTOR * rule.spacing)
+    f = DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1))})
+    rule4 = volume_rule(BALL4, 2)
+    zs = np.array([[0.2, -0.1, 0.3, 0.15], [-0.3, 0.1, 0.05, -0.2]])
+    rho = bmk.FD_EXCLUSION_FACTOR * rule4.spacing
+    h = bmk.FD_STEP_FACTOR * rho
+    shifts = h * np.vstack([np.eye(4), -np.eye(4)])
+    ys = (zs[:, None, :] + shifts[None, :, :]).reshape(-1, 4)
+    _assert_near_exact_sweep(f, rule4, ys, rho + h, centers=zs)
+
+
+def test_boundary_sweep_at_a_node_drops_the_node():
+    """A radius-0 sweep at a boundary node is finite and drops that node,
+    although its expanded |zeta - y|^2 rounds to +-4.4e-16, not 0, at 7 of
+    the 64 nodes."""
+    f_b = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (2,), (1,))})
+    rule = boundary_rule(DISC, 1)
+    for k in range(len(rule)):
+        assert np.all(np.isfinite(bmk._sweep(f_b, rule, rule.nodes[k:k + 1])))
+        _assert_near_exact_sweep(f_b, rule, rule.nodes[k:k + 1])
 
 
 def _use_cpus(monkeypatch, cpus):
@@ -396,21 +459,19 @@ def _callable_form(n, q):
 
 
 def _symbolic_fold(form, q, nodes, nu, weights):
-    """The fold written through the symbolic wedge: w * exterior.density of
-    form ^ K_Jj, in the layout of bmk._fold."""
+    """The fold written through the symbolic wedge, in the layout of
+    bmk._fold: for each (J, j) of kernel_table(n, q) in table order, the
+    rows Re A, Im A, Re(conj(zeta_j) A) and Im(conj(zeta_j) A) of
+    A = w * exterior.density of form ^ K_Jj."""
     n = form.n
-    keys = multi_indices(n, q)
-    coef = np.zeros((2 * n, len(nodes), 2 * len(keys)))
+    rows = []
     for J, terms in bmk.kernel_table(n, q).items():
-        k = keys.index(J)
         for j, mono in terms:
             wedged = form.wedge(DifferentialForm(n, n, n - q - 1, mono))
             a = weights * density(wedged, nodes, nu)
-            coef[2 * j - 2, :, k] = a.real
-            coef[2 * j - 2, :, len(keys) + k] = a.imag
-            coef[2 * j - 1, :, k] = a.imag
-            coef[2 * j - 1, :, len(keys) + k] = -a.real
-    return coef
+            x, y = nodes[:, 2 * j - 2], nodes[:, 2 * j - 1]
+            rows += [a.real, a.imag, x * a.real + y * a.imag, x * a.imag - y * a.real]
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("n, q, interior", [
@@ -420,7 +481,8 @@ def _symbolic_fold(form, q, nodes, nu, weights):
 def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     """bmk._fold of the kernel terms equals the symbolic wedge with each K_Jj
     followed by exterior.density, bit for bit, for polynomial and callable
-    operands of degree 0, 1 and 2, on interior and boundary rules.  A
+    operands of degree 0, 1 and 2, on interior and boundary rules; a
+    (J, j) that bmk._kernel_terms leaves out has an all-zero density.  A
     q = 1 boundary density sums two monomials, each from its own
     coefficient.  32,768-node blocks are large enough that numpy reuses
     temporaries, which fixes the operand order of complex products."""
@@ -431,10 +493,16 @@ def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     rule = volume_rule(domain, level) if interior else boundary_rule(domain, level)
     nodes, weights, nu = rule.part(0, size)
     assert len(nodes) == size
+    keys = multi_indices(n, q)
+    table = [(keys.index(J), j) for J, terms in bmk.kernel_table(n, q).items() for j, _ in terms]
     for form in (_generic_form(n, deg), _callable_form(n, deg)):
         terms = bmk._kernel_terms(form, q, interior)
-        got = np.zeros((2 * n, size, 2 * len(multi_indices(n, q))))
-        bmk._fold(got, terms, nodes, nu, weights)
+        fold = np.empty((4 * len(terms), size))
+        bmk._fold(fold, terms, nodes, nu, weights)
+        got = np.zeros((4 * len(table), size))
+        for t, (k, j, _) in enumerate(terms):
+            at = table.index((k, j))
+            got[4 * at:4 * at + 4] = fold[4 * t:4 * t + 4]
         want = _symbolic_fold(form, q, nodes, nu, weights)
         assert got.tobytes() == want.tobytes()
         assert got.any()
@@ -486,7 +554,7 @@ def test_reproduce_residual_memory_stays_block_sized(monkeypatch):
     array may grow with the node count times the point count.  The volume
     rule is written block by block from its radial and unit-sphere factors,
     so it is never resident; the allowance covers each worker's
-    32,768-node fold buffer at n = 2, q = 1 (4.2 MB), its node block
+    32,768-node fold buffer at n = 2, q = 1 (2.1 MB), its node block
     (1.3 MB) and the density temporaries the fold is built from.  The pool
     size is fixed because each worker holds its own buffers."""
     peak = _residual_peak(monkeypatch, 0, 3)

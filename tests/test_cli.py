@@ -76,6 +76,23 @@ def test_load_config_rejects_unknown_key(tmp_path, capsys):
     assert not list(tmp_path.glob("verify*"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[common]\nlevel = abc\n", "level = 'abc' is not an integer"),
+    ("[green-stokes]\nseed = 1.5\n", "seed = '1.5' is not an integer"),
+])
+def test_config_value_of_the_wrong_type_names_key_and_file(tmp_path, capsys, text, message):
+    """A value its key cannot parse is a usage error naming the file and the key."""
+    path = tmp_path / "typed.ini"
+    path.write_text(text)
+    out = tmp_path / "gs"
+    assert cli.main(["green-stokes", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: config file {str(path)!r}: {message}\n"
+    path.write_text("[mollify]\np = two\n")
+    assert cli.main(["mollify", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config file {str(path)!r}: p = 'two' is not a number" in capsys.readouterr().err
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ValueError, match="not readable"):
         cli.load_config(str(tmp_path / "nope.ini"), "mollify")

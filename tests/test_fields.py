@@ -115,6 +115,21 @@ def test_negative_exponent_radial_field_interior_only():
         assert np.array_equal(w4(x4), np.zeros(2))
 
 
+@pytest.mark.parametrize("gamma", [0.75, -0.25])
+def test_radial_power_field_equals_masked_power(gamma):
+    """The in-place evaluation gives the bits of
+    where(u < 1, power(max(1 - u, 0), gamma), 0) as complex, u = |x|^2, at
+    points inside, on and outside the unit sphere, and a NaN gives 0."""
+    rng = np.random.default_rng(6)
+    x = np.vstack([rng.uniform(-0.7, 0.7, (40_000, 4)), rng.uniform(-1.0, 1.0, (999, 4)),
+                   np.eye(4), 2.0 * np.eye(4), [[0.6, 0.0, 0.8, 0.0], [np.nan, 0.0, 0.0, 0.0]]])
+    u = RadialPowerField(4, gamma)._u(x)
+    assert np.any(u < 1.0) and np.any(u == 1.0) and np.any(u > 1.0)
+    with np.errstate(divide="ignore"):
+        want = np.where(u < 1.0, np.power(np.maximum(1.0 - u, 0.0), gamma), 0.0)
+    assert RadialPowerField(4, gamma)(x).tobytes() == want.astype(complex).tobytes()
+
+
 _SHAPE_FIELDS = [
     PolyField(3, {(2, 0, 1): 1.5 - 0.5j, (0, 1, 0): 2.0, (0, 0, 0): -1.0}),
     RadialPowerField(3, 0.75),
