@@ -296,32 +296,29 @@ def mollify_fixture(grid_n=257):
     op = FirstOrderOperator(2, a=[1.0, coordinate(2, 1)], b=0.5)
 
     def graph_fn(x):
-        # the pair (f, Qf) from three transcendentals per point, in place:
-        # f = 0.5 c e + 0.25 x1 x2 and Qf = d1 f + x2 d2 f + 0.5 f, with
-        # d1 f = -0.65 sin(arg) e + 0.25 x2 and d2 f = 0.35 c e + 0.25 x1,
-        # each product and sum in that order
-        x1, x2 = x[:, 0], x[:, 1]
+        # the pair (f, Qf) at coordinates x = [x1, x2] that broadcast, from
+        # three transcendentals per value of x1 or of x2 (once per axis value
+        # on an open grid): f = 0.5 c e + 0.25 x1 x2 and
+        # Qf = d1 f + x2 d2 f + 0.5 f, with d1 f = -0.65 sin(arg) e + 0.25 x2
+        # and d2 f = 0.35 c e + 0.25 x1, each product and sum in that order
+        x1, x2 = x
         arg = np.multiply(x1, 1.3)
         arg += 0.4
         c = np.cos(arg)
         e = np.multiply(x2, 0.7)
         np.exp(e, out=e)
-        t = np.multiply(x1, 0.25)
-        t *= x2
-        fv = np.multiply(c, 0.5)
-        fv *= e
+        fv = np.multiply(np.multiply(c, 0.5), e)
+        t = np.multiply(np.multiply(x1, 0.25), x2)
         fv += t
-        qf = np.sin(arg, out=arg)
-        qf *= -0.65
-        qf *= e
-        np.multiply(x2, 0.25, out=t)
-        qf += t
+        s = np.sin(arg, out=arg)
+        s *= -0.65
+        qf = np.multiply(s, e)
+        qf += np.multiply(x2, 0.25)
         c *= 0.35
-        c *= e
-        np.multiply(x1, 0.25, out=t)
-        c += t
-        c *= x2
-        qf += c
+        np.multiply(c, e, out=t)
+        t += np.multiply(x1, 0.25)
+        t *= x2
+        qf += t
         np.multiply(fv, 0.5, out=t)
         qf += t
         return fv, qf

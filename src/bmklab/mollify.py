@@ -16,19 +16,29 @@ dyadically toward the boundary, so integrable concentration at {x_1 = 0} is
 resolved far below the sample-grid spacing.
 
 Convolutions are direct summation: quadrature nodes over the kernel's own
-support, with the data sampled through its exact callable.  Friedrichs'
-lemma mollifies an element (f, Qf) of the graph of Q with one kernel, and
-so does convolve_field: a field whose callable returns the pair is sampled
-once per shifted point, and the samples of f are contracted with the kernel
-and each of its partials while those of Qf are contracted with the kernel,
-so f * phi_eps, its derivatives and (Qf) * phi_eps all come from the same
-evaluations.  Real data stays real: a field's samples are float64 when its
-callable is real and complex128 otherwise, and the sums are kept in that
-dtype.  The points are split into one contiguous slab per usable CPU; each
+support, with the data sampled through its exact callable.  A field's
+callable takes a list of m coordinate arrays that broadcast against each
+other and returns values of their broadcast shape.  Scattered points pass
+their full columns; a tensor grid passes its open grid (np.ix_ shapes), so
+a subexpression of one coordinate runs once per value on that axis, not
+once per grid point.  convolve_field reduces its output points once to
+such coordinates, and every kernel node's shifted grid x - t_k keeps them:
+each coordinate is shifted along its own axis.
+
+Friedrichs' lemma mollifies an element (f, Qf) of the graph of Q with one
+kernel, and so does convolve_field: a field whose callable returns the
+pair is sampled once per shifted point, and the samples of f are
+contracted with the kernel and each of its partials while those of Qf are
+contracted with the kernel, so f * phi_eps, its derivatives and
+(Qf) * phi_eps all come from the same evaluations.  Real data stays real:
+a field's samples are float64 when its callable is real and complex128
+otherwise, and the sums are kept in that dtype.  The points are split
+along their leading axis into one contiguous slab per usable CPU; each
 slab's worker samples and contracts one kernel node at a time with
 elementwise arithmetic in a fixed order, so the result does not depend on
-the number of CPUs or on the BLAS build.  No transforms; boundary handling
-stays explicit.
+the number of CPUs, on the BLAS build or on whether the points came as a
+grid or as a scattered stack.  No transforms; boundary handling stays
+explicit.
 """
 
 from __future__ import annotations
@@ -135,16 +145,33 @@ def _trapezoid_weights(axis_nodes):
     return w
 
 
-def _components(values, count):
-    """A field callable's output, one array or a tuple, with count values in
-    each component, made float64 if real and complex128 otherwise."""
+def _components(values, shape):
+    """A field callable's output, one array or a tuple, made float64 if real
+    and complex128 otherwise; each component must have shape, or a shape
+    that broadcasts to it (a field of fewer coordinates)."""
     parts = [np.asarray(v) for v in (values if isinstance(values, tuple) else (values,))]
     for v in parts:
-        if v.shape != (count,):
-            raise ValueError(f"a field needs one value per point: got shape {v.shape} "
-                             f"at {count} points")
+        try:
+            fits = np.broadcast_shapes(v.shape, shape) == shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ValueError(f"a field's values need the shape {shape} of its coordinates "
+                             f"or one that broadcasts to it: got shape {v.shape}")
     parts = [v.astype(float if np.isrealobj(v) else complex, copy=False) for v in parts]
     return tuple(parts) if isinstance(values, tuple) else parts[0]
+
+
+def _sample(func, coords):
+    """func at a list of coordinate arrays, checked against their broadcast shape."""
+    return _components(func(coords), np.broadcast_shapes(*(c.shape for c in coords)))
+
+
+def _full(values, shape):
+    """Sampled values, each broadcast to shape as a writable array."""
+    def full(v):
+        return v if v.shape == shape else np.broadcast_to(v, shape).copy()
+    return tuple(map(full, values)) if isinstance(values, tuple) else full(values)
 
 
 class HalfSpaceField:
@@ -153,14 +180,20 @@ class HalfSpaceField:
     Backed by an exact callable func, sampled on an inclusive uniform grid
     (axis 0 runs up to x_1 = 0) the first time grid_values() is asked for,
     so a field singular on {x_1 = 0} that is only ever evaluated inside U
-    never computes its infinite boundary samples.  func must be a pure
-    function of its (N, m) points, row by row: convolve_field calls
-    evaluate() on slabs of its points from several threads at once.
+    never computes its infinite boundary samples.
 
-    func returns one value per point, or a tuple of such arrays: a graph
-    field returns the pair (f, Qf).  evaluate() and grid_values() keep that
-    shape, with each component float64 when it is real and complex128
-    otherwise, and raise ValueError unless each has one value per point.
+    func takes a list of m coordinate arrays that broadcast against each
+    other, and returns values of their broadcast shape: one value per
+    point, or a tuple of such arrays (a graph field returns the pair
+    (f, Qf)).  A component may have a shape that broadcasts to that one,
+    as a field of x_1 alone gives on an open grid.  func must be a pure
+    elementwise function of the coordinates: evaluate() passes the columns
+    x[..., k] of scattered points, grid_values() the open grid
+    np.ix_(*axes), and convolve_field the open grid of its points shifted
+    by each kernel node, from several threads at once.  evaluate() and
+    grid_values() return each component at full shape, float64 when it is
+    real and complex128 otherwise, and raise ValueError naming both shapes
+    when a component's shape does not broadcast to the coordinates'.
 
     The grid and its face {x_1 = 0} are trapezoid product rules; the face
     holds the normal axis as one node of weight 1.
@@ -193,14 +226,14 @@ class HalfSpaceField:
 
     def grid_values(self):
         if self._samples is None:
-            values = _components(self.func(self._nodes), len(self._nodes))
-            self._samples = (tuple(v.reshape(self.shape) for v in values)
-                             if isinstance(values, tuple) else values.reshape(self.shape))
+            self._samples = _full(_sample(self.func, list(np.ix_(*self.axes))), self.shape)
         return self._samples
 
     def evaluate(self, x):
+        """Values at an (..., m) array of points, of shape x.shape[:-1]."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _components(self.func(x), len(x))
+        return _full(_sample(self.func, [x[..., k] for k in range(x.shape[-1])]),
+                     x.shape[:-1])
 
     def lp_norm(self, values, p):
         """Trapezoid L^p norm of grid values over the grid box (p=inf -> max)."""
@@ -268,8 +301,27 @@ def choose_tau(f, epsilon, p):
         "or enlarge eps" % TAU_K_MAX)
 
 
+def _open_grid(x):
+    """The m coordinates of an (..., m) point array, each of length 1 along
+    every axis on which its bits are constant.
+
+    A tensor grid of shape (n_1, ..., n_m, m) gives its open grid, the
+    np.ix_ shapes, and an (N, m) stack of scattered points its full
+    columns.  Axes of length 0 or 1 are kept as they are.
+    """
+    bits = x.view(np.uint64)
+    coords = []
+    for d in range(x.shape[-1]):
+        b = bits[..., d]
+        keep = tuple(slice(0, 1) if n > 1 and np.all(b == b.take([0], axis=a)) else slice(None)
+                     for a, n in enumerate(b.shape))
+        coords.append(np.ascontiguousarray(x[..., d][keep]))
+    return coords
+
+
 def convolve_field(f, kernel, x, *, quad):
-    """f * k and f * d_j k at x, shape (1+m, N), from one pass over f.
+    """f * k and f * d_j k at the (..., m) points x, shape (1+m,) + x.shape[:-1],
+    from one pass over f.
 
     Row 0 is (f * k)(x) = sum_t w_t k(t) f(x - t) over the kernel support
     rule and row 1+j uses the j-th partial of k, so derivatives of the
@@ -279,45 +331,53 @@ def convolve_field(f, kernel, x, *, quad):
     diagnostics).  quad is the kernel's (nodes, weights) rule,
     kernel.quad_rule().
 
-    A graph field, whose callable returns the pair (f, Qf), gives shape
-    (2+m, N): the rows above, then (Qf * k)(x) from the same samples.  The
+    A graph field, whose callable returns the pair (f, Qf), gives 2+m
+    rows: the rows above, then (Qf * k)(x) from the same samples.  The
     rows are float64 when every component is real and complex128 otherwise.
 
-    The points are split into one contiguous slab of ceil(N / CPUs) points
-    per usable CPU (an empty point set is one empty slab), and a pool of
+    x is reduced once to its open-grid coordinates (_open_grid), so a
+    tensor grid is sampled through per-axis coordinate arrays and an
+    (N, m) stack through full columns, on the same path.  The leading axis
+    of x is split into one contiguous slab of ceil(n / CPUs) entries per
+    usable CPU (an empty point set is one empty slab), and a pool of
     threads runs the slabs; numpy releases the GIL.  A slab's worker takes
-    the rule CONV_CHUNK nodes at a time: it evaluates f at its points
-    shifted by each node t_k in turn and adds c_r[k] * f(x - t_k) into its
-    own (rows, slab) chunk partial in node order.  The short partial sums
-    keep the rounding error of the 5,120-node m = 3 rule within 1e-13 of
-    the sum, which one running sum over all nodes does not.  Every output
+    the rule CONV_CHUNK nodes at a time: it calls f's callable on its
+    coordinates shifted by each node t_k in turn and adds c_r[k] * f(x - t_k)
+    into its own chunk partial in node order.  The short partial sums keep
+    the rounding error of the 5,120-node m = 3 rule within 1e-13 of the
+    sum, which one running sum over all nodes does not.  Every output
     element goes through the same chain of elementwise additions whatever
-    the number of CPUs, and no matrix product (whose summation order
-    depends on the BLAS build and its thread count) is involved.  Every
-    temporary is slab-sized and reused.
+    the number of CPUs and whatever the shape of x, and no matrix product
+    (whose summation order depends on the BLAS build and its thread count)
+    is involved.  Every temporary is slab-sized and reused.
     """
     t, w = quad
     base = w * kernel.values(t)
     coef = [base] + [w * kv - np.sum(w * kv) / np.sum(base) * base
                      for kv in kernel.grad(t).T]
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
+    if x.shape[-1] != t.shape[1]:
+        raise ValueError(f"points of shape {x.shape} need {t.shape[1]} coordinates each")
+    coords = _open_grid(x)
     count = x.shape[0]
     size = max(1, -(-count // len(os.sched_getaffinity(0))))
     slabs = [slice(lo, lo + size) for lo in range(0, max(count, 1), size)]
 
     def run(slab):
-        xT = np.ascontiguousarray(x[slab].T)   # coordinate-major: x[:, j] contiguous
-        shifted = np.empty_like(xT)
+        mine = [c if len(c) == 1 else c[slab] for c in coords]
+        shape = (len(range(count)[slab]),) + x.shape[1:-1]
+        shifted = [np.empty_like(c) for c in mine]
         total = None
         for start in range(0, len(t), CONV_CHUNK):
             for k in range(start, min(start + CONV_CHUNK, len(t))):
-                np.subtract(xT, t[k][:, None], out=shifted)
-                values = f.evaluate(shifted.T)
+                for src, dst, tk in zip(mine, shifted, t[k]):
+                    np.subtract(src, tk, out=dst)
+                values = _sample(f.func, shifted)
                 comps = values if isinstance(values, tuple) else (values,)
                 if total is None:
                     # f takes the kernel and every partial, Qf the kernel only
                     rows = [(0, c) for c in coef] + [(i, base) for i in range(1, len(comps))]
-                    total = np.zeros((len(rows), xT.shape[1]), np.result_type(*comps))
+                    total = np.zeros((len(rows),) + shape, np.result_type(*comps))
                     part = np.zeros_like(total)
                     term = np.empty_like(total[0])
                 for row, (i, c) in zip(part, rows):
@@ -338,7 +398,9 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     grid, tau, the norms and the trace; graph: HalfSpaceField on the same
     grid whose callable returns the pair (f, Qf), with f's values bit for
     bit, so that one convolution per eps mollifies the graph element
-    (f, Qf); f_b: callable trace candidate on boundary nodes.  Row columns:
+    (f, Qf); f_b: trace candidate, a callable of the HalfSpaceField kind,
+    sampled at the columns of f's boundary nodes.  The convolutions run on
+    f's grid nodes as an (n_1, ..., n_m, m) array.  Row columns:
     (epsilon, tau, interior_err, q_err, commutator_ratio, trace_err).
     """
     nodes = f.grid_nodes()
@@ -351,15 +413,16 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     f_norm = f.lp_norm(f_grid, p)
     bnodes = f.boundary_nodes()
     a1_b = np.asarray(op.a[0](bnodes), dtype=complex)
-    fb_vals = np.asarray(f_b(bnodes), dtype=complex)
+    fb_vals = np.asarray(_sample(f_b, list(bnodes.T)), dtype=complex)
     a_vals = [np.asarray(aj(nodes), dtype=complex) for aj in op.a]
     b_vals = np.asarray(op.b(nodes), dtype=complex)
     rows = []
     for eps in eps_list:
         tau = choose_tau(f, eps, p)
         kernel = DiracSequence(f.m, eps, tau)
-        f_eps, *partials, qf_conv = convolve_field(graph, kernel, nodes,
-                                                   quad=kernel.quad_rule())
+        conv = convolve_field(graph, kernel, nodes.reshape(f.shape + (f.m,)),
+                              quad=kernel.quad_rule())
+        f_eps, *partials, qf_conv = conv.reshape(len(conv), -1)
         q_f_eps = b_vals * f_eps
         for a, df in zip(a_vals, partials):
             q_f_eps = q_f_eps + a * df

@@ -44,6 +44,24 @@ print(json.dumps(sorted(tracer.stats)))
 """
 
 
+# a traced 17x17 strip report with one eps: its work counters
+MOLLIFY_PROBE = PROBE.replace("print(json.dumps(sorted(tracer.stats)))", """
+op, f, graph, f_fn = cli.mollify_fixture(17)
+rows = mollify.convergence_report(op, f, graph, f_fn, [0.2], 2.0)["rows"]
+metrics = tracer.metrics()
+rule = mollify.DiracSequence(2, 0.2, rows[0]["tau"]).quad_rule()[0]
+print(json.dumps({"metrics": metrics, "rule": len(rule)}))
+""")
+
+
+def _probe(source):
+    path = os.pathsep.join([PERFBENCH, os.path.join(ROOT, "src")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
 def _load(path, name, monkeypatch):
     """Import a script by path without writing its bytecode beside it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -54,12 +72,20 @@ def _load(path, name, monkeypatch):
 
 
 def test_tracer_wraps_every_name_its_metrics_read():
-    path = os.pathsep.join([PERFBENCH, os.path.join(ROOT, "src")])
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    wrapped = set(json.loads(out.stdout))
+    wrapped = set(_probe(PROBE))
     assert [name for name in TRACED if name not in wrapped] == []
+
+
+def test_traced_mollify_counts_its_work():
+    """Under the tracer, a mollify report runs without a hook raising, and
+    the counters that the traced strip-mollify self-test needs are
+    nonzero: one kernel-node x grid-point pair per rule node and grid
+    point, and the slab panels' evaluate() points."""
+    got = _probe(MOLLIFY_PROBE)
+    metrics = got["metrics"]
+    assert metrics["mollify.conv_pairs"] == got["rule"] * 17 * 17
+    assert metrics["mollify.eval_points"] > 0 and metrics["mollify.eval_s"] > 0
+    assert metrics["mollify.errors"] == 0 and metrics["cli.errors"] == 0
 
 
 def test_workloads_read_names_that_exist(monkeypatch):

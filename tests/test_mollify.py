@@ -17,7 +17,7 @@ BOUNDS = [[-1.0, 0.0], [-1.0, 1.0]]
 
 
 def _smooth_field(shape=(65, 65)):
-    fn = lambda x: np.cos(1.1 * x[:, 0]) * (1 + 0.5 * x[:, 1])
+    fn = lambda x: np.cos(1.1 * x[0]) * (1 + 0.5 * x[1])
     return HalfSpaceField(fn, BOUNDS, shape), fn
 
 
@@ -58,8 +58,8 @@ def test_dirac_sequence_rejects_bad_tau():
 def test_half_space_field_needs_a_boundary_row(n_normal):
     """With fewer than 2 normal samples the grid never reaches x_1 = 0."""
     with pytest.raises(ValueError, match="normal axis"):
-        HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (n_normal, 5))
-    f = HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (2, 5))
+        HalfSpaceField(lambda x: 1.0, BOUNDS, (n_normal, 5))
+    f = HalfSpaceField(lambda x: 1.0, BOUNDS, (2, 5))
     assert f.axes[0][-1] == 0.0
 
 
@@ -70,7 +70,7 @@ def test_half_space_field_needs_finite_increasing_bounds(bounds):
     """A reversed lateral row gave nan norms, an empty normal row a 0.0
     L^p norm and a NaN bound nan: each is now an error."""
     with pytest.raises(ValueError, match="finite lo < hi"):
-        HalfSpaceField(lambda x: np.ones(len(x)), bounds, (5, 5))
+        HalfSpaceField(lambda x: 1.0, bounds, (5, 5))
 
 
 @pytest.mark.parametrize("n_lateral", [0, 1])
@@ -79,7 +79,7 @@ def test_half_space_field_needs_two_lateral_samples(n_lateral):
     failed with an IndexError; like the normal axis, each lateral axis
     needs 2 or more samples."""
     with pytest.raises(ValueError, match="every axis needs 2 or more samples"):
-        HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (5, n_lateral))
+        HalfSpaceField(lambda x: 1.0, BOUNDS, (5, n_lateral))
 
 
 @pytest.mark.parametrize("bounds, shape", [(BOUNDS, (9,)), ([[-1.0, 0.0]], (9, 5))])
@@ -87,23 +87,54 @@ def test_half_space_field_needs_one_bound_row_per_axis(bounds, shape):
     """A bound row too many or too few is an error, not a field of another
     dimension or a grid that fails on first use."""
     with pytest.raises(ValueError, match="one bound row per axis"):
-        HalfSpaceField(lambda x: np.ones(len(x)), bounds, shape)
+        HalfSpaceField(lambda x: 1.0, bounds, shape)
 
 
-@pytest.mark.parametrize("fn", [lambda x: 1.0,
-                                lambda x: np.ones((len(x), 1)),
-                                lambda x: (np.ones(len(x)), 2.0)])
-def test_half_space_field_needs_one_value_per_point(fn):
-    """A callable that returns a scalar, a column or a short component is an
-    error in evaluate() and grid_values(), and so in slab_mass, not a value
-    broadcast over the points."""
-    f = HalfSpaceField(fn, BOUNDS, (5, 5))
-    with pytest.raises(ValueError, match="one value per point"):
-        f.evaluate(np.array([[-0.5, 0.0], [-0.25, 0.5]]))
-    with pytest.raises(ValueError, match="one value per point"):
+def _column(x):
+    """A field of both coordinates that returns a column, not their shape."""
+    return (x[0] + x[1])[..., None]
+
+
+@pytest.mark.parametrize("fn, evaluated, grid", [
+    (_column, r"shape \(3,\) .*got shape \(3, 1\)", r"shape \(5, 7\) .*got shape \(5, 7, 1\)"),
+    (lambda x: (x[0] + x[1])[:-1], r"shape \(3,\) .*got shape \(2,\)",
+     r"shape \(5, 7\) .*got shape \(4, 7\)"),
+    (lambda x: (x[0] * x[1], np.ones(4)), r"shape \(3,\) .*got shape \(4,\)",
+     r"shape \(5, 7\) .*got shape \(4,\)"),
+], ids=["column", "short", "short-component"])
+def test_values_must_broadcast_to_the_coordinates_shape(fn, evaluated, grid, monkeypatch):
+    """Values whose shape neither is nor broadcasts to the coordinates'
+    broadcast shape are an error naming both shapes, from evaluate(),
+    grid_values(), slab_mass and convolve_field, not values broadcast over
+    the points some other way.  (A length-1 axis does broadcast: a field of
+    fewer coordinates gives one.)"""
+    f = HalfSpaceField(fn, BOUNDS, (5, 7))
+    x = np.array([[-0.5, 0.0], [-0.25, 0.5], [-0.125, -0.5]])
+    with pytest.raises(ValueError, match=evaluated):
+        f.evaluate(x)
+    with pytest.raises(ValueError, match=grid):
         f.grid_values()
-    with pytest.raises(ValueError, match="one value per point"):
+    with pytest.raises(ValueError, match="of its coordinates"):
         slab_mass(f, 0.1, 2.0)
+    kernel = DiracSequence(2, 0.2, 0.05)
+    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: {0})
+    with pytest.raises(ValueError, match=evaluated):
+        convolve_field(f, kernel, x, quad=kernel.quad_rule())
+    with pytest.raises(ValueError, match=grid):
+        convolve_field(f, kernel, f.grid_nodes().reshape(5, 7, 2), quad=kernel.quad_rule())
+
+
+def test_values_of_fewer_coordinates_broadcast():
+    """A constant, or a field of x_1 alone, gives values that broadcast to
+    the coordinates' shape; evaluate() and grid_values() return them at
+    full shape."""
+    f = HalfSpaceField(lambda x: 2.0, BOUNDS, (5, 7))
+    assert f.grid_values().shape == (5, 7) and np.all(f.grid_values() == 2.0)
+    g = HalfSpaceField(lambda x: np.cos(x[0]), BOUNDS, (5, 7))
+    x = np.array([[-0.5, 0.0], [-0.25, 0.5]])
+    assert np.array_equal(g.evaluate(x), np.cos(x[:, 0]))
+    assert np.array_equal(g.grid_values(), np.cos(g.grid_nodes()[:, 0]).reshape(5, 7))
+    g.grid_values()[0, 0] = 0.0   # writable, not a broadcast view
 
 
 AFFINE_SLOPES = (0.7, -0.4, 0.3)
@@ -117,8 +148,10 @@ def _box_field(m, fn):
 
 def _affine(x):
     """prod_k (2 + c_k x_k): affine in each coordinate and positive on the boxes."""
-    return np.prod([2.0 + c * x[:, k] for k, c in enumerate(AFFINE_SLOPES[:x.shape[1]])],
-                   axis=0)
+    value = 1.0
+    for c, xk in zip(AFFINE_SLOPES, x):
+        value = value * (2.0 + c * xk)
+    return value
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -134,7 +167,7 @@ def test_field_norms_are_exact_on_affine_data(m):
     values = f.grid_values()
     assert np.isclose(f.lp_norm(values, 1.0), np.prod(axis_int), rtol=1e-14, atol=0)
     assert f.lp_norm(values, np.inf) == np.max(np.abs(values))
-    trace = _affine(f.boundary_nodes())
+    trace = _affine(list(f.boundary_nodes().T))
     assert np.isclose(f.trace_lp_norm(trace, 1.0), 2.0 * np.prod(axis_int[1:]),
                       rtol=1e-14, atol=0)
     assert f.trace_lp_norm(trace, np.inf) == np.max(trace)
@@ -162,7 +195,7 @@ def test_slab_mass_of_a_constant(m, tau, p):
     """int_{-2tau}^0 (1 - h(-t/tau)) dt = 3 tau / 2 (h rises symmetrically
     about 3/2), so a constant c has slab mass |c|^p * lateral width * 3 tau / 2."""
     c = 0.5 - 1.2j
-    f, bounds = _box_field(m, lambda x: np.full(len(x), c))
+    f, bounds = _box_field(m, lambda x: c)
     width = np.prod(bounds[1:, 1] - bounds[1:, 0])
     assert np.isclose(slab_mass(f, tau, p), abs(c) ** p * width * 1.5 * tau,
                       rtol=1e-13, atol=0)
@@ -209,7 +242,7 @@ def test_slab_mass_and_choose_tau_match_the_per_panel_loop(p, monkeypatch):
     monkeypatch.setattr(HalfSpaceField, "evaluate",
                         lambda self, x: calls.append(len(x)) or evaluate(self, x))
     fields = [cli.mollify_fixture(grid_n=17)[1], _smooth_field((17, 9))[0],
-              HalfSpaceField(lambda x: np.abs(x[:, 0]) ** -0.25, BOUNDS, (9, 9))]
+              HalfSpaceField(lambda x: np.abs(x[0]) ** -0.25, BOUNDS, (9, 9))]
     for f in fields:
         for eps in (0.2, 0.05):
             for k in range(4):
@@ -229,7 +262,7 @@ def test_slab_mass_singular_profile_oracle():
     c1 = int_0^2 (1 - h(s)) s^(-1/2) ds is evaluated with an independent
     adaptive integrator; the panel quadrature must match it.
     """
-    fn = lambda x: np.abs(x[:, 0]) ** -0.25
+    fn = lambda x: np.abs(x[0]) ** -0.25
     f = HalfSpaceField(fn, BOUNDS, (33, 33))
     c1, err = quad(lambda s: (1 - smooth_transition(s)) / np.sqrt(s), 0, 2,
                    points=[1.0], limit=200)
@@ -242,7 +275,7 @@ def test_slab_mass_singular_profile_oracle():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_choose_tau_singular_selection_matches_prediction():
-    fn = lambda x: np.abs(x[:, 0]) ** -0.25
+    fn = lambda x: np.abs(x[0]) ** -0.25
     f = HalfSpaceField(fn, BOUNDS, (33, 33))
     eps = 0.2
     c1, _ = quad(lambda s: (1 - smooth_transition(s)) / np.sqrt(s), 0, 2,
@@ -266,14 +299,14 @@ def test_slab_mass_needs_a_finite_p_of_at_least_one(p):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_choose_tau_raises_when_slab_mass_cannot_comply():
     """|f|^p just inside non-integrability defeats every dyadic scale."""
-    fn = lambda x: np.abs(x[:, 0]) ** -0.49
+    fn = lambda x: np.abs(x[0]) ** -0.49
     f = HalfSpaceField(fn, BOUNDS, (33, 33))
     with pytest.raises(ValueError):
         choose_tau(f, 0.2, 2.0)
 
 
 def test_convolving_constant_reproduces_one():
-    f = HalfSpaceField(lambda x: np.ones(len(x)), BOUNDS, (33, 33))
+    f = HalfSpaceField(lambda x: 1.0, BOUNDS, (33, 33))
     kernel = DiracSequence(2, 0.2, choose_tau(f, 0.2, 2.0))
     pts = np.array([[-0.5, 0.0], [0.0, 0.3], [-0.99, -0.7], [0.0, 0.0]])
     vals = convolve_field(f, kernel, pts, quad=kernel.quad_rule())
@@ -285,7 +318,7 @@ def test_convolving_constant_reproduces_one():
 def test_convolve_field_rows_match_per_row_sums(m):
     """Row 0 is f * phi and row 1+j is f * d_j phi with zero discrete mass."""
     bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
-    fn = lambda x: np.exp(0.3 * x[:, 0] + 0.2j * x.sum(axis=1)) * (1 + x[:, -1] ** 2)
+    fn = lambda x: np.exp(0.3 * x[0] + 0.2j * sum(x)) * (1 + x[-1] ** 2)
     f = HalfSpaceField(fn, bounds, (9,) * m)
     kernel = DiracSequence(m, 0.2, 0.05)
     x = np.random.default_rng(m).uniform(-0.8, 0.0, (7, m))
@@ -293,7 +326,7 @@ def test_convolve_field_rows_match_per_row_sums(m):
     t, w = kernel.quad_rule()
     got = convolve_field(f, kernel, x, quad=(t, w))
     assert got.shape == (1 + m, len(x))
-    vals = fn((x[None, :, :] - t[:, None, :]).reshape(-1, m)).reshape(len(t), len(x))
+    vals = fn(list((x[None, :, :] - t[:, None, :]).T)).T
     base = w * kernel.values(t)
     for row in range(1 + m):
         if row == 0:
@@ -322,34 +355,116 @@ def _fixed_order_convolve_oracle(f, kernel, x, quad, chunk=64):
     return out
 
 
+def _complex_field(m, shape):
+    """A complex field of every coordinate, with its callable."""
+    fn = lambda x: np.exp(0.3 * x[0] + 0.2j * sum(x)) * np.cos(x[-1])
+    bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
+    return HalfSpaceField(fn, bounds, shape), fn
+
+
+def _small_rule(kernel, m):
+    """A 70-, 210- or 630-node rule over the kernel's support: several
+    CONV_CHUNK blocks and a partial last one."""
+    specs = [(7, 10)] + [(1, 3)] * (m - 1)
+    axes = [_composite_gauss(lo, hi, panels, order)
+            for (lo, hi), (panels, order) in zip(kernel.support_box(), specs)]
+    quad = _tensor([a[0] for a in axes], [a[1] for a in axes])
+    assert len(quad[0]) > mollify.CONV_CHUNK and len(quad[0]) % mollify.CONV_CHUNK
+    return quad
+
+
+def _convolve_on(cpus, monkeypatch, *args, **kwargs):
+    """convolve_field on cpus slabs, with thread switches as often as possible."""
+    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return convolve_field(*args, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 7])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_convolve_field_equals_chunked_loop(m, cpus, monkeypatch):
     """Point slabs on a thread pool give the fixed-order loop's exact bits.
 
-    The rules have 70, 210 and 630 nodes, so every case runs several
-    CONV_CHUNK blocks and a partial last one; cpus sets the number of
-    slabs, 7 being more workers than a small machine has cores.
+    cpus sets the number of slabs, 7 being more workers than a small
+    machine has cores.
     """
-    bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
-    fn = lambda x: np.exp(0.3 * x[:, 0] + 0.2j * x.sum(axis=1)) * np.cos(x[:, -1])
-    f = HalfSpaceField(fn, bounds, (9,) * m)
+    f, _ = _complex_field(m, (9,) * m)
     kernel = DiracSequence(m, 0.2, 0.05)
-    specs = [(7, 10)] + [(1, 3)] * (m - 1)
-    axes = [_composite_gauss(lo, hi, panels, order)
-            for (lo, hi), (panels, order) in zip(kernel.support_box(), specs)]
-    quad = _tensor([a[0] for a in axes], [a[1] for a in axes])
+    quad = _small_rule(kernel, m)
     x = np.random.default_rng(m).uniform(-0.9, 0.0, (101, m))
     x[0, 0] = 0.0
-    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = convolve_field(f, kernel, x, quad=quad)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(quad[0]) > mollify.CONV_CHUNK and len(quad[0]) % mollify.CONV_CHUNK
+    got = _convolve_on(cpus, monkeypatch, f, kernel, x, quad=quad)
     assert np.array_equal(got, _fixed_order_convolve_oracle(f, kernel, x, quad))
+
+
+GRID_AXES = {
+    "full": (9, 6, 4),
+    "n1=1": (1, 6, 4),
+    "one point": (1, 1, 1),
+    "empty": (0, 6, 4),
+    "empty lateral": (9, 0, 4),
+    "repeated": (9, "repeated", 4),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("grid", list(GRID_AXES))
+def test_convolve_field_on_a_grid_equals_the_scattered_loop(grid, m, cpus, monkeypatch):
+    """On an (n_1, ..., n_m, m) grid, sampled through its open grid,
+    convolve_field gives the bits of the fixed-order loop on the same
+    nodes flattened to (N, m), which samples full columns, and its rows
+    have the grid's shape.
+
+    The grids include n_1 = 1, a single point and no points at all, and an
+    axis whose three values are equal, which collapses to length 1 for
+    every coordinate; the coordinates there are the same point's.
+    """
+    rng = np.random.default_rng(10 * m + len(grid))
+    axes = []
+    for k, n in enumerate(GRID_AXES[grid][:m]):
+        lo, hi = (-0.9, 0.0) if k == 0 else (-1.0, 1.0)
+        axes.append(np.full(3, rng.uniform(lo, hi)) if n == "repeated"
+                    else np.sort(rng.uniform(lo, hi, n)))
+    shape = tuple(len(a) for a in axes)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert nodes.shape == shape + (m,)
+    f, _ = _complex_field(m, (9,) * m)
+    kernel = DiracSequence(m, 0.2, 0.05)
+    quad = _small_rule(kernel, m)
+    got = _convolve_on(cpus, monkeypatch, f, kernel, nodes, quad=quad)
+    assert got.shape == (1 + m,) + shape
+    want = _fixed_order_convolve_oracle(f, kernel, nodes.reshape(-1, m), quad)
+    assert np.array_equal(got.reshape(1 + m, -1), want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_convolve_field_samples_a_grid_through_its_open_grid(m, monkeypatch):
+    """Each call of the callable gets one coordinate array per axis, of
+    length 1 on every other axis, so a subexpression of one coordinate
+    runs once per value on its axis; scattered points get full columns."""
+    shapes = []
+
+    def fn(x):
+        shapes.append([c.shape for c in x])
+        return np.cos(sum(x))
+
+    grid = (9, 6, 4)[:m]
+    f = HalfSpaceField(fn, [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1), grid)
+    kernel = DiracSequence(m, 0.2, 0.05)
+    quad = _small_rule(kernel, m)
+    nodes = f.grid_nodes()
+    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: {0})
+    convolve_field(f, kernel, nodes.reshape(grid + (m,)), quad=quad)
+    open_grid = [tuple(n if a == d else 1 for a, n in enumerate(grid)) for d in range(m)]
+    assert shapes == [open_grid] * len(quad[0])
+    shapes.clear()
+    convolve_field(f, kernel, nodes, quad=quad)
+    assert shapes == [[(len(nodes),)] * m] * len(quad[0])
 
 
 def test_convolve_field_reraises_a_worker_rows_exception():
@@ -362,7 +477,8 @@ def test_convolve_field_reraises_a_worker_rows_exception():
     t, w = kernel.quad_rule()
     x = np.array([[-0.5, 0.0], [-0.25, 0.5]])
 
-    def fn(pts):
+    def fn(coords):
+        pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
         if any(np.array_equal(pts, x[lo:lo + len(pts)] - t[70])
                for lo in range(len(x) - len(pts) + 1)):
             raise ZeroDivisionError("node 70")
@@ -379,9 +495,9 @@ def test_convolve_field_empty_and_one_point_sets(m, monkeypatch):
     at no points; one point on 7 CPUs is one slab."""
     calls = []
 
-    def fn(pts):
-        calls.append(len(pts))
-        return np.cos(pts[:, 0])
+    def fn(x):
+        calls.append(np.broadcast(*x).size)
+        return np.cos(x[0])
 
     bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
     f = HalfSpaceField(fn, bounds, (5,) * m)
@@ -398,12 +514,20 @@ def test_convolve_field_empty_and_one_point_sets(m, monkeypatch):
     assert np.array_equal(one, _fixed_order_convolve_oracle(f, kernel, x, quad))
 
 
+def test_convolve_field_needs_the_kernel_dimension():
+    """Points of another dimension than the kernel's are an error."""
+    f, _ = _smooth_field((5, 5))
+    kernel = DiracSequence(2, 0.2, 0.05)
+    with pytest.raises(ValueError, match="need 2 coordinates"):
+        convolve_field(f, kernel, np.zeros((4, 3)), quad=kernel.quad_rule())
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_convolve_field_keeps_real_data_real(m):
     """A real callable gives float64 samples and rows, bit-equal to the real
     parts that its complex copy gives, whose imaginary parts are zero."""
     bounds = [[-1.0, 0.0]] + [[-1.0, 1.0]] * (m - 1)
-    fn = lambda x: np.exp(0.3 * x[:, 0]) * np.cos(2.0 * x[:, -1]) - 0.4
+    fn = lambda x: np.exp(0.3 * x[0]) * np.cos(2.0 * x[-1]) - 0.4
     real = HalfSpaceField(fn, bounds, (9,) * m)
     copy = HalfSpaceField(lambda x: fn(x).astype(complex), bounds, (9,) * m)
     assert real.grid_values().dtype == np.float64
@@ -428,7 +552,8 @@ def _graph_fields(grid_n=17):
 def test_graph_callable_keeps_the_expression_bits():
     """The strip problem's in-place graph callable gives the bits of the
     plain expressions for f and Qf = d_1 f + x_2 d_2 f + f / 2, products
-    and sums in the same order, on its grid and on random points."""
+    and sums in the same order, on the columns of its grid nodes and of
+    random points, and on its open grid."""
     _, f, graph, _, f_fn = _graph_fields(33)
     x = np.vstack([f.grid_nodes(), np.random.default_rng(3).uniform(-1.0, 0.0, (999, 2))])
     x1, x2 = x[:, 0], x[:, 1]
@@ -437,25 +562,33 @@ def test_graph_callable_keeps_the_expression_bits():
     fv = 0.5 * c * e + 0.25 * x1 * x2
     df1 = -0.65 * np.sin(arg) * e + 0.25 * x2
     df2 = 0.35 * c * e + 0.25 * x1
-    got = graph.func(x)
-    assert got[0].tobytes() == fv.tobytes() == f_fn(x).tobytes()
-    assert got[1].tobytes() == (df1 + x2 * df2 + 0.5 * fv).tobytes()
+    qf = df1 + x2 * df2 + 0.5 * fv
+    got = graph.func([x1, x2])
+    assert got[0].tobytes() == fv.tobytes() == f_fn([x1, x2]).tobytes()
+    assert got[1].tobytes() == qf.tobytes()
+    on_grid = graph.func(list(np.ix_(*f.axes)))
+    n = len(f.grid_nodes())
+    assert on_grid[0].shape == on_grid[1].shape == f.shape
+    assert on_grid[0].tobytes() == fv[:n].tobytes()
+    assert on_grid[1].tobytes() == qf[:n].tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_graph_rows_equal_two_passes(cpus, monkeypatch):
     """The graph (f, Qf) in one pass gives [f * k, f * d_j k..., Qf * k],
-    the rows of one pass over f and one over Qf, bit for bit."""
+    the rows of one pass over f and one over Qf, bit for bit, on the grid
+    nodes as an (N, 2) stack and as a (17, 17, 2) grid."""
     _, f, graph, qf, _ = _graph_fields()
     kernel = DiracSequence(2, 0.1, 0.025)
     quad = kernel.quad_rule()
     x = f.grid_nodes()
-    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    got = convolve_field(graph, kernel, x, quad=quad)
-    assert got.shape == (4, len(x)) and got.dtype == np.float64
     want = np.vstack([_fixed_order_convolve_oracle(f, kernel, x, quad),
                       _fixed_order_convolve_oracle(qf, kernel, x, quad)[:1]])
-    assert np.array_equal(got, want)
+    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for points in (x, x.reshape(f.shape + (2,))):
+        got = convolve_field(graph, kernel, points, quad=quad)
+        assert got.shape == (4,) + points.shape[:-1] and got.dtype == np.float64
+        assert np.array_equal(got.reshape(4, -1), want)
 
 
 def test_convergence_report_rejects_a_graph_of_other_data():
@@ -467,6 +600,14 @@ def test_convergence_report_rejects_a_graph_of_other_data():
     for bad in (off, qf, _graph_fields(9)[2]):
         with pytest.raises(ValueError, match="pair"):
             convergence_report(op, f, bad, f_fn, [0.2], 2.0)
+
+
+def test_convergence_report_checks_the_trace_candidate_shape():
+    """f_b is sampled at the columns of the 17 face nodes; a column of
+    values is an error naming both shapes, not a (17, 17) difference."""
+    op, f, graph, _, _ = _graph_fields()
+    with pytest.raises(ValueError, match=r"shape \(17,\) .*got shape \(17, 1\)"):
+        convergence_report(op, f, graph, _column, [0.2], 2.0)
 
 
 def test_mollify_report_is_the_same_at_any_cpu_count(monkeypatch):
@@ -484,33 +625,37 @@ def test_mollify_report_is_the_same_at_any_cpu_count(monkeypatch):
 
 
 def test_grid_values_are_sampled_once_on_first_use():
+    """grid_values() calls the callable once, on the open grid."""
     calls = []
 
     def fn(x):
-        calls.append(len(x))
-        return x[:, 0] + 2j * x[:, 1]
+        calls.append([c.shape for c in x])
+        return x[0] + 2j * x[1]
 
     f = HalfSpaceField(fn, BOUNDS, (5, 7))
     assert calls == []
     first = f.grid_values()
-    assert f.grid_values() is first and calls == [35]
+    assert f.grid_values() is first and calls == [[(5, 1), (1, 7)]]
     nodes = f.grid_nodes()
+    assert first.shape == (5, 7)
     assert np.array_equal(first.ravel(), nodes[:, 0] + 2j * nodes[:, 1])
 
 
 def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
     """Each eps step samples the graph (f, Qf) at len(rule) * N shifted
     points, once per point, not (2+m)x or once for f and again for Qf; f
-    itself is sampled only on its grid."""
+    itself is sampled only on its grid.  Every call gets open-grid
+    coordinates, 17 normal values per slab row set and 17 lateral ones."""
     f_calls, graph_calls = [], []
 
     def fn(x):
-        f_calls.append(len(x))
-        return np.cos(x[:, 0]) + 1j * x[:, 1]
+        f_calls.append(np.broadcast(*x).size)
+        return np.cos(x[0]) + 1j * x[1]
 
     def graph_fn(x):
-        graph_calls.append(len(x))
-        return np.cos(x[:, 0]) + 1j * x[:, 1], -np.sin(x[:, 0])
+        graph_calls.append(np.broadcast(*x).size)
+        assert x[0].shape[1:] == (1,) and x[1].shape == (1, 17)
+        return np.cos(x[0]) + 1j * x[1], -np.sin(x[0])
 
     shape = (17, 17)
     f = HalfSpaceField(fn, BOUNDS, shape)
@@ -518,7 +663,7 @@ def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
     monkeypatch.setattr(mollify, "choose_tau", lambda f, eps, p: 0.05)
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
     eps = [0.2, 0.1]
-    convergence_report(op, f, graph, lambda x: np.cos(x[:, 0]), eps, 2.0)
+    convergence_report(op, f, graph, lambda x: np.cos(x[0]), eps, 2.0)
     n = shape[0] * shape[1]
     rule = sum(len(DiracSequence(2, e, 0.05).quad_rule()[0]) for e in eps)
     assert f_calls == [n]
@@ -526,8 +671,8 @@ def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
 
 
 def test_convergence_report_structure_and_interior_ladder():
-    fn = lambda x: np.cos(1.3 * x[:, 0] + 0.4) * np.exp(0.7 * x[:, 1]) * 0.5
-    qfn = lambda x: -0.65 * np.sin(1.3 * x[:, 0] + 0.4) * np.exp(0.7 * x[:, 1])
+    fn = lambda x: np.cos(1.3 * x[0] + 0.4) * np.exp(0.7 * x[1]) * 0.5
+    qfn = lambda x: -0.65 * np.sin(1.3 * x[0] + 0.4) * np.exp(0.7 * x[1])
     f = HalfSpaceField(fn, BOUNDS, (65, 65))
     graph = HalfSpaceField(lambda x: (fn(x), qfn(x)), BOUNDS, (65, 65))
     op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
