@@ -43,12 +43,13 @@ one pass over the rule, in blocks of at most NODE_BLOCK nodes that one
 worker per usable CPU folds and sweeps: within a block it takes
 sub-blocks of about PAIR_BLOCK node-point pairs, each with one matmul for
 |zeta-z|^2 = |zeta|^2 + |z|^2 - 2 z.zeta and one of 1/|zeta-z|^{2n}
-(exactly 0 at dropped nodes) with the fold.  The products are added up in
-node order, so every value is the same whatever the number of CPUs.  The
-expanded distance and the final difference round differently from exact
-coordinate differences: the values agree with that contraction to within
-1e-13 of the sum of the terms' moduli, the cancellation being worst next
-to the excluded ball.  The operand's field callables run on several
+(exactly 0 at dropped nodes) with the fold.  A block's products are added
+into that block's own partial sum and the partials in block order, so
+every value is the same whatever the number of CPUs.  The expanded
+distance and the final difference round differently from exact coordinate
+differences: the values agree with that contraction to within 1e-13 of
+the sum of the terms' moduli, the cancellation being worst next to the
+excluded ball.  The operand's field callables run on several
 threads at once and must be pure.  Each worker reads its block through
 rule.part, which writes a ball volume rule's nodes and weights from the
 radial and unit-sphere factors the rule keeps, so only boundary rules and
@@ -276,6 +277,13 @@ def _norm2(d, out, tmp):
     return out
 
 
+def _check_finite(points):
+    """ValueError naming the first row of the (P, m) stack that is not finite."""
+    bad = ~np.all(np.isfinite(points), axis=1)
+    if bad.any():
+        raise ValueError(f"evaluation point {points[bad][0].tolist()} is not finite")
+
+
 def _sweep(form, rule, points, radius=0.0, centers=None):
     """(P, K) values sum_i w_i sum_j density_Jj(i) s_j(i; y_p), K = |multi_indices(n, q)|,
     s_j = conj(zeta_j - y_j)/|zeta - y|^{2n}.
@@ -291,11 +299,11 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     from several threads) and sweeps the block in sub-blocks of about
     PAIR_BLOCK node-point pairs.  A sub-block takes |zeta - y_p|^2 as
     |zeta|^2 + |y_p|^2 - 2 y_p . zeta from one (P, 2n) @ (2n, b) product,
-    and keeps one (P, b) @ (b, 4T) product of 1/|zeta - y_p|^{2n} (exactly 0
-    at dropped nodes) with the fold.  The calling thread adds the products
-    into the sum in node order as their blocks finish: the chain of additions
-    is that of one serial pass, whatever the number of CPUs.  The sum's
-    s1 - conj(y_j) s0 per point (see _fold) is taken once, at the end.
+    and adds one (P, b) @ (b, 4T) product of 1/|zeta - y_p|^{2n} (exactly 0
+    at dropped nodes) with the fold into the block's own (P, 4T) partial
+    sum.  Once every block is done the partials are added in block order,
+    so the chain of additions does not depend on the number of CPUs.  The
+    sum's s1 - conj(y_j) s0 per point (see _fold) is taken once, at the end.
 
     A node is dropped (adds an exact 0) where it equals y_p and where it
     lies closer than radius to y_p or, given centers (C, 2n), to the centre
@@ -304,12 +312,14 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     at most R2_FLOOR * |y_p|^2 when that is larger, so that at radius 0 a
     node at y_p, whose expanded distance rounds to a few units of
     |y_p|^2 * eps (+-4.4e-16 on the unit circle) rather than to 0, is
-    dropped.  Given centers, the centre test alone
-    makes it, on exact coordinate differences: every y_p must lie closer
-    than radius to its centre, as dbar_potential's stencil points do (h
-    from the centre, radius rho + h).  The zeta rows of a block are its
-    coordinates, contiguous when rule.part writes the block
-    coordinate-major, as it does for a ball volume rule.
+    dropped.  Given centers, the centre test alone makes it, on
+    |zeta - c|^2 = |zeta|^2 + |c|^2 - 2 c . zeta from one (C, 2n) @ (2n, b)
+    product, less than radius^2: every y_p must lie closer than radius to
+    its centre, as dbar_potential's stencil points do (h from the centre,
+    radius rho + h).  The zeta rows of a block are its coordinates,
+    contiguous when rule.part writes the block coordinate-major, as it does
+    for a ball volume rule.  A point that is not finite is a ValueError
+    that names it.
     """
     n, q = form.n, form.q - (rule.nu is None)
     terms = _kernel_terms(form, q, rule.nu is None)
@@ -317,29 +327,28 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     count, m = points.shape
     if m != 2 * n:
         raise ValueError(f"a form on C^{n} needs points in R^{2 * n}, got R^{m}")
+    _check_finite(points)
     values = np.zeros((count, len(multi_indices(n, q))), dtype=complex)
     if not (count and terms):
         return values
-    acc = np.zeros((count, 4 * len(terms)))
     r2 = radius * radius
     ysq = _norm2(points.T, np.empty(count), np.empty(count))[:, None]
     limit = np.maximum(r2, R2_FLOOR * ysq)
     ym2 = -2.0 * points
+    if centers is not None:
+        csq = _norm2(centers.T, np.empty(len(centers)), np.empty(len(centers)))[:, None]
+        cm2 = -2.0 * centers
     block = min(NODE_BLOCK, len(rule))
     step = min(max(1, PAIR_BLOCK // count), block)
     starts = range(0, len(rule), NODE_BLOCK)
-    products = [None] * len(starts)   # per block: its sub-block products, in node order
-    claim = itertools.count()         # one atomic next() per block: no block runs twice
+    partials = np.zeros((len(starts), count, 4 * len(terms)))   # one row per block
+    claim = itertools.count()   # one atomic next() per block: no block runs twice
 
-    def work(after_block):
+    def work():
         fold = np.empty((4 * len(terms), block))
         zsq, ztmp = np.empty((2, block))
         dist2, scale = np.empty((2, count * step))
         drop = np.empty(count * step, dtype=bool)
-        if centers is not None:
-            cs = centers.T[:, :, None]
-            cdiff = np.empty((m, len(centers), step))
-            cdist2, ctmp = np.empty((2, len(centers), step))
         while (k := next(claim)) < len(starts):
             start = starts[k]
             nodes, weights, nu = rule.part(start, start + NODE_BLOCK)
@@ -347,7 +356,6 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
             _fold(fold[:, :size], terms, nodes, nu, weights)
             zeta = nodes.T
             _norm2(zeta, zsq[:size], ztmp[:size])
-            out = []
             for sub in range(0, size, step):
                 b = min(step, size - sub)
                 r, sc = dist2[:count * b].reshape(count, b), scale[:count * b].reshape(count, b)
@@ -358,39 +366,23 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
                 if centers is None:
                     np.less_equal(r, limit, out=dr)
                 else:
-                    cd, cr = cdiff[:, :, :b], cdist2[:, :b]
-                    np.subtract(zeta[:, None, sub:sub + b], cs, out=cd)
-                    _norm2(cd, cr, ctmp[:, :b])
-                    dr.reshape(len(centers), -1, b)[:] = (cr < r2)[:, None, :]
-                if n > 1:
-                    np.multiply(r, r, out=sc)
-                    for _ in range(n - 2):
-                        sc *= r
-                else:
-                    sc = r   # no later step of the sub-block reads r
+                    cr = sc[:len(centers)]   # |zeta - c|^2, read before sc is written
+                    np.matmul(cm2, zeta[:, sub:sub + b], out=cr)
+                    cr += csq
+                    cr += zsq[sub:sub + b]
+                    np.less(cr[:, None, :], r2, out=dr.reshape(len(centers), -1, b))
+                np.power(r, n, out=sc)
                 np.copyto(sc, np.inf, where=dr)
                 np.divide(1.0, sc, out=sc)
-                out.append(sc @ fold[:, sub:sub + b].T)
-            products[k] = out
-            after_block()
-
-    added = 0
-
-    def add_done():
-        nonlocal added
-        while added < len(starts) and products[added] is not None:
-            for p in products[added]:
-                np.add(acc, p, out=acc)
-            products[added] = None
-            added += 1
+                partials[k] += sc @ fold[:, sub:sub + b].T
 
     workers = min(len(os.sched_getaffinity(0)), len(starts))
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, lambda: None) for _ in range(workers - 1)]
-        work(add_done)
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
         for helper in helpers:
             helper.result()   # re-raises a helper's error
-    add_done()
+    acc = partials.sum(axis=0)   # block order: the same sum whatever the number of CPUs
     ybar = np.conj(points[:, 0::2] + 1j * points[:, 1::2])
     for t, (k, j, _) in enumerate(terms):
         s0 = acc[:, 4 * t] + 1j * acc[:, 4 * t + 1]
@@ -427,7 +419,7 @@ def op_boundary(f_b, z, domain, config=None):
     config = config or SingularQuadratureConfig()
     z = np.asarray(z, dtype=float)
     if dist_boundary(domain, z) <= 0:
-        raise ValueError("evaluation point must be strictly inside the domain")
+        raise ValueError(f"evaluation point {z.tolist()} must be strictly inside the domain")
     value = _sweep(f_b, boundary_rule(domain, config.levels()[-1]), z[None, :])[0]
     return {"value": _as_dict(multi_indices(f_b.n, f_b.q), value)}
 
@@ -468,6 +460,7 @@ def dbar_potential(f, z, rule):
     if zs.ndim != 2 or zs.shape[1] != 2 * n:
         raise ValueError(f"dbar_potential needs a (P, {2 * n}) stack of points, "
                          f"got shape {zs.shape}")
+    _check_finite(zs)
     if q == 0:
         return np.zeros((len(zs), 1), dtype=complex)
     rho = FD_EXCLUSION_FACTOR * rule.spacing
@@ -509,6 +502,7 @@ def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):
     scale = domain.radius if domain.radius is not None else 1.0
     margin = MARGIN_FACTOR * scale
     z_points = np.atleast_2d(np.asarray(z_points, dtype=float))
+    _check_finite(z_points)
     inside = dist_boundary(domain, z_points) >= margin
     flagged = [z_points[i] for i in range(len(z_points)) if not inside[i]]
     zs = z_points[inside]

@@ -64,6 +64,13 @@ TAU_K_MAX = 40    # choose_tau tries tau down to eps * 2^-TAU_K_MAX
 CONV_CHUNK = 64   # kernel nodes per partial sum in convolve_field
 
 
+def _scale(name, value):
+    """value as a float; a ValueError naming it unless it is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
 def _sphere_area(d):
     """Surface measure of S^{d-1}; the d=1 value 2 counts the two endpoints."""
     return 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -88,11 +95,11 @@ class DiracSequence:
     """
 
     def __init__(self, m, epsilon, tau):
-        if not (0 < tau <= epsilon):
-            raise ValueError("need 0 < tau <= epsilon")
         self.m = m
-        self.epsilon = float(epsilon)
-        self.tau = float(tau)
+        self.epsilon = _scale("epsilon", epsilon)
+        self.tau = _scale("tau", tau)
+        if self.tau > self.epsilon:
+            raise ValueError(f"need tau <= epsilon, got tau = {tau!r} > epsilon = {epsilon!r}")
         self.mass = _radial_bump_mass(m - 1)
 
     def _lateral(self, t):
@@ -269,10 +276,11 @@ def slab_mass(f, tau, p, samples=None):
     by its edges.  choose_tau shares one across its search: the panels of
     tau/2 are those of tau less [-2tau, -tau], plus one deeper half, so each
     panel is sampled once, and the sum is the same either way.
-    Needs 1 <= p < inf: at p = inf, |f|^p is 0 or inf.
+    Needs 1 <= p < inf: at p = inf, |f|^p is 0 or inf; and a finite tau > 0.
     """
     if not 1 <= p < np.inf:
         raise ValueError(f"slab_mass needs 1 <= p < inf, got p = {p!r}")
+    tau = _scale("tau", tau)
     if samples is None:
         samples = {}
     t1, wt, vals, _ = _slab_panel(f, (-2.0 * tau, -tau), p, samples)
@@ -289,7 +297,9 @@ def slab_mass(f, tau, p, samples=None):
 
 
 def choose_tau(f, epsilon, p):
-    """Largest dyadic tau = eps * 2^{-k} passing the boundary-slab criterion."""
+    """Largest dyadic tau = eps * 2^{-k} passing the boundary-slab criterion;
+    eps must be finite and > 0."""
+    epsilon = _scale("epsilon", epsilon)
     samples = {}   # one search's panel samples, shared by the taus it tries
     for k in range(TAU_K_MAX + 1):
         tau = epsilon * 2.0 ** (-k)

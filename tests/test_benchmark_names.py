@@ -3,7 +3,9 @@
 perfbench's layer tracer finds bmklab's public functions and methods by
 name, and its workloads read a few private cli names.  A rename passes
 every other test and shows up only in a traced benchmark run, as a metric
-that reads 0 or as a crash, so these tests read each such name.
+that reads 0 or as a crash, so these tests read each such name.  A last
+test runs input set 0 of each workload through the benchmark's output
+check, so drift from the recorded reference shows here too.
 """
 
 import dataclasses
@@ -12,6 +14,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from bmklab import cli
 from bmklab.geometry import Domain
@@ -117,3 +121,22 @@ def test_workload_configs_build_from_the_shipped_config(monkeypatch, tmp_path):
             for experiment, config in configs.items():
                 assert isinstance(config, cli.ExperimentConfig)
                 assert config.experiment == experiment
+
+
+@pytest.mark.parametrize("workload", ["ball-c2", "disc-c1", "strip-mollify"])
+def test_input_set_0_reproduces_the_reference(workload, monkeypatch, tmp_path):
+    """Input set 0 of each workload, run and read back as perfbench/worker.py
+    does, passes the benchmark's output check against the recorded
+    reference, so a change that drifts past its tolerance fails here and not
+    only in a benchmark run."""
+    workloads = _load(os.path.join(PERFBENCH, "workloads.py"), "perfbench_workloads",
+                      monkeypatch)
+    check = _load(os.path.join(PERFBENCH, "check.py"), "perfbench_check", monkeypatch)
+    profile = (workloads.load_kernel_profile()
+               if "kernel-profile" in workloads.WORKLOADS[workload] else None)
+    out_dir = str(tmp_path)
+    configs = workloads.build_configs(cli, workload, 0, out_dir)
+    result = {"seeds": {name: cfg.seed for name, cfg in configs.items()},
+              "outcomes": workloads.run(cli, workload, configs, out_dir, profile),
+              "outputs": workloads.collect_outputs(workload, configs, out_dir)}
+    assert check.check_repetition(check.load_reference(workload)["sets"]["0"], result) == []

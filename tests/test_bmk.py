@@ -250,8 +250,9 @@ def test_sweep_blocking_does_not_change_results(monkeypatch):
 
 def _serial_sweep(form, rule, points, radius=0.0, centers=None):
     """The one-thread sweep that bmk._sweep must equal bit for bit: blocks
-    folded and swept in node order, each sub-block's product added as soon
-    as it is made, and s1 - conj(y_j) s0 taken once at the end."""
+    folded and swept in node order, each sub-block's product added into its
+    block's own partial sum, the partials added in block order, and
+    s1 - conj(y_j) s0 taken once at the end."""
     interior = rule.nu is None
     n, q = form.n, form.q - interior
     terms = bmk._kernel_terms(form, q, interior)
@@ -260,12 +261,16 @@ def _serial_sweep(form, rule, points, radius=0.0, centers=None):
     values = np.zeros((count, len(multi_indices(n, q))), dtype=complex)
     if not (count and terms):
         return values
-    acc = np.zeros((count, 4 * len(terms)))
     ysq = np.zeros((count, 1))
     for c in range(m):
         ysq[:, 0] += points[:, c] * points[:, c]
     limit = np.maximum(radius * radius, bmk.R2_FLOOR * ysq)
+    if centers is not None:
+        csq = np.zeros((len(centers), 1))
+        for c in range(m):
+            csq[:, 0] += centers[:, c] * centers[:, c]
     step = min(max(1, bmk.PAIR_BLOCK // count), bmk.NODE_BLOCK, len(rule))
+    acc = None
     for start in range(0, len(rule), bmk.NODE_BLOCK):
         nodes, weights, nu = rule.part(start, start + bmk.NODE_BLOCK)
         fold = np.empty((4 * len(terms), len(nodes)))
@@ -273,6 +278,7 @@ def _serial_sweep(form, rule, points, radius=0.0, centers=None):
         zsq = np.zeros(len(nodes))
         for c in range(m):
             zsq += nodes[:, c] * nodes[:, c]
+        partial = np.zeros((count, 4 * len(terms)))
         for sub in range(0, len(nodes), step):
             zeta = nodes[sub:sub + step]
             r = (-2.0 * points) @ zeta.T
@@ -281,16 +287,14 @@ def _serial_sweep(form, rule, points, radius=0.0, centers=None):
             if centers is None:
                 drop = r <= limit
             else:
-                cr = np.zeros((len(centers), len(zeta)))
-                for c in range(m):
-                    cd = zeta[:, c] - centers[:, c, None]
-                    cr += cd * cd
+                cr = (-2.0 * centers) @ zeta.T
+                cr += csq
+                cr += zsq[sub:sub + step]
                 drop = np.repeat(cr < radius * radius, count // len(centers), axis=0)
-            scale = r.copy()
-            for _ in range(n - 1):
-                scale *= r
+            scale = np.power(r, n)
             scale[drop] = np.inf
-            acc += (1.0 / scale) @ fold[:, sub:sub + step].T
+            partial += (1.0 / scale) @ fold[:, sub:sub + step].T
+        acc = partial if acc is None else acc + partial
     ybar = np.conj(points[:, 0::2] + 1j * points[:, 1::2])
     for t, (k, j, _) in enumerate(terms):
         s0 = acc[:, 4 * t] + 1j * acc[:, 4 * t + 1]
@@ -380,18 +384,26 @@ def test_pooled_sweep_equals_serial_sweep(monkeypatch, cpus):
     last one, op_volume, op_boundary, reproduce_residual on the disc and the
     4-ball and dbar_potential on a stack are bit-identical to the serial
     sweep, on pools of 1, 2 and 7 workers and with threads switching every
-    microsecond."""
+    microsecond.  At the default PAIR_BLOCK each block is one sub-block; at
+    3 pairs it is 3 or 7 sub-blocks, whose products its partial sum adds."""
     monkeypatch.setattr(bmk, "NODE_BLOCK", 7)
     _use_cpus(monkeypatch, cpus)
+    pair_blocks = (bmk.PAIR_BLOCK, 3)
+
+    def outputs():
+        for pair_block in pair_blocks:
+            monkeypatch.setattr(bmk, "PAIR_BLOCK", pair_block)
+            yield [v for v, _ in _blocking_outputs()[0]]
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = [v for v, _ in _blocking_outputs()[0]]
+        pooled = list(outputs())
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.setattr(bmk, "_sweep", _serial_sweep)
-    serial = [v for v, _ in _blocking_outputs()[0]]
-    assert np.array_equal(pooled, serial)
+    for pair_block, got, want in zip(pair_blocks, pooled, outputs(), strict=True):
+        assert np.array_equal(got, want), pair_block
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 7])
@@ -819,6 +831,30 @@ def test_dbar_potential_takes_a_stack_of_points_only():
             bmk.dbar_potential(f, z, rule)
     f0 = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (1,), (0,))})
     assert np.array_equal(bmk.dbar_potential(f0, np.zeros((3, 2)), rule), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.1, np.inf], [-np.inf, np.nan]])
+def test_a_point_that_is_not_finite_is_named(bad):
+    """op_volume, op_boundary, dbar_potential (also at q = 0, where no
+    sweep runs) and reproduce_residual at a point with a NaN or infinite
+    coordinate raise one ValueError naming that point, rather than a NaN
+    or zero value or a flag as too near bD.  An
+    infinite point without a NaN lies outside the disc, which is the error
+    op_boundary gives it."""
+    f = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (0,))})
+    f0 = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (1,), (0,))})
+    outside = "must be strictly inside" if not np.isnan(bad).any() else "is not finite"
+    calls = [(lambda: bmk.op_volume(f, np.array(bad), DISC), "is not finite"),
+             (lambda: bmk.op_boundary(f0, np.array(bad), DISC), outside),
+             (lambda: bmk.dbar_potential(f, np.array([[0.1, 0.2], bad]), volume_rule(DISC, 0)),
+              "is not finite"),
+             (lambda: bmk.dbar_potential(f0, np.array([bad]), volume_rule(DISC, 0)),
+              "is not finite"),
+             (lambda: bmk.reproduce_residual(f0, f0, f, DISC, np.array([[0.1, 0.2], bad])),
+              "is not finite")]
+    for call, what in calls:
+        with pytest.raises(ValueError, match=re.escape(f"evaluation point {bad} {what}")):
+            call()
 
 
 @given(radius=st.sampled_from([0.5, 1.0, 2.0]),

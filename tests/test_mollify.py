@@ -1,5 +1,6 @@
 """Boundary-adapted mollifiers: kernels, normal-scale selection, traces."""
 
+import re
 import sys
 
 import numpy as np
@@ -50,8 +51,23 @@ def test_dirac_sequence_support_is_interior_slab():
 
 
 def test_dirac_sequence_rejects_bad_tau():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need tau <= epsilon"):
         DiracSequence(2, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_scales_must_be_finite_and_positive(bad):
+    """A scale eps or tau that is 0, negative, NaN or infinite is a
+    ValueError naming it, not a negative tau, a NaN or negative slab mass,
+    or choose_tau blaming the sample grid."""
+    f, _ = _smooth_field()
+    for name, call in (("epsilon", lambda: DiracSequence(2, bad, 0.1)),
+                       ("tau", lambda: DiracSequence(2, 0.2, bad)),
+                       ("tau", lambda: slab_mass(f, bad, 2.0)),
+                       ("epsilon", lambda: choose_tau(f, bad, 2.0))):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and > 0, "
+                                                       f"got {bad!r}")):
+            call()
 
 
 @pytest.mark.parametrize("n_normal", [0, 1])
@@ -301,7 +317,7 @@ def test_choose_tau_raises_when_slab_mass_cannot_comply():
     """|f|^p just inside non-integrability defeats every dyadic scale."""
     fn = lambda x: np.abs(x[0]) ** -0.49
     f = HalfSpaceField(fn, BOUNDS, (33, 33))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no admissible normal scale"):
         choose_tau(f, 0.2, 2.0)
 
 
