@@ -13,13 +13,10 @@ q = n produce the zero kernel (no admissible index sets).
 The volume operator integrates g ^ B over the domain with a small ball
 around the evaluation point excluded; the kernel is odd under reflection
 through z, so the dropped ball costs O(rho^2) and plain nested refinement
-converges.  d-bar of the volume potential is taken by centered finite
-differences of the numerically evaluated potential, with one shared
-exclusion ball (radius rho + step, centered at the base point) for every
-shifted evaluation so the quadrature node set does not jump inside the
-difference stencil; the off-center exclusion bias, which is linear in
-the shift and exactly computable as a ball average of the kernel, is
-restored analytically before differencing.  Both radii, the step and the
+converges.  d-bar of the volume potential is the centered finite
+difference of the potential outside one exclusion ball (radius rho +
+step, centered at the base point, shared by the stencil) minus the delta
+term (pi^n/n!) A(z) of each kernel density A.  Both radii, the step and the
 boundary margin of the residual ladder are fixed multiples (the *_FACTOR
 constants) of the level rule's spacing or of the domain radius; a
 SingularQuadratureConfig sets only which levels run.
@@ -42,8 +39,8 @@ needs no coordinate differences.  It evaluates every point of a level in
 one pass over the rule, in blocks of at most NODE_BLOCK nodes that one
 worker per usable CPU folds and sweeps: within a block it takes
 sub-blocks of about PAIR_BLOCK node-point pairs, each with one matmul for
-|zeta-z|^2 = |zeta|^2 + |z|^2 - 2 z.zeta and one of 1/|zeta-z|^{2n}
-(exactly 0 at dropped nodes) with the fold.  A block's products are added
+|zeta-z|^2 = |zeta|^2 + |z|^2 - 2 z.zeta, set to inf at dropped nodes,
+and one of 1/|zeta-z|^{2n} with the fold.  A block's products are added
 into that block's own partial sum and the partials in block order, so
 every value is the same whatever the number of CPUs.  The expanded
 distance and the final difference round differently from exact coordinate
@@ -299,8 +296,9 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     from several threads) and sweeps the block in sub-blocks of about
     PAIR_BLOCK node-point pairs.  A sub-block takes |zeta - y_p|^2 as
     |zeta|^2 + |y_p|^2 - 2 y_p . zeta from one (P, 2n) @ (2n, b) product,
-    and adds one (P, b) @ (b, 4T) product of 1/|zeta - y_p|^{2n} (exactly 0
-    at dropped nodes) with the fold into the block's own (P, 4T) partial
+    writes inf there at dropped nodes, and adds one (P, b) @ (b, 4T) product
+    of 1/|zeta - y_p|^{2n}, 1/r divided n - 1 times by r (exactly 0 at
+    dropped nodes), with the fold into the block's own (P, 4T) partial
     sum.  Once every block is done the partials are added in block order,
     so the chain of additions does not depend on the number of CPUs.  The
     sum's s1 - conj(y_j) s0 per point (see _fold) is taken once, at the end.
@@ -348,7 +346,6 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
         fold = np.empty((4 * len(terms), block))
         zsq, ztmp = np.empty((2, block))
         dist2, scale = np.empty((2, count * step))
-        drop = np.empty(count * step, dtype=bool)
         while (k := next(claim)) < len(starts):
             start = starts[k]
             nodes, weights, nu = rule.part(start, start + NODE_BLOCK)
@@ -359,21 +356,20 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
             for sub in range(0, size, step):
                 b = min(step, size - sub)
                 r, sc = dist2[:count * b].reshape(count, b), scale[:count * b].reshape(count, b)
-                dr = drop[:count * b].reshape(count, b)
                 np.matmul(ym2, zeta[:, sub:sub + b], out=r)
                 r += ysq
                 r += zsq[sub:sub + b]
                 if centers is None:
-                    np.less_equal(r, limit, out=dr)
+                    np.copyto(r, np.inf, where=r <= limit)
                 else:
                     cr = sc[:len(centers)]   # |zeta - c|^2, read before sc is written
                     np.matmul(cm2, zeta[:, sub:sub + b], out=cr)
                     cr += csq
                     cr += zsq[sub:sub + b]
-                    np.less(cr[:, None, :], r2, out=dr.reshape(len(centers), -1, b))
-                np.power(r, n, out=sc)
-                np.copyto(sc, np.inf, where=dr)
-                np.divide(1.0, sc, out=sc)
+                    np.copyto(r.reshape(len(centers), -1, b), np.inf, where=(cr < r2)[:, None, :])
+                np.divide(1.0, r, out=sc)
+                for _ in range(n - 1):
+                    sc /= r
                 partials[k] += sc @ fold[:, sub:sub + b].T
 
     workers = min(len(os.sched_getaffinity(0)), len(starts))
@@ -438,20 +434,21 @@ def _dbar_from_partials(n, q, comps):
 
 
 def dbar_potential(f, z, rule):
-    """(P, K) values of dbar_z B^D_{q-1} f at the (P, 2n) points z, by centered
-    differences of the potential; K = |multi_indices(n, q)|, and q = 0 gives zeros.
+    """(P, K) values of dbar_z B^D_{q-1} f at the (P, 2n) points z, q = f.q and
+    K = |multi_indices(n, q)| (q = 0 has no kernel terms and gives zeros), from
 
-    rule is the level's interior rule; f is folded once over it
-    for all 4n P stencil points.  The stencil points of a base point share
-    one exclusion ball centered at that base point with radius rho + step,
-    so the node set never changes inside its difference stencil.  The removed ball is not
-    centered at the shifted points, which biases the potential linearly in
-    the shift; the bias is the exact ball average of s_j times the local
-    fold coefficient, int_{B(c,R)} s_j dV = (pi^n/n!) (cbar_j - ybar_j), and
-    is added back analytically before differencing.  The leftover stencil
-    error is O(rho^2) from the variation of the operand across the ball only
-    while B(z, rho + h) lies inside D.  rho + h is 6 level spacings, 2^-level
-    on the unit ball, so at level 0 it never does.
+        d/dzbar_j int_D A s_j dV = PV-part - (pi^n/n!) A(z)
+
+    for each density A = density_Jj of _kernel_terms (Range, GTM 108,
+    ch. IV), the delta term coming from the pole.  The principal-value part
+    is the centered difference of the far potential, which the sweep takes
+    at the 4n shifted points z +- h dx_j, z +- h dy_j of each base point
+    over the nodes outside one ball of radius rho + h about that base
+    point, so the node set never changes inside its difference stencil; rule
+    is the level's interior rule, and f is folded once over it for all 4n P
+    points.  The leftover stencil error is O(rho^2) from the variation of the
+    operand across the ball only while B(z, rho + h) lies inside D.  rho + h is 6
+    level spacings, 2^-level on the unit ball, so at level 0 it never does.
     """
     if rule.nu is not None:
         raise ValueError("dbar_potential needs an interior rule, got a boundary rule")
@@ -461,28 +458,22 @@ def dbar_potential(f, z, rule):
         raise ValueError(f"dbar_potential needs a (P, {2 * n}) stack of points, "
                          f"got shape {zs.shape}")
     _check_finite(zs)
-    if q == 0:
-        return np.zeros((len(zs), 1), dtype=complex)
     rho = FD_EXCLUSION_FACTOR * rule.spacing
     h = FD_STEP_FACTOR * rho
     steps = h * np.eye(2 * n)
     # per base point and direction j: z + dx_j, z - dx_j, z + dy_j, z - dy_j
     shifts = np.stack([sign * steps[c] for c in range(2 * n) for sign in (1.0, -1.0)])
     ys = zs[:, None, :] + shifts[None, :, :]
-    keys = multi_indices(n, q - 1)
     vals = _sweep(f, rule, ys.reshape(-1, 2 * n), rho + h, centers=zs)
-    vals = vals.reshape(len(zs), 4 * n, len(keys))
-    d = ys - zs[:, None, :]
-    dc = d[..., 0::2] + 1j * d[..., 1::2]
+    vals = vals.reshape(len(zs), n, 4, vals.shape[1])
+    ddx = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
+    ddy = (vals[:, :, 2] - vals[:, :, 3]) / (2.0 * h)
+    comps = 0.5 * (ddx + 1j * ddy)
     ball_factor = math.pi ** n / math.factorial(n)
     calls = {}
     for k, j, parts in _kernel_terms(f, q - 1, True):
-        a = _density(parts, zs, None, calls)
-        vals[:, :, k] += a[:, None] * ball_factor * (-np.conj(dc[:, :, j - 1]))
-    vals = vals.reshape(len(zs), n, 4, len(keys))
-    ddx = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
-    ddy = (vals[:, :, 2] - vals[:, :, 3]) / (2.0 * h)
-    return _dbar_from_partials(n, q - 1, 0.5 * (ddx + 1j * ddy))
+        comps[:, j - 1, k] -= ball_factor * _density(parts, zs, None, calls)
+    return _dbar_from_partials(n, q - 1, comps)
 
 
 def reproduce_residual(f, f_b, dbar_f, domain, z_points, config=None):

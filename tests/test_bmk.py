@@ -33,6 +33,7 @@ from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_ru
 
 DISC = make_domain("ball", m=2)
 BALL4 = make_domain("ball", m=4)
+BALL6 = make_domain("ball", m=6)
 
 
 def _cval(x):
@@ -250,9 +251,11 @@ def test_sweep_blocking_does_not_change_results(monkeypatch):
 
 def _serial_sweep(form, rule, points, radius=0.0, centers=None):
     """The one-thread sweep that bmk._sweep must equal bit for bit: blocks
-    folded and swept in node order, each sub-block's product added into its
-    block's own partial sum, the partials added in block order, and
-    s1 - conj(y_j) s0 taken once at the end."""
+    folded and swept in node order, |zeta - y|^2 set to inf at dropped
+    nodes, 1/|zeta - y|^{2n} taken as 1/r divided n - 1 times by r, each
+    sub-block's product added into its block's own partial sum, the
+    partials added in block order, and s1 - conj(y_j) s0 taken once at the
+    end."""
     interior = rule.nu is None
     n, q = form.n, form.q - interior
     terms = bmk._kernel_terms(form, q, interior)
@@ -291,9 +294,11 @@ def _serial_sweep(form, rule, points, radius=0.0, centers=None):
                 cr += csq
                 cr += zsq[sub:sub + step]
                 drop = np.repeat(cr < radius * radius, count // len(centers), axis=0)
-            scale = np.power(r, n)
-            scale[drop] = np.inf
-            partial += (1.0 / scale) @ fold[:, sub:sub + step].T
+            r[drop] = np.inf
+            scale = 1.0 / r
+            for _ in range(n - 1):
+                scale /= r
+            partial += scale @ fold[:, sub:sub + step].T
         acc = partial if acc is None else acc + partial
     ybar = np.conj(points[:, 0::2] + 1j * points[:, 1::2])
     for t, (k, j, _) in enumerate(terms):
@@ -404,6 +409,57 @@ def test_pooled_sweep_equals_serial_sweep(monkeypatch, cpus):
     monkeypatch.setattr(bmk, "_sweep", _serial_sweep)
     for pair_block, got, want in zip(pair_blocks, pooled, outputs(), strict=True):
         assert np.array_equal(got, want), pair_block
+
+
+def _stencil(zs, rule):
+    """dbar_potential's stencil about the (P, 2n) points zs on rule: its step
+    h, its (4n, 2n) shifts +-h dx_j, +-h dy_j in dbar_potential's order, the
+    (4n P, 2n) shifted points and the radius rho + h of each base point's
+    ball."""
+    m = zs.shape[1]
+    rho = bmk.FD_EXCLUSION_FACTOR * rule.spacing
+    h = bmk.FD_STEP_FACTOR * rho
+    shifts = np.stack([sign * h * np.eye(m)[c] for c in range(m) for sign in (1.0, -1.0)])
+    return h, shifts, (zs[:, None, :] + shifts[None, :, :]).reshape(-1, m), rho + h
+
+
+def _three_ball_sweeps():
+    """(form, rule, points, radius, centers) of three sweeps on the level-0
+    rules of the 6-ball: a (0, 1)-form over the volume rule at
+    EXCLUSION_FACTOR spacings, a function over the boundary rule at radius 0
+    at two interior points and three of its nodes, and a (0, 2)-form over
+    the volume rule at dbar_potential's stencil points with their centres."""
+    vol, bnd = volume_rule(BALL6, 0), boundary_rule(BALL6, 0)
+    zs = np.array([[0.2, -0.1, 0.3, 0.15, -0.05, 0.1], [-0.3, 0.1, 0.05, -0.2, 0.15, 0.0]])
+    g = DifferentialForm(3, 0, 1, {((), (1,)): zmonomial(3, (0, 1, 0), (0, 0, 1)),
+                                   ((), (3,)): zmonomial(3, (1, 0, 0), (0, 0, 0))})
+    f_b = DifferentialForm(3, 0, 0, {((), ()): zmonomial(3, (1, 0, 2), (0, 1, 0))})
+    f = DifferentialForm(3, 0, 2, {((), (1, 2)): zmonomial(3, (0, 0, 0), (0, 0, 1)),
+                                   ((), (2, 3)): zmonomial(3, (1, 0, 0), (0, 0, 0))})
+    _, _, ys, radius = _stencil(zs, vol)
+    return [(g, vol, zs, bmk.EXCLUSION_FACTOR * vol.spacing, None),
+            (f_b, bnd, np.vstack([zs, bnd.nodes[:3]]), 0.0, None),
+            (f, vol, ys, radius, zs)]
+
+
+def test_three_ball_sweep_matches_exact_difference_contraction():
+    """At n = 3 the scale 1/r / r / r and the expanded distance agree with
+    the exact-difference contraction to 1e-13 of the sum of |terms|."""
+    for sweep in _three_ball_sweeps():
+        _assert_near_exact_sweep(*sweep)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_three_ball_pooled_sweep_equals_serial_sweep(monkeypatch, cpus):
+    """The sweeps of _three_ball_sweeps are bit-identical to the serial
+    sweep with 7-node blocks, at the default PAIR_BLOCK and at 3 pairs, on
+    pools of 1, 2 and 7 workers."""
+    monkeypatch.setattr(bmk, "NODE_BLOCK", 7)
+    _use_cpus(monkeypatch, cpus)
+    for pair_block in (bmk.PAIR_BLOCK, 3):
+        monkeypatch.setattr(bmk, "PAIR_BLOCK", pair_block)
+        for sweep in _three_ball_sweeps():
+            assert np.array_equal(bmk._sweep(*sweep), _serial_sweep(*sweep)), pair_block
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 7])
@@ -628,13 +684,51 @@ def test_dbar_potential_matches_gradient_of_closed_form():
     assert abs(got[1] - (-zb1 / 3)) < 3e-3   # J = (2,)
 
 
+def _bias_then_difference(f, zs, rule):
+    """dbar_potential with its delta term taken the other way: the ball
+    bias (pi^n/n!) A(z) (conj(c_j) - conj(y_j)) of each stencil point y
+    about its centre c, for each kernel density A, added to the swept
+    value before the centred difference."""
+    n, q = f.n, f.q
+    h, shifts, ys, radius = _stencil(zs, rule)
+    vals = bmk._sweep(f, rule, ys, radius, centers=zs).reshape(len(zs), 4 * n, -1)
+    dc = shifts[:, 0::2] + 1j * shifts[:, 1::2]
+    ball_factor = math.pi ** n / math.factorial(n)
+    calls = {}
+    for k, j, parts in bmk._kernel_terms(f, q - 1, True):
+        a = bmk._density(parts, zs, None, calls)
+        vals[:, :, k] += a[:, None] * ball_factor * (-np.conj(dc[None, :, j - 1]))
+    vals = vals.reshape(len(zs), n, 4, -1)
+    ddx = (vals[:, :, 0] - vals[:, :, 1]) / (2.0 * h)
+    ddy = (vals[:, :, 2] - vals[:, :, 3]) / (2.0 * h)
+    return bmk._dbar_from_partials(n, q - 1, 0.5 * (ddx + 1j * ddy))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_dbar_potential_delta_term_equals_stencil_bias(level):
+    """The bias is linear in the shift, so subtracting (pi^n/n!) A(z) once
+    from each d/dzbar_j partial gives the bias-then-difference values to
+    1e-13 relative: on the disc at q = 1 and on the 4-ball at q = 1 and 2."""
+    zs4 = np.array([[0.2, -0.1, 0.3, 0.15], [-0.3, 0.1, 0.05, -0.2]])
+    cases = [
+        (DISC, DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (1,))}),
+         np.array([[0.5, 0.0], [0.1, 0.2], [-0.3, -0.1]])),
+        (BALL4, DifferentialForm(2, 0, 1, {((), (1,)): zmonomial(2, (0, 0), (0, 1)),
+                                           ((), (2,)): zmonomial(2, (1, 0), (0, 0))}), zs4),
+        (BALL4, DifferentialForm(2, 0, 2, {((), (1, 2)): zmonomial(2, (1, 0), (0, 2))}), zs4)]
+    for domain, f, zs in cases:
+        rule = volume_rule(domain, level)
+        got = bmk.dbar_potential(f, zs, rule).ravel()
+        want = _bias_then_difference(f, zs, rule).ravel()
+        _assert_close([(v, abs(v)) for v in got], [(v, abs(v)) for v in want])
+
+
 def test_removed_ball_center_rule_against_green_identity():
     """int_{B(c,R)} dA/(zeta - y) = pi conj(c - y), via a boundary integral.
 
     The scalar factor of the (1,0) kernel integrates over any disc to an
-    exact linear function of the center; this is the analytic fact that
-    restores the finite-difference stencil bias, so it gets its own
-    independent check: rewrite the area integral with the complex Green
+    exact linear function of the center; its dbar in y, -pi, is
+    dbar_potential's delta term, so it gets its own independent check: rewrite the area integral with the complex Green
     identity as a circle integral of conj(zeta)/(zeta - y) minus the
     distributional term pi conj(y), then compare.
     """
@@ -823,7 +917,7 @@ def test_operand_and_rule_errors_name_the_bad_argument():
 
 def test_dbar_potential_takes_a_stack_of_points_only():
     """A (2n,) point and a (P, 2n + 1) stack are ValueErrors; a q = 0 form
-    gives (P, 1) zeros."""
+    gives (P, 1) zeros, and an empty stack a (0, K) array."""
     f = DifferentialForm(1, 0, 1, {((), (1,)): zmonomial(1, (1,), (0,))})
     rule = volume_rule(DISC, 0)
     for z in (np.zeros(2), np.zeros((3, 3))):
@@ -831,12 +925,14 @@ def test_dbar_potential_takes_a_stack_of_points_only():
             bmk.dbar_potential(f, z, rule)
     f0 = DifferentialForm(1, 0, 0, {((), ()): zmonomial(1, (1,), (0,))})
     assert np.array_equal(bmk.dbar_potential(f0, np.zeros((3, 2)), rule), np.zeros((3, 1)))
+    for form in (f, f0):
+        assert bmk.dbar_potential(form, np.zeros((0, 2)), rule).shape == (0, 1)
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.1, np.inf], [-np.inf, np.nan]])
 def test_a_point_that_is_not_finite_is_named(bad):
-    """op_volume, op_boundary, dbar_potential (also at q = 0, where no
-    sweep runs) and reproduce_residual at a point with a NaN or infinite
+    """op_volume, op_boundary, dbar_potential (also at q = 0, whose sweep
+    has no kernel terms) and reproduce_residual at a point with a NaN or infinite
     coordinate raise one ValueError naming that point, rather than a NaN
     or zero value or a flag as too near bD.  An
     infinite point without a NaN lies outside the disc, which is the error

@@ -5,13 +5,15 @@ loads neither sympy nor scipy."""
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-MODULES = ["bmk", "cli", "exterior", "fields", "geometry", "mollify",
-           "operators", "young"]
+import bmklab
+
+MODULES = [info.name for info in pkgutil.iter_modules(bmklab.__path__)]
 
 
 @pytest.mark.parametrize("name", MODULES)
