@@ -32,8 +32,11 @@ field, and each callable shared by several, once per node block, keeps
 no value past the block, and applies the constants in the order of the
 symbolic wedge and exterior.density, so every density keeps that path's
 bits (numpy's complex multiply rounds through FMA, so operand order
-matters).  Next to each weighted density A it writes conj(zeta_j) A, so
-that sum_i A conj(zeta_j - z_j)/|zeta-z|^{2n} is taken as
+matters).  Inside, it writes each weighted density into one complex
+scratch row per block by products with an explicit out=, which fix that
+order, and allocates no other block-sized array.  Next to each weighted
+density A it writes conj(zeta_j) A, so that
+sum_i A conj(zeta_j - z_j)/|zeta-z|^{2n} is taken as
 sum_i conj(zeta_j) A/|.|^{2n} - conj(z_j) sum_i A/|.|^{2n}: the sweep
 needs no coordinate differences.  It evaluates every point of a level in
 one pass over the rule, in blocks of at most NODE_BLOCK nodes that one
@@ -179,9 +182,10 @@ def _kernel_terms(form, q, interior):
     wedge sign, and inside that times the top factor of dV.  The top factor
     is -2i, 4 or -8i at n = 1, 2, 3, a power of two times a unit, and every
     kernel entry is real or imaginary, so the joined constant is exact and
-    gives the bits of the two applied in turn; and constant * value and
-    value * constant agree.  On a boundary, dual = (k, f) adds
-    value * f * (nu_x_k + i nu_y_k), k 0-based, the normal's dzbar term that
+    gives the bits of the two applied in turn, except that a zero part of
+    the product can take the other sign where the value has a -0 part; and
+    constant * value and value * constant agree.  On a boundary, dual =
+    (k, f) adds value * f * (nu_x_k + i nu_y_k), k 0-based, the normal's dzbar term that
     completes the monomial (exterior._normal_completion).  A polynomial g takes its constant into
     its coefficients instead, leaving consts empty, as the wedge of
     polynomial forms does.  A (J, j) that no coefficient meets has density
@@ -217,18 +221,29 @@ def _kernel_terms(form, q, interior):
     return out
 
 
-def _density(parts, nodes, nu, calls):
+def _density(parts, nodes, nu, calls, out=None):
     """One (J, j) density at nodes from its parts (see _kernel_terms):
     against dV with nu None, else against dS with nu the outward normals.
     calls shares the operand's values across the densities of one block
-    (fields.shared_values)."""
-    out = None if nu is None else np.zeros(len(nodes), dtype=complex)
+    (fields.shared_values).  The density is written into out, a complex
+    array of len(nodes) (a new one when out is None), except that an
+    interior density of a polynomial is the polynomial's own new values.
+    """
+    if out is None:
+        out = np.empty(len(nodes), dtype=complex)
+    if nu is None:
+        ((field, consts, _),) = parts   # an interior density has one part
+        value = shared_values(field, nodes, calls)
+        for c in consts:
+            # constant first, as in the symbolic wedge: FMA rounds a complex
+            # product differently in the other order
+            value = np.multiply(c, value, out=out)
+        return value
+    out.fill(0.0)
     for field, consts, dual in parts:
         value = shared_values(field, nodes, calls)
         for c in consts:
             value = c * value
-        if dual is None:
-            return value   # an interior density has one part
         i, factor = dual
         term = factor * (nu[:, 2 * i] + 1j * nu[:, 2 * i + 1])
         # np.multiply keeps value the first operand: `value * temporary`
@@ -250,10 +265,17 @@ def _fold(fold, terms, nodes, nu, weights):
     from the last two rows' sum s1 and the first two's s0.  nu, the outward
     normals, is None on an interior rule.  Each field of the operand runs
     once on the block, and the values it shares go when the fold returns.
+    A is written into one complex scratch of B values per block, by
+    np.multiply with an explicit out= (so numpy never reuses a temporary and
+    swaps a complex product's operands), and that scratch, once its real
+    and imaginary parts are copied out, holds y_j Re A: an interior term
+    allocates no other block-sized array.
     """
     calls = {}
+    a = np.empty(len(nodes), dtype=complex)
+    tmp = a.view(float)[:len(nodes)]
     for t, (_, j, parts) in enumerate(terms):
-        a = weights * _density(parts, nodes, nu, calls)
+        np.multiply(weights, _density(parts, nodes, nu, calls, a), out=a)
         re, im, cre, cim = fold[4 * t:4 * t + 4]
         x, y = nodes[:, 2 * j - 2], nodes[:, 2 * j - 1]
         np.copyto(re, a.real)
@@ -262,7 +284,8 @@ def _fold(fold, terms, nodes, nu, weights):
         np.multiply(y, im, out=cim)
         cre += cim
         np.multiply(x, im, out=cim)
-        cim -= y * re
+        np.multiply(y, re, out=tmp)
+        cim -= tmp
 
 
 def _norm2(d, out, tmp):

@@ -348,7 +348,8 @@ def smooth_transition_deriv2(s):
 
 
 class RadialPowerField(Field):
-    """(1 - |x|^2)^gamma inside the unit ball, 0 on and outside it; any real gamma."""
+    """(1 - |x|^2)^gamma inside the unit ball, 0 on and outside it; any real
+    gamma.  The values are real, so they come as float64."""
 
     def __init__(self, m, gamma):
         self.m = m
@@ -368,4 +369,4 @@ class RadialPowerField(Field):
         np.subtract(1.0, v, out=v)
         np.fmax(v, 0.0, out=v)
         np.power(v, self.gamma, out=v, where=v > 0.0)
-        return v.astype(complex)
+        return v

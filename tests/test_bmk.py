@@ -553,7 +553,9 @@ def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     (J, j) that bmk._kernel_terms leaves out has an all-zero density.  A
     q = 1 boundary density sums two monomials, each from its own
     coefficient.  32,768-node blocks are large enough that numpy reuses
-    temporaries, which fixes the operand order of complex products."""
+    temporaries, which fixes the operand order of complex products.  At
+    n = 2, q = 0 inside, bmk-lp's dbar datum adds components that share one
+    value, on nodes with exact zero coordinates."""
     domain = make_domain("ball", m=2 * n)
     deg = q + interior
     level = {(1, True): 5, (1, False): 10, (2, True): 2, (2, False): 3,
@@ -563,7 +565,10 @@ def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     assert len(nodes) == size
     keys = multi_indices(n, q)
     table = [(keys.index(J), j) for J, terms in bmk.kernel_table(n, q).items() for j, _ in terms]
-    for form in (_generic_form(n, deg), _callable_form(n, deg)):
+    forms = [_generic_form(n, deg), _callable_form(n, deg)]
+    if (n, q, interior) == (2, 0, True):
+        forms.append(cli._lp_test_forms()[2])
+    for form in forms:
         terms = bmk._kernel_terms(form, q, interior)
         fold = np.empty((4 * len(terms), size))
         bmk._fold(fold, terms, nodes, nu, weights)
@@ -597,6 +602,30 @@ def test_lp_datum_runs_once_per_node_block(monkeypatch):
     blocks = -(-len(rule) // 4096)
     assert blocks > 2
     assert sorted(seen) == ["datum"] * blocks + ["power"] * blocks
+
+
+def test_lp_datum_equals_its_complex_expression():
+    """The bmk-lp dbar datum, built in float64 and written into the real and
+    imaginary parts of its values, has the bits of the complex expressions
+    w (x_1 + i x_2) + 1 and w (x_3 + i x_4), w = -3/4 (1 - |x|^2)^(-1/4) as
+    complex, on every node block of the 4-ball volume rules at levels 0-2.
+    The signs of zero imaginary parts agree too: the rules' exact zero
+    coordinates are all imaginary parts x_{2j} = +0 (224,640 of them on
+    222,600 nodes at levels 0-3), where w x_{2j} alone is -0."""
+    _, _, dbar_lp = cli._lp_test_forms()
+    func = dbar_lp.coefficient((), (1,)).func
+    neg = fields.RadialPowerField(4, -0.25)
+    zeros = 0
+    for level in range(3):
+        rule = volume_rule(BALL4, level)
+        for start in range(0, len(rule), bmk.NODE_BLOCK):
+            x, _, _ = rule.part(start, start + bmk.NODE_BLOCK)
+            w = -0.75 * neg(x).astype(complex)
+            want = np.stack([w * (x[:, 0] + 1j * x[:, 1]) + 1.0, w * (x[:, 2] + 1j * x[:, 3])])
+            assert func(x).tobytes() == want.tobytes()
+            assert not np.any(x[:, 0::2] == 0.0)
+            zeros += np.count_nonzero(x[:, 1::2] == 0.0)
+    assert zeros
 
 
 def _residual_peak(monkeypatch, base_level, steps):
