@@ -39,20 +39,20 @@ density A it writes conj(zeta_j) A, so that
 sum_i A conj(zeta_j - z_j)/|zeta-z|^{2n} is taken as
 sum_i conj(zeta_j) A/|.|^{2n} - conj(z_j) sum_i A/|.|^{2n}: the sweep
 needs no coordinate differences.  It evaluates every point of a level in
-one pass over the rule, in blocks of at most NODE_BLOCK nodes that one
-worker per usable CPU folds and sweeps: within a block it takes
-sub-blocks of about PAIR_BLOCK node-point pairs, each with one matmul for
-|zeta-z|^2 = |zeta|^2 + |z|^2 - 2 z.zeta, set to inf at dropped nodes,
-and one of 1/|zeta-z|^{2n} with the fold.  A block's products are added
-into that block's own partial sum and the partials in block order, so
-every value is the same whatever the number of CPUs.  The expanded
-distance and the final difference round differently from exact coordinate
-differences: the values agree with that contraction to within 1e-13 of
-the sum of the terms' moduli, the cancellation being worst next to the
-excluded ball.  The operand's field callables run on several
-threads at once and must be pure.  Each worker reads its block through
-rule.part, which writes a ball volume rule's nodes and weights from the
-radial and unit-sphere factors the rule keeps, so only boundary rules and
+one pass over the rule, in blocks of at most NODE_BLOCK nodes that the
+threads of fields._on_cpus claim one at a time (so the operand's field
+callables must be pure); each thread folds and sweeps its blocks, taking
+sub-blocks of about PAIR_BLOCK node-point pairs, each with one matmul
+for |zeta-z|^2 = |zeta|^2 + |z|^2 - 2 z.zeta, set to inf at dropped
+nodes, and one of 1/|zeta-z|^{2n} with the fold.  A block's products are
+added into that block's own partial sum and the partials in block order,
+so every value is the same whatever the number of CPUs.  The expanded
+distance and the final difference round differently from exact
+coordinate differences: the values agree with that contraction to within
+1e-13 of the sum of the terms' moduli, the cancellation being worst next
+to the excluded ball.  Each worker reads its block through rule.part,
+which writes a ball volume rule's nodes and weights from the radial and
+unit-sphere factors the rule keeps, so only boundary rules and
 block-sized temporaries are resident, which keeps ladders over millions
 of nodes at desk scale.  part writes such a block coordinate-major, so
 the distance product and the operand's fields read each coordinate as
@@ -61,10 +61,7 @@ one contiguous row.
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,7 +69,7 @@ import numpy as np
 
 from .exterior import (DifferentialForm, _merge, _normal_completion, _star_monomial,
                        _top_real_constant, _wedge_monomial_sign, eps_sign, multi_indices)
-from .fields import shared_values
+from .fields import _on_cpus, shared_values
 from .geometry import boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
@@ -312,11 +309,9 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     interior rule (rule.nu None), the degree of the value.
 
     Every point y_p of the (P, 2n) stack is evaluated in one pass over the
-    rule, taken one block of NODE_BLOCK nodes at a time.  The blocks run on
-    one worker per usable CPU, the calling thread being one of them, so a
-    one-block rule starts no thread.  Each worker has its own buffers, folds
-    the operand over its block (so the operand's field callables are called
-    from several threads) and sweeps the block in sub-blocks of about
+    rule, taken one block of NODE_BLOCK nodes at a time, the blocks running
+    through fields._on_cpus.  Each worker has its own buffers, folds the
+    operand over each block it claims and sweeps it in sub-blocks of about
     PAIR_BLOCK node-point pairs.  A sub-block takes |zeta - y_p|^2 as
     |zeta|^2 + |y_p|^2 - 2 y_p . zeta from one (P, 2n) @ (2n, b) product,
     writes inf there at dropped nodes, and adds one (P, b) @ (b, 4T) product
@@ -363,13 +358,12 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
     step = min(max(1, PAIR_BLOCK // count), block)
     starts = range(0, len(rule), NODE_BLOCK)
     partials = np.zeros((len(starts), count, 4 * len(terms)))   # one row per block
-    claim = itertools.count()   # one atomic next() per block: no block runs twice
 
-    def work():
+    def work(claim):
         fold = np.empty((4 * len(terms), block))
         zsq, ztmp = np.empty((2, block))
         dist2, scale = np.empty((2, count * step))
-        while (k := next(claim)) < len(starts):
+        for k in claim:
             start = starts[k]
             nodes, weights, nu = rule.part(start, start + NODE_BLOCK)
             size = len(nodes)
@@ -395,12 +389,7 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
                     sc /= r
                 partials[k] += sc @ fold[:, sub:sub + b].T
 
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-        for helper in helpers:
-            helper.result()   # re-raises a helper's error
+    _on_cpus(work, len(starts))
     acc = partials.sum(axis=0)   # block order: the same sum whatever the number of CPUs
     ybar = np.conj(points[:, 0::2] + 1j * points[:, 1::2])
     for t, (k, j, _) in enumerate(terms):

@@ -9,12 +9,15 @@ so identities such as dbar(dbar(f)) = 0 hold coefficientwise with no
 quadrature involved.  Every other field (a callable, or a sum, product or
 multiple with a non-polynomial part) carries values only: asking it for a
 derivative raises, and a derivative it needs is supplied in closed form as
-data.
+data.  bmk and mollify run field callables on several threads at once
+(_on_cpus), so every callable must be pure.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -259,6 +262,26 @@ def shared_values(field, x, calls):
     if field not in calls:
         calls[field] = field(x)
     return calls[field]
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0))
+
+
+def _on_cpus(work, count):
+    """work(claim) on min(count, usable CPUs) threads, the calling thread one
+    of them, so one task starts no thread.  Each thread sets up its scratch,
+    then takes task indices from claim, one iterator over range(count)
+    shared by all, so each task runs once.  The field callables work calls
+    must be pure.  A thread's error is raised here, with its own type."""
+    workers = min(count, _usable_cpus())
+    claim = iter(range(count))   # one atomic next() per task
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work, claim) for _ in range(workers - 1)]
+        if workers:
+            work(claim)
+        for helper in helpers:
+            helper.result()   # re-raises a helper's error
 
 
 # ---------------------------------------------------------------------------

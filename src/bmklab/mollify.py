@@ -33,22 +33,21 @@ contracted with the kernel, so f * phi_eps, its derivatives and
 (Qf) * phi_eps all come from the same evaluations.  Real data stays real:
 a field's samples are float64 when its callable is real and complex128
 otherwise, and the sums are kept in that dtype.  The points are split
-along their leading axis into one contiguous slab per usable CPU; each
-slab's worker samples and contracts one kernel node at a time with
-elementwise arithmetic in a fixed order, so the result does not depend on
-the number of CPUs, on the BLAS build or on whether the points came as a
-grid or as a scattered stack.  No transforms; boundary handling stays
-explicit.
+along their leading axis into one contiguous slab per usable CPU, run by
+fields._on_cpus; each slab's worker samples and contracts one kernel node
+at a time with elementwise arithmetic in a fixed order, so the result
+does not depend on the number of CPUs, on the BLAS build or on whether
+the points came as a grid or as a scattered stack.  No transforms;
+boundary handling stays explicit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import fields
 from .fields import (_bump01, _bump01_deriv, smooth_transition,
                      smooth_transition_deriv, smooth_transition_deriv2)
 from .geometry import _composite_gauss, _lp_norm, _tensor
@@ -196,8 +195,8 @@ class HalfSpaceField:
     as a field of x_1 alone gives on an open grid.  func must be a pure
     elementwise function of the coordinates: evaluate() passes the columns
     x[..., k] of scattered points, grid_values() the open grid
-    np.ix_(*axes), and convolve_field the open grid of its points shifted
-    by each kernel node, from several threads at once.  evaluate() and
+    np.ix_(*axes), and convolve_field, through fields._on_cpus, the open
+    grid of its points shifted by each kernel node.  evaluate() and
     grid_values() return each component at full shape, float64 when it is
     real and complex128 otherwise, and raise ValueError naming both shapes
     when a component's shape does not broadcast to the coordinates'.
@@ -349,8 +348,8 @@ def convolve_field(f, kernel, x, *, quad):
     tensor grid is sampled through per-axis coordinate arrays and an
     (N, m) stack through full columns, on the same path.  The leading axis
     of x is split into one contiguous slab of ceil(n / CPUs) entries per
-    usable CPU (an empty point set is one empty slab), and a pool of
-    threads runs the slabs; numpy releases the GIL.  A slab's worker takes
+    usable CPU (an empty point set is one empty slab); fields._on_cpus runs
+    them, and their rows are joined in order.  A slab's worker takes
     the rule CONV_CHUNK nodes at a time: it calls f's callable on its
     coordinates shifted by each node t_k in turn and adds c_r[k] * f(x - t_k)
     into its own chunk partial in node order.  The short partial sums keep
@@ -369,36 +368,37 @@ def convolve_field(f, kernel, x, *, quad):
     if x.shape[-1] != t.shape[1]:
         raise ValueError(f"points of shape {x.shape} need {t.shape[1]} coordinates each")
     coords = _open_grid(x)
-    count = x.shape[0]
-    size = max(1, -(-count // len(os.sched_getaffinity(0))))
-    slabs = [slice(lo, lo + size) for lo in range(0, max(count, 1), size)]
+    size = max(1, -(-len(x) // fields._usable_cpus()))
+    slabs = [slice(lo, lo + size) for lo in range(0, max(len(x), 1), size)]
+    totals = [None] * len(slabs)
 
-    def run(slab):
-        mine = [c if len(c) == 1 else c[slab] for c in coords]
-        shape = (len(range(count)[slab]),) + x.shape[1:-1]
-        shifted = [np.empty_like(c) for c in mine]
-        total = None
-        for start in range(0, len(t), CONV_CHUNK):
-            for k in range(start, min(start + CONV_CHUNK, len(t))):
-                for src, dst, tk in zip(mine, shifted, t[k]):
-                    np.subtract(src, tk, out=dst)
-                values = _sample(f.func, shifted)
-                comps = values if isinstance(values, tuple) else (values,)
-                if total is None:
-                    # f takes the kernel and every partial, Qf the kernel only
-                    rows = [(0, c) for c in coef] + [(i, base) for i in range(1, len(comps))]
-                    total = np.zeros((len(rows),) + shape, np.result_type(*comps))
-                    part = np.zeros_like(total)
-                    term = np.empty_like(total[0])
-                for row, (i, c) in zip(part, rows):
-                    np.multiply(c[k], comps[i], out=term)
-                    row += term
-            total += part
-            part.fill(0.0)
-        return total
+    def run(claim):
+        for s in claim:
+            mine = [c if len(c) == 1 else c[slabs[s]] for c in coords]
+            shape = x[slabs[s]].shape[:-1]
+            shifted = [np.empty_like(c) for c in mine]
+            total = None
+            for start in range(0, len(t), CONV_CHUNK):
+                for k in range(start, min(start + CONV_CHUNK, len(t))):
+                    for src, dst, tk in zip(mine, shifted, t[k]):
+                        np.subtract(src, tk, out=dst)
+                    values = _sample(f.func, shifted)
+                    comps = values if isinstance(values, tuple) else (values,)
+                    if total is None:
+                        # f takes the kernel and every partial, Qf the kernel only
+                        rows = [(0, c) for c in coef] + [(i, base) for i in range(1, len(comps))]
+                        total = np.zeros((len(rows),) + shape, np.result_type(*comps))
+                        part = np.zeros_like(total)
+                        term = np.empty_like(total[0])
+                    for row, (i, c) in zip(part, rows):
+                        np.multiply(c[k], comps[i], out=term)
+                        row += term
+                total += part
+                part.fill(0.0)
+            totals[s] = total
 
-    with ThreadPoolExecutor(len(slabs)) as pool:
-        return np.concatenate(list(pool.map(run, slabs)), axis=1)   # re-raises a slab's error
+    fields._on_cpus(run, len(slabs))
+    return np.concatenate(totals, axis=1)
 
 
 def convergence_report(op, f, graph, f_b, eps_list, p):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bmk import kernel_norm
 from .fields import _bump01
-from .geometry import QuadratureRule, _lp_norm, boundary_rule, dist_boundary, volume_rule
+from .geometry import _lp_norm, boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
     "INF", "inv", "ExponentPair", "KernelSpec",
@@ -59,9 +59,7 @@ class ExponentPair:
 
 
 def _materialize(descriptor, level):
-    """The QuadratureRule of ('domain', dom) or ('boundary', dom); a rule passes through."""
-    if isinstance(descriptor, QuadratureRule):
-        return descriptor
+    """The volume rule of ('domain', dom) or the boundary rule of ('boundary', dom)."""
     kind, dom = descriptor
     if kind == "domain":
         return volume_rule(dom, level)
@@ -74,7 +72,7 @@ def _materialize(descriptor, level):
 class KernelSpec:
     """Kernel operator data: spaces, |K|, and the majorant exponents.
 
-    X and Y are QuadratureRules or descriptors ('domain' | 'boundary', dom).
+    X and Y are descriptors ('domain' | 'boundary', dom).
     The X rule, the Y rule and the |Y| x |X| kernel matrix are built once per
     level, on the first empirical_norm at that level, and kept for every
     later one.

@@ -380,7 +380,7 @@ def test_boundary_sweep_at_a_node_drops_the_node():
 
 
 def _use_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(bmk.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 7])

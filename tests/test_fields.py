@@ -1,5 +1,8 @@
 """Coefficient fields: exact polynomial calculus and value-only fields."""
 
+import itertools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmklab import fields
 from bmklab.exterior import DifferentialForm
 from bmklab.fields import (AnalyticField, PolyField, ProductField, RadialPowerField,
                            ScaledField, as_field, components, constant, coordinate,
@@ -289,3 +293,81 @@ def test_zero_polyfield_is_zero_everywhere():
     x = np.array([[0.0, -1.0], [0.5, 1.5]])
     assert np.array_equal(PolyField(2, {})(x), np.zeros(2, dtype=complex))
     assert PolyField(2, {(3, 1): 0.0})(x[0]) == 0
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs, each started for real."""
+    out = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: out.append(self) or start(self))
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_on_cpus_runs_each_task_once_on_every_thread(monkeypatch, started, cpus):
+    """Every task runs exactly once, on min(tasks, CPUs) threads of which the
+    calling thread is one, with threads switching every microsecond.  Each
+    thread claims one task, then waits for the others to claim theirs, so
+    every thread, the calling one too, runs at least one task."""
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 2, 3, 23):
+            workers = min(count, cpus)
+            gate = threading.Barrier(workers, timeout=30)
+            ran = []
+
+            def work(claim):
+                first = next(claim)
+                gate.wait()
+                ran.extend((k, threading.get_ident()) for k in itertools.chain([first], claim))
+
+            del started[:]
+            fields._on_cpus(work, count)
+            assert sorted(k for k, _ in ran) == list(range(count))
+            threads = {ident for _, ident in ran}
+            assert threading.get_ident() in threads and len(threads) == workers
+            assert len(started) == workers - 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 7])
+def test_on_cpus_one_task_runs_on_the_caller_and_none_is_a_no_op(monkeypatch, started, cpus):
+    """One task runs on the calling thread and starts no thread; zero tasks
+    call nothing."""
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    ran = []
+    fields._on_cpus(lambda claim: ran.extend((k, threading.get_ident()) for k in claim), 1)
+    assert ran == [(0, threading.get_ident())] and started == []
+    fields._on_cpus(ran.append, 0)
+    assert len(ran) == 1 and started == []
+
+
+class _TaskError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus, on_caller",
+                         [(1, True), (2, True), (7, True), (2, False), (7, False)])
+def test_on_cpus_reraises_a_threads_error_with_its_type(monkeypatch, cpus, on_caller):
+    """An error raised on the calling thread, or on a helper thread, comes
+    back from _on_cpus with its own type, once the other threads are done
+    with the tasks.  On one CPU there is no helper thread, and the
+    caller's error leaves every task unrun."""
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    caller = threading.get_ident()
+    ran = []
+
+    def work(claim):
+        if (threading.get_ident() == caller) == on_caller:
+            raise _TaskError(threading.get_ident())
+        ran.extend(claim)
+
+    with pytest.raises(_TaskError) as err:
+        fields._on_cpus(work, 16)
+    assert type(err.value) is _TaskError
+    assert (err.value.args[0] == caller) == on_caller
+    assert sorted(ran) == (list(range(16)) if cpus > 1 else [])

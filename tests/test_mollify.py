@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bmklab import cli, mollify
+from bmklab import cli, fields, mollify
 from bmklab.fields import smooth_transition
 from bmklab.geometry import _composite_gauss, _tensor
 from bmklab.mollify import (DiracSequence, HalfSpaceField, choose_tau,
@@ -133,7 +133,7 @@ def test_values_must_broadcast_to_the_coordinates_shape(fn, evaluated, grid, mon
     with pytest.raises(ValueError, match="of its coordinates"):
         slab_mass(f, 0.1, 2.0)
     kernel = DiracSequence(2, 0.2, 0.05)
-    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
     with pytest.raises(ValueError, match=evaluated):
         convolve_field(f, kernel, x, quad=kernel.quad_rule())
     with pytest.raises(ValueError, match=grid):
@@ -391,7 +391,7 @@ def _small_rule(kernel, m):
 
 def _convolve_on(cpus, monkeypatch, *args, **kwargs):
     """convolve_field on cpus slabs, with thread switches as often as possible."""
-    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -474,7 +474,7 @@ def test_convolve_field_samples_a_grid_through_its_open_grid(m, monkeypatch):
     kernel = DiracSequence(m, 0.2, 0.05)
     quad = _small_rule(kernel, m)
     nodes = f.grid_nodes()
-    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
     convolve_field(f, kernel, nodes.reshape(grid + (m,)), quad=quad)
     open_grid = [tuple(n if a == d else 1 for a, n in enumerate(grid)) for d in range(m)]
     assert shapes == [open_grid] * len(quad[0])
@@ -519,7 +519,7 @@ def test_convolve_field_empty_and_one_point_sets(m, monkeypatch):
     f = HalfSpaceField(fn, bounds, (5,) * m)
     kernel = DiracSequence(m, 0.2, 0.05)
     quad = kernel.quad_rule()
-    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(7)))
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 7)
     empty = convolve_field(f, kernel, np.zeros((0, m)), quad=quad)
     assert empty.shape == (1 + m, 0) and calls == [0] * len(quad[0])
     calls.clear()
@@ -600,7 +600,7 @@ def test_graph_rows_equal_two_passes(cpus, monkeypatch):
     x = f.grid_nodes()
     want = np.vstack([_fixed_order_convolve_oracle(f, kernel, x, quad),
                       _fixed_order_convolve_oracle(qf, kernel, x, quad)[:1]])
-    monkeypatch.setattr(mollify.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
     for points in (x, x.reshape(f.shape + (2,))):
         got = convolve_field(graph, kernel, points, quad=quad)
         assert got.shape == (4,) + points.shape[:-1] and got.dtype == np.float64
@@ -631,8 +631,7 @@ def test_mollify_report_is_the_same_at_any_cpu_count(monkeypatch):
     op, f, graph, f_fn = cli.mollify_fixture(grid_n=17)
     reports = []
     for cpus in (1, 2, 3, 7):
-        monkeypatch.setattr(mollify.os, "sched_getaffinity",
-                            lambda pid, cpus=cpus: set(range(cpus)))
+        monkeypatch.setattr(fields, "_usable_cpus", lambda cpus=cpus: cpus)
         rep = convergence_report(op, f, graph, f_fn, [0.2, 0.1], 2.0)
         reports.append(np.array([[row[c] for c in mollify.REPORT_COLUMNS]
                                  for row in rep["rows"]]))

@@ -23,6 +23,13 @@ def test_all_names_resolve(name):
     assert not missing
 
 
+def _parse(name):
+    """The ast of src/bmklab/<name>.py."""
+    path = os.path.join(os.path.dirname(bmklab.__file__), f"{name}.py")
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
 def _unused_imports(tree):
     """(line, name) of each name an import binds that its scope never reads.
 
@@ -60,11 +67,40 @@ def test_no_module_imports_a_name_it_never_uses(name):
     """Each src/bmklab/*.py, parsed with ast, reads every name it imports,
     at module level and inside each function: a deletion leaves no import
     behind."""
-    path = os.path.join(os.path.dirname(importlib.import_module("bmklab").__file__),
-                        f"{name}.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    assert _unused_imports(tree) == []
+    assert _unused_imports(_parse(name)) == []
+
+
+def _names(tree):
+    """Every identifier the tree reads, binds, imports or takes as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+    return out
+
+
+SCHEDULER_NAMES = {"ThreadPoolExecutor", "sched_getaffinity"}
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_only_fields_builds_a_pool_or_reads_the_cpu_count(name):
+    """Each src/bmklab/*.py but fields, parsed with ast, names neither
+    ThreadPoolExecutor nor sched_getaffinity: bmk's sweep and mollify's
+    convolution share fields._on_cpus, and no module adds its own pool."""
+    assert _names(_parse(name)) & SCHEDULER_NAMES == (SCHEDULER_NAMES if name == "fields" else set())
+
+
+def test_scheduler_guard_sees_imports_and_attributes():
+    """The guard sees a pool built from an import or from an attribute, and
+    a CPU count read through os."""
+    for code in ("from concurrent.futures import ThreadPoolExecutor\n",
+                 "import concurrent.futures as cf\npool = cf.ThreadPoolExecutor(2)\n",
+                 "import os\nn = len(os.sched_getaffinity(0))\n"):
+        assert _names(ast.parse(code)) & SCHEDULER_NAMES
 
 
 def test_dead_import_guard_sees_module_and_function_imports():

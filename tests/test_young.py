@@ -18,16 +18,11 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from bmklab import bmk, cli, young
-from bmklab.geometry import QuadratureRule, _lp_norm, boundary_rule, make_domain, volume_rule
+from bmklab.geometry import _lp_norm, boundary_rule, make_domain, volume_rule
 
 INF = math.inf
 DISC = make_domain("ball", m=2)
-
-
-def _unit_interval_space(n=400):
-    h = 1.0 / n
-    nodes = (np.arange(n) + 0.5)[:, None] * h
-    return QuadratureRule(h, arrays=(nodes, np.full(n, h)))
+UNIT_INTERVAL = ("domain", make_domain("interval-box", bounds=[[0.0, 1.0]]))
 
 
 def _disc_spec():
@@ -128,8 +123,7 @@ def test_enlarging_b_never_shrinks_admissible_set_without_cap(t, ds, b, b2, p):
 
 
 def test_rank_one_kernel_norm_is_one():
-    ms = _unit_interval_space()
-    spec = young.KernelSpec(X=ms, Y=ms,
+    spec = young.KernelSpec(X=UNIT_INTERVAL, Y=UNIT_INTERVAL,
                             kernel=lambda xs, y: np.ones(len(xs)),
                             t=1.0, s=1.0, a=INF, b=INF)
     est = young.empirical_norm(spec, 2.0, 2.0, sample_count=8, seed=3)
@@ -137,8 +131,7 @@ def test_rank_one_kernel_norm_is_one():
 
 
 def test_zero_kernel_norm_is_zero():
-    ms = _unit_interval_space(50)
-    spec = young.KernelSpec(X=ms, Y=ms,
+    spec = young.KernelSpec(X=UNIT_INTERVAL, Y=UNIT_INTERVAL,
                             kernel=lambda xs, y: np.zeros(len(xs)),
                             t=1.0, s=1.0, a=INF, b=INF)
     assert young.empirical_norm(spec, 2.0, 2.0, sample_count=4) == 0.0
@@ -182,8 +175,8 @@ def test_empirical_norm_needs_one_sample(count):
 def test_non_finite_kernel_matrix_names_the_first_pair():
     """X = Y puts every node on the kernel's pole; the first non-finite
     entry is at x node 0, y node 0."""
-    rule = volume_rule(DISC, 1)
-    spec = young.KernelSpec(X=rule, Y=rule, kernel=young.bmk_norm_kernel(1, 0),
+    spec = young.KernelSpec(X=("domain", DISC), Y=("domain", DISC),
+                            kernel=young.bmk_norm_kernel(1, 0),
                             t=1.0, s=1.5, a=4.0, b=INF)
     with pytest.raises(ValueError, match=r"kernel is not finite at .*\(x node 0, y node 0\): inf"):
         young.empirical_norm(spec, 2.0, 2.0, sample_count=3)
