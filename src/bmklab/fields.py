@@ -10,11 +10,14 @@ quadrature involved.  Every other field (a callable, or a sum, product or
 multiple with a non-polynomial part) carries values only: asking it for a
 derivative raises, and a derivative it needs is supplied in closed form as
 data.  bmk and mollify run field callables on several threads at once
-(_on_cpus), so every callable must be pure.
+(_on_cpus), so every callable must be pure.  _on_cpus is the process's only
+thread pool: bmklab's import keeps numpy's OpenBLAS to one thread, whose
+idle helper threads would otherwise spin beside the runner's.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -273,13 +276,25 @@ def _on_cpus(work, count):
     of them, so one task starts no thread.  Each thread sets up its scratch,
     then takes task indices from claim, one iterator over range(count)
     shared by all, so each task runs once.  The field callables work calls
-    must be pure.  A thread's error is raised here, with its own type."""
+    must be pure.  A thread that raises empties claim first, so the others
+    finish the task they hold and start no other; the error is raised here,
+    with its own type.  This is the process's only thread pool: bmklab's
+    import keeps numpy's OpenBLAS to one thread, so no idle BLAS thread
+    spins on the CPUs these threads run on."""
     workers = min(count, _usable_cpus())
     claim = iter(range(count))   # one atomic next() per task
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        helpers = [pool.submit(work, claim) for _ in range(workers - 1)]
-        if workers:
+
+    def run():
+        try:
             work(claim)
+        except BaseException:
+            collections.deque(claim, maxlen=0)   # drains claim in one C call
+            raise
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        if workers:
+            run()
         for helper in helpers:
             helper.result()   # re-raises a helper's error
 

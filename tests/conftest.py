@@ -1,5 +1,6 @@
 """Shared test oracles."""
 
+import bmklab  # first: its BLAS thread policy holds only if it loads before numpy
 import numpy as np
 import pytest
 

@@ -1,8 +1,11 @@
 """Coefficient fields: exact polynomial calculus and value-only fields."""
 
+import collections
 import itertools
+import operator
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -350,24 +353,56 @@ class _TaskError(Exception):
     pass
 
 
+def _hold_until_empty(claim, deadline):
+    """Sleep until claim has no task left, or until the deadline passes."""
+    while operator.length_hint(claim) and time.monotonic() < deadline:
+        time.sleep(1e-3)
+
+
 @pytest.mark.parametrize("cpus, on_caller",
                          [(1, True), (2, True), (7, True), (2, False), (7, False)])
 def test_on_cpus_reraises_a_threads_error_with_its_type(monkeypatch, cpus, on_caller):
     """An error raised on the calling thread, or on a helper thread, comes
-    back from _on_cpus with its own type, once the other threads are done
-    with the tasks.  On one CPU there is no helper thread, and the
-    caller's error leaves every task unrun."""
+    back from _on_cpus with its own type.  The raising threads claim no
+    task and the others wait for claim to be empty before they claim, so
+    the error leaves every task unrun, on one CPU or several."""
     monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
     caller = threading.get_ident()
+    deadline = time.monotonic() + 5.0
     ran = []
 
     def work(claim):
         if (threading.get_ident() == caller) == on_caller:
             raise _TaskError(threading.get_ident())
+        _hold_until_empty(claim, deadline)
         ran.extend(claim)
 
     with pytest.raises(_TaskError) as err:
         fields._on_cpus(work, 16)
     assert type(err.value) is _TaskError
     assert (err.value.args[0] == caller) == on_caller
-    assert sorted(ran) == (list(range(16)) if cpus > 1 else [])
+    assert ran == []
+
+
+@pytest.mark.parametrize("cpus", [2, 7])
+def test_on_cpus_starts_no_task_after_an_error(monkeypatch, cpus):
+    """Task 0 raises, while every other thread holds its task until claim is
+    empty: the raising thread empties claim, so each other thread starts at
+    most the one task it held, not the 15 left."""
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    deadline = time.monotonic() + 5.0
+    started = []
+
+    def work(claim):
+        for k in claim:
+            started.append((k, threading.get_ident()))
+            if k == 0:
+                raise _TaskError(k)
+            _hold_until_empty(claim, deadline)
+
+    with pytest.raises(_TaskError):
+        fields._on_cpus(work, 16)
+    raiser = dict(started)[0]
+    per_thread = collections.Counter(ident for k, ident in started if k)
+    assert raiser not in per_thread and all(n == 1 for n in per_thread.values())
+    assert len(started) <= cpus

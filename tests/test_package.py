@@ -1,6 +1,7 @@
 """Package-level structure: every exported name exists, no module imports a
-name it never uses, and importing the harness or loading the shipped config
-loads neither sympy nor scipy."""
+name it never uses, importing the harness or loading the shipped config
+loads neither sympy nor scipy, and importing bmklab keeps numpy's BLAS to
+one thread."""
 
 import ast
 import importlib
@@ -123,14 +124,19 @@ def test_dead_import_guard_sees_module_and_function_imports():
     assert _unused_imports(tree) == [(2, "os"), (4, "pi"), (7, "loads")]
 
 
+def _fresh_env():
+    """This environment, with the tested bmklab first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(importlib.import_module("bmklab").__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_cli_import_loads_neither_sympy_nor_scipy():
     """numpy is the only runtime dependency: a fresh interpreter imports the
     harness and builds green-stokes's config from full.ini without either."""
-    src = os.path.dirname(os.path.dirname(importlib.import_module("bmklab").__file__))
     full = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "scripts", "configs", "full.ini")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _fresh_env()
     code = ("import sys; from bmklab import cli; "
             "cli.ExperimentConfig(experiment='green-stokes', "
             f"**cli.load_config({full!r}, 'green-stokes')); "
@@ -138,3 +144,25 @@ def test_cli_import_loads_neither_sympy_nor_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc/self/task; needs 2 usable CPUs")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_bmklab_import_keeps_numpy_from_starting_blas_threads(setting):
+    """fields._on_cpus is the only thread pool: a fresh interpreter that
+    imports bmklab and then numpy runs one thread, as OPENBLAS_NUM_THREADS
+    is 1.  An OPENBLAS_NUM_THREADS the user set survives the import."""
+    env = _fresh_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    code = ("import os, bmklab, numpy; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    threads, value = out.stdout.split()
+    if setting is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == setting
