@@ -16,13 +16,15 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+# bmklab before numpy: bmklab's import keeps numpy's OpenBLAS to one
+# thread, and that holds only while numpy is not loaded yet
 from bmklab import young
 from bmklab.cli import write_csv
 from bmklab.geometry import make_domain, volume_rule
+
+import numpy as np
 
 
 def write_norm_constants(path):

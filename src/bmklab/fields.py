@@ -349,7 +349,13 @@ BUMP_MASS_1D = float(np.sum(_GL_W * _bump01(_GL_NODES)))
 
 
 def smooth_transition(s):
-    """C-infinity step: 0 for s <= 1, 1 for s >= 2, strictly monotone between.
+    """C-infinity step: 0 for s <= 1, 1 for s >= 2, monotone between.
+
+    It is monotone and within [0, 1] only to about 1e-14, the roundoff of
+    the 80-node Gauss-Legendre rule that integrates it: on 200,001 uniform
+    points of [1, 2], 430 steps decrease and the largest value is
+    1 + 7.8e-15.  ROADMAP's "one closed-form smooth step" thread would
+    replace it with an exact one.
 
     Built as the running integral of a unit-mass bump supported on (1, 2), so
     the derivative is available in closed form (`smooth_transition_deriv`).

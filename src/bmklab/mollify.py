@@ -43,6 +43,7 @@ boundary handling stays explicit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -157,6 +158,8 @@ def _components(values, shape):
     that broadcasts to it (a field of fewer coordinates)."""
     parts = [np.asarray(v) for v in (values if isinstance(values, tuple) else (values,))]
     for v in parts:
+        if v.shape == shape:
+            continue
         try:
             fits = np.broadcast_shapes(v.shape, shape) == shape
         except ValueError:
@@ -168,9 +171,18 @@ def _components(values, shape):
     return tuple(parts) if isinstance(values, tuple) else parts[0]
 
 
-def _sample(func, coords):
-    """func at a list of coordinate arrays, checked against their broadcast shape."""
-    return _components(func(coords), np.broadcast_shapes(*(c.shape for c in coords)))
+def _sample(func, coords, shape=None):
+    """func at a list of coordinate arrays, checked against their broadcast
+    shape; a caller that samples many shifts of the same arrays passes it."""
+    if shape is None:
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+    return _components(func(coords), shape)
+
+
+def _real_if_real(values):
+    """values as an array, float64 when no imaginary part is nonzero."""
+    v = np.asarray(values)
+    return v.real.copy() if np.iscomplexobj(v) and not np.any(v.imag) else v
 
 
 def _full(values, shape):
@@ -202,7 +214,9 @@ class HalfSpaceField:
     when a component's shape does not broadcast to the coordinates'.
 
     The grid and its face {x_1 = 0} are trapezoid product rules; the face
-    holds the normal axis as one node of weight 1.
+    holds the normal axis as one node of weight 1.  Each is built the
+    first time it is asked for, so a field that is only sampled (a graph
+    field in convergence_report) never holds its (N, m) nodes.
     """
 
     def __init__(self, func, bounds, shape):
@@ -223,12 +237,18 @@ class HalfSpaceField:
                      for (lo, hi), k in zip(self.bounds, self.shape)]
         self.axis_weights = [_trapezoid_weights(ax) for ax in self.axes]
         self.func = func
-        self._nodes, self._weights = _tensor(self.axes, self.axis_weights)
-        self._face = _tensor([np.zeros(1)] + self.axes[1:], [np.ones(1)] + self.axis_weights[1:])
         self._samples = None
 
+    @functools.cached_property
+    def _grid(self):
+        return _tensor(self.axes, self.axis_weights)
+
+    @functools.cached_property
+    def _face(self):
+        return _tensor([np.zeros(1)] + self.axes[1:], [np.ones(1)] + self.axis_weights[1:])
+
     def grid_nodes(self):
-        return self._nodes
+        return self._grid[0]
 
     def grid_values(self):
         if self._samples is None:
@@ -243,7 +263,7 @@ class HalfSpaceField:
 
     def lp_norm(self, values, p):
         """Trapezoid L^p norm of grid values over the grid box (p=inf -> max)."""
-        return _lp_norm(np.ravel(values), self._weights, p)
+        return _lp_norm(np.ravel(values), self._grid[1], p)
 
     def boundary_nodes(self):
         """Grid points on {x_1 = 0}: shape (prod(lateral shape), m)."""
@@ -377,12 +397,14 @@ def convolve_field(f, kernel, x, *, quad):
             mine = [c if len(c) == 1 else c[slabs[s]] for c in coords]
             shape = x[slabs[s]].shape[:-1]
             shifted = [np.empty_like(c) for c in mine]
+            # the shifted coordinates' broadcast shape, the same at every node
+            sampled = np.broadcast_shapes(*(c.shape for c in mine))
             total = None
             for start in range(0, len(t), CONV_CHUNK):
                 for k in range(start, min(start + CONV_CHUNK, len(t))):
                     for src, dst, tk in zip(mine, shifted, t[k]):
                         np.subtract(src, tk, out=dst)
-                    values = _sample(f.func, shifted)
+                    values = _sample(f.func, shifted, sampled)
                     comps = values if isinstance(values, tuple) else (values,)
                     if total is None:
                         # f takes the kernel and every partial, Qf the kernel only
@@ -412,6 +434,12 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     sampled at the columns of f's boundary nodes.  The convolutions run on
     f's grid nodes as an (n_1, ..., n_m, m) array.  Row columns:
     (epsilon, tau, interior_err, q_err, commutator_ratio, trace_err).
+
+    op's coefficients are evaluated once on the grid, and one whose
+    imaginary parts are all zero is kept as float64, so Q f_eps is real
+    when f and the coefficients are.  Each rung is worked out by a helper
+    that returns its row: no rung's arrays are alive during the next
+    rung's convolution.
     """
     nodes = f.grid_nodes()
     f_grid = f.grid_values().ravel()
@@ -422,30 +450,31 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     qf_grid = pair[1].ravel()
     f_norm = f.lp_norm(f_grid, p)
     bnodes = f.boundary_nodes()
-    a1_b = np.asarray(op.a[0](bnodes), dtype=complex)
-    fb_vals = np.asarray(_sample(f_b, list(bnodes.T)), dtype=complex)
-    a_vals = [np.asarray(aj(nodes), dtype=complex) for aj in op.a]
-    b_vals = np.asarray(op.b(nodes), dtype=complex)
-    rows = []
-    for eps in eps_list:
+    a1_b = _real_if_real(op.a[0](bnodes))
+    fb_vals = _sample(f_b, list(bnodes.T))
+    a_vals = [_real_if_real(aj(nodes)) for aj in op.a]
+    b_vals = _real_if_real(op.b(nodes))
+    points = nodes.reshape(f.shape + (f.m,))
+
+    def rung(eps):
         tau = choose_tau(f, eps, p)
         kernel = DiracSequence(f.m, eps, tau)
-        conv = convolve_field(graph, kernel, nodes.reshape(f.shape + (f.m,)),
-                              quad=kernel.quad_rule())
+        conv = convolve_field(graph, kernel, points, quad=kernel.quad_rule())
         f_eps, *partials, qf_conv = conv.reshape(len(conv), -1)
         q_f_eps = b_vals * f_eps
         for a, df in zip(a_vals, partials):
             q_f_eps = q_f_eps + a * df
         trace = f_eps.reshape(f.shape)[-1].ravel()
-        rows.append({
+        return {
             "epsilon": eps,
             "tau": tau,
             "interior_err": f.lp_norm(f_eps - f_grid, p),
             "q_err": f.lp_norm(q_f_eps - qf_grid, p),
             "commutator_ratio": f.lp_norm(q_f_eps - qf_conv, p) / f_norm,
             "trace_err": f.trace_lp_norm(a1_b * (trace - fb_vals), p),
-        })
-    return {"rows": rows, "p": p}
+        }
+
+    return {"rows": [rung(eps) for eps in eps_list], "p": p}
 
 
 REPORT_COLUMNS = ["epsilon", "tau", "interior_err", "q_err",

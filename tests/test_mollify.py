@@ -2,13 +2,14 @@
 
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from bmklab import cli, fields, mollify
-from bmklab.fields import smooth_transition
+from bmklab.fields import coordinate, smooth_transition
 from bmklab.geometry import _composite_gauss, _tensor
 from bmklab.mollify import (DiracSequence, HalfSpaceField, choose_tau,
                             convergence_report, convolve_field, slab_mass)
@@ -683,6 +684,75 @@ def test_convergence_report_samples_f_once_per_convolution_point(monkeypatch):
     rule = sum(len(DiracSequence(2, e, 0.05).quad_rule()[0]) for e in eps)
     assert f_calls == [n]
     assert graph_calls[0] == n and sum(graph_calls[1:]) == rule * n
+
+
+def _traced_peak(run):
+    """Bytes that run() holds at its peak, above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_convergence_report_keeps_one_rung_alive():
+    """A two-rung report on the 65 x 65 strip peaks no higher than a
+    one-rung report of its second eps, plus a slack of a quarter of one
+    rung's convolve_field output: no array of the first rung is alive
+    during the second rung's convolution."""
+    n = 65
+
+    def report(eps_list):
+        op, f, graph, f_fn = cli.mollify_fixture(n)
+        return lambda: convergence_report(op, f, graph, f_fn, eps_list, 2.0)
+
+    report([0.2])()   # fills the import-time and per-order caches first
+    one = _traced_peak(report([0.1]))
+    two = _traced_peak(report([0.2, 0.1]))
+    rung_output = (2 + 2) * n * n * 8   # rows f, d_1 f, d_2 f, Qf in float64
+    assert two <= one + rung_output // 4
+
+
+def test_convergence_report_builds_no_grid_for_the_graph(monkeypatch):
+    """The graph field is only sampled: after a report, its own axes have
+    gone to no tensor-rule build, so it holds no (N, m) nodes or weights."""
+    built = []
+    tensor = mollify._tensor
+    monkeypatch.setattr(mollify, "_tensor", lambda axes, weights: built.append(axes)
+                        or tensor(axes, weights))
+    op, f, graph, _, f_fn = _graph_fields()
+    convergence_report(op, f, graph, f_fn, [0.2], 2.0)
+    assert any(axes is f.axes for axes in built)
+    assert not any(axes is graph.axes for axes in built)
+
+
+def test_convergence_report_keeps_a_complex_coefficient_complex():
+    """With a_2 = i x_2, Q f_eps is complex: each row's q_err equals that
+    of the complex formula on complex coefficient arrays, and differs from
+    the one with a_2's imaginary part dropped."""
+    _, f, graph, _, f_fn = _graph_fields()
+    op = FirstOrderOperator(2, a=[1.0, 1j * coordinate(2, 1)], b=0.5)
+    rows = convergence_report(op, f, graph, f_fn, [0.2, 0.1], 2.0)["rows"]
+    nodes = f.grid_nodes()
+    a_vals = [np.asarray(aj(nodes), dtype=complex) for aj in op.a]
+    b_vals = np.asarray(op.b(nodes), dtype=complex)
+    qf_grid = graph.grid_values()[1].ravel()
+    for row in rows:
+        kernel = DiracSequence(2, row["epsilon"], row["tau"])
+        conv = convolve_field(graph, kernel, nodes.reshape(f.shape + (2,)),
+                              quad=kernel.quad_rule())
+        f_eps, *partials, _ = conv.reshape(len(conv), -1)
+
+        def q_err(coefs):
+            q_f_eps = b_vals * f_eps
+            for a, df in zip(coefs, partials):
+                q_f_eps = q_f_eps + a * df
+            return f.lp_norm(q_f_eps - qf_grid, 2.0)
+
+        assert row["q_err"] == q_err(a_vals)
+        assert row["q_err"] != q_err([a.real for a in a_vals])
 
 
 def test_convergence_report_structure_and_interior_ladder():

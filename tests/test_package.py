@@ -166,3 +166,22 @@ def test_bmklab_import_keeps_numpy_from_starting_blas_threads(setting):
         assert (threads, value) == ("1", "1")
     else:
         assert value == setting
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc/self/task; needs 2 usable CPUs")
+def test_kernel_profile_script_imports_bmklab_before_numpy():
+    """scripts/kernel_profile.py, loaded in a fresh interpreter without
+    running main, runs one thread: it imports bmklab before numpy, so
+    numpy's OpenBLAS starts no helper thread."""
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "kernel_profile.py")
+    env = _fresh_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = ("import importlib.util, os; "
+            f"spec = importlib.util.spec_from_file_location('kernel_profile', {script!r}); "
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec)); "
+            "print(len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "1"
