@@ -199,11 +199,13 @@ def _sphere_rule(n, level):
     Collapsed Gauss puts v_k = |z_k|^2, k = 2..n, on the simplex: v_k is the
     rest 1 - (v_2 + ... + v_(k-1)) times a Gauss node on [0, 1], with that
     rest as Jacobian, and |z_1|^2 is the last rest.  z_k = sqrt(u_k) e^(i theta_k);
-    the simplex axes vary slowest, then theta_1..theta_n.
+    the simplex axes vary slowest, then theta_1..theta_n; at n = 1 there is
+    no simplex axis, so no Gauss rule is solved.
     """
     _, axis, t = (c * 2 ** level for c in BALL_NODES[n])
-    x, w = leggauss(axis)
-    s = (x + 1.0) / 2.0
+    if n > 1:
+        x, w = leggauss(axis)
+        s = (x + 1.0) / 2.0
     rest, v, sw = np.ones(1), [], np.full(1, 2.0 ** (1 - n))
     for _ in range(n - 1):
         sw = np.multiply.outer(sw * rest, w / 2.0).ravel()

@@ -179,9 +179,14 @@ def _sample(func, coords, shape=None):
     return _components(func(coords), shape)
 
 
-def _real_if_real(values):
-    """values as an array, float64 when no imaginary part is nonzero."""
-    v = np.asarray(values)
+def _coefficient(field, points):
+    """field's values at points (..., m), float64 when no imaginary part is
+    nonzero; a constant polynomial gives its scalar, real when its imaginary
+    part is 0, so no array of one value is built."""
+    if field.is_poly and set(field.terms) <= {(0,) * field.m}:
+        c = field.terms.get((0,) * field.m, 0.0)
+        return c.real if c.imag == 0 else c
+    v = np.asarray(field(points))
     return v.real.copy() if np.iscomplexobj(v) and not np.any(v.imag) else v
 
 
@@ -437,9 +442,9 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
 
     op's coefficients are evaluated once on the grid, and one whose
     imaginary parts are all zero is kept as float64, so Q f_eps is real
-    when f and the coefficients are.  Each rung is worked out by a helper
-    that returns its row: no rung's arrays are alive during the next
-    rung's convolution.
+    when f and the coefficients are; a constant coefficient stays a
+    scalar.  Each rung is worked out by a helper that returns its row: no
+    rung's arrays are alive during the next rung's convolution.
     """
     nodes = f.grid_nodes()
     f_grid = f.grid_values().ravel()
@@ -450,10 +455,10 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     qf_grid = pair[1].ravel()
     f_norm = f.lp_norm(f_grid, p)
     bnodes = f.boundary_nodes()
-    a1_b = _real_if_real(op.a[0](bnodes))
+    a1_b = _coefficient(op.a[0], bnodes)
     fb_vals = _sample(f_b, list(bnodes.T))
-    a_vals = [_real_if_real(aj(nodes)) for aj in op.a]
-    b_vals = _real_if_real(op.b(nodes))
+    a_vals = [_coefficient(aj, nodes) for aj in op.a]
+    b_vals = _coefficient(op.b, nodes)
     points = nodes.reshape(f.shape + (f.m,))
 
     def rung(eps):

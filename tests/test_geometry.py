@@ -6,10 +6,8 @@ import re
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
-
 from bmklab import geometry
-from bmklab.geometry import boundary_rule, dist_boundary, make_domain, volume_rule
+from bmklab.geometry import boundary_rule, dist_boundary, leggauss, make_domain, volume_rule
 
 
 def test_disc_area_and_circumference():
@@ -370,15 +368,107 @@ def test_ball_rule_outside_the_table_names_the_dimension(build, m):
         build(make_domain("ball", m=m), 0)
 
 
+#: every Gauss-Legendre order up to 512 the lab solves: the box and mollifier
+#: kernel axes, the smooth step, and the ball radial and simplex axes to level 6
+LAB_ORDERS = sorted({geometry.BOX_ORDER, 10, 16, 80} | {
+    c * 2 ** level for nr, axis, _ in geometry.BALL_NODES.values()
+    for c in (nr, axis) for level in range(7) if c * 2 ** level <= 512})
+
+
+def _long_double_rule(n):
+    """Gauss-Legendre nodes and weights of order n by Newton's method in
+    long double on all n roots, from the guesses cos(pi (4k - 1)/(4n + 2)),
+    with the weights 2/((1 - x^2) P_n'(x)^2) at the converged nodes."""
+    k = np.arange(n, 0, -1, dtype=np.longdouble)
+    x = np.cos(np.longdouble(np.pi) * (4 * k - 1) / (4 * n + 2))
+
+    def newton():
+        prev, cur = np.ones_like(x), x.copy()
+        for j in range(1, n):
+            prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+        dp = n * (prev - x * cur) / ((1 - x) * (1 + x))
+        return cur / dp, dp
+
+    for _ in range(20):
+        dx, dp = newton()
+        x = x - dx
+        if np.abs(dx).max() <= 4 * np.finfo(np.longdouble).eps:
+            break
+    dx, dp = newton()
+    return x - dx, 2 / ((1 - x) * (1 + x) * dp * dp)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("order", LAB_ORDERS)
+def test_leggauss_matches_a_long_double_reference(order):
+    """Every order the lab solves lies within 2e-16 of the long double rule
+    in its nodes and 2e-12 relative in its weights, the endpoint weights
+    included (numpy's eigenvalue rule is off by 1.1e-10 there at 512)."""
+    x, w = leggauss(order)
+    x_ref, w_ref = _long_double_rule(order)
+    assert np.abs(x - x_ref).max() <= 2e-16
+    assert np.abs(w / w_ref - 1).max() <= 2e-12
+
+
+@pytest.mark.parametrize("order", LAB_ORDERS)
+def test_leggauss_integrates_legendre_polynomials_exactly(order):
+    """The order-n rule integrates P_0 to 2 and every P_k, 1 <= k <= 2n - 1,
+    to 0, within 1e-14; P_k comes from the three-term recurrence."""
+    x, w = leggauss(order)
+    prev, cur = np.ones_like(x), x.copy()
+    errors = [abs(w.sum() - 2.0), abs(w @ cur)]
+    for k in range(1, 2 * order - 1):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        errors.append(abs(w @ cur))
+    assert max(errors) <= 1e-14
+
+
+@pytest.mark.parametrize("order", LAB_ORDERS + [3, 7, 81, 511])
+def test_leggauss_is_exactly_symmetric(order):
+    """Nodes ascend inside (-1, 1) with x == -x[::-1] and weights w ==
+    w[::-1] bit for bit; an odd rule's middle node is +0.0."""
+    x, w = leggauss(order)
+    assert len(x) == len(w) == order
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0] and x[-1] < 1.0
+    assert x.tobytes() == (-x[::-1] + 0.0).tobytes()
+    assert w.tobytes() == w[::-1].tobytes() and np.all(w > 0)
+    if order % 2:
+        assert x[order // 2] == 0.0 and not np.signbit(x[order // 2])
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5])
+def test_leggauss_names_an_order_that_is_not_a_positive_integer(order):
+    with pytest.raises(ValueError, match=f"integer >= 1, got {re.escape(repr(order))}$"):
+        leggauss(order)
+
+
 @pytest.mark.parametrize("order", [1, 10, 12, 64, 512])
-def test_cached_leggauss_equals_numpy_and_is_read_only(order):
-    """geometry.leggauss solves each order once: its arrays equal numpy's,
-    a second call returns the same objects, and they cannot be written."""
+def test_cached_leggauss_is_solved_once_and_read_only(order):
+    """geometry.leggauss is fields.leggauss: each order is solved once, a
+    second call returns the same objects, and they cannot be written."""
     x, w = geometry.leggauss(order)
-    x_np, w_np = leggauss(order)
-    assert np.array_equal(x, x_np) and np.array_equal(w, w_np)
     again = geometry.leggauss(order)
     assert again[0] is x and again[1] is w
     for arr in (x, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("level", range(3))
+def test_circle_rules_solve_no_simplex_axis(level, monkeypatch):
+    """At n = 1 the sphere rule has no simplex axis: the circle rule solves
+    no Gauss rule and the disc interior rule only its radial one, and the
+    circle rule keeps the trapezoid bytes."""
+    solved = []
+    monkeypatch.setattr(geometry, "leggauss", lambda order: solved.append(order)
+                        or leggauss(order))
+    disc = make_domain("ball", m=2)
+    bnd = boundary_rule(disc, level)
+    assert solved == []
+    volume_rule(disc, level)
+    assert solved == [8 * 2 ** level]
+    nt = 32 * 2 ** level
+    theta = 2.0 * np.pi * np.arange(nt) / nt
+    assert bnd.nu.tobytes() == np.stack([np.cos(theta), np.sin(theta)], axis=-1).tobytes()
+    assert bnd.weights.tobytes() == np.full(nt, 2.0 * np.pi / nt).tobytes()

@@ -755,6 +755,24 @@ def test_convergence_report_keeps_a_complex_coefficient_complex():
         assert row["q_err"] != q_err([a.real for a in a_vals])
 
 
+def test_convergence_report_keeps_constant_coefficients_scalar(monkeypatch):
+    """Of the strip operator's a_1 = 1, a_2 = x_2 and b = 0.5, only a_2 is
+    evaluated, so no grid array is built for a constant; the rows equal bit
+    for bit those of the same operator with the constants as callables that
+    return grid arrays."""
+    called = []
+    call = fields.PolyField.__call__
+    monkeypatch.setattr(fields.PolyField, "__call__", lambda self, x: called.append(self)
+                        or call(self, x))
+    op, f, graph, _, f_fn = _graph_fields()
+    rows = convergence_report(op, f, graph, f_fn, [0.2, 0.1], 2.0)["rows"]
+    assert len(called) == 1 and called[0] is op.a[1]
+    ones = fields.AnalyticField(2, lambda x: np.ones(x.shape[:-1]))
+    half = fields.AnalyticField(2, lambda x: np.full(x.shape[:-1], 0.5))
+    on_grid = FirstOrderOperator(2, a=[ones, op.a[1]], b=half)
+    assert convergence_report(on_grid, f, graph, f_fn, [0.2, 0.1], 2.0)["rows"] == rows
+
+
 def test_convergence_report_structure_and_interior_ladder():
     fn = lambda x: np.cos(1.3 * x[0] + 0.4) * np.exp(0.7 * x[1]) * 0.5
     qfn = lambda x: -0.65 * np.sin(1.3 * x[0] + 0.4) * np.exp(0.7 * x[1])

@@ -1,5 +1,6 @@
 """Package-level structure: every exported name exists, no module imports a
-name it never uses, importing the harness or loading the shipped config
+name it never uses, only fields builds a pool, no module solves Gauss rules
+by an eigenvalue solve, importing the harness or loading the shipped config
 loads neither sympy nor scipy, and importing bmklab keeps numpy's BLAS to
 one thread."""
 
@@ -102,6 +103,43 @@ def test_scheduler_guard_sees_imports_and_attributes():
                  "import concurrent.futures as cf\npool = cf.ThreadPoolExecutor(2)\n",
                  "import os\nn = len(os.sched_getaffinity(0))\n"):
         assert _names(ast.parse(code)) & SCHEDULER_NAMES
+
+
+def _dense_gauss_uses(tree):
+    """Each numpy.polynomial import or attribute and each eigvalsh the tree names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "polynomial":
+            modules = ["numpy.polynomial"]
+        else:
+            modules = []
+        out.update(m for m in modules if m.startswith("numpy.polynomial"))
+    return out | (_names(tree) & {"eigvalsh"})
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_no_module_solves_gauss_rules_by_eigenvalues(name):
+    """Each src/bmklab/*.py, parsed with ast, neither imports
+    numpy.polynomial nor calls eigvalsh: fields.leggauss solves the rules by
+    Newton's method in O(n^2), and the O(n^3) dense eigenvalue route stays
+    out."""
+    assert _dense_gauss_uses(_parse(name)) == set()
+
+
+def test_dense_gauss_guard_sees_imports_and_attributes():
+    """The guard sees numpy.polynomial imported as a module, from a package
+    or reached as an attribute, and eigvalsh called through numpy.linalg."""
+    for code in ("from numpy.polynomial import legendre\n",
+                 "from numpy.polynomial.legendre import leggauss\n",
+                 "import numpy.polynomial.legendre as L\n",
+                 "from numpy import polynomial\n",
+                 "import numpy as np\nx, w = np.polynomial.legendre.leggauss(8)\n",
+                 "import numpy as np\nx = np.linalg.eigvalsh(np.eye(2))\n"):
+        assert _dense_gauss_uses(ast.parse(code))
 
 
 def test_dead_import_guard_sees_module_and_function_imports():
