@@ -69,7 +69,7 @@ import numpy as np
 
 from .exterior import (DifferentialForm, _merge, _normal_completion, _star_monomial,
                        _top_real_constant, _wedge_monomial_sign, eps_sign, multi_indices)
-from .fields import _on_cpus, shared_values
+from .fields import _check_finite, _on_cpus, _whole, shared_values
 from .geometry import boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
@@ -119,12 +119,15 @@ def kernel_table(n, q):
 
 
 def kernel_eval(n, q, zeta, z):
-    """B_nq at one (zeta, z) pair of 2n-vectors: {J: constant-coefficient (n, n-q-1)-form}."""
+    """B_nq at one (zeta, z) pair of 2n-vectors: {J: constant-coefficient (n, n-q-1)-form}.
+
+    zeta = z, or a zeta or z that is not finite, is a ValueError."""
     zeta = np.asarray(zeta, dtype=float)
     z = np.asarray(z, dtype=float)
     if zeta.shape != (2 * n,) or z.shape != (2 * n,):
         raise ValueError(f"the kernel on C^{n} needs zeta and z of length {2 * n}, "
                          f"got shapes {zeta.shape} and {z.shape}")
+    _check_finite(np.stack([zeta, z]))
     if np.array_equal(zeta, z):
         raise ValueError("kernel singularity: zeta = z")
     d = zeta - z
@@ -158,10 +161,8 @@ class SingularQuadratureConfig:
     refinement_steps: int = 3
 
     def __post_init__(self):
-        for name, least in (("base_level", 0), ("refinement_steps", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        self.base_level = _whole("base_level", self.base_level, 0)
+        self.refinement_steps = _whole("refinement_steps", self.refinement_steps, 1)
 
     def levels(self):
         return list(range(self.base_level, self.base_level + self.refinement_steps))
@@ -292,13 +293,6 @@ def _norm2(d, out, tmp):
         np.multiply(d[c], d[c], out=tmp)
         out += tmp
     return out
-
-
-def _check_finite(points):
-    """ValueError naming the first row of the (P, m) stack that is not finite."""
-    bad = ~np.all(np.isfinite(points), axis=1)
-    if bad.any():
-        raise ValueError(f"evaluation point {points[bad][0].tolist()} is not finite")
 
 
 def _sweep(form, rule, points, radius=0.0, centers=None):

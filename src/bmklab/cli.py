@@ -39,8 +39,8 @@ import numpy as np
 
 from . import bmk, mollify, young
 from .exterior import DifferentialForm
-from .fields import (AnalyticField, PolyField, RadialPowerField, components, coordinate,
-                     zmonomial)
+from .fields import (AnalyticField, PolyField, RadialPowerField, _whole, components,
+                     coordinate, zmonomial)
 from .geometry import make_domain
 from .operators import FirstOrderOperator, scalar_test_family
 from .young import INF
@@ -104,8 +104,7 @@ class ExperimentConfig:
         if self.seed is None:
             self.seed = _DEFAULT_SEED[self.experiment]
         for key in (k for k, kind in _KEYS.items() if kind is int):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be nonnegative")
+            setattr(self, key, _whole(key, getattr(self, key), 0))
         # written so that a NaN fails it
         if not 1 <= self.p < math.inf:
             raise ValueError("mollify needs a finite p >= 1: at p = inf the slab mass "

@@ -6,13 +6,13 @@ of shape (..., m) give values of shape (...), first partial derivatives,
 complex conjugation and pointwise arithmetic.  Only polynomials
 differentiate: polynomial fields implement derivatives and products exactly,
 so identities such as dbar(dbar(f)) = 0 hold coefficientwise with no
-quadrature involved.  Every other field (a callable, or a sum, product or
-multiple with a non-polynomial part) carries values only: asking it for a
-derivative raises, and a derivative it needs is supplied in closed form as
-data.  bmk and mollify run field callables on several threads at once
-(_on_cpus), so every callable must be pure.  _on_cpus is the process's only
-thread pool: bmklab's import keeps numpy's OpenBLAS to one thread, whose
-idle helper threads would otherwise spin beside the runner's.
+quadrature involved.  Every other field (a callable, a radial power, or a
+sum, product or multiple with a non-polynomial part, an AnalyticField)
+carries values only: asking it for a derivative raises, and a derivative
+it needs is supplied in closed form as data.  bmk and mollify run field
+callables on several threads at once (_on_cpus), so every callable must be
+pure.  _on_cpus is the process's only thread pool: bmklab's import keeps
+numpy's OpenBLAS to one thread, whose idle helpers would spin beside it.
 """
 
 from __future__ import annotations
@@ -25,14 +25,30 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 
-@functools.lru_cache(maxsize=None)
+def _whole(name, value, least):
+    """value as an int; a ValueError naming it unless it is an int or a
+    numpy integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_finite(points):
+    """ValueError naming the first row of the (P, m) stack that is not finite."""
+    bad = ~np.all(np.isfinite(points), axis=1)
+    if bad.any():
+        raise ValueError(f"evaluation point {points[bad][0].tolist()} is not finite")
+
+
+@functools.lru_cache(maxsize=None, typed=True)
 def leggauss(order):
     """Gauss-Legendre (nodes, weights) on [-1, 1], solved once per order.
 
     Nodes ascend, x == -x[::-1] exactly (an exact 0 at odd order), and the
     weights are mirrored too and scaled to sum to 2.  The cached arrays are
     read-only, so callers build new arrays from them.  An order that is not
-    an integer >= 1 is a ValueError naming it.
+    an integer >= 1 is a ValueError naming it; the cache is keyed by type
+    too, so True or 3.0 is refused even once order 1 or 3 is cached.
 
     Newton's method on P_n from Tricomi's asymptotic nodes (error 1e-4 at
     n = 8, 1.5e-8 at n = 512), as in Hale & Townsend, SIAM J. Sci. Comput.
@@ -49,9 +65,7 @@ def leggauss(order):
     n = 512; numpy's endpoint weights are off by 1.1e-10 at 512 and 1.4e-11
     at 128.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 1:
-        raise ValueError(f"Gauss-Legendre order must be an integer >= 1, got {order!r}")
-    n = int(order)
+    n = _whole("Gauss-Legendre order", order, 1)
     theta = np.pi * (4.0 * np.arange(1, (n + 3) // 2) - 1.0) / (4 * n + 2)
     x = np.cos(theta) * (1.0 - (n - 1) / (8.0 * n ** 3)
                          - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4))
@@ -92,9 +106,6 @@ class Field:
     m: int
     is_poly = False
 
-    def __call__(self, x):
-        raise NotImplementedError
-
     def partial(self, k):
         """Field for d(self)/dx_k (0-based real coordinate)."""
         raise NotImplementedError(
@@ -108,7 +119,7 @@ class Field:
         other = as_field(other, self.m)
         if self.is_poly and other.is_poly:
             return self._poly_add(other)
-        return SumField(self, other)
+        return AnalyticField(self.m, lambda x: self(x) + other(x))
 
     __radd__ = __add__
 
@@ -125,7 +136,7 @@ class Field:
         for f, g in ((self, other), (other, self)):
             if g.is_poly and list(g.terms) == [(0,) * g.m]:
                 return f._scaled(g.terms[(0,) * g.m])
-        return ProductField(self, other)
+        return AnalyticField(self.m, lambda x: self(x) * other(x))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -134,7 +145,7 @@ class Field:
         return (-1.0) * self
 
     def _scaled(self, c):
-        return ScaledField(c, self)
+        return AnalyticField(self.m, lambda x: c * self(x))
 
     @property
     def is_zero(self):
@@ -233,36 +244,10 @@ def as_field(obj, m):
     raise TypeError(f"cannot interpret {obj!r} as a field on R^{m}")
 
 
-class SumField(Field):
-    def __init__(self, f, g):
-        self.m = f.m
-        self.f, self.g = f, g
-
-    def __call__(self, x):
-        return self.f(x) + self.g(x)
-
-
-class ProductField(Field):
-    def __init__(self, f, g):
-        self.m = f.m
-        self.f, self.g = f, g
-
-    def __call__(self, x):
-        return self.f(x) * self.g(x)
-
-
-class ScaledField(Field):
-    def __init__(self, c, f):
-        self.m = f.m
-        self.c = complex(c)
-        self.f = f
-
-    def __call__(self, x):
-        return self.c * self.f(x)
-
-
 class AnalyticField(Field):
-    """Callable-backed field: values and conjugate only, no derivative."""
+    """Callable-backed field: values and conjugate only, no derivative; also
+    each sum f(x) + g(x), product f(x) * g(x) or multiple c * f(x) with a
+    non-polynomial part, so one class carries every callable value."""
 
     def __init__(self, m, func):
         self.m = m

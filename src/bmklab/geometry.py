@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import leggauss
+from .fields import _whole, leggauss
 
 __all__ = [
     "Domain", "make_domain", "QuadratureRule", "volume_rule", "boundary_rule",
@@ -58,30 +58,38 @@ class Domain:
         return self.m // 2
 
 
+#: the parameters each domain kind reads
+_PARAMS = {"ball": ("m", "radius", "center"), "interval-box": ("m", "bounds"),
+           "half-space-patch": ("m", "bounds")}
+
+
 def make_domain(kind, **params):
     """Construct a domain: ball | interval-box | half-space-patch.
 
-    ValueError on a radius that is not finite and positive, a centre that is
-    not an m-vector, or bounds that are not m rows [lo, hi] with lo < hi.
+    ValueError on a parameter the kind does not read, an m that is not an
+    integer >= 1, a radius that is not finite and positive, a centre that
+    is not an m-vector, or bounds that are not m rows [lo, hi] with lo < hi.
     """
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown domain kind {kind!r}")
+    unread = sorted(set(params).difference(_PARAMS[kind]))
+    if unread:
+        raise ValueError(f"{kind} does not read {unread}")
     if kind == "ball":
-        m = int(params.get("m", 2))
+        m = _whole("m", params.get("m", 2), 1)
         R = float(params.get("radius", 1.0))
         c = np.asarray(params.get("center", np.zeros(m)), dtype=float)
         if not (np.isfinite(R) and R > 0) or c.shape != (m,):
             raise ValueError(f"ball needs a finite radius > 0 and a centre of length {m}")
         return Domain("ball", m, center=c, radius=R)
 
-    if kind in ("interval-box", "half-space-patch"):
-        bounds = np.asarray(params["bounds"], dtype=float)
-        m = int(params.get("m", len(bounds)))
-        if bounds.shape != (m, 2) or not np.all(bounds[:, 0] < bounds[:, 1]):
-            raise ValueError(f"{kind} needs {m} bound rows [lo, hi] with lo < hi")
-        if kind == "half-space-patch" and abs(bounds[0, 1]) > 1e-14:
-            raise ValueError("half-space patch needs x1 upper bound 0")
-        return Domain(kind, m, bounds=bounds)
-
-    raise ValueError(f"unknown domain kind {kind!r}")
+    bounds = np.asarray(params["bounds"], dtype=float)
+    m = _whole("m", params.get("m", len(bounds)), 1)
+    if bounds.shape != (m, 2) or not np.all(bounds[:, 0] < bounds[:, 1]):
+        raise ValueError(f"{kind} needs {m} bound rows [lo, hi] with lo < hi")
+    if kind == "half-space-patch" and abs(bounds[0, 1]) > 1e-14:
+        raise ValueError("half-space patch needs x1 upper bound 0")
+    return Domain(kind, m, bounds=bounds)
 
 
 @dataclass
@@ -177,7 +185,11 @@ def _tensor(axis_nodes, axis_weights):
 
 
 def _lp_norm(values, weights, p):
-    """Discrete L^p norm (sum_i w_i |v_i|^p)^(1/p) of values at weighted nodes; p=inf -> max."""
+    """Discrete L^p norm (sum_i w_i |v_i|^p)^(1/p) of values at weighted nodes; p=inf -> max.
+
+    A p outside 1 <= p <= inf is a ValueError naming it."""
+    if not 1 <= p <= np.inf:
+        raise ValueError(f"an L^p norm needs 1 <= p <= inf, got p = {p!r}")
     values = np.abs(np.asarray(values))
     if values.size != len(weights):
         raise ValueError(f"{values.size} values for {len(weights)} weights")
@@ -222,16 +234,9 @@ def _sphere_rule(n, level):
     return nodes.reshape(-1, 2 * n), np.repeat(sw * (2.0 * np.pi / t) ** n, t ** n)
 
 
-def _check_level(level):
-    """level as an int; ValueError unless it is an integer (np.int64 too) >= 0."""
-    if not isinstance(level, (int, np.integer)) or level < 0:
-        raise ValueError(f"rule level must be an integer >= 0, got {level!r}")
-    return int(level)
-
-
 def volume_rule(domain, level):
     """Interior product rule at the given refinement level."""
-    level = _check_level(level)
+    level = _whole("rule level", level, 0)
     n = domain.m // 2
     if domain.kind == "ball" and domain.m == 2 * n and n in BALL_NODES:
         m, R = domain.m, domain.radius
@@ -252,7 +257,7 @@ def volume_rule(domain, level):
 
 def boundary_rule(domain, level):
     """Boundary rule with outward unit normals."""
-    level = _check_level(level)
+    level = _whole("rule level", level, 0)
     n = domain.m // 2
     if domain.kind == "ball" and domain.m == 2 * n and n in BALL_NODES:
         R = domain.radius

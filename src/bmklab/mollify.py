@@ -226,7 +226,7 @@ class HalfSpaceField:
 
     def __init__(self, func, bounds, shape):
         self.bounds = np.asarray(bounds, dtype=float)
-        self.shape = tuple(int(s) for s in shape)
+        self.shape = tuple(fields._whole("a grid shape entry", s, 0) for s in shape)
         if len(self.shape) != len(self.bounds):
             raise ValueError(f"shape {self.shape} needs one bound row per axis, "
                              f"got {len(self.bounds)}")
@@ -371,7 +371,9 @@ def convolve_field(f, kernel, x, *, quad):
 
     x is reduced once to its open-grid coordinates (_open_grid), so a
     tensor grid is sampled through per-axis coordinate arrays and an
-    (N, m) stack through full columns, on the same path.  The leading axis
+    (N, m) stack through full columns, on the same path; a point that is
+    not finite is a ValueError naming it, found from those coordinates, so
+    the check adds no grid-sized temporary.  The leading axis
     of x is split into one contiguous slab of ceil(n / CPUs) entries per
     usable CPU (an empty point set is one empty slab); fields._on_cpus runs
     them, and their rows are joined in order.  A slab's worker takes
@@ -393,6 +395,8 @@ def convolve_field(f, kernel, x, *, quad):
     if x.shape[-1] != t.shape[1]:
         raise ValueError(f"points of shape {x.shape} need {t.shape[1]} coordinates each")
     coords = _open_grid(x)
+    if not all(np.isfinite(c).all() for c in coords):
+        fields._check_finite(x.reshape(-1, x.shape[-1]))
     size = max(1, -(-len(x) // fields._usable_cpus()))
     slabs = [slice(lo, lo + size) for lo in range(0, max(len(x), 1), size)]
     totals = [None] * len(slabs)
@@ -439,6 +443,7 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     sampled at the columns of f's boundary nodes.  The convolutions run on
     f's grid nodes as an (n_1, ..., n_m, m) array.  Row columns:
     (epsilon, tau, interior_err, q_err, commutator_ratio, trace_err).
+    p must satisfy 1 <= p < inf, as in slab_mass.
 
     op's coefficients are evaluated once on the grid, and one whose
     imaginary parts are all zero is kept as float64, so Q f_eps is real
@@ -446,6 +451,8 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     scalar.  Each rung is worked out by a helper that returns its row: no
     rung's arrays are alive during the next rung's convolution.
     """
+    if not 1 <= p < np.inf:
+        raise ValueError(f"convergence_report needs 1 <= p < inf, got p = {p!r}")
     nodes = f.grid_nodes()
     f_grid = f.grid_values().ravel()
     pair = graph.grid_values()

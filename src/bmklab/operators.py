@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .fields import AnalyticField, PolyField, as_field, coordinate
+from .fields import PolyField, as_field, coordinate
 from .exterior import DifferentialForm, integrate, multi_indices
 from .geometry import boundary_rule, volume_rule
 
@@ -105,26 +105,17 @@ def vartheta(g):
     return g.star().dholo().star().scale(-1.0)
 
 
-def _dbar_r_component(center, j):
-    def val(x, j=j):
-        d = np.asarray(x, dtype=float) - center
-        g = d / np.maximum(np.linalg.norm(d, axis=-1, keepdims=True), 1e-300)
-        return 0.5 * (g[..., 2 * j - 2] + 1j * g[..., 2 * j - 1])
-
-    return AnalyticField(len(center), val)
-
-
 def dbar_r_form(domain):
-    """dbar of the ball's defining function |x - c| - R as a (0,1)-form.
-
-    Coefficients come from the unit normal (x - c)/|x - c|, so they equal
-    dbar r away from the center, and in particular on the boundary, which
-    is where this form is meant to be used.  Only balls are supported.
+    """dbar rho as a (0,1)-form, rho = (|x - c|^2 - R^2)/(2R) the ball's
+    defining function: polynomial coefficients (z_j - c_j)/(2R).  On the
+    boundary, the one place it is meant for, grad rho is the outward unit
+    normal, so there it is dbar of |x - c| - R.  Only balls are supported.
     """
     if domain.kind != "ball":
         raise ValueError(f"dbar_r_form is defined for balls only, got kind {domain.kind!r}")
-    n = domain.n_complex
-    coeffs = {((), (j,)): _dbar_r_component(domain.center, j)
+    n, c = domain.n_complex, domain.center
+    coeffs = {((), (j,)): (coordinate(2 * n, 2 * j - 2) + 1j * coordinate(2 * n, 2 * j - 1)
+                           - complex(c[2 * j - 2], c[2 * j - 1])) * (0.5 / domain.radius)
               for j in range(1, n + 1)}
     return DifferentialForm(n, 0, 1, coeffs)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bmk import kernel_norm
-from .fields import _bump01
+from .fields import _bump01, _whole
 from .geometry import _lp_norm, boundary_rule, dist_boundary, volume_rule
 
 __all__ = [
@@ -185,8 +185,7 @@ def _sample_functions(space, count, seed, p):
 
 def empirical_norm(spec, p, r, sample_count=20, seed=0, level=1):
     """Max over normalized samples of ||T f||_r; a lower bound on ||T||."""
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count!r}")
+    sample_count = _whole("sample_count", sample_count, 1)
     pairs = admissible_exponents(spec, p)
     if not any(r <= pair.r + 1e-12 for pair in pairs):
         if pairs:

@@ -1022,3 +1022,15 @@ def test_dbar_potential_matches_closed_form_at_drawn_points(z):
     got = bmk.dbar_potential(f, z[None], volume_rule(BALL4, 3))[0]
     assert abs(got[0] - (-zb2 / 3)) < 3e-3   # J = (1,)
     assert abs(got[1] - (-zb1 / 3)) < 3e-3   # J = (2,)
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.1, np.inf]])
+def test_kernel_at_a_point_that_is_not_finite_is_named(bad):
+    """kernel_eval and kernel_norm at a zeta or z with a NaN or infinite
+    coordinate raise the ValueError that names the point, where they gave
+    NaN with a RuntimeWarning."""
+    good = [0.3, -0.2]
+    for zeta, z in ((bad, good), (good, bad)):
+        for call in (bmk.kernel_eval, bmk.kernel_norm):
+            with pytest.raises(ValueError, match=re.escape(f"evaluation point {bad} is not finite")):
+                call(1, 0, np.array(zeta), np.array(z))

@@ -17,7 +17,7 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="unknown experiment"):
         cli.ExperimentConfig(experiment="frobnicate")
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="level must be an integer >= 0, got -1"):
         cli.ExperimentConfig(experiment="mollify", level=-1)
     for p in (math.nan, 0.5):
         with pytest.raises(ValueError, match="p >= 1"):

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import operator
+import re
 import sys
 import threading
 import time
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmklab import fields
+from bmklab import bmk, cli, fields, geometry, mollify, young
 from bmklab.exterior import DifferentialForm
-from bmklab.fields import (AnalyticField, PolyField, ProductField, RadialPowerField,
-                           ScaledField, as_field, components, constant, coordinate,
-                           dz_part, dzbar_part, shared_values, zmonomial)
+from bmklab.fields import (AnalyticField, PolyField, RadialPowerField, as_field,
+                           components, constant, coordinate, dz_part, dzbar_part,
+                           shared_values, zmonomial)
 
 
 def test_polyfield_evaluation_and_arithmetic():
@@ -191,19 +192,35 @@ def test_components_share_one_call_per_stack():
     assert len(calls) == 5
 
 
-def test_product_with_a_constant_polynomial_is_scaled():
-    """A field times a constant PolyField, on either side, scales the field:
-    its values have the bits of the product with the constant's values.
-    Polynomial products stay exact and other products stay products."""
+def test_product_with_a_constant_polynomial_is_scaled(monkeypatch):
+    """A field times a constant PolyField, on either side, scales the field
+    by the constant: its values have the bits of c * f(x), which are those
+    of the product with the constant's values, and the constant polynomial
+    is never evaluated.  Polynomial products stay exact, and a sum or
+    product with a callable part is an AnalyticField over its parts'
+    values in order, whose conjugate is their conjugate."""
     f = RadialPowerField(4, 0.75)
+    g = AnalyticField(4, lambda x: np.exp(1j * x[..., 0]) * x[..., 3])
     c = constant(4, 0.3 - 1.25j)
     x = np.random.default_rng(6).uniform(-0.6, 0.6, (4097, 4))
+    want = (0.3 - 1.25j) * f(x)
+    assert want.tobytes() == (f(x) * c(x)).tobytes()
+    poly_calls = []
+    poly_call = PolyField.__call__
+    monkeypatch.setattr(PolyField, "__call__",
+                        lambda self, y: poly_calls.append(self) or poly_call(self, y))
     for prod in (f * c, c * f):
-        assert isinstance(prod, ScaledField)
-        assert prod(x).tobytes() == (f(x) * c(x)).tobytes()
+        assert prod(x).tobytes() == want.tobytes()
+    assert not poly_calls
     assert isinstance(coordinate(4, 1) * c, PolyField)
-    assert isinstance(f * coordinate(4, 1), ProductField)
-    assert isinstance(f * PolyField(4, {}), ProductField)
+    x1 = coordinate(4, 1)
+    for combined, value in ((f + g, f(x) + g(x)), (g + x1, g(x) + x1(x)),
+                            (f * g, f(x) * g(x)), (x1 * g, x1(x) * g(x)),
+                            (f * PolyField(4, {}), f(x) * PolyField(4, {})(x)),
+                            (2.5j * g, 2.5j * g(x)), (-g, complex(-1.0) * g(x))):
+        assert isinstance(combined, AnalyticField)
+        assert combined(x).tobytes() == value.tobytes()
+        assert combined.conj()(x).tobytes() == np.conj(value).tobytes()
 
 
 def test_coordinate_and_as_field():
@@ -416,3 +433,45 @@ def test_smooth_transition_is_monotone_and_in_unit_interval_to_roundoff():
     assert np.diff(v).min() >= -1e-14
     assert v.min() >= 0.0 and v.max() <= 1.0 + 1e-14
     assert v[0] == 0.0
+
+
+def _whole_number_calls(value):
+    """The seven entry points that take a whole number, each given value;
+    ExperimentConfig takes two."""
+    disc = geometry.make_domain("ball", m=2)
+    spec = young.KernelSpec(X=("boundary", disc), Y=("domain", disc),
+                            kernel=young.bmk_norm_kernel(1, 0),
+                            t=1.0, s=1.5, a=4.0, b=young.INF)
+    return [
+        ("Gauss-Legendre order", lambda: fields.leggauss(value)),
+        ("rule level", lambda: geometry.volume_rule(disc, value)),
+        ("base_level", lambda: bmk.SingularQuadratureConfig(base_level=value)),
+        ("m", lambda: geometry.make_domain("ball", m=value)),
+        ("a grid shape entry",
+         lambda: mollify.HalfSpaceField(lambda x: x[0], [[-1.0, 0.0], [-1.0, 1.0]], (value, 5))),
+        ("level", lambda: cli.ExperimentConfig(experiment="bmk-verify", level=value)),
+        ("seed", lambda: cli.ExperimentConfig(experiment="bmk-verify", seed=value)),
+        ("sample_count", lambda: young.empirical_norm(spec, 2.0, 2.0, sample_count=value)),
+    ]
+
+
+@pytest.mark.parametrize("value", [True, 4.7, 2.5, 5.9, 1.0, "3", np.float64(3.0)])
+def test_every_whole_number_is_checked_alike(value):
+    """A bool, a fraction, a whole float or a string is the same ValueError
+    naming the value at each entry point, a cached Gauss-Legendre order
+    included: they had built the level-1 rule from True, m = 4 from 4.7 and
+    a 5-sample axis from 5.9, accepted a level of 1.5 and a seed of True,
+    and raised a bare TypeError for a sample count of 2.5."""
+    fields.leggauss(1), fields.leggauss(3)
+    for name, call in _whole_number_calls(value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= ")
+                           + r"\d, got " + re.escape(repr(value))):
+            call()
+
+
+def test_whole_numbers_take_numpy_integers():
+    """A numpy integer is a whole number as an int is."""
+    assert geometry.make_domain("ball", m=np.int64(4)).m == 4
+    assert len(fields.leggauss(np.int32(3))[0]) == 3
+    config = cli.ExperimentConfig(experiment="bmk-verify", level=np.int64(1), seed=np.uint8(3))
+    assert (config.level, config.seed) == (1, 3) and type(config.level) is int

@@ -472,3 +472,26 @@ def test_circle_rules_solve_no_simplex_axis(level, monkeypatch):
     theta = 2.0 * np.pi * np.arange(nt) / nt
     assert bnd.nu.tobytes() == np.stack([np.cos(theta), np.sin(theta)], axis=-1).tobytes()
     assert bnd.weights.tobytes() == np.full(nt, 2.0 * np.pi / nt).tobytes()
+
+
+@pytest.mark.parametrize("kind, params, unread", [
+    ("ball", {"m": 2, "raduis": 3.0}, ["raduis"]),
+    ("interval-box", {"bounds": [[0.0, 1.0]], "radius": 2.0}, ["radius"]),
+    ("half-space-patch", {"bounds": [[-1.0, 0.0]], "center": [0.0], "m": 1, "radius": 1.0},
+     ["center", "radius"]),
+])
+def test_make_domain_names_each_parameter_its_kind_does_not_read(kind, params, unread):
+    """A misspelt or foreign parameter is an error naming it, where the
+    ball came back as the unit disc and a box ignored its radius."""
+    with pytest.raises(ValueError, match=re.escape(f"{kind} does not read {unread}")):
+        make_domain(kind, **params)
+
+
+def test_lp_norm_needs_p_of_at_least_one():
+    """p below 1, or NaN, is a ValueError naming it; 1 and inf are norms."""
+    values, weights = np.array([1.0, -2.0]), np.array([0.5, 0.5])
+    for p in (-1.0, 0.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"1 <= p <= inf, got p = {p!r}")):
+            geometry._lp_norm(values, weights, p)
+    assert geometry._lp_norm(values, weights, 1) == 1.5
+    assert geometry._lp_norm(values, weights, math.inf) == 2.0

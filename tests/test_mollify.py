@@ -786,3 +786,40 @@ def test_convergence_report_structure_and_interior_ladder():
         assert all(key in r for r in rows)
     assert rows[1]["interior_err"] < rows[0]["interior_err"]
     assert rows[1]["trace_err"] < rows[0]["trace_err"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_convolve_field_names_a_point_that_is_not_finite():
+    """A NaN or infinite point, scattered or on a grid, is the ValueError
+    that names it, where its row came back NaN; the field is never called."""
+    f = HalfSpaceField(lambda x: pytest.fail("sampled a point set with a NaN"), BOUNDS, (5, 5))
+    kernel = DiracSequence(2, 0.2, 0.05)
+    scattered = np.array([[-0.5, 0.1], [-0.2, np.nan], [-0.3, 0.2]])
+    grid = np.stack(np.meshgrid([-0.5, -0.2], [0.1, np.inf, 0.3], indexing="ij"), axis=-1)
+    for x, bad in ((scattered, [-0.2, np.nan]), (grid, [-0.5, np.inf])):
+        with pytest.raises(ValueError, match=re.escape(f"evaluation point {bad} is not finite")):
+            convolve_field(f, kernel, x, quad=kernel.quad_rule())
+
+
+def test_lp_norms_need_p_of_at_least_one():
+    """A grid or trace norm at p < 1 is a ValueError naming p, where p = -1
+    gave 0.2255 on the 33^2 grid."""
+    f, _ = _smooth_field((33, 33))
+    values = f.grid_values()
+    for norm, vals in ((f.lp_norm, values), (f.trace_lp_norm, values[-1])):
+        with pytest.raises(ValueError, match=re.escape("1 <= p <= inf, got p = -1.0")):
+            norm(vals, -1.0)
+        assert norm(vals, np.inf) == np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("p", [0, 0.5, np.inf, np.nan])
+def test_convergence_report_checks_p_first(p):
+    """convergence_report names a p outside 1 <= p < inf in slab_mass's
+    words before it samples anything, where p = 0 raised ZeroDivisionError
+    from the L^p norm."""
+    fn = lambda x: pytest.fail("sampled before p was checked")
+    f = HalfSpaceField(fn, BOUNDS, (5, 5))
+    op = FirstOrderOperator(2, a=[1.0, 0.0], b=0.0)
+    with pytest.raises(ValueError, match=re.escape(f"convergence_report needs 1 <= p < inf, "
+                                                   f"got p = {p!r}")):
+        convergence_report(op, f, f, fn, [0.2], p)

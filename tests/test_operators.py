@@ -5,7 +5,7 @@ import pytest
 
 from bmklab.exterior import DifferentialForm, dbar
 from bmklab.fields import PolyField, constant, coordinate, zmonomial
-from bmklab.geometry import make_domain, volume_rule
+from bmklab.geometry import boundary_rule, make_domain, volume_rule
 from bmklab.operators import (FirstOrderOperator, dbar_r_form,
                               equivalence_report, form_inner_volume,
                               form_test_family, scalar_test_family,
@@ -226,11 +226,30 @@ def test_perturbation_along_nu_bar_is_invisible():
 def test_nu_form_unit_length_on_boundary():
     nu = dbar_r_form(DISC)
     assert nu.bidegree == (0, 1)
-    from bmklab.geometry import boundary_rule
     bnd = boundary_rule(DISC, 1)
     norms = np.sqrt(nu.inner(nu)(bnd.nodes).real)
     # |dbar r| = 1/sqrt(2) when |dr| = 1: the (0,1) half carries half the mass
     assert np.allclose(norms, np.sqrt(0.5), atol=1e-12)
+
+
+def test_dbar_r_form_is_the_polynomial_dbar_rho():
+    """On an off-centre ball of radius 2, each coefficient of dbar_r_form
+    is the polynomial (z_j - c_j)/(2R), and on the boundary rule's nodes it
+    equals the unit-normal form (nu_x + i nu_y)/2 within 1e-15."""
+    R, c = 2.0, np.array([0.5, -1.0, 0.25, 2.0])
+    ball = make_domain("ball", m=4, radius=R, center=c)
+    form = dbar_r_form(ball)
+    assert form.bidegree == (0, 1)
+    bnd = boundary_rule(ball, 2)
+    for j in (1, 2):
+        x, y = 2 * j - 2, 2 * j - 1
+        coeff = form.coefficient((), (j,))
+        ex, ey = (tuple(int(k == i) for k in range(4)) for i in (x, y))
+        assert isinstance(coeff, PolyField)
+        assert coeff.terms == {ex: 1 / (2 * R), ey: 1j / (2 * R),
+                               (0, 0, 0, 0): -(c[x] + 1j * c[y]) / (2 * R)}
+        unit = 0.5 * (bnd.nu[:, x] + 1j * bnd.nu[:, y])
+        assert np.max(np.abs(coeff(bnd.nodes) - unit)) <= 1e-15
 
 
 def test_dbar_r_form_rejects_non_ball_domains():

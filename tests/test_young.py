@@ -168,7 +168,7 @@ def test_empirical_norm_matches_per_y_loop():
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_empirical_norm_needs_one_sample(count):
-    with pytest.raises(ValueError, match=rf"sample_count must be at least 1, got {count}"):
+    with pytest.raises(ValueError, match=rf"sample_count must be an integer >= 1, got {count}"):
         young.empirical_norm(_disc_spec(), 2.0, 2.0, sample_count=count)
 
 
