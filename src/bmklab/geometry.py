@@ -58,11 +58,6 @@ class Domain:
         return self.m // 2
 
 
-#: the parameters each domain kind reads
-_PARAMS = {"ball": ("m", "radius", "center"), "interval-box": ("m", "bounds"),
-           "half-space-patch": ("m", "bounds")}
-
-
 def make_domain(kind, **params):
     """Construct a domain: ball | interval-box | half-space-patch.
 
@@ -70,9 +65,11 @@ def make_domain(kind, **params):
     integer >= 1, a radius that is not finite and positive, a centre that
     is not an m-vector, or bounds that are not m rows [lo, hi] with lo < hi.
     """
-    if kind not in _PARAMS:
+    reads = {"ball": ("m", "radius", "center"), "interval-box": ("m", "bounds"),
+             "half-space-patch": ("m", "bounds")}.get(kind)
+    if reads is None:
         raise ValueError(f"unknown domain kind {kind!r}")
-    unread = sorted(set(params).difference(_PARAMS[kind]))
+    unread = sorted(set(params).difference(reads))
     if unread:
         raise ValueError(f"{kind} does not read {unread}")
     if kind == "ball":
