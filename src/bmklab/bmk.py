@@ -34,9 +34,13 @@ symbolic wedge and exterior.density, so every density keeps that path's
 bits (numpy's complex multiply rounds through FMA, so operand order
 matters).  Inside, it writes each weighted density into one complex
 scratch row per block by products with an explicit out=, which fix that
-order, and allocates no other block-sized array.  Next to each weighted
-density A it writes conj(zeta_j) A, so that
-sum_i A conj(zeta_j - z_j)/|zeta-z|^{2n} is taken as
+order, and allocates no other block-sized array.  An interior density of
+a constant polynomial c is the scalar 0 + c, which the polynomial gives at
+every node: the fold writes its weighted real and imaginary parts w c_r and
+w c_i directly, the complex product's roundings since w > 0, and builds
+no value or scratch row for it.  Next to each weighted density A it
+writes conj(zeta_j) A, so that sum_i A conj(zeta_j - z_j)/|zeta-z|^{2n}
+is taken as
 sum_i conj(zeta_j) A/|.|^{2n} - conj(z_j) sum_i A/|.|^{2n}: the sweep
 needs no coordinate differences.  It evaluates every point of a level in
 one pass over the rule, in blocks of at most NODE_BLOCK nodes that the
@@ -50,11 +54,12 @@ so every value is the same whatever the number of CPUs.  The expanded
 distance and the final difference round differently from exact
 coordinate differences: the values agree with that contraction to within
 1e-13 of the sum of the terms' moduli, the cancellation being worst next
-to the excluded ball.  Each worker reads its block through rule.part,
-which writes a ball volume rule's nodes and weights from the radial and
-unit-sphere factors the rule keeps, so only boundary rules and
-block-sized temporaries are resident, which keeps ladders over millions
-of nodes at desk scale.  part writes such a block coordinate-major, so
+to the excluded ball.  A worker's |zeta|^2 scratch is its scale buffer,
+not yet written then, and it drops each block before writing the next.
+Each worker reads its block through rule.part, which writes a ball
+volume rule's nodes and weights from the radial and unit-sphere factors
+the rule keeps, so only boundary rules and block-sized temporaries are
+resident, which keeps ladders over millions of nodes at desk scale.  part writes such a block coordinate-major, so
 the distance product and the operand's fields read each coordinate as
 one contiguous row.
 """
@@ -225,18 +230,23 @@ def _density(parts, nodes, nu, calls, out=None):
     calls shares the operand's values across the densities of one block
     (fields.shared_values).  The density is written into out, a complex
     array of len(nodes) (a new one when out is None), except that an
-    interior density of a polynomial is the polynomial's own new values.
+    interior density of a polynomial is the polynomial's own new values,
+    and one of a constant polynomial c the complex scalar 0 + c, the value
+    the polynomial gives at every node, with no array built.
     """
-    if out is None:
-        out = np.empty(len(nodes), dtype=complex)
     if nu is None:
         ((field, consts, _),) = parts   # an interior density has one part
+        value = field._constant_value()
+        if value is not None:
+            return value
         value = shared_values(field, nodes, calls)
         for c in consts:
             # constant first, as in the symbolic wedge: FMA rounds a complex
             # product differently in the other order
             value = np.multiply(c, value, out=out)
         return value
+    if out is None:
+        out = np.empty(len(nodes), dtype=complex)
     out.fill(0.0)
     for field, consts, dual in parts:
         value = shared_values(field, nodes, calls)
@@ -267,23 +277,36 @@ def _fold(fold, terms, nodes, nu, weights):
     np.multiply with an explicit out= (so numpy never reuses a temporary and
     swaps a complex product's operands), and that scratch, once its real
     and imaginary parts are copied out, holds y_j Re A: an interior term
-    allocates no other block-sized array.
+    allocates no other block-sized array.  The scratch is the first
+    non-constant density's own new values, so a fold of constant densities
+    (scalars 0 + c, see _density) has none: it writes Re A and Im A as
+    w * c_r and w * c_i, lets the Re A row hold y_j Re A and then writes
+    Re A again.
     """
-    calls = {}
-    a = np.empty(len(nodes), dtype=complex)
-    tmp = a.view(float)[:len(nodes)]
+    calls, a = {}, None
     for t, (_, j, parts) in enumerate(terms):
-        np.multiply(weights, _density(parts, nodes, nu, calls, a), out=a)
+        value = _density(parts, nodes, nu, calls, a)
         re, im, cre, cim = fold[4 * t:4 * t + 4]
         x, y = nodes[:, 2 * j - 2], nodes[:, 2 * j - 1]
-        np.copyto(re, a.real)
-        np.copyto(im, a.imag)
+        if np.ndim(value):
+            a = np.multiply(weights, value, out=value)   # value is new or a
+            np.copyto(re, a.real)
+            np.copyto(im, a.imag)
+            tmp = a.view(float)[:len(nodes)]
+        else:
+            # w (c_r + i c_i) per part: the complex product's roundings,
+            # since w > 0 and the scalar 0 + c has no -0 part
+            np.multiply(weights, value.real, out=re)
+            np.multiply(weights, value.imag, out=im)
+            tmp = re   # holds y Re A until Re A is written again
         np.multiply(x, re, out=cre)
         np.multiply(y, im, out=cim)
         cre += cim
         np.multiply(x, im, out=cim)
         np.multiply(y, re, out=tmp)
         cim -= tmp
+        if tmp is re:
+            np.multiply(weights, value.real, out=re)
 
 
 def _norm2(d, out, tmp):
@@ -355,15 +378,15 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
 
     def work(claim):
         fold = np.empty((4 * len(terms), block))
-        zsq, ztmp = np.empty((2, block))
-        dist2, scale = np.empty((2, count * step))
+        zsq, dist2 = np.empty(block), np.empty(count * step)
+        scale = np.empty(max(count * step, block))   # first the scratch of |zeta|^2
         for k in claim:
             start = starts[k]
             nodes, weights, nu = rule.part(start, start + NODE_BLOCK)
             size = len(nodes)
             _fold(fold[:, :size], terms, nodes, nu, weights)
             zeta = nodes.T
-            _norm2(zeta, zsq[:size], ztmp[:size])
+            _norm2(zeta, zsq[:size], scale[:size])
             for sub in range(0, size, step):
                 b = min(step, size - sub)
                 r, sc = dist2[:count * b].reshape(count, b), scale[:count * b].reshape(count, b)
@@ -382,6 +405,7 @@ def _sweep(form, rule, points, radius=0.0, centers=None):
                 for _ in range(n - 1):
                     sc /= r
                 partials[k] += sc @ fold[:, sub:sub + b].T
+            del nodes, weights, nu, zeta   # this block goes before the next is written
 
     _on_cpus(work, len(starts))
     acc = partials.sum(axis=0)   # block order: the same sum whatever the number of CPUs

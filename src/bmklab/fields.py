@@ -147,6 +147,11 @@ class Field:
     def _scaled(self, c):
         return AnalyticField(self.m, lambda x: c * self(x))
 
+    def _constant_value(self):
+        """The one value this field takes at every point, or None when it
+        may vary: only a polynomial knows it is constant."""
+        return None
+
     @property
     def is_zero(self):
         return False
@@ -203,6 +208,14 @@ class PolyField(Field):
 
     def _scaled(self, c):
         return PolyField(self.m, {a: c * v for a, v in self.terms.items()})
+
+    def _constant_value(self):
+        """0 + c for a polynomial with no term but the constant c (0 for the
+        zero polynomial), else None: the bits __call__ gives at every point,
+        whose zeros turn a -0 part of c into +0."""
+        if set(self.terms) <= {(0,) * self.m}:
+            return 0 + self.terms.get((0,) * self.m, 0j)
+        return None
 
     def _poly_add(self, other):
         terms = dict(self.terms)

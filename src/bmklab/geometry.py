@@ -144,16 +144,34 @@ class QuadratureRule:
 
     def _write(self, lo, hi, nodes, weights=None):
         """Write a ball volume rule's nodes lo:hi into nodes, (hi - lo, m) in
-        any layout, and, unless None, their weights into weights, shell by shell."""
+        any layout, and, unless None, their weights into weights.
+
+        A part of a shell at either end of lo:hi is written on its own, and
+        every whole shell between them in one broadcast call each for the
+        nodes, the centre and the weights, so a block of many small shells
+        costs a few numpy calls, not three per shell.  Each value is the
+        same product r[i] * sph[:, j] + center or shell_w[i] * sph_w[j]
+        either way.
+        """
         r, shell_w, sph, sph_w, center = self.shells
-        size = sph.shape[1]
-        for i in range(lo // size, (hi + size - 1) // size):   # the shells lo:hi touches
-            a, b = max(lo, i * size), min(hi, (i + 1) * size)
-            out, src = slice(a - lo, b - lo), slice(a - i * size, b - i * size)
-            np.multiply(r[i], sph[:, src].T, out=nodes[out])
-            nodes[out] += center
+        m, size = sph.shape
+        first, last = -(-lo // size), hi // size   # shells first:last lie whole in lo:hi
+        cuts = [lo, hi] if first > last else [lo, first * size, last * size, hi]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if a == b:
+                continue
+            i = a // size
+            if a % size or (b - a) % size:   # inside shell i
+                shells, src = 1, slice(a - i * size, b - i * size)
+            else:
+                shells, src = (b - a) // size, slice(None)
+            # (shells, nodes per shell, m) views of the rows a:b, never copies
+            out = nodes[a - lo:b - lo].reshape(shells, -1, m)
+            np.multiply(r[i:i + shells, None, None], sph[:, src].T, out=out)
+            out += center
             if weights is not None:
-                np.multiply(shell_w[i], sph_w[src], out=weights[out])
+                np.multiply(shell_w[i:i + shells, None], sph_w[src],
+                            out=weights[a - lo:b - lo].reshape(shells, -1))
 
 
 def _composite_gauss(lo, hi, panels, order):

@@ -179,13 +179,19 @@ def _sample(func, coords, shape=None):
     return _components(func(coords), shape)
 
 
-def _coefficient(field, points):
+def _coefficient(field, points, grid=False):
     """field's values at points (..., m), float64 when no imaginary part is
     nonzero; a constant polynomial gives its scalar, real when its imaginary
-    part is 0, so no array of one value is built."""
-    if field.is_poly and set(field.terms) <= {(0,) * field.m}:
-        c = field.terms.get((0,) * field.m, 0.0)
+    part is 0, so no array of one value is built.  With grid, points is an
+    (n_1, ..., n_m, m) tensor grid, and a polynomial is evaluated only
+    along the axes of the coordinates it has, of length 1 along the others:
+    x_2 on a 257 x 257 grid is a (1, 257) row that broadcasts to it."""
+    c = field._constant_value()
+    if c is not None:
         return c.real if c.imag == 0 else c
+    if grid and field.is_poly:
+        points = points[tuple(slice(None) if any(a[k] for a in field.terms) else slice(0, 1)
+                              for k in range(field.m))]
     v = np.asarray(field(points))
     return v.real.copy() if np.iscomplexobj(v) and not np.any(v.imag) else v
 
@@ -257,8 +263,12 @@ class HalfSpaceField:
 
     def grid_values(self):
         if self._samples is None:
-            self._samples = _full(_sample(self.func, list(np.ix_(*self.axes))), self.shape)
+            self._samples = self._sample_grid()
         return self._samples
+
+    def _sample_grid(self):
+        """func on the open grid, each component at full shape; not kept."""
+        return _full(_sample(self.func, list(np.ix_(*self.axes))), self.shape)
 
     def evaluate(self, x):
         """Values at an (..., m) array of points, of shape x.shape[:-1]."""
@@ -379,7 +389,8 @@ def convolve_field(f, kernel, x, *, quad):
     them, and their rows are joined in order.  A slab's worker takes
     the rule CONV_CHUNK nodes at a time: it calls f's callable on its
     coordinates shifted by each node t_k in turn and adds c_r[k] * f(x - t_k)
-    into its own chunk partial in node order.  The short partial sums keep
+    into its own chunk partial in node order, dropping a node's samples
+    before it calls f for the next node.  The short partial sums keep
     the rounding error of the 5,120-node m = 3 rule within 1e-13 of the
     sum, which one running sum over all nodes does not.  Every output
     element goes through the same chain of elementwise additions whatever
@@ -413,8 +424,9 @@ def convolve_field(f, kernel, x, *, quad):
                 for k in range(start, min(start + CONV_CHUNK, len(t))):
                     for src, dst, tk in zip(mine, shifted, t[k]):
                         np.subtract(src, tk, out=dst)
-                    values = _sample(f.func, shifted, sampled)
-                    comps = values if isinstance(values, tuple) else (values,)
+                    comps = _sample(f.func, shifted, sampled)
+                    if not isinstance(comps, tuple):
+                        comps = (comps,)
                     if total is None:
                         # f takes the kernel and every partial, Qf the kernel only
                         rows = [(0, c) for c in coef] + [(i, base) for i in range(1, len(comps))]
@@ -424,6 +436,7 @@ def convolve_field(f, kernel, x, *, quad):
                     for row, (i, c) in zip(part, rows):
                         np.multiply(c[k], comps[i], out=term)
                         row += term
+                    del comps   # this node's samples go before the next node's call
                 total += part
                 part.fill(0.0)
             totals[s] = total
@@ -445,38 +458,39 @@ def convergence_report(op, f, graph, f_b, eps_list, p):
     (epsilon, tau, interior_err, q_err, commutator_ratio, trace_err).
     p must satisfy 1 <= p < inf, as in slab_mass.
 
-    op's coefficients are evaluated once on the grid, and one whose
-    imaginary parts are all zero is kept as float64, so Q f_eps is real
-    when f and the coefficients are; a constant coefficient stays a
-    scalar.  Each rung is worked out by a helper that returns its row: no
-    rung's arrays are alive during the next rung's convolution.
+    f's grid values are the graph's first component, which is checked
+    against f's own callable on the grid once and not kept in f.  op's
+    coefficients are evaluated once on the grid, a polynomial only along
+    the axes of its coordinates (fields of grid shape broadcast against
+    them), and one whose imaginary parts are all zero is kept as float64,
+    so Q f_eps is real when f and the coefficients are; a constant
+    coefficient stays a scalar.  Each rung is worked out by a helper that
+    returns its row: no rung's arrays are alive during the next rung's
+    convolution.
     """
     if not 1 <= p < np.inf:
         raise ValueError(f"convergence_report needs 1 <= p < inf, got p = {p!r}")
-    nodes = f.grid_nodes()
-    f_grid = f.grid_values().ravel()
     pair = graph.grid_values()
     if not (isinstance(pair, tuple) and len(pair) == 2
-            and np.array_equal(pair[0], f.grid_values())):
+            and np.array_equal(pair[0], f._sample_grid())):
         raise ValueError("graph must return the pair (f, Qf) with f's own values on f's grid")
-    qf_grid = pair[1].ravel()
+    f_grid, qf_grid = pair
     f_norm = f.lp_norm(f_grid, p)
     bnodes = f.boundary_nodes()
     a1_b = _coefficient(op.a[0], bnodes)
     fb_vals = _sample(f_b, list(bnodes.T))
-    a_vals = [_coefficient(aj, nodes) for aj in op.a]
-    b_vals = _coefficient(op.b, nodes)
-    points = nodes.reshape(f.shape + (f.m,))
+    points = f.grid_nodes().reshape(f.shape + (f.m,))
+    a_vals = [_coefficient(aj, points, grid=True) for aj in op.a]
+    b_vals = _coefficient(op.b, points, grid=True)
 
     def rung(eps):
         tau = choose_tau(f, eps, p)
         kernel = DiracSequence(f.m, eps, tau)
-        conv = convolve_field(graph, kernel, points, quad=kernel.quad_rule())
-        f_eps, *partials, qf_conv = conv.reshape(len(conv), -1)
+        f_eps, *partials, qf_conv = convolve_field(graph, kernel, points, quad=kernel.quad_rule())
         q_f_eps = b_vals * f_eps
         for a, df in zip(a_vals, partials):
             q_f_eps = q_f_eps + a * df
-        trace = f_eps.reshape(f.shape)[-1].ravel()
+        trace = f_eps[-1].ravel()
         return {
             "epsilon": eps,
             "tau": tau,

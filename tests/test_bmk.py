@@ -526,6 +526,16 @@ def _callable_form(n, q):
     return DifferentialForm(n, 0, q, dict(zip([((), J) for J in keys], coefs)))
 
 
+# real, imaginary, general complex and a -0 real part: the constants whose
+# interior densities the fold writes from one scalar
+CONSTANTS = [2.5, 0.75j, complex(-1.25, 0.375), complex(-0.0, -1.5)]
+
+
+def _constant_form(n, q, c):
+    """The (0, q)-form with every coefficient the constant polynomial c."""
+    return DifferentialForm(n, 0, q, {((), J): constant(2 * n, c) for J in multi_indices(n, q)})
+
+
 def _symbolic_fold(form, q, nodes, nu, weights):
     """The fold written through the symbolic wedge, in the layout of
     bmk._fold: for each (J, j) of kernel_table(n, q) in table order, the
@@ -555,7 +565,9 @@ def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     coefficient.  32,768-node blocks are large enough that numpy reuses
     temporaries, which fixes the operand order of complex products.  At
     n = 2, q = 0 inside, bmk-lp's dbar datum adds components that share one
-    value, on nodes with exact zero coordinates."""
+    value, on nodes with exact zero coordinates.  Constant operands, real,
+    imaginary, complex and with a -0 real part, take the fold's scalar path
+    inside."""
     domain = make_domain("ball", m=2 * n)
     deg = q + interior
     level = {(1, True): 5, (1, False): 10, (2, True): 2, (2, False): 3,
@@ -566,6 +578,7 @@ def test_fold_equals_symbolic_wedge_density(n, q, interior, size):
     keys = multi_indices(n, q)
     table = [(keys.index(J), j) for J, terms in bmk.kernel_table(n, q).items() for j, _ in terms]
     forms = [_generic_form(n, deg), _callable_form(n, deg)]
+    forms += [_constant_form(n, deg, c) for c in CONSTANTS]
     if (n, q, interior) == (2, 0, True):
         forms.append(cli._lp_test_forms()[2])
     for form in forms:
@@ -665,6 +678,52 @@ def test_reproduce_residual_level3_ladder_memory(monkeypatch):
     block buffers."""
     peak = _residual_peak(monkeypatch, 1, 3)
     assert peak < 32 * 2 ** 20, peak
+
+
+def test_constant_operand_sweep_holds_no_operand_block(monkeypatch):
+    """A volume sweep of bmk-verify's constant operand dzbar on the level-5
+    disc, 8 blocks of 32,768 nodes at 10 points on two workers, peaks
+    within what the workers must hold: each its fold rows, |zeta|^2, the
+    distance and scale buffers and one node block with its weights, plus
+    one float64 block for its small temporaries (141 KB: a matmul operand
+    and the drop mask).  Evaluating the constant into a block and copying
+    it through a complex scratch would add two complex128 blocks per
+    worker, keeping a node block while the next is written three float64
+    blocks and a separate |zeta|^2 scratch one float64 block each."""
+    _use_cpus(monkeypatch, 2)
+    g = DifferentialForm(1, 0, 1, {((), (1,)): constant(2, 1.0)})
+    rule = volume_rule(DISC, 5)
+    points = np.random.default_rng(0).uniform(-0.5, 0.5, (10, 2))
+    block, count = bmk.NODE_BLOCK, len(points)
+    pairs = count * (bmk.PAIR_BLOCK // count)
+    assert len(rule) == 8 * block and pairs <= block
+    rows = 4 * len(bmk._kernel_terms(g, 0, True))
+    worker = 8 * (rows * block + block + pairs + block + 2 * block + block)
+    want = bmk._volume_term(g, rule, points)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        got = bmk._volume_term(g, rule, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 2 * (worker + 8 * block), (peak, worker)
+
+
+@pytest.mark.parametrize("domain, level", [(DISC, 2), (BALL4, 0)])
+def test_dbar_potential_of_a_constant_form_keeps_its_bits(monkeypatch, domain, level):
+    """dbar_potential of a constant (0, 1)-form, whose delta term and fold
+    take each density as one scalar, has the bits of the same run with the
+    constant evaluated into an array at every point and node."""
+    n = domain.m // 2
+    zs = np.array([[0.2, -0.1, 0.3, 0.15], [-0.3, 0.1, 0.05, -0.2]])[:, :2 * n]
+    rule = volume_rule(domain, level)
+    forms = [_constant_form(n, 1, c) for c in CONSTANTS]
+    scalar = [bmk.dbar_potential(f, zs, rule) for f in forms]
+    monkeypatch.setattr(fields.PolyField, "_constant_value", lambda self: None)
+    for f, got in zip(forms, scalar):
+        assert got.tobytes() == bmk.dbar_potential(f, zs, rule).tobytes()
 
 
 def test_reproduce_residual_builds_each_interior_rule_once(monkeypatch):

@@ -233,6 +233,36 @@ def test_ball_volume_parts_match_materialised_bytes(params, level):
         assert np.concatenate([w for _, w, _ in chunks]).tobytes() == weights.tobytes()
 
 
+@pytest.mark.parametrize("params, level", [
+    ({"m": 2}, 6),
+    ({"m": 4}, 1),
+    ({"m": 4, "radius": 0.7, "center": [0.3, -0.2, 0.1, 0.4]}, 1),
+])
+def test_part_writes_each_node_from_its_shell_factors(params, level):
+    """part(lo, hi) gives node i * S + j as r[i] * sph[:, j] + c and its
+    weight as shell_w[i] * sph_w[j], bit for bit, coordinate-major, over
+    ranges that start and end mid-shell, span many shells, stay inside one
+    shell, cover whole shells only or are empty; so do the C-ordered
+    nodes.  The disc's level 6 has 16 shells of 2,048 nodes per
+    32,768-node block, and the 4-ball's level 1 is one partial block of
+    12 such shells."""
+    rule = volume_rule(make_domain("ball", **params), level)
+    r, shell_w, sph, sph_w, c = rule.shells
+    size, total = sph.shape[1], len(rule)
+    shell, j = np.divmod(np.arange(total), size)
+    want = r[shell][:, None] * sph[:, j].T + c
+    want_w = shell_w[shell] * sph_w[j]
+    ranges = [(3, 5 * size - 2), (size + 7, 3 * size + 1), (5, 9), (size + 1, 2 * size - 1),
+              (2 * size, 5 * size), (0, len(r) * size), (4 * size, 4 * size), (11, 11),
+              (total - 3, total)]
+    for lo, hi in ranges + [(k, k + 32_768) for k in range(0, total, 32_768)]:
+        nodes, weights, _ = rule.part(lo, hi)
+        assert nodes.T.flags.c_contiguous and len(nodes) == min(hi, total) - lo
+        assert nodes.tobytes() == want[lo:hi].tobytes()
+        assert weights.tobytes() == want_w[lo:hi].tobytes()
+    assert rule.nodes.flags.c_contiguous and rule.nodes.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("params", [
     {"kind": "ball", "m": 4},
     {"kind": "ball", "m": 2},

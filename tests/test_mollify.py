@@ -715,6 +715,34 @@ def test_convergence_report_keeps_one_rung_alive():
     assert two <= one + rung_output // 4
 
 
+def test_convolve_field_drops_a_nodes_samples_before_the_next_call(monkeypatch):
+    """In a one-rung 65 x 65 strip report on one CPU, the traced peak
+    during the graph's field call for the second kernel node exceeds that
+    for the first by the worker's partial sums alone (two arrays of 4 rows
+    and one row of the grid's shape), not also by the first node's samples
+    (2 rows)."""
+    n = 65
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
+    op, f, graph, f_fn = cli.mollify_fixture(n)
+    func, peaks = graph.func, []
+
+    def traced(x):
+        tracemalloc.reset_peak()
+        values = func(x)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return values
+
+    graph.func = traced
+    tracemalloc.start()
+    try:
+        convergence_report(op, f, graph, f_fn, [0.2], 2.0)
+    finally:
+        tracemalloc.stop()
+    row = n * n * 8
+    first, second = peaks[1:3]   # peaks[0] is the grid's own sample
+    assert (2 * 4 + 1) * row <= second - first < (2 * 4 + 1) * row + row, second - first
+
+
 def test_convergence_report_builds_no_grid_for_the_graph(monkeypatch):
     """The graph field is only sampled: after a report, its own axes have
     gone to no tensor-rule build, so it holds no (N, m) nodes or weights."""
